@@ -1,8 +1,9 @@
 """Sequential simulation loop.
 
-Per tick: gather all matches at the active cell, apply the maximality
-filter, pick one survivor (rule order + lexicographic binding in
-deterministic mode, seeded-uniform otherwise), apply it.  Runs to
+Per tick: gather all matches at the active cell as the kernel's
+(rule_index, binding_tuple) pairs, apply the maximality filter, pick one
+survivor (the first in canonical order in deterministic mode,
+seeded-uniform otherwise), build its Match and apply it.  Runs to
 quiescence (no maximal match) or a tick budget.
 """
 from __future__ import annotations
@@ -55,26 +56,31 @@ class StepStats:
         return "\n".join(lines) + "\n"
 
 
-def select_match(matches, cfg):
-    """Tie-break among maximal matches.
+def select_match(pairs, cfg):
+    """Tie-break among maximal (rule_index, binding_tuple) pairs.
 
-    Deterministic: smallest (rule order, binding tuple).  Random:
-    seeded-uniform over the same canonically sorted list, so a seed
-    fully determines the run.
+    The pairs arrive in canonical order (rule order, then binding tuple;
+    see pattern.match_all), so nothing is sorted here.  Deterministic:
+    the first pair.  Random: seeded-uniform over the list, drawing from
+    the rng only when there is a choice, so a seed fully determines the
+    run.
     """
-    ranked = sorted(matches, key=lambda m: (m.rule_index, m.binding_tuple()))
-    if cfg.mode == DETERMINISTIC or len(ranked) == 1:
-        return ranked[0]
-    return ranked[cfg.rng.randrange(len(ranked))]
+    if cfg.mode == DETERMINISTIC or len(pairs) == 1:
+        return pairs[0]
+    return pairs[cfg.rng.randrange(len(pairs))]
 
 
 def step(cfg, rules, negative_edges=False):
-    """One tick; returns the applied Match or None when quiescent."""
-    matches = pattern.match_all(cfg.tangle, rules, negative_edges)
-    if not matches:
+    """One tick; returns the applied Match or None when quiescent.
+
+    Selection works on the kernel's pairs; a Match is built only for the
+    chosen one.
+    """
+    pairs = pattern.match_all(cfg.tangle, rules, negative_edges)
+    if not pairs:
         return None
-    maximal = pattern.maximality_filter(matches)
-    chosen = select_match(maximal, cfg)
+    chosen = pattern.make_match(
+        rules, select_match(pattern.maximality_filter(pairs), cfg))
     pattern.apply(cfg.tangle, chosen)
     cfg.tick += 1
     return chosen
@@ -114,9 +120,6 @@ def _check(cfg, prev_nodes, idle_colors, universe):
     violations = []
     if g.node_count() < prev_nodes:
         violations.append("node count decreased")
-    crit = [n.id for n in g.nodes.values() if n.kind == tg.CRITICALS]
-    if len(crit) != 1:
-        violations.append("criticals count %d" % len(crit))
     active_color = g.nodes[g.active].color
     full = idle_colors is None or active_color in idle_colors
     structural = tg.check_invariants(g, universe)

@@ -2,8 +2,17 @@
 
 A pattern is a small connected graph of cells anchored at a focus cell;
 a match binds cells injectively to tangle nodes, the focus to the active
-node.  The maximality filter drops any match whose cell set is a strict
-subset of another match's cell set; equal cell sets survive together.
+node.  Matching works on the kernel's own (rule_index, binding_tuple)
+pairs; a Match object is built only for the pair that gets applied.
+
+The maximality filter drops any match whose cell set is a strict subset
+of another match's cell set; equal cell sets survive together.  Bindings
+are injective, so a strict superset always has more cells: each pair is
+compared only with longer pairs.
+
+Canonical order is rule order, then binding tuple.  The kernel emits it
+whenever every plan binds its non-focus cells in increasing cell index;
+RuleSet.plans() records when one does not, and match_all then sorts.
 """
 from __future__ import annotations
 
@@ -99,13 +108,12 @@ class Rule:
 
 
 class Match:
-    __slots__ = ("rule", "rule_index", "binding", "cellset")
+    __slots__ = ("rule", "rule_index", "binding")
 
     def __init__(self, rule, rule_index, binding):
         self.rule = rule
         self.rule_index = rule_index
         self.binding = binding
-        self.cellset = frozenset(binding.values())
 
     def binding_tuple(self):
         return tuple(self.binding[n] for n in self.rule.pattern.names)
@@ -121,11 +129,21 @@ class RuleSet:
         self.rules = list(rules)
         self.radius = radius
         self._plans = None
+        self.plans_in_order = None
 
     def plans(self):
+        """The kernel's plan index, built once.
+
+        Also sets plans_in_order: whether every plan binds its non-focus
+        cells in increasing cell index, so that the kernel's output is
+        already in canonical order.
+        """
         if self._plans is None:
-            self._plans = kernel.PlanIndex(
-                [make_plan(r, i) for i, r in enumerate(self.rules)])
+            plans = [make_plan(r, i) for i, r in enumerate(self.rules)]
+            self.plans_in_order = all(
+                all(a[0] < b[0] for a, b in zip(p.steps, p.steps[1:]))
+                for p in plans)
+            self._plans = kernel.PlanIndex(plans)
         return self._plans
 
 
@@ -167,31 +185,46 @@ def make_plan(rule, rule_index):
 def match_all(g, ruleset, negative_edges=False):
     """Every match of every rule anchored at the active node.
 
-    Deterministic order: rule order, then sorted binding tuples.
+    Returns the kernel's (rule_index, binding_tuple) pairs, binding tuples
+    indexed like the rule's pattern cells, in canonical order: rule order,
+    then binding tuple.  The kernel's list is returned as is unless some
+    plan binds its cells out of index order; only then is it sorted.
     """
-    out = []
-    for rule_index, binding_tuple in kernel.enumerate_matches(
-            ruleset.plans(), g, g.active, negative_edges):
-        rule = ruleset.rules[rule_index]
-        binding = dict(zip(rule.pattern.names, binding_tuple))
-        out.append(Match(rule, rule_index, binding))
-    return out
+    pairs = kernel.enumerate_matches(ruleset.plans(), g, g.active,
+                                     negative_edges)
+    return pairs if ruleset.plans_in_order else sorted(pairs)
 
 
-def maximality_filter(matches):
-    """Drop matches whose cell set is a strict subset of another's."""
+def maximality_filter(pairs):
+    """Drop pairs whose cell set is a strict subset of another's.
+
+    Keeps the input order.  Returns the input itself when all bindings
+    have the same length: injective bindings of one size cannot be strict
+    subsets of each other.  Otherwise a pair is compared only with longer
+    bindings, where containment alone means strict containment, and the
+    longest bindings are kept unchecked.
+    """
+    sizes = {len(binding) for _rule_index, binding in pairs}
+    if len(sizes) <= 1:
+        return pairs
+    largest = max(sizes)
     out = []
-    for m in matches:
-        blocked = False
-        for other in matches:
-            if other is m:
+    for pair in pairs:
+        size = len(pair[1])
+        if size < largest:
+            cells = set(pair[1])
+            if any(len(other) > size and cells.issubset(other)
+                   for _rule_index, other in pairs):
                 continue
-            if m.cellset < other.cellset:
-                blocked = True
-                break
-        if not blocked:
-            out.append(m)
+        out.append(pair)
     return out
+
+
+def make_match(ruleset, pair):
+    """The Match for one (rule_index, binding_tuple) pair."""
+    rule_index, binding = pair
+    rule = ruleset.rules[rule_index]
+    return Match(rule, rule_index, dict(zip(rule.pattern.names, binding)))
 
 
 def apply(g, m):

@@ -1,7 +1,7 @@
 """Sequential execution loop: precedence, scheduling, budgets, invariants."""
 import pytest
 
-from tangleca import automaton, tangle
+from tangleca import automaton, pattern, tangle
 from tangleca.automaton import (BUDGET, DETERMINISTIC, QUIESCENT, RANDOM,
                                 Configuration, InvariantViolation, StepStats,
                                 run, select_match, step, trace, format_trace)
@@ -87,13 +87,48 @@ class TestScheduling:
         assert len(seen) == 2
 
     def test_select_match_orders_by_rule_then_binding(self):
+        # match_all hands over pairs in canonical order (rule, then
+        # binding tuple); deterministic selection takes the first one
         g, rules = self._tie_setup()
         cfg = Configuration(g, mode=DETERMINISTIC)
-        matches = sorted(
-            __import__("tangleca.pattern", fromlist=["match_all"])
-            .match_all(g, rules),
-            key=lambda m: (m.rule_index, m.binding_tuple()), reverse=True)
-        assert select_match(matches, cfg) is matches[-1]
+        pairs = pattern.match_all(g, rules)
+        assert len(pairs) == 2 and pairs == sorted(pairs)
+        assert select_match(pairs, cfg) is pairs[0]
+
+
+class TestCanonicalOrderGuard:
+    """A plan that binds cells out of index order still yields canonical
+    order: the kernel emits its matches unsorted, match_all sorts them."""
+
+    def _setup(self):
+        g = tangle.Tangle()
+        c, b1, b2, a1, a2 = (
+            g.add_node("red" if i == 0 else "plain",
+                       tangle.CRITICALS if i == 0 else tangle.SET)
+            for i in range(5))
+        assert (c, b1, b2, a1, a2) == (0, 1, 2, 3, 4)
+        g.add_edge(c, "x", b1)
+        g.add_edge(c, "x", b2)
+        g.add_edge(b1, "y", a2)
+        g.add_edge(b2, "y", a1)
+        g.active = c
+        # the plan grows C-x->B first, so it binds B (index 2) before A
+        rule = Rule("late", Pattern(
+            [("C", "red"), ("A", None), ("B", None)],
+            [("C", "x", "B"), ("B", "y", "A")], "C"),
+            Rewrite(recolor=[("C", "green")]))
+        return g, RuleSet(COLORS, LABELS, [rule], 3)
+
+    def test_out_of_order_plan_is_detected_and_sorted(self):
+        g, rules = self._setup()
+        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active,
+                                               False)
+        assert raw == [(0, (0, 4, 1)), (0, (0, 3, 2))]
+        assert not rules.plans_in_order
+        assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
+                                               (0, (0, 4, 1))]
+        applied = step(Configuration(g, mode=DETERMINISTIC), rules)
+        assert (applied.rule_index, applied.binding_tuple()) == (0, (0, 3, 2))
 
 
 class TestRunLoop:

@@ -9,7 +9,7 @@ from tangleca.compiler import CompileError, Formula, compile_program
 from tangleca.pattern import (parse_ruleset, serialize_ruleset,
                               validate_ruleset)
 
-from conftest import MODES, run_automaton, oracle_state
+from conftest import MODES, compile_case, run_automaton, oracle_state
 
 
 def formula_eval(f, assignment):
@@ -385,3 +385,35 @@ class TestPhaseAccounting:
             assert klass == interpreter.TERMINAL
             finals.append(got)
         assert finals[0] == finals[1]
+
+
+class TestNonTerminating:
+    """A program that never halts is compared round by round: the
+    automaton pauses each time it re-reaches the first eval color and its
+    decoded state must equal the interpreter's after as many rounds."""
+
+    SWAP = "criticals t, p;\nif t != p then (t := p par p := t)\n"
+
+    @pytest.mark.parametrize("neg", MODES)
+    @pytest.mark.parametrize("mode,seed", [(automaton.DETERMINISTIC, 0),
+                                           (automaton.RANDOM, 1),
+                                           (automaton.RANDOM, 7),
+                                           (automaton.RANDOM, 42)])
+    def test_swap_agrees_round_by_round(self, neg, mode, seed):
+        universe, program, unit, state, graph = compile_case(
+            self.SWAP, "term t = {}\nterm p = {{}}\n", negative_edges=neg)
+        cfg = automaton.Configuration(graph, seed=seed, mode=mode)
+        crossings = 0
+        for rounds in (1, 2, 3):
+            want, steps, outcome = interpreter.run_to_termination(
+                program, state, universe, max_steps=rounds)
+            assert (steps, outcome) == (rounds, interpreter.BUDGET)
+            # the first crossing is the boot tick, before any transition
+            while crossings < rounds + 1:
+                assert cfg.tick < 200000, "no round boundary reached"
+                assert automaton.step(cfg, unit.ruleset,
+                                      negative_edges=neg) is not None
+                if cfg.tangle.color_of(cfg.tangle.active) == unit.first_color:
+                    crossings += 1
+            got = unit.final_state(cfg.tangle, universe)
+            assert got == want, rounds

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tangleca import pattern, tangle
-from tangleca.pattern import (Match, Pattern, Rewrite, Rule, RuleError,
-                              RuleSet, apply, match_all, maximality_filter,
-                              parse_ruleset, serialize_ruleset,
-                              validate_ruleset)
+from tangleca.pattern import (Pattern, Rewrite, Rule, RuleError, RuleSet,
+                              apply, make_match, match_all,
+                              maximality_filter, parse_ruleset,
+                              serialize_ruleset, validate_ruleset)
 
 COLORS = ("red", "green", "blue")
 LABELS = ("x", "y", "z")
@@ -91,16 +91,14 @@ class TestMatching:
     @settings(max_examples=200, deadline=None)
     def test_matches_equal_brute_force(self, g, neg):
         rules = probe_rules()
-        got = sorted((m.rule_index, m.binding_tuple())
-                     for m in match_all(g, rules, negative_edges=neg))
+        got = sorted(match_all(g, rules, negative_edges=neg))
         assert got == brute_matches(g, rules, negative_edges=neg)
 
     @given(g=random_tangles())
     @settings(max_examples=60, deadline=None)
     def test_match_order_is_canonical(self, g):
         rules = probe_rules()
-        seq = [(m.rule_index, m.binding_tuple())
-               for m in match_all(g, rules)]
+        seq = match_all(g, rules)
         assert seq == sorted(seq)
 
     def test_injectivity(self):
@@ -128,57 +126,39 @@ class TestMatching:
 
 
 class TestMaximality:
-    def _match(self, rule, rule_index, nodes):
-        binding = dict(zip(rule.pattern.names, nodes))
-        return Match(rule, rule_index, binding)
-
-    def _rules(self):
-        small = Rule("small", Pattern([("C", None)], [], "C"), Rewrite())
-        big = Rule("big", Pattern([("C", None), ("A", None)],
-                                  [("C", "x", "A")], "C"), Rewrite())
-        return small, big
+    # pairs as the kernel emits them: (rule_index, binding_tuple); rule 0
+    # has one cell, rule 1 two cells, rule 2 three cells
 
     def test_strict_subset_blocked(self):
-        small, big = self._rules()
-        m1 = self._match(small, 0, [1])
-        m2 = self._match(big, 1, [1, 2])
+        m1 = (0, (1,))
+        m2 = (1, (1, 2))
         assert maximality_filter([m1, m2]) == [m2]
 
     def test_equal_cellsets_both_survive(self):
-        _, big = self._rules()
-        m1 = self._match(big, 1, [1, 2])
-        m2 = self._match(big, 1, [2, 1])
+        m1 = (1, (1, 2))
+        m2 = (1, (2, 1))
         assert maximality_filter([m1, m2]) == [m1, m2]
 
     def test_incomparable_survive(self):
-        _, big = self._rules()
-        m1 = self._match(big, 1, [1, 2])
-        m2 = self._match(big, 1, [1, 3])
+        m1 = (1, (1, 2))
+        m2 = (1, (1, 3))
         assert maximality_filter([m1, m2]) == [m1, m2]
 
     def test_chain_keeps_only_maximal(self):
-        small, big = self._rules()
-        wide = Rule("wide", Pattern(
-            [("C", None), ("A", None), ("B", None)],
-            [("C", "x", "A"), ("C", "x", "B")], "C"), Rewrite())
-        m1 = self._match(small, 0, [1])
-        m2 = self._match(big, 1, [1, 2])
-        m3 = self._match(wide, 2, [1, 2, 3])
+        m1 = (0, (1,))
+        m2 = (1, (1, 2))
+        m3 = (2, (1, 2, 3))
         assert maximality_filter([m1, m2, m3]) == [m3]
 
-    @given(sets=st.lists(st.frozensets(st.integers(1, 6), min_size=1),
+    @given(sets=st.lists(st.lists(st.integers(1, 6), min_size=1,
+                                  unique=True),
                          min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_filter_equals_bruteforce_subset_check(self, sets):
-        rule = Rule("r", Pattern([("C", None)], [], "C"), Rewrite())
-        matches = []
-        for s in sets:
-            m = Match(rule, 0, {})
-            m.cellset = frozenset(s)
-            matches.append(m)
-        got = maximality_filter(matches)
-        want = [m for m in matches
-                if not any(m.cellset < o.cellset for o in matches)]
+        pairs = [(0, tuple(s)) for s in sets]
+        got = maximality_filter(pairs)
+        want = [p for p in pairs
+                if not any(set(p[1]) < set(o[1]) for o in pairs)]
         assert got == want
 
 
@@ -227,9 +207,14 @@ class TestApply:
                     creates=[("W", "green", tangle.SET)]))
         return g, rule
 
+    def _only_match(self, g, rule):
+        rules = RuleSet(COLORS, LABELS, [rule], 3)
+        (pair,) = match_all(g, rules)
+        return make_match(rules, pair)
+
     def test_rewrite_effects(self):
         g, rule = self._simple()
-        (m,) = match_all(g, RuleSet(COLORS, LABELS, [rule], 3))
+        m = self._only_match(g, rule)
         created = apply(g, m)
         assert len(created) == 1
         (w,) = created
@@ -241,7 +226,7 @@ class TestApply:
 
     def test_stale_match_raises(self):
         g, rule = self._simple()
-        (m,) = match_all(g, RuleSet(COLORS, LABELS, [rule], 3))
+        m = self._only_match(g, rule)
         g.set_color(m.binding["A"], "blue")
         with pytest.raises(RuleError):
             apply(g, m)
