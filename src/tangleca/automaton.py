@@ -91,15 +91,30 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
         on_tick=None):
     """Iterate step until quiescence or budget; returns (cfg, stats, outcome).
 
-    With check_invariants on, structural invariants (single Criticals,
-    containment acyclicity, monotone node count) are asserted after every
-    tick; committed-value uniqueness additionally whenever the active
-    cell's color is in idle_colors (mid-protocol marks are exempt), or on
-    every tick when idle_colors is None.
+    With check_invariants on, InvariantViolation is raised at the first
+    tick that leaves the tangle malformed:
+
+    - before the first tick, tangle.check_invariants runs on the initial
+      graph (a violation there reports the configuration's starting tick);
+    - after a tick that ends at an idle color (every tick when
+      idle_colors is None), tangle.check_invariants runs in full,
+      committed-value uniqueness and pair shape included;
+    - after any other tick, only what the applied rule can have broken
+      is checked: the node count did not fall, no created node is a
+      second Criticals, and no added containment edge closes a cycle.
+      Mid-protocol marks are exempt from uniqueness and pair shape.
+
+    The incremental checks extend the previous clean check, so they
+    assume that between two checks the graph changes only through
+    pattern.apply: on_tick must not mutate the tangle.
     """
     if max_ticks <= 0:
         raise ValueError("max_ticks must be positive")
     stats = StepStats()
+    if check_invariants:
+        violations = tg.check_invariants(cfg.tangle, universe)
+        if violations:
+            raise InvariantViolation(cfg.tick, violations)
     prev_nodes = cfg.tangle.node_count()
     while True:
         applied = step(cfg, rules, negative_edges)
@@ -109,31 +124,70 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
         if on_tick is not None:
             on_tick(cfg, applied)
         if check_invariants:
-            _check(cfg, prev_nodes, idle_colors, universe)
+            _check(cfg, applied, prev_nodes, idle_colors, universe)
         prev_nodes = cfg.tangle.node_count()
         if cfg.tick >= max_ticks:
             return cfg, stats, BUDGET
 
 
-def _check(cfg, prev_nodes, idle_colors, universe):
+def _check(cfg, applied, prev_nodes, idle_colors, universe):
     g = cfg.tangle
-    violations = []
+    if idle_colors is None or g.nodes[g.active].color in idle_colors:
+        violations = tg.check_invariants(g, universe)
+    else:
+        violations = _tick_violations(g, applied, prev_nodes)
     if g.node_count() < prev_nodes:
-        violations.append("node count decreased")
-    active_color = g.nodes[g.active].color
-    full = idle_colors is None or active_color in idle_colors
-    structural = tg.check_invariants(g, universe)
-    if not full:
-        structural = [v for v in structural
-                      if not v.startswith("duplicate committed value")]
-    violations.extend(structural)
+        violations.insert(0, "node count decreased")
     if violations:
         raise InvariantViolation(cfg.tick, violations)
 
 
+def _tick_violations(g, applied, prev_nodes):
+    """Structural violations the applied rewrite can have introduced.
+
+    pattern.apply creates nodes with consecutive ids in rewrite.creates
+    order and never removes one, so the created nodes are prev_nodes
+    onwards.  Deleted edges and recolors cannot break a structural
+    invariant, and the active node is never reassigned.
+    """
+    violations = []
+    if any(g.nodes[nid].kind == tg.CRITICALS
+           for nid in range(prev_nodes, g.node_count())):
+        violations.append("multiple criticals")
+    rewrite = applied.rule.rewrite
+    node_of = dict(applied.binding)
+    for i, (name, _color, _kind) in enumerate(rewrite.creates):
+        node_of[name] = prev_nodes + i
+    for a, label, d in rewrite.add_edges:
+        if label in tg.CONTAINMENT and _reaches(g, node_of[d], node_of[a]):
+            violations.append("containment cycle")
+            break
+    return violations
+
+
+def _reaches(g, start, goal):
+    """True when goal is reachable from start along containment edges."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        out = g.out[stack.pop()]
+        for label in tg.CONTAINMENT:
+            for nxt in out.get(label, ()):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return False
+
+
 def trace(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
-          snapshots=True):
-    """Run and record (tick, rule name, binding, snapshot) per transition."""
+          snapshots=True, check_invariants=False, idle_colors=None,
+          universe=None):
+    """Run and record (tick, rule name, binding, snapshot) per transition.
+
+    check_invariants, idle_colors and universe are passed on to run.
+    """
     entries = []
 
     def on_tick(c, applied):
@@ -141,6 +195,8 @@ def trace(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
                         c.tangle.snapshot() if snapshots else None))
 
     cfg, stats, outcome = run(cfg, rules, max_ticks, negative_edges,
+                              check_invariants=check_invariants,
+                              idle_colors=idle_colors, universe=universe,
                               on_tick=on_tick)
     return entries, cfg, stats, outcome
 

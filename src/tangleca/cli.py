@@ -111,7 +111,10 @@ def cmd_simulate(args):
         if args.trace:
             entries, cfg, stats, outcome = automaton.trace(
                 cfg, unit.ruleset, max_ticks=args.max_ticks,
-                negative_edges=args.negative_edges)
+                negative_edges=args.negative_edges,
+                check_invariants=args.check_invariants,
+                idle_colors=unit.idle_colors,
+                universe=universe)
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(automaton.format_trace(entries))
         else:

@@ -408,21 +408,15 @@ def decode_locations(g, universe=None):
     return result
 
 
-def find_value_node(g, v, universe=None):
-    """The unique committed node decoding to v, or None."""
-    u = universe if universe is not None else Universe()
-    hits = [nid for nid, val in _node_values(g, u, strict=False).items()
-            if val is v or val.uid == v.uid]
-    if len(hits) > 1:
-        raise TangleError("value %r has %d committed nodes" % (v, len(hits)))
-    return hits[0] if hits else None
-
-
 def check_invariants(g, universe=None):
     """List of structural violations; empty iff the tangle is well formed.
 
     Checks: exactly one Criticals node, active is Criticals, containment
-    acyclicity, committed-value uniqueness, pair component counts.
+    acyclicity, one fst and one snd component on every committed pair,
+    committed-value uniqueness.  This walks the whole graph;
+    automaton.run calls it before the first tick and after every tick
+    that ends at an idle color, and between those checks only what a
+    tick can break.
     """
     u = universe if universe is not None else Universe()
     violations = []
@@ -467,16 +461,22 @@ def check_invariants(g, universe=None):
         if "containment cycle" in violations:
             break
 
+    for n in g.nodes.values():
+        if n.kind == PAIR and n.color in COMMITTED:
+            fsts = len(g.sources(n.id, FST))
+            snds = len(g.sources(n.id, SND))
+            if fsts != 1 or snds != 1:
+                violations.append(
+                    "pair node %d has %d fst / %d snd components"
+                    % (n.id, fsts, snds))
+
     if "containment cycle" not in violations:
         seen = {}
-        try:
-            for nid, v in _node_values(g, u, strict=False).items():
-                if v.uid in seen:
-                    violations.append(
-                        "duplicate committed value at nodes %d and %d"
-                        % (seen[v.uid], nid))
-                else:
-                    seen[v.uid] = nid
-        except TangleError as e:
-            violations.append(str(e))
+        for nid, v in _node_values(g, u, strict=False).items():
+            if v.uid in seen:
+                violations.append(
+                    "duplicate committed value at nodes %d and %d"
+                    % (seen[v.uid], nid))
+            else:
+                seen[v.uid] = nid
     return violations

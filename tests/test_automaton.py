@@ -1,11 +1,14 @@
 """Sequential execution loop: precedence, scheduling, budgets, invariants."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tangleca import automaton, pattern, tangle
+from tangleca import automaton, hfset, pattern, tangle
 from tangleca.automaton import (BUDGET, DETERMINISTIC, QUIESCENT, RANDOM,
                                 Configuration, InvariantViolation, StepStats,
                                 run, select_match, step, trace, format_trace)
 from tangleca.pattern import Pattern, Rewrite, Rule, RuleSet
+
+from conftest import compile_case, load_corpus_case
 
 COLORS = ("red", "green", "blue", "plain")
 LABELS = ("x", "y")
@@ -264,3 +267,215 @@ class TestInvariantChecking:
         _, _, outcome = run(Configuration(g2), relax, check_invariants=True,
                             idle_colors=frozenset(("never",)))
         assert outcome == QUIESCENT
+
+    def test_trace_forwards_the_checks(self):
+        g = tangle.Tangle()
+        c = g.add_node("red", tangle.CRITICALS)
+        g.active = c
+        rules = RuleSet(COLORS, LABELS, [
+            Rule("bad", Pattern([("C", "red")], [], "C"),
+                 Rewrite(recolor=[("C", "blue")],
+                         creates=[("D", "plain", tangle.CRITICALS)]))], 3)
+        with pytest.raises(InvariantViolation) as exc:
+            trace(Configuration(g), rules, check_invariants=True)
+        assert exc.value.tick == 1
+
+
+# Checks after a tick that ends at an idle color walk the whole graph;
+# after any other tick only the applied rewrite is checked.
+IDLE = frozenset(("idle",))
+STRUCTURAL = frozenset(("multiple criticals", "no criticals",
+                        "active is not the criticals node",
+                        "containment cycle"))
+
+
+def two_set_graph():
+    """Criticals (color red) with x-edges to two empty marked sets."""
+    g = tangle.Tangle()
+    c = g.add_node("red", tangle.CRITICALS)
+    g.active = c
+    for _ in range(2):
+        g.add_edge(c, "x", g.add_node(tangle.MARKER, tangle.SET))
+    return g
+
+
+def two_set_rules(*rewrites, colors=("red",)):
+    """Rule i fires at focus color colors[i] on any two x-targets."""
+    rules = [Rule("r%d" % i,
+                  Pattern([("C", color), ("A", None), ("B", None)],
+                          [("C", "x", "A"), ("C", "x", "B")], "C"),
+                  rewrite)
+             for i, (color, rewrite) in enumerate(zip(colors, rewrites))]
+    return RuleSet(COLORS + ("idle",), LABELS + tuple(tangle.CONTAINMENT),
+                   rules, 3)
+
+
+class TestIncrementalChecks:
+    def test_cycle_closed_mid_protocol_is_caught_at_that_tick(self):
+        # tick 1 adds A elem B (fine), tick 2 adds B elem A: a cycle,
+        # while the focus stays at a non-idle color
+        g = two_set_graph()
+        rules = two_set_rules(
+            Rewrite(add_edges=[("A", tangle.ELEM, "B")],
+                    recolor=[("C", "blue")]),
+            Rewrite(add_edges=[("B", tangle.ELEM, "A")]),
+            colors=("red", "blue"))
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, max_ticks=10,
+                check_invariants=True, idle_colors=IDLE)
+        assert exc.value.tick == 2
+        assert exc.value.violations == ["containment cycle"]
+
+    def test_cycle_through_created_node_is_caught(self):
+        g = two_set_graph()
+        rules = two_set_rules(Rewrite(
+            creates=[("N", "marker", tangle.SET)],
+            add_edges=[("A", tangle.ELEM, "N"), ("N", tangle.FST, "B"),
+                       ("B", tangle.SND, "A")]))
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, max_ticks=10,
+                check_invariants=True, idle_colors=IDLE)
+        assert exc.value.tick == 1
+
+    def test_self_loop_is_a_cycle(self):
+        g = two_set_graph()
+        rules = two_set_rules(Rewrite(add_edges=[("A", tangle.ELEM, "A")]))
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, max_ticks=10,
+                check_invariants=True, idle_colors=IDLE)
+        assert exc.value.tick == 1
+
+    def test_second_criticals_mid_protocol_is_caught_at_that_tick(self):
+        g = two_set_graph()
+        rules = two_set_rules(Rewrite(
+            creates=[("D", "plain", tangle.CRITICALS)]))
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, max_ticks=10,
+                check_invariants=True, idle_colors=IDLE)
+        assert exc.value.tick == 1
+        assert exc.value.violations == ["multiple criticals"]
+
+    @pytest.mark.parametrize("malformed", ["cycle", "criticals"])
+    def test_malformed_initial_graph_raises_at_tick_zero(self, malformed):
+        g = two_set_graph()
+        a, b = sorted(g.targets(g.active, "x"))
+        if malformed == "cycle":
+            g.add_edge(a, tangle.ELEM, b)
+            g.add_edge(b, tangle.ELEM, a)
+        else:
+            g.add_node("plain", tangle.CRITICALS)
+        rules = two_set_rules(Rewrite(recolor=[("C", "blue")]))
+        applied = []
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, check_invariants=True,
+                idle_colors=IDLE,
+                on_tick=lambda cfg, m: applied.append(m))
+        assert exc.value.tick == 0 and applied == []
+
+    def test_full_check_runs_only_at_start_and_idle_ticks(self, monkeypatch):
+        # guard against a full-graph walk on every tick: one call before
+        # the first tick plus one per tick that ends at an idle color
+        source, state_text = load_corpus_case("03-accumulate")
+        u, _p, unit, _s, graph = compile_case(source, state_text)
+        calls = []
+        full_check = tangle.check_invariants
+
+        def counting_check(g, universe=None):
+            calls.append(g)
+            return full_check(g, universe)
+
+        monkeypatch.setattr(tangle, "check_invariants", counting_check)
+        idle_ticks = []
+
+        def on_tick(cfg, _m):
+            if cfg.tangle.color_of(cfg.tangle.active) in unit.idle_colors:
+                idle_ticks.append(cfg.tick)
+
+        _, stats, outcome = run(Configuration(graph), unit.ruleset,
+                                check_invariants=True,
+                                idle_colors=unit.idle_colors, universe=u,
+                                on_tick=on_tick)
+        assert outcome == QUIESCENT
+        assert 0 < len(idle_ticks) < stats.total
+        assert len(calls) == 1 + len(idle_ticks)
+
+
+FOCUS_COLORS = ("idle", "busy", "red")
+
+
+@st.composite
+def random_rules(draw):
+    """Rules over C -x-> A, C -x-> B that create nodes, add containment
+    edges among pattern and created cells and recolor the focus."""
+    rules = []
+    for i in range(draw(st.integers(1, 3))):
+        creates = [("N%d" % j, draw(st.sampled_from(("plain", "marker"))),
+                    draw(st.sampled_from((tangle.SET, tangle.PAIR,
+                                          tangle.CRITICALS))))
+                   for j in range(draw(st.integers(0, 2)))]
+        names = ("A", "B") + tuple(name for name, _c, _k in creates)
+        add_edges = draw(st.lists(st.tuples(
+            st.sampled_from(names), st.sampled_from(sorted(tangle.CONTAINMENT)),
+            st.sampled_from(names)), max_size=3))
+        add_edges += [("C", "x", name) for name, _c, _k in creates]
+        focus = draw(st.sampled_from(FOCUS_COLORS + (None,)))
+        rewrite = Rewrite(
+            recolor=[("C", draw(st.sampled_from(FOCUS_COLORS)))],
+            add_edges=add_edges, creates=creates)
+        rules.append(Rule("r%d" % i, Pattern(
+            [("C", focus), ("A", None), ("B", None)],
+            [("C", "x", "A"), ("C", "x", "B")], "C"), rewrite))
+    return RuleSet(FOCUS_COLORS + ("plain", "marker"),
+                   ("x",) + tuple(tangle.CONTAINMENT), rules, 3)
+
+
+@st.composite
+def random_graph(draw):
+    """Criticals with x-edges to a few marked value nodes and acyclic
+    containment edges among them, plus at most one arbitrary edge (which
+    may close a cycle before the first tick)."""
+    g = tangle.Tangle()
+    c = g.add_node(draw(st.sampled_from(FOCUS_COLORS)), tangle.CRITICALS)
+    g.active = c
+    nodes = [g.add_node(tangle.MARKER,
+                        draw(st.sampled_from((tangle.SET, tangle.PAIR))))
+             for _ in range(draw(st.integers(2, 4)))]
+    for n in nodes:
+        g.add_edge(c, "x", n)
+    edge = st.tuples(st.sampled_from(nodes),
+                     st.sampled_from(sorted(tangle.CONTAINMENT)),
+                     st.sampled_from(nodes))
+    for a, label, d in draw(st.lists(edge, max_size=3)):
+        if a < d:
+            g.add_edge(a, label, d)
+    extra = draw(st.none() | edge)
+    if extra is not None:
+        g.add_edge(*extra)
+    return g
+
+
+class TestIncrementalMatchesFull:
+    @settings(max_examples=300, deadline=None)
+    @given(random_graph(), random_rules(),
+           st.sampled_from((DETERMINISTIC, RANDOM)), st.integers(0, 9))
+    def test_first_violation_tick_agrees(self, g, rules, mode, seed):
+        # the run must stop at the first tick where the full check,
+        # restricted to structural kinds at non-idle colors, is unclean
+        u = hfset.Universe()
+        verdicts = [bool(tangle.check_invariants(g, u))]
+
+        def on_tick(cfg, _m):
+            found = tangle.check_invariants(cfg.tangle, u)
+            if cfg.tangle.color_of(cfg.tangle.active) not in IDLE:
+                found = [v for v in found if v in STRUCTURAL]
+            verdicts.append(bool(found))
+
+        try:
+            run(Configuration(g, seed=seed, mode=mode), rules, max_ticks=6,
+                check_invariants=True, idle_colors=IDLE, universe=u,
+                on_tick=on_tick)
+            stopped = None
+        except InvariantViolation as exc:
+            stopped = exc.tick
+        expected = verdicts.index(True) if True in verdicts else None
+        assert stopped == expected

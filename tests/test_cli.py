@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tangleca import cli
+from tangleca import cli, tangle
 
 from conftest import CORPUS_DIR
 
@@ -96,6 +96,17 @@ class TestSimulate:
         assert code == 0
         text = target.read_text()
         assert "tick" in text
+
+    def test_trace_file_keeps_invariant_checks(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(tangle, "check_invariants",
+                            lambda g, universe=None: ["planted violation"])
+        prog, state = case("02-counter")
+        code, _, err = run_main(
+            ["simulate", prog, state, "--trace", str(tmp_path / "t"),
+             "--check-invariants"], capsys)
+        assert code == cli.INVARIANT
+        assert "planted violation" in err
 
     def test_dot_snapshots(self, tmp_path, capsys, monkeypatch):
         prog, state = case("02-counter")

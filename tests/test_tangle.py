@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tangleca import hfset, tangle
 from tangleca.hfset import Universe
 from tangleca.tangle import (Tangle, TangleError, check_invariants, decode,
-                             decode_locations, encode, find_value_node)
+                             decode_locations, encode)
 
 from test_hfset import values
 
@@ -89,15 +89,6 @@ class TestEncode:
         u = Universe()
         g = encode({}, universe=u, criticals_color="boot")
         assert g.color_of(g.criticals()) == "boot"
-
-    def test_find_value_node(self):
-        u = Universe()
-        v = u.pair(u.atom("a"), u.empty())
-        g = encode({"t": v}, universe=u, atoms=("a",))
-        nid = find_value_node(g, v, u)
-        (expect,) = g.targets(g.criticals(), "t")
-        assert nid == expect
-        assert find_value_node(g, u.atom("missing"), u) is None
 
     def test_duplicate_location_rejected(self):
         # two distinct key objects whose argument uids coincide (values
@@ -205,3 +196,23 @@ class TestInvariants:
         g.add_node(tangle.EMPTY, tangle.SET)
         assert any("duplicate committed value" in v
                    for v in check_invariants(g, u))
+
+    def test_malformed_committed_pair(self):
+        # a second fst source: decode raises, and the full check says so
+        u = Universe()
+        a, b = u.atom("a"), u.atom("b")
+        g = encode({"t": u.pair(a, b)}, universe=u, atoms=("a", "b"))
+        (p,) = g.targets(g.criticals(), "t")
+        (snd_src,) = g.sources(p, tangle.SND)
+        g.add_edge(snd_src, tangle.FST, p)
+        with pytest.raises(TangleError, match="2 fst / 1 snd"):
+            decode(g, u)
+        assert check_invariants(g, u) == [
+            "pair node %d has 2 fst / 1 snd components" % p]
+
+    def test_pair_under_construction_is_not_flagged(self):
+        # a marked (not committed) pair may lack components mid-protocol
+        u = Universe()
+        g = encode({}, universe=u)
+        g.add_node("marker", tangle.PAIR)
+        assert check_invariants(g, u) == []
