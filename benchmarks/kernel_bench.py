@@ -17,28 +17,9 @@ import sys
 import time
 
 
-def union_case(n):
-    xs = ["x%d" % i for i in range(1, n + 1)]
-    source = ("atoms m, q, %s;\ncriticals t, p, w, r;\n"
-              "if r = {} then r := t U p\n" % ", ".join(xs))
-    decoys = ", ".join("{m, %s}" % ", ".join(x for x in xs if x != xi)
-                       for xi in xs)
-    state = ("term t = {m, %s}\nterm p = {m, q}\nterm w = {%s}\n"
-             % (", ".join(xs), decoys))
-    return source, state
-
-
-def overhead_case(depth):
-    nest = "{}"
-    for _ in range(depth):
-        nest = "{%s}" % nest
-    source = ("criticals cnt, lim, acc;\n"
-              "if cnt != lim then (cnt := {cnt} par acc := {cnt} U acc)\n")
-    state = "term cnt = {}\nterm lim = %s\nterm acc = {}\n" % nest
-    return source, state
-
-
 def workload(union_size, overhead_size):
+    from tangleca.bench import overhead_case, union_case
+
     return [
         ("union-%d" % union_size, union_case(union_size)),
         ("overhead-%d" % overhead_size, overhead_case(overhead_size)),

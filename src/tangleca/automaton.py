@@ -183,21 +183,24 @@ def _reaches(g, start, goal):
 
 def trace(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
           snapshots=True, check_invariants=False, idle_colors=None,
-          universe=None):
+          universe=None, on_tick=None):
     """Run and record (tick, rule name, binding, snapshot) per transition.
 
-    check_invariants, idle_colors and universe are passed on to run.
+    check_invariants, idle_colors and universe are passed on to run;
+    on_tick, if given, is called after each tick is recorded.
     """
     entries = []
 
-    def on_tick(c, applied):
+    def record(c, applied):
         entries.append((c.tick, applied.rule.name, dict(applied.binding),
                         c.tangle.snapshot() if snapshots else None))
+        if on_tick is not None:
+            on_tick(c, applied)
 
     cfg, stats, outcome = run(cfg, rules, max_ticks, negative_edges,
                               check_invariants=check_invariants,
                               idle_colors=idle_colors, universe=universe,
-                              on_tick=on_tick)
+                              on_tick=record)
     return entries, cfg, stats, outcome
 
 

@@ -92,6 +92,20 @@ def _atom_list(n):
     return ["x%d" % i for i in range(1, n + 1)]
 
 
+def union_case(n):
+    """bench_union's program and state at size n: n decoy parents of the
+    witness m, each holding m and all scale atoms but one."""
+    xs = _atom_list(n)
+    source = ("atoms m, q, %s;\ncriticals t, p, w, r;\n"
+              "if r = {} then r := t U p\n" % ", ".join(xs))
+    decoys = ", ".join(
+        "{m, %s}" % ", ".join(x for x in xs if x != xi)
+        for xi in xs)
+    state = ("term t = {m, %s}\nterm p = {m, q}\nterm w = {%s}\n"
+             % (", ".join(xs), decoys))
+    return source, state
+
+
 def bench_union(negative_edges=False, sizes=UNION_SIZES):
     """Quadratic: n decoy parents of the witness, each with ~n members.
 
@@ -101,15 +115,7 @@ def bench_union(negative_edges=False, sizes=UNION_SIZES):
     """
     points = []
     for n in sizes:
-        xs = _atom_list(n)
-        source = ("atoms m, q, %s;\ncriticals t, p, w, r;\n"
-                  "if r = {} then r := t U p\n" % ", ".join(xs))
-        decoys = ", ".join(
-            "{m, %s}" % ", ".join(x for x in xs if x != xi)
-            for xi in xs)
-        state = ("term t = {m, %s}\nterm p = {m, q}\nterm w = {%s}\n"
-                 % (", ".join(xs), decoys))
-        stats = run_ticks(source, state, negative_edges)
+        stats = run_ticks(*union_case(n), negative_edges=negative_edges)
         points.append((n, stats.phases.get("union-check", 0)
                        + stats.phases.get("union-build", 0)))
     slope = fit_slope(points)
@@ -176,6 +182,19 @@ def bench_cond(negative_edges=False):
         "conditional", negative_edges)
 
 
+def overhead_case(depth):
+    """bench_overhead's program and state: count up to a counter nested
+    `depth` levels deep, unioning each count into an accumulator."""
+    lim = "{}"
+    for _ in range(depth):
+        lim = "{%s}" % lim
+    source = ("criticals cnt, lim, acc;\n"
+              "if cnt != lim then "
+              "(cnt := {cnt} par acc := {cnt} U acc)\n")
+    state = "term lim = %s\n" % lim
+    return source, state
+
+
 def bench_overhead(negative_edges=False, sizes=OVERHEAD_SIZES):
     """Total ticks for T transitions of an accumulating program stay
     polynomial with a small exponent.
@@ -185,14 +204,7 @@ def bench_overhead(negative_edges=False, sizes=OVERHEAD_SIZES):
     """
     points = []
     for t in sizes:
-        lim = "{}"
-        for _ in range(t):
-            lim = "{%s}" % lim
-        source = ("criticals cnt, lim, acc;\n"
-                  "if cnt != lim then "
-                  "(cnt := {cnt} par acc := {cnt} U acc)\n")
-        state = "term lim = %s\n" % lim
-        stats = run_ticks(source, state, negative_edges)
+        stats = run_ticks(*overhead_case(t), negative_edges=negative_edges)
         points.append((t, stats.total))
     slope = fit_slope(points)
     ok = slope <= OVERHEAD_MAX_EXPONENT

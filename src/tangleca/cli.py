@@ -102,10 +102,11 @@ def cmd_simulate(args):
     cfg = automaton.Configuration(graph, seed=args.seed, mode=mode)
 
     dot_sink = []
-
-    def on_tick(c, applied):
-        if args.dot_every and c.tick % args.dot_every == 0:
-            dot_sink.append((c.tick, c.tangle.to_dot()))
+    on_tick = None
+    if args.dot_every:
+        def on_tick(c, applied):
+            if c.tick % args.dot_every == 0:
+                dot_sink.append((c.tick, c.tangle.to_dot()))
 
     try:
         if args.trace:
@@ -114,7 +115,8 @@ def cmd_simulate(args):
                 negative_edges=args.negative_edges,
                 check_invariants=args.check_invariants,
                 idle_colors=unit.idle_colors,
-                universe=universe)
+                universe=universe,
+                on_tick=on_tick)
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write(automaton.format_trace(entries))
         else:
@@ -124,7 +126,7 @@ def cmd_simulate(args):
                 check_invariants=args.check_invariants,
                 idle_colors=unit.idle_colors,
                 universe=universe,
-                on_tick=on_tick if args.dot_every else None)
+                on_tick=on_tick)
     except automaton.InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return INVARIANT

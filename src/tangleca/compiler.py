@@ -33,7 +33,9 @@ Patterns bind cells injectively, so any template whose cells may
 legitimately coincide (two operands holding the same value, an operand
 that is the empty set, ...) is expanded into alias variants, one per
 feasible identification of cells, quotients that would create a
-containment cycle being dropped.
+containment cycle being dropped.  A template without aliases yields
+exactly one variant, itself; validate_ruleset checks its shape along
+with every other generated rule.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ import itertools
 from . import asmlang as ast
 from . import interpreter
 from . import tangle
-from .pattern import Pattern, Rewrite, Rule, RuleSet, validate_ruleset
+from .pattern import (Pattern, Rewrite, Rule, RuleSet, has_directed_cycle,
+                      validate_ruleset)
 
 RADIUS = 3
 
@@ -182,7 +185,8 @@ class EmitContext:
         out = []
         for mapping, qcells, qedges, suffix in _variants(cells, edges,
                                                          aliases):
-            rc = _dedupe((mapping.get(n, n), c) for n, c in recolor)
+            rc = _dedupe(((mapping.get(n, n), c) for n, c in recolor)
+                         if mapping else recolor)
             targets = {}
             bad = False
             for n, c in rc:
@@ -190,12 +194,9 @@ class EmitContext:
                     bad = True  # variant recolors one node two ways
             if bad:
                 continue
-            qadd = _dedupe((mapping.get(a, a), l, mapping.get(b, b))
-                           for a, l, b in add)
-            qdel = _dedupe((mapping.get(a, a), l, mapping.get(b, b))
-                           for a, l, b in delete)
-            qneg = _dedupe((mapping.get(a, a), l, mapping.get(b, b))
-                           for a, l, b in negs)
+            qadd = _remap(mapping, add)
+            qdel = _remap(mapping, delete)
+            qneg = _remap(mapping, negs)
             rule = Rule(name + suffix, Pattern(qcells, qedges, "C"),
                         Rewrite(rc, qadd, qdel, creates), qneg)
             self.rules.append(rule)
@@ -219,13 +220,16 @@ class EmitContext:
 
 
 def _dedupe(items):
-    seen = set()
-    out = []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return out
+    """Items in first-occurrence order, duplicates dropped."""
+    return list(dict.fromkeys(items))
+
+
+def _remap(mapping, edges):
+    """Edges renamed through a variant's mapping (empty: unchanged)."""
+    if not mapping:
+        return _dedupe(edges)
+    return _dedupe((mapping.get(a, a), l, mapping.get(b, b))
+                   for a, l, b in edges)
 
 
 def _variants(cells, edges, aliases):
@@ -234,7 +238,12 @@ def _variants(cells, edges, aliases):
     Yields (mapping, cells, edges, name-suffix).  A quotient is dropped
     when merged cells demand different colors or the merged edge graph
     gains a directed cycle (well-founded values never match those).
+    Without aliases the only variant is the template itself, with an
+    empty mapping; its acyclicity is left to validate_ruleset, which
+    checks every generated rule.
     """
+    if not aliases:
+        return [({}, cells, _dedupe(edges), "")]
     names = [n for n, _c in cells]
     color = dict(cells)
     allowed = {frozenset(p) for p in aliases}
@@ -286,30 +295,15 @@ def _variants(cells, edges, aliases):
         if not feasible:
             continue
         qedges = _dedupe((mapping[a], l, mapping[b]) for a, l, b in edges)
-        if _has_cycle([n for n, _c in qcells], qedges):
+        out = {n: [] for n, _c in qcells}
+        for a, _l, b in qedges:
+            out[a].append(b)
+        if has_directed_cycle(out):
             continue
         merged = sorted("=".join(sorted(b)) for b in key if len(b) > 1)
         suffix = "".join("~" + m for m in merged)
         results.append((mapping, qcells, qedges, suffix))
     return results
-
-
-def _has_cycle(names, edges):
-    out = {n: [] for n in names}
-    for a, _l, b in edges:
-        out[a].append(b)
-    state = {}
-
-    def dfs(n):
-        state[n] = 1
-        for m in out[n]:
-            s = state.get(m)
-            if s == 1 or (s is None and dfs(m)):
-                return True
-        state[n] = 2
-        return False
-
-    return any(state.get(n) is None and dfs(n) for n in names)
 
 
 def _pad(cells, edges):

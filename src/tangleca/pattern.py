@@ -41,44 +41,54 @@ class Pattern:
     def color_of(self, name):
         return self.cells[self.index[name]][1]
 
-    def radius(self):
-        """Max undirected hop distance from focus along pattern edges."""
+    def shape(self):
+        """(radius, cyclic) from one adjacency build.
+
+        radius: max undirected hop distance from the focus along pattern
+        edges, None when some cell is unreachable (disconnected);
+        cyclic: whether the directed edges close a cycle.
+        """
+        out = {n: [] for n in self.names}
         adj = {n: set() for n in self.names}
         for a, _l, b in self.edges:
+            out[a].append(b)
             adj[a].add(b)
             adj[b].add(a)
-        dist = {self.focus: 0}
+        reached = {self.focus}
         frontier = [self.focus]
+        radius = 0
         while frontier:
             nxt = []
             for n in frontier:
                 for m in adj[n]:
-                    if m not in dist:
-                        dist[m] = dist[n] + 1
+                    if m not in reached:
+                        reached.add(m)
                         nxt.append(m)
+            if nxt:
+                radius += 1
             frontier = nxt
-        if len(dist) != len(self.names):
-            return None  # disconnected
-        return max(dist.values()) if dist else 0
+        if len(reached) != len(self.names):
+            radius = None
+        return radius, has_directed_cycle(out)
 
-    def has_directed_cycle(self):
-        out = {n: [] for n in self.names}
-        for a, _l, b in self.edges:
-            out[a].append(b)
-        state = {}
 
-        def dfs(n):
-            state[n] = 1
-            for m in out[n]:
-                s = state.get(m)
-                if s == 1:
-                    return True
-                if s is None and dfs(m):
-                    return True
-            state[n] = 2
-            return False
-
-        return any(state.get(n) is None and dfs(n) for n in self.names)
+def has_directed_cycle(out):
+    """Whether a directed graph, given as node -> successor list, has a
+    cycle (a self-loop counts): peel off nodes with no unpeeled
+    predecessor; a cycle is what can never be peeled."""
+    indegree = dict.fromkeys(out, 0)
+    for succ in out.values():
+        for m in succ:
+            indegree[m] += 1
+    ready = [n for n, d in indegree.items() if d == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for m in out[ready.pop()]:
+            indegree[m] -= 1
+            if not indegree[m]:
+                ready.append(m)
+    return peeled != len(out)
 
 
 class Rewrite:
@@ -277,19 +287,22 @@ def validate_ruleset(ruleset, negative_edges=False):
         for name, color in p.cells:
             if color is not None and color not in ruleset.palette:
                 violations.append(ctx + "color %s not in palette" % color)
+        endpoints_ok = True
         for a, l, b in p.edges:
             if a not in p.index or b not in p.index:
                 violations.append(ctx + "edge endpoint not a cell")
+                endpoints_ok = False
             if l not in ruleset.labels:
                 violations.append(ctx + "label %s not in alphabet" % l)
-        r = p.radius()
-        if r is None:
-            violations.append(ctx + "pattern is disconnected")
-        elif r > ruleset.radius:
-            violations.append(ctx + "radius %d exceeds bound %d"
-                              % (r, ruleset.radius))
-        if p.has_directed_cycle():
-            violations.append(ctx + "pattern loop")
+        if endpoints_ok:
+            r, cyclic = p.shape()
+            if r is None:
+                violations.append(ctx + "pattern is disconnected")
+            elif r > ruleset.radius:
+                violations.append(ctx + "radius %d exceeds bound %d"
+                                  % (r, ruleset.radius))
+            if cyclic:
+                violations.append(ctx + "pattern loop")
         if rule.neg_edges and not negative_edges:
             violations.append(ctx + "negative edges without the extension flag")
         known = set(p.names)

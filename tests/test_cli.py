@@ -119,6 +119,21 @@ class TestSimulate:
         assert dots
         assert "digraph" in dots[0].read_text()
 
+    def test_dot_snapshots_with_trace(self, tmp_path, capsys, monkeypatch):
+        prog, state = case("02-counter")
+        dots = {}
+        for sub, extra in (("plain", []), ("traced", ["--trace", "t.txt"])):
+            (tmp_path / sub).mkdir()
+            monkeypatch.chdir(tmp_path / sub)
+            code, _, _ = run_main(
+                ["simulate", prog, state, "--dot-every", "5",
+                 "--dot-prefix", "snap"] + extra, capsys)
+            assert code == 0
+            dots[sub] = {p.name: p.read_text()
+                         for p in (tmp_path / sub).glob("snap-*.dot")}
+        assert dots["plain"]
+        assert dots["traced"] == dots["plain"]
+
     def test_random_mode(self, capsys):
         prog, state = case("03-accumulate")
         code, out, _ = run_main(

@@ -1,4 +1,5 @@
 """Lowering ASM programs to transition rules: units, end-to-end, regressions."""
+import hashlib
 import itertools
 
 import pytest
@@ -9,7 +10,8 @@ from tangleca.compiler import CompileError, Formula, compile_program
 from tangleca.pattern import (parse_ruleset, serialize_ruleset,
                               validate_ruleset)
 
-from conftest import MODES, compile_case, run_automaton, oracle_state
+from conftest import (MODES, compile_case, corpus_names, load_corpus_case,
+                      oracle_state, run_automaton)
 
 
 def formula_eval(f, assignment):
@@ -138,6 +140,92 @@ class TestCompileStructure:
         assert unit.classify(g) == interpreter.EMPTY_CHOICE
         g.set_color(g.criticals(), "s0")
         assert unit.classify(g).startswith("stuck:")
+
+
+class TestGoldenRuleSets:
+    """The compiled rule sets of the corpus stay byte-identical.
+
+    Pins rule names, rule order, cells, edges, rewrites and negative
+    edges, plus the register and bit lists, first color and idle set, in
+    both edge modes.  Recorded before alias-free templates stopped
+    running the quotient search.
+    """
+
+    DIGEST = "f5da4d2b6fc77f81f0c13e45dcbb70c70cffe85943a73519d3d535ef41c65a1e"
+
+    def test_corpus_rule_sets_unchanged(self):
+        digest = hashlib.sha256()
+        for name in corpus_names():
+            program = asmlang.parse(load_corpus_case(name)[0])
+            for neg in MODES:
+                unit = compile_program(program, negative_edges=neg)
+                digest.update(("%s %s\n" % (name, neg)).encode())
+                digest.update(serialize_ruleset(unit.ruleset).encode())
+                digest.update(("%r %r %r %r\n" % (
+                    unit.registers, unit.bits, unit.first_color,
+                    sorted(unit.idle_colors))).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestVariants:
+    def test_alias_free_template_is_its_only_variant(self):
+        cells = [("C", "s0"), ("X", None)]
+        edges = [("C", "$r0", "X"), ("C", "$r0", "X"), ("C", "$r1", "X")]
+        assert compiler._variants(cells, edges, ()) == [
+            ({}, cells, [("C", "$r0", "X"), ("C", "$r1", "X")], "")]
+
+    def test_alias_free_emit_keeps_the_template(self):
+        ctx = compiler.EmitContext()
+        [rule] = ctx.emit("t", [("C", "s0"), ("X", None)],
+                          [("C", "$r0", "X")],
+                          recolor=[("C", "s1"), ("C", "s1")],
+                          add=[("C", "$r1", "X"), ("C", "$r1", "X")],
+                          delete=[("C", "$r0", "X")])
+        assert rule.name == "t"
+        assert rule.rewrite.recolor == [("C", "s1")]
+        assert rule.rewrite.add_edges == [("C", "$r1", "X")]
+        assert rule.rewrite.del_edges == [("C", "$r0", "X")]
+        assert {"$r0", "$r1"} <= ctx.labels and "s1" in ctx.colors
+
+    def test_apply_read_variants_keep_their_order(self):
+        ctx = compiler.EmitContext()
+        rules = compiler.compile_apply_read(ctx, "s0", "s1", "g",
+                                            ["$r0", "$r1"], "$r2")
+        hit = ["", "~A1=A2", "~A1=E", "~A1=A2=E", "~A1=V", "~A1=A2=V",
+               "~A1=E=V", "~A1=A2=E=V", "~A2=E", "~A1=V~A2=E", "~A2=V",
+               "~A1=E~A2=V", "~A2=E=V", "~E=V", "~A1=A2~E=V"]
+        miss = ["", "~A1=A2", "~A1=E", "~A1=A2=E", "~A2=E"]
+        assert [r.name for r in rules] == (
+            ["eval:s0:hit" + x for x in hit]
+            + ["eval:s0:miss" + x for x in miss])
+        merged = rules[1]
+        assert merged.pattern.names == ["C", "A1", "T", "V", "E", "F"]
+        assert ("T", "arg2", "A1") in merged.pattern.edges
+
+    def test_quotient_closing_a_cycle_is_dropped(self):
+        cells = [("C", "s0"), ("W", None), ("X", None), ("Y", None),
+                 ("Z", None)]
+        edges = [("C", "$r0", "X"), ("C", "$r1", "Z"), ("C", "$r2", "W"),
+                 ("X", tangle.ELEM, "Y"), ("Z", tangle.ELEM, "X")]
+        variants = compiler._variants(
+            cells, edges, [("Y", "Z"), ("X", "Y"), ("W", "Y")])
+        # X=Y would be a self-loop and Y=Z a two-cycle; W=Y closes none
+        assert [v[3] for v in variants] == ["", "~W=Y"]
+        assert variants[1][2] == [
+            ("C", "$r0", "X"), ("C", "$r1", "Z"), ("C", "$r2", "W"),
+            ("X", tangle.ELEM, "W"), ("Z", tangle.ELEM, "X")]
+
+    def test_alias_free_cycle_fails_compilation(self, monkeypatch):
+        def cyclic_commit(ctx, entry, nxt, name, src):
+            return ctx.emit("commit:%s:term" % entry,
+                            [("C", entry), ("X", None), ("Y", None)],
+                            [("C", name, "X"), ("X", tangle.ELEM, "Y"),
+                             ("Y", tangle.ELEM, "X")],
+                            recolor=[("C", nxt)])
+
+        monkeypatch.setattr(compiler, "compile_term_commit", cyclic_commit)
+        with pytest.raises(CompileError, match="pattern loop"):
+            compile_program(asmlang.parse("criticals t;\nt := {}\n"))
 
 
 class TestConstructs:

@@ -166,19 +166,21 @@ class TestPatternStructure:
     def test_radius(self):
         chain = Pattern([("A", None), ("B", None), ("C", None)],
                         [("A", "x", "B"), ("B", "x", "C")], "A")
-        assert chain.radius() == 2
-        assert Pattern([("A", None)], [], "A").radius() == 0
+        assert chain.shape() == (2, False)
+        assert Pattern([("A", None)], [], "A").shape() == (0, False)
         disconnected = Pattern([("A", None), ("B", None)], [], "A")
-        assert disconnected.radius() is None
+        assert disconnected.shape()[0] is None
 
     def test_directed_cycle_detection(self):
         loop = Pattern([("A", None), ("B", None)],
                        [("A", "x", "B"), ("B", "y", "A")], "A")
-        assert loop.has_directed_cycle()
+        assert loop.shape() == (1, True)
         dag = Pattern([("A", None), ("B", None), ("C", None)],
                       [("A", "x", "B"), ("A", "y", "C"), ("B", "z", "C")],
                       "A")
-        assert not dag.has_directed_cycle()
+        assert dag.shape() == (1, False)
+        self_loop = Pattern([("A", None)], [("A", "x", "A")], "A")
+        assert self_loop.shape() == (0, True)
 
     def test_focus_must_be_a_cell(self):
         with pytest.raises(RuleError):
@@ -278,6 +280,50 @@ class TestValidate:
         # the same set is clean once the extension flag admits negatives
         ok = RuleSet(COLORS, LABELS, [neg], 3)
         assert validate_ruleset(ok, negative_edges=True) == []
+
+
+    def test_violation_list_is_exact(self):
+        # recorded before the radius and loop checks shared one walk
+        rules = [
+            Rule("disc", Pattern([("C", None), ("A", None), ("B", None)],
+                                 [("C", "x", "A")], "C"), Rewrite()),
+            Rule("far", Pattern(
+                [("A", None), ("B", None), ("C", None), ("D", None),
+                 ("E", None)],
+                [("A", "x", "B"), ("C", "x", "B"), ("C", "x", "D"),
+                 ("E", "x", "D")], "A"), Rewrite()),
+            Rule("loop", Pattern([("C", None), ("A", None), ("B", None)],
+                                 [("C", "x", "A"), ("A", "y", "B"),
+                                  ("B", "z", "A")], "C"), Rewrite()),
+            Rule("self", Pattern([("C", None)], [("C", "x", "C")], "C"),
+                 Rewrite()),
+            Rule("discloop", Pattern([("C", None), ("A", None)],
+                                     [("A", "x", "A")], "C"), Rewrite()),
+            Rule("paint", Pattern([("C", "purple"), ("A", "red")],
+                                  [("C", "w", "A")], "C"),
+                 Rewrite(recolor=[("A", "mauve")],
+                         add_edges=[("C", "v", "A")],
+                         creates=[("N", "teal", "set")])),
+        ]
+        assert validate_ruleset(RuleSet(COLORS, LABELS, rules, 3)) == [
+            "rule disc: pattern is disconnected",
+            "rule far: radius 4 exceeds bound 3",
+            "rule loop: pattern loop",
+            "rule self: pattern loop",
+            "rule discloop: pattern is disconnected",
+            "rule discloop: pattern loop",
+            "rule paint: color purple not in palette",
+            "rule paint: label w not in alphabet",
+            "rule paint: created color teal not in palette",
+            "rule paint: recolor to mauve not in palette",
+            "rule paint: edit label v not in alphabet",
+        ]
+
+    def test_unknown_edge_endpoint_is_reported(self):
+        r = Rule("ghost", Pattern([("C", None)], [("C", "x", "Z")], "C"),
+                 Rewrite())
+        assert validate_ruleset(RuleSet(COLORS, LABELS, [r], 3)) == [
+            "rule ghost: edge endpoint not a cell"]
 
 
 class TestSerialization:
