@@ -38,20 +38,32 @@ class Configuration:
 
 
 class StepStats:
-    """Tick counts keyed by the rule-name phase prefix (before ':')."""
+    """Tick counts per rule name; phases group them by the rule-name
+    prefix before ':'."""
 
     def __init__(self):
         self.total = 0
-        self.phases = {}
+        self.rules = {}
 
     def count(self, rule_name):
         self.total += 1
-        phase = rule_name.split(":", 1)[0]
-        self.phases[phase] = self.phases.get(phase, 0) + 1
+        self.rules[rule_name] = self.rules.get(rule_name, 0) + 1
+
+    @property
+    def phases(self):
+        phases = {}
+        for name, ticks in self.rules.items():
+            phase = name.split(":", 1)[0]
+            phases[phase] = phases.get(phase, 0) + ticks
+        return phases
+
+    def as_dict(self):
+        return {"total": self.total, "phases": self.phases,
+                "rules": dict(self.rules)}
 
     def format(self):
-        lines = ["phase %s %d" % (k, self.phases[k])
-                 for k in sorted(self.phases)]
+        phases = self.phases
+        lines = ["phase %s %d" % (k, phases[k]) for k in sorted(phases)]
         lines.append("total %d" % self.total)
         return "\n".join(lines) + "\n"
 

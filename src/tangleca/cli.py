@@ -13,6 +13,7 @@ Exit codes: 0 success; 1 disagreement or failed benchmark window;
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 
@@ -134,6 +135,10 @@ def cmd_simulate(args):
         path = "%s-%06d.dot" % (args.dot_prefix, tick)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dot)
+    if args.stats_json:
+        with open(args.stats_json, "w", encoding="utf-8") as fh:
+            json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED
@@ -191,6 +196,17 @@ def cmd_bench(args):
     return OK if all_ok else FAIL
 
 
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive: %r" % text)
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="tangleca",
@@ -226,11 +242,14 @@ def build_parser():
                        help="smallest-match tie-breaking (default)")
     group.add_argument("--random", action="store_true",
                        help="seeded-random tie-breaking")
-    sp.add_argument("--max-ticks", type=int,
+    sp.add_argument("--max-ticks", type=_positive_int,
                     default=automaton.DEFAULT_MAX_TICKS)
     sp.add_argument("--trace", metavar="FILE",
                     help="write a full per-tick trace")
-    sp.add_argument("--dot-every", type=int, metavar="K",
+    sp.add_argument("--stats-json", metavar="PATH",
+                    help="write tick counts (total, per phase, per rule) "
+                         "as JSON")
+    sp.add_argument("--dot-every", type=_positive_int, metavar="K",
                     help="write a graphviz snapshot every K ticks")
     sp.add_argument("--dot-prefix", default="tangle",
                     help="snapshot filename prefix (default 'tangle')")
@@ -250,7 +269,7 @@ def build_parser():
     sp.add_argument("--check-invariants", action="store_true")
     sp.add_argument("--max-steps", type=int,
                     default=corpusgen.DEFAULT_MAX_STEPS)
-    sp.add_argument("--max-ticks", type=int,
+    sp.add_argument("--max-ticks", type=_positive_int,
                     default=difftest.DEFAULT_MAX_TICKS)
     sp.add_argument("--max-depth", type=int, default=64)
     sp.add_argument("--verbose", action="store_true")

@@ -10,9 +10,20 @@ of another match's cell set; equal cell sets survive together.  Bindings
 are injective, so a strict superset always has more cells: each pair is
 compared only with longer pairs.
 
+Join plans are rooted at the focus (as in GP 2's rooted rules): each plan
+first binds every cell reached by an edge out of the focus, then grows
+along the remaining edges.  In compiled rule sets the focus is the
+Criticals node, and each of its register, bit, scratch, plumbing and
+critical-term labels points at one node at most, so these steps cost one
+lookup each and no fan-out step (an elem or membership scan) runs before
+them.  Function-location labels are the exception: they can point at
+several nodes, and a plan then branches at the focus.
+
 Canonical order is rule order, then binding tuple.  The kernel emits it
-whenever every plan binds its non-focus cells in increasing cell index;
-RuleSet.plans() records when one does not, and match_all then sorts.
+for a focus colour whenever every plan for that colour binds its
+non-focus cells in increasing cell index.  Focus-first plans may not;
+RuleSet.plans() records their focus colours in RuleSet.unordered, and
+match_all sorts only at those colours.
 """
 from __future__ import annotations
 
@@ -139,56 +150,69 @@ class RuleSet:
         self.rules = list(rules)
         self.radius = radius
         self._plans = None
-        self.plans_in_order = None
+        self.unordered = None
 
     def plans(self):
         """The kernel's plan index, built once.
 
-        Also sets plans_in_order: whether every plan binds its non-focus
-        cells in increasing cell index, so that the kernel's output is
-        already in canonical order.
+        Also sets unordered: the focus colours of the plans that bind
+        their non-focus cells out of increasing cell index, for which the
+        kernel's output is not in canonical order.  None stands for a
+        wildcard focus, whose plans run at every colour.
         """
         if self._plans is None:
             plans = [make_plan(r, i) for i, r in enumerate(self.rules)]
-            self.plans_in_order = all(
-                all(a[0] < b[0] for a, b in zip(p.steps, p.steps[1:]))
-                for p in plans)
+            self.unordered = {
+                p.colors[p.focus] for p in plans
+                if any(a[0] > b[0] for a, b in zip(p.steps, p.steps[1:]))}
             self._plans = kernel.PlanIndex(plans)
         return self._plans
 
 
 def make_plan(rule, rule_index):
-    """Join plan: bind focus first, then grow along pattern edges.
+    """Join plan: bind the focus, then its out-neighbours, then grow.
 
-    Each step binds one new cell from the adjacency of an already-bound
-    cell; remaining edges between bound cells become check constraints.
+    First every cell reached by an edge out of the focus is bound, in
+    edge order.  Then each step takes the first remaining edge, in edge
+    order, with exactly one bound endpoint and binds the other one.
+    Edges left over (a second focus edge to a bound cell, a focus
+    self-loop, any edge between bound cells) become checks.
+
+    Focus edges go first because in compiled rule sets nearly all of
+    them have one target, so they bind or reject in one lookup before a
+    later step fans out; only function-location labels can have more.
+    The price is that cells may be bound out of index order; see
+    RuleSet.unordered.
     """
     p = rule.pattern
+    index = p.index
     n = len(p.cells)
-    colors = [p.color_of(name) for name in p.names]
-    focus = p.index[p.focus]
-    edges = [(p.index[a], l, p.index[b]) for a, l, b in p.edges]
-    bound = {focus}
+    colors = [color for _name, color in p.cells]
+    focus = index[p.focus]
+    edges = [(index[a], l, index[b]) for a, l, b in p.edges]
+    bound = [False] * n
+    bound[focus] = True
+    is_step = [False] * len(edges)
     steps = []
-    consumed = set()
-    while len(bound) < n:
-        step = None
+    for i, (a, l, b) in enumerate(edges):
+        if a == focus and not bound[b]:
+            bound[b] = is_step[i] = True
+            steps.append((b, a, l, True))
+    while len(steps) < n - 1:
         for i, (a, l, b) in enumerate(edges):
-            if i in consumed:
-                continue
-            if a in bound and b not in bound:
-                step = (b, a, l, True)   # new cell is the edge target
-            elif b in bound and a not in bound:
-                step = (a, b, l, False)  # new cell is the edge source
-            if step is not None:
-                consumed.add(i)
+            if bound[a] != bound[b]:
                 break
-        if step is None:
+        else:
             raise RuleError("pattern of %s is disconnected" % rule.name)
-        bound.add(step[0])
-        steps.append(step)
-    checks = [e for i, e in enumerate(edges) if i not in consumed]
-    neg = [(p.index[a], l, p.index[b]) for a, l, b in rule.neg_edges]
+        is_step[i] = True
+        if bound[a]:
+            bound[b] = True
+            steps.append((b, a, l, True))    # new cell is the edge target
+        else:
+            bound[a] = True
+            steps.append((a, b, l, False))   # new cell is the edge source
+    checks = [e for e, stepped in zip(edges, is_step) if not stepped]
+    neg = [(index[a], l, index[b]) for a, l, b in rule.neg_edges]
     return kernel.Plan(rule_index, n, colors, focus, steps, checks, neg)
 
 
@@ -197,12 +221,17 @@ def match_all(g, ruleset, negative_edges=False):
 
     Returns the kernel's (rule_index, binding_tuple) pairs, binding tuples
     indexed like the rule's pattern cells, in canonical order: rule order,
-    then binding tuple.  The kernel's list is returned as is unless some
-    plan binds its cells out of index order; only then is it sorted.
+    then binding tuple.  The kernel's list is returned as is unless a
+    plan that can run at the active colour binds its cells out of index
+    order (RuleSet.unordered); only then is it sorted.
     """
     pairs = kernel.enumerate_matches(ruleset.plans(), g, g.active,
                                      negative_edges)
-    return pairs if ruleset.plans_in_order else sorted(pairs)
+    unordered = ruleset.unordered
+    if unordered and (g.nodes[g.active].color in unordered
+                      or None in unordered):
+        return sorted(pairs)
+    return pairs
 
 
 def maximality_filter(pairs):

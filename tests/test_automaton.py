@@ -127,7 +127,7 @@ class TestCanonicalOrderGuard:
         raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active,
                                                False)
         assert raw == [(0, (0, 4, 1)), (0, (0, 3, 2))]
-        assert not rules.plans_in_order
+        assert rules.unordered == {"red"}
         assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
                                                (0, (0, 4, 1))]
         applied = step(Configuration(g, mode=DETERMINISTIC), rules)
@@ -181,6 +181,18 @@ class TestRunLoop:
             stats.count(name)
         assert stats.total == 3
         assert stats.phases == {"a": 2, "b": 1}
+
+    def test_stats_per_rule_and_format(self):
+        stats = StepStats()
+        for name in ("b:z", "a:y", "a:x", "a:y", "plain"):
+            stats.count(name)
+        assert stats.rules == {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}
+        assert stats.as_dict() == {
+            "total": 5, "phases": {"a": 3, "b": 1, "plain": 1},
+            "rules": {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}}
+        assert stats.format() == (
+            "phase a 3\nphase b 1\nphase plain 1\ntotal 5\n")
+        assert StepStats().format() == "total 0\n"
 
     def test_on_tick_callback_sees_every_application(self):
         g, rules = self._pingpong()

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
+import json
 import subprocess
 import sys
 
@@ -134,6 +135,37 @@ class TestSimulate:
         assert dots["plain"]
         assert dots["traced"] == dots["plain"]
 
+    def test_stats_json(self, tmp_path, capsys):
+        prog, state = case("03-accumulate")
+        target = tmp_path / "stats.json"
+        code, out, _ = run_main(
+            ["simulate", prog, state, "--stats-json", str(target)], capsys)
+        assert code == 0
+        stats = json.loads(target.read_text())
+        assert set(stats) == {"total", "phases", "rules"}
+        assert "outcome terminal after %d ticks" % stats["total"] in out
+        assert sum(stats["rules"].values()) == stats["total"]
+        phases = {}
+        for name, ticks in stats["rules"].items():
+            phase = name.split(":", 1)[0]
+            phases[phase] = phases.get(phase, 0) + ticks
+        assert stats["phases"] == phases
+        # the printed per-phase lines carry the same counts
+        for phase, ticks in phases.items():
+            assert "phase %s %d\n" % (phase, ticks) in out
+        assert len(stats["rules"]) > len(phases)
+
+    def test_stats_json_on_budget_exhaustion(self, tmp_path, capsys):
+        prog, state = case("03-accumulate")
+        target = tmp_path / "stats.json"
+        code, _, _ = run_main(
+            ["simulate", prog, state, "--max-ticks", "3",
+             "--stats-json", str(target)], capsys)
+        assert code == cli.EXHAUSTED
+        stats = json.loads(target.read_text())
+        assert stats["total"] == 3
+        assert sum(stats["phases"].values()) == 3
+
     def test_random_mode(self, capsys):
         prog, state = case("03-accumulate")
         code, out, _ = run_main(
@@ -196,6 +228,29 @@ class TestBadInput:
         code, _, err = run_main(["compile", str(bad)], capsys)
         assert code == 2
         assert "invalid program" in err
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--max-ticks", "0"],
+        ["simulate", "--max-ticks", "-3"],
+        ["simulate", "--max-ticks", "many"],
+        ["simulate", "--dot-every", "-1"],
+        ["simulate", "--dot-every", "0"],
+        ["difftest", "--max-ticks", "0"],
+    ])
+    def test_non_positive_count_exits_2(self, argv, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "simulate":
+            prog, state = case("02-counter")
+            argv = argv[:1] + [prog, state] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.BADINPUT
+        _, err = capsys.readouterr()
+        assert argv[-2] in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_module_invocation_subprocess():

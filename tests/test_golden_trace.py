@@ -1,17 +1,19 @@
-"""Applied-match traces on the corpus stay byte-identical.
+"""Applied-match traces on the corpus and the bench cases stay byte-identical.
 
-For each edge mode and schedule, every corpus case runs to quiescence and
-the sequence of applied (rule_index, binding_tuple) pairs, plus each
-case's outcome and tick count, is hashed.  The digests were recorded
-before match selection moved to raw kernel pairs; any change to
-matching, maximality filtering or selection that alters a single applied
-match shows up here.
+For each edge mode and schedule, every case runs to quiescence and the
+sequence of applied (rule_index, binding_tuple) pairs, plus each case's
+outcome and tick count, is hashed.  The corpus digests were recorded
+before match selection moved to raw kernel pairs; the bench digests
+(union-16, whose ticks each wade through many decoy matches, and
+overhead-8) before join plans bound the focus's out-edges first.  Any
+change to matching, maximality filtering or selection that alters a
+single applied match shows up here.
 """
 import hashlib
 
 import pytest
 
-from tangleca import automaton
+from tangleca import automaton, bench
 
 from conftest import compile_case, corpus_names, load_corpus_case
 
@@ -30,16 +32,41 @@ GOLDEN = {
         "7b0f8c5b33662db703780de515b71aee59c47047c1f475b4a420f031ee1533a5",
 }
 
+BENCH_CASES = {
+    "union-16": lambda: bench.union_case(16),
+    "overhead-8": lambda: bench.overhead_case(8),
+}
 
-def corpus_trace_digest(negative_edges, mode, seed):
+BENCH_GOLDEN = {
+    ("overhead-8", False, automaton.DETERMINISTIC, 0):
+        "3328d9113f90758afdbb12fdc5363a5da2335bd843beaacf872b698e7de4aad1",
+    ("overhead-8", False, automaton.RANDOM, 1):
+        "6c4933ec70b4f4957df9530e92c003e962bf8c5b2ecc309e951a37d8785c105c",
+    ("overhead-8", True, automaton.DETERMINISTIC, 0):
+        "54fb15111e8f433e1d9d479a52185f35d2f1304b56800b8147db48380a0e0f64",
+    ("overhead-8", True, automaton.RANDOM, 1):
+        "5c8bcd2fefddefe78b1a8fffa9376702573cbedadc12819f34508f8470c04584",
+    ("union-16", False, automaton.DETERMINISTIC, 0):
+        "a8ad6ede156b84981c60de5ed61866d2cc8b8584c09077b3001f31250c098920",
+    ("union-16", False, automaton.RANDOM, 1):
+        "339f7ed929d95b5bc2f4498cb3d1cbd64fd3de8c4345b03b210bbcf484c291b3",
+    ("union-16", True, automaton.DETERMINISTIC, 0):
+        "0d8238adb280ee08a308035efe10ab8d254802ab03598382c76998aa36519979",
+    ("union-16", True, automaton.RANDOM, 1):
+        "fdec66bfa43130366910029c5b88d2f288ce707145cf363a3cea6999788e4601",
+}
+
+
+def trace_digest(cases, negative_edges, mode, seed):
+    """sha256 over the applied pairs, outcome and ticks of (name, source,
+    state_text) cases, run in the order given."""
     digest = hashlib.sha256()
 
     def on_tick(_cfg, m):
         binding = " ".join(str(m.binding[n]) for n in m.rule.pattern.names)
         digest.update(("%d %s\n" % (m.rule_index, binding)).encode())
 
-    for name in corpus_names():
-        source, state_text = load_corpus_case(name)
+    for name, source, state_text in cases:
         _u, _p, unit, _s, graph = compile_case(
             source, state_text, negative_edges=negative_edges)
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
@@ -52,5 +79,14 @@ def corpus_trace_digest(negative_edges, mode, seed):
 
 @pytest.mark.parametrize("negative_edges,mode,seed", sorted(GOLDEN))
 def test_applied_trace_unchanged(negative_edges, mode, seed):
-    got = corpus_trace_digest(negative_edges, mode, seed)
+    cases = [(name,) + load_corpus_case(name) for name in corpus_names()]
+    got = trace_digest(cases, negative_edges, mode, seed)
     assert got == GOLDEN[(negative_edges, mode, seed)]
+
+
+@pytest.mark.parametrize("name,negative_edges,mode,seed",
+                         sorted(BENCH_GOLDEN))
+def test_bench_trace_unchanged(name, negative_edges, mode, seed):
+    got = trace_digest([(name,) + BENCH_CASES[name]()],
+                       negative_edges, mode, seed)
+    assert got == BENCH_GOLDEN[(name, negative_edges, mode, seed)]

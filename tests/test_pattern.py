@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tangleca import pattern, tangle
 from tangleca.pattern import (Pattern, Rewrite, Rule, RuleError, RuleSet,
@@ -69,6 +69,9 @@ def probe_rules():
         [("C", "x", "A"), ("A", "y", "B"), ("C", "z", "B")], "C")  # check edge
     add([("C", None), ("A", None)], [("C", "x", "A")], "C",
         negs=[("A", "y", "C"), ("C", "z", "A")])              # negatives
+    add([("C", "blue"), ("A", None), ("B", None), ("F", None)],
+        [("C", "x", "A"), ("B", "y", "A"), ("C", "z", "F")],
+        "C")                        # focus edge after a fan-out: F before B
     return RuleSet(COLORS, LABELS, rules, radius=3)
 
 
@@ -86,8 +89,22 @@ def random_tangles(draw):
     return g
 
 
+def out_of_order_tangle():
+    """A tangle where the last probe's kernel output is out of canonical
+    order: its plan binds A, F, B, and there are two Fs and two Bs."""
+    g = tangle.Tangle()
+    c, a, b1, b2, f1, f2 = (g.add_node(color, tangle.SET) for color in
+                            ("blue", "red", "green", "green", "red", "red"))
+    for e in ((c, "x", a), (b1, "y", a), (b2, "y", a), (c, "z", f1),
+              (c, "z", f2)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
 class TestMatching:
     @given(g=random_tangles(), neg=st.booleans())
+    @example(g=out_of_order_tangle(), neg=False)
     @settings(max_examples=200, deadline=None)
     def test_matches_equal_brute_force(self, g, neg):
         rules = probe_rules()
@@ -95,6 +112,7 @@ class TestMatching:
         assert got == brute_matches(g, rules, negative_edges=neg)
 
     @given(g=random_tangles())
+    @example(g=out_of_order_tangle())
     @settings(max_examples=60, deadline=None)
     def test_match_order_is_canonical(self, g):
         rules = probe_rules()
@@ -123,6 +141,82 @@ class TestMatching:
         assert len(match_all(g, rules)) == 1
         g.active = b
         assert match_all(g, rules) == []
+
+
+class TestPlans:
+    def test_focus_out_edges_bind_first(self):
+        # cells C=0 A=1 B=2 D=3 E=4
+        rule = Rule("r", Pattern(
+            [("C", None), ("A", None), ("B", None), ("D", None),
+             ("E", None)],
+            [("E", "y", "C"),        # into the focus: waits for growth
+             ("B", "y", "A"),
+             ("C", "x", "A"),
+             ("C", "x", "C"),        # focus self-loop: a check
+             ("C", "z", "D"),
+             ("C", "z", "A"),        # second focus edge to A: a check
+             ("D", "y", "B")],       # both ends bound by then: a check
+            "C"), Rewrite())
+        plan = pattern.make_plan(rule, 0)
+        assert plan.steps == [(1, 0, "x", True), (3, 0, "z", True),
+                              (4, 0, "y", False), (2, 1, "y", False)]
+        assert plan.checks == [(0, "x", 0), (0, "z", 1), (3, "y", 2)]
+
+    def test_probe_binds_out_of_index_order(self):
+        rules = probe_rules()
+        g = out_of_order_tangle()
+        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active,
+                                               False)
+        assert rules.unordered == {"blue"}
+        assert raw != sorted(raw)
+
+    def _mixed(self):
+        # red rule: in order; green rule binds B (index 2) before A
+        g = tangle.Tangle()
+        c, b1, b2, a1, a2 = (g.add_node("red", tangle.SET)
+                             for _ in range(5))
+        g.add_edge(c, "x", b1)
+        g.add_edge(c, "x", b2)
+        g.add_edge(b1, "y", a2)
+        g.add_edge(b2, "y", a1)
+        g.active = c
+        in_order = Rule("in", Pattern(
+            [("C", "red"), ("B", None), ("A", None)],
+            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
+        late = Rule("late", Pattern(
+            [("C", "green"), ("A", None), ("B", None)],
+            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
+        return g, RuleSet(COLORS, LABELS, [in_order, late], 3)
+
+    def test_only_unordered_colours_are_sorted(self, monkeypatch):
+        g, rules = self._mixed()
+        emitted = []
+        real = pattern.kernel.enumerate_matches
+
+        def spy(*args):
+            emitted.append(real(*args))
+            return emitted[-1]
+
+        monkeypatch.setattr(pattern.kernel, "enumerate_matches", spy)
+        got = match_all(g, rules)
+        assert rules.unordered == {"green"}
+        assert got is emitted[-1]
+        assert got == [(0, (0, 1, 4)), (0, (0, 2, 3))]
+        g.set_color(g.active, "green")
+        got = match_all(g, rules)
+        assert emitted[-1] == [(1, (0, 4, 1)), (1, (0, 3, 2))]
+        assert got == [(1, (0, 3, 2)), (1, (0, 4, 1))]
+
+    def test_unordered_wildcard_sorts_every_colour(self):
+        g, rules = self._mixed()
+        wild = Rule("wild", Pattern(
+            [("C", None), ("A", None), ("B", None)],
+            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
+        rules = RuleSet(COLORS, LABELS, rules.rules[:1] + [wild], 3)
+        got = match_all(g, rules)
+        assert rules.unordered == {None}
+        assert got == [(0, (0, 1, 4)), (0, (0, 2, 3)),
+                       (1, (0, 3, 2)), (1, (0, 4, 1))]
 
 
 class TestMaximality:
