@@ -6,9 +6,9 @@ and step-complexity benchmarks.
 Layering (low to high):
 
   hfset       hash-consed hereditarily finite values
-  tangle      value heaps as colored graphs with maximal sharing
+  kernel      the pure-Python matching kernel
   pattern     anchored patterns, rewrites, maximality filtering
-  kernel      matching kernel (compiled extension or pure Python)
+  tangle      value heaps as colored graphs with maximal sharing
   automaton   sequential tick loop, scheduling, invariant checking
   asmlang     surface language: parser, validator, pretty-printer
   interpreter reference semantics and state (de)serialization

@@ -267,7 +267,7 @@ def build_parser():
     sp.add_argument("--only-choice", action="store_true")
     sp.add_argument("--negative-edges", action="store_true")
     sp.add_argument("--check-invariants", action="store_true")
-    sp.add_argument("--max-steps", type=int,
+    sp.add_argument("--max-steps", type=_positive_int,
                     default=corpusgen.DEFAULT_MAX_STEPS)
     sp.add_argument("--max-ticks", type=_positive_int,
                     default=difftest.DEFAULT_MAX_TICKS)
@@ -294,7 +294,7 @@ def main(argv=None):
         return BADINPUT
     except (asmlang.ParseError, hfset.HFParseError,
             interpreter.StateError, tangle.TangleError,
-            pattern.RuleError) as exc:
+            pattern.RuleError, corpusgen.GenLimit) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return BADINPUT
 

@@ -69,27 +69,26 @@ class State:
 
 
 class _Chooser:
-    """Resolves choose() either from an rng or from a scripted index list."""
+    """Resolves choose() either from an rng or from a scripted index list;
+    past the end of a script it takes index 0.  widths records the member
+    count of every choice resolved so far."""
 
     def __init__(self, rng=None, script=None):
         self.rng = rng
         self.script = script
-        self.used = 0
+        self.widths = []
 
     def pick(self, value):
         members = value.members
         if not members:
             raise hfset.EmptyChoiceError("choose on the empty set")
         ordered = sorted(members, key=lambda m: m.sort_key)
-        if self.script is not None:
-            if self.used < len(self.script):
-                index = self.script[self.used]
-            else:
-                index = 0
-            self.used += 1
-            return ordered[index % len(ordered)]
-        self.used += 1
-        return ordered[self.rng.randrange(len(ordered))]
+        used = len(self.widths)
+        self.widths.append(len(ordered))
+        if self.script is None:
+            return ordered[self.rng.randrange(len(ordered))]
+        index = self.script[used] if used < len(self.script) else 0
+        return ordered[index % len(ordered)]
 
 
 def eval_term(term, state, env, universe):
@@ -205,11 +204,8 @@ def initial_state(program, state, universe):
     return out
 
 
-def run_to_termination(program, state, universe, seed=0, max_steps=MAX_STEPS,
-                       script=None):
-    """Returns (final state, steps taken, outcome)."""
-    chooser = _Chooser(rng=random.Random(seed) if script is None else None,
-                       script=script)
+def _run(program, state, universe, chooser, max_steps):
+    """The run loop: (final state, steps taken, outcome)."""
     current = initial_state(program, state, universe)
     steps = 0
     while steps < max_steps:
@@ -230,6 +226,14 @@ def run_to_termination(program, state, universe, seed=0, max_steps=MAX_STEPS,
     return current, steps, BUDGET
 
 
+def run_to_termination(program, state, universe, seed=0, max_steps=MAX_STEPS,
+                       script=None):
+    """Returns (final state, steps taken, outcome)."""
+    chooser = _Chooser(rng=random.Random(seed) if script is None else None,
+                       script=script)
+    return _run(program, state, universe, chooser, max_steps)
+
+
 def enumerate_outcomes(program, state, universe, max_steps=MAX_STEPS,
                        max_paths=64):
     """Brute-force every choice script; returns a list of
@@ -243,70 +247,20 @@ def enumerate_outcomes(program, state, universe, max_steps=MAX_STEPS,
     stack = [()]
     while stack:
         script = stack.pop()
-        chooser = _Chooser(script=list(script) + [0] * 64)
-        current = initial_state(program, state, universe)
-        steps = 0
-        outcome = BUDGET
-        while steps < max_steps:
-            try:
-                new = fire(program, current, universe, chooser)
-            except hfset.EmptyChoiceError:
-                outcome = EMPTY_CHOICE
-                break
-            except hfset.HFLimitError:
-                outcome = LIMIT
-                break
-            except hfset.HFTypeError:
-                outcome = TYPE_ERROR
-                break
-            except StateError:
-                outcome = CLASH
-                break
-            if new is None:
-                outcome = TERMINAL
-                break
-            current = new
-            steps += 1
-        used = chooser.used
+        chooser = _Chooser(script=script)
+        current, steps, outcome = _run(program, state, universe, chooser,
+                                       max_steps)
         results.append((script, current, steps, outcome))
         if len(results) > max_paths:
             raise StateError("more than %d choice paths" % max_paths)
         # fork alternatives at every choice index beyond the script; the
         # positions between the script and the fork ran on default 0 and
         # become explicit zeros in the forked prefix
-        if used > len(script):
-            # replay to find the fan-out of each unexplored choice
-            fanouts = _choice_fanouts(program, state, universe, script,
-                                      max_steps)
-            for i in range(len(script), min(used, len(fanouts))):
-                prefix = script + (0,) * (i - len(script))
-                for alt in range(1, fanouts[i]):
-                    stack.append(prefix + (alt,))
+        for i in range(len(script), len(chooser.widths)):
+            prefix = script + (0,) * (i - len(script))
+            for alt in range(1, chooser.widths[i]):
+                stack.append(prefix + (alt,))
     return results
-
-
-def _choice_fanouts(program, state, universe, script, max_steps):
-    """Member counts of every choose() resolved along one path."""
-    widths = []
-
-    class _Recorder(_Chooser):
-        def pick(self, value):
-            widths.append(len(value.members))
-            return super().pick(value)
-
-    chooser = _Recorder(script=list(script) + [0] * 64)
-    current = initial_state(program, state, universe)
-    steps = 0
-    while steps < max_steps:
-        try:
-            new = fire(program, current, universe, chooser)
-        except (hfset.HFError, StateError):
-            break
-        if new is None:
-            break
-        current = new
-        steps += 1
-    return widths
 
 
 # -- state files ----------------------------------------------------------

@@ -12,6 +12,7 @@ Criticals edges and tuple edges run outward.
 from __future__ import annotations
 
 from .hfset import Universe, HFValue
+from .pattern import has_directed_cycle
 
 # structural edge labels
 ELEM = "elem"
@@ -249,32 +250,34 @@ def encode(terms, locations=None, universe=None, criticals_color=PLAIN,
     return g
 
 
-def _node_values(g, universe, strict=True):
-    """Map node id -> HFValue for decodable committed nodes.
+def _node_values(g, universe, strict=True, roots=None):
+    """Map node id -> HFValue for every node walked from `roots` (by
+    default every committed value node) along containment edges.
 
-    Walks containment bottom-up; reports cycles.  With strict=False,
-    nodes that fail to decode are skipped instead of raising.
+    Raises TangleError on a dangling edge, a containment cycle, a pair
+    without exactly one fst and one snd component, or a node that is not
+    a value.  With strict=False, roots that fail to decode are skipped
+    instead.
     """
     u = universe
     values = {}
     state = {}  # nid -> "visiting" | "done"
 
-    def walk(nid, stack):
+    def walk(nid):
         if nid in values:
             return values[nid]
         if state.get(nid) == "visiting":
             raise TangleError("containment cycle through node %d" % nid)
-        node = g.nodes[nid]
+        node = g.nodes.get(nid)
+        if node is None:
+            raise TangleError("dangling edge to missing node %d" % nid)
         state[nid] = "visiting"
         try:
             if node.kind == ATOM:
                 v = u.atom(node.payload)
             elif node.kind == SET:
-                members = []
-                for label in (ELEM,):
-                    for src in sorted(g.sources(nid, label)):
-                        members.append(walk(src, stack))
-                v = u.set_of(members)
+                v = u.set_of([walk(src)
+                              for src in sorted(g.sources(nid, ELEM))])
             elif node.kind == PAIR:
                 fsts = sorted(g.sources(nid, FST))
                 snds = sorted(g.sources(nid, SND))
@@ -282,7 +285,7 @@ def _node_values(g, universe, strict=True):
                     raise TangleError(
                         "pair node %d has %d fst / %d snd components"
                         % (nid, len(fsts), len(snds)))
-                v = u.pair(walk(fsts[0], stack), walk(snds[0], stack))
+                v = u.pair(walk(fsts[0]), walk(snds[0]))
             else:
                 raise TangleError("node %d of kind %s is not a value"
                                   % (nid, node.kind))
@@ -291,14 +294,16 @@ def _node_values(g, universe, strict=True):
         values[nid] = v
         return v
 
-    for nid in sorted(g.nodes):
-        node = g.nodes[nid]
-        if node.kind in (ATOM, SET, PAIR) and node.color in COMMITTED:
-            try:
-                walk(nid, [])
-            except TangleError:
-                if strict:
-                    raise
+    if roots is None:
+        roots = [nid for nid in sorted(g.nodes)
+                 if g.nodes[nid].kind in (ATOM, SET, PAIR)
+                 and g.nodes[nid].color in COMMITTED]
+    for nid in roots:
+        try:
+            walk(nid)
+        except TangleError:
+            if strict:
+                raise
     return values
 
 
@@ -311,37 +316,7 @@ def decode(g, universe=None):
     """
     u = universe if universe is not None else Universe()
     c = g.criticals()
-    values = {}
-    state = {}
-
-    def walk(nid):
-        if nid in values:
-            return values[nid]
-        if state.get(nid) == "visiting":
-            raise TangleError("containment cycle through node %d" % nid)
-        node = g.nodes.get(nid)
-        if node is None:
-            raise TangleError("dangling edge to missing node %d" % nid)
-        state[nid] = "visiting"
-        if node.kind == ATOM:
-            v = u.atom(node.payload)
-        elif node.kind == SET:
-            v = u.set_of(walk(src) for src in sorted(g.sources(nid, ELEM)))
-        elif node.kind == PAIR:
-            fsts = sorted(g.sources(nid, FST))
-            snds = sorted(g.sources(nid, SND))
-            if len(fsts) != 1 or len(snds) != 1:
-                raise TangleError("pair node %d has %d fst / %d snd components"
-                                  % (nid, len(fsts), len(snds)))
-            v = u.pair(walk(fsts[0]), walk(snds[0]))
-        else:
-            raise TangleError("critical edge reaches %s node %d"
-                              % (node.kind, nid))
-        state[nid] = "done"
-        values[nid] = v
-        return v
-
-    result = {}
+    terms = {}
     for label in sorted(g.out[c]):
         if is_internal_label(label):
             continue
@@ -351,9 +326,11 @@ def decode(g, universe=None):
                 raise TangleError("dangling critical edge %s" % label)
             if node.kind == TUPLE:
                 continue  # function location, not a critical term
-            if label in result:
+            if label in terms:
                 raise TangleError("critical term %s has multiple edges" % label)
-            result[label] = walk(dst)
+            terms[label] = dst
+    values = _node_values(g, u, roots=terms.values())
+    result = {label: values[nid] for label, nid in terms.items()}
 
     # duplicate committed values anywhere in the graph are malformed
     seen = {}
@@ -427,39 +404,11 @@ def check_invariants(g, universe=None):
     elif g.active != crit[0]:
         violations.append("active is not the criticals node")
 
-    # containment acyclicity via iterative DFS over reversed containment
-    color = {}
-    for start in g.nodes:
-        if color.get(start):
-            continue
-        stack = [(start, None)]
-        while stack:
-            nid, it = stack[-1]
-            if it is None:
-                if color.get(nid) == "done":
-                    stack.pop()
-                    continue
-                color[nid] = "active"
-                succ = []
-                for label in CONTAINMENT:
-                    succ.extend(g.sources(nid, label))
-                it = iter(sorted(set(succ)))
-                stack[-1] = (nid, it)
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == "active":
-                    violations.append("containment cycle")
-                    color[nxt] = "done"
-                    continue
-                if color.get(nxt) != "done":
-                    stack.append((nxt, None))
-                    advanced = True
-                    break
-            if not advanced:
-                color[nid] = "done"
-                stack.pop()
-        if "containment cycle" in violations:
-            break
+    # containment acyclicity, over every node whatever its kind or color
+    if has_directed_cycle({nid: [src for label in CONTAINMENT
+                                 for src in g.sources(nid, label)]
+                           for nid in g.nodes}):
+        violations.append("containment cycle")
 
     for n in g.nodes.values():
         if n.kind == PAIR and n.color in COMMITTED:

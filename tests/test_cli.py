@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tangleca import cli, tangle
+from tangleca import cli, corpusgen, tangle
 
 from conftest import CORPUS_DIR
 
@@ -195,13 +195,22 @@ class TestDifftest:
         assert code == 0
         assert "2/2 cases agree" in out
 
+    def test_no_acceptable_case_exits_2(self, capsys, monkeypatch):
+        def no_case(*args, **kwargs):
+            raise corpusgen.GenLimit("no acceptable case in 2000 attempts")
+
+        monkeypatch.setattr(corpusgen, "generate_case", no_case)
+        code, _, err = run_main(["difftest", "--count", "1"], capsys)
+        assert code == cli.BADINPUT
+        assert err == "error: no acceptable case in 2000 attempts\n"
+
 
 class TestBench:
     def test_pair_family(self, capsys):
         code, out, _ = run_main(["bench", "pair"], capsys)
         assert code == 0
         assert "pair" in out and "ok" in out
-        assert "kernel:" in out
+        assert "kernel: python" in out.splitlines()
 
     def test_unknown_family(self, capsys):
         code, _, err = run_main(["bench", "nosuch"], capsys)
@@ -238,6 +247,7 @@ class TestBadCounts:
         ["simulate", "--dot-every", "-1"],
         ["simulate", "--dot-every", "0"],
         ["difftest", "--max-ticks", "0"],
+        ["difftest", "--max-steps", "0"],
     ])
     def test_non_positive_count_exits_2(self, argv, tmp_path, capsys,
                                         monkeypatch):

@@ -1,8 +1,11 @@
 """Direct parallel-update semantics, with hand-computed expected finals."""
+import hashlib
+import random
+
 import pytest
 
-from tangleca import interpreter
-from tangleca.asmlang import parse
+from tangleca import corpusgen, interpreter
+from tangleca.asmlang import parse, pretty_print
 from tangleca.hfset import Universe
 from tangleca.interpreter import (BUDGET, CLASH, EMPTY_CHOICE, LIMIT,
                                   TERMINAL, TYPE_ERROR, State, StateError,
@@ -185,6 +188,65 @@ class TestChoice:
         assert len(enumerate_outcomes(program, state, u)) == 9
         with pytest.raises(StateError):
             enumerate_outcomes(program, state, u, max_paths=4)
+
+
+NESTED_CHOICE = ("atoms a, b, c; criticals t, r;\n"
+                 "if r = {} then let x = choose(t) in"
+                 " let y = choose(t) in r := <x, y>\n")
+ALWAYS_CHOOSES = "atoms a, b; criticals t, r;\nlet x = choose(t) in r := {x}\n"
+NESTED_PATHS = [(), (0, 2), (0, 1), (2,), (2, 2), (2, 1), (1,), (1, 2), (1, 1)]
+
+
+def outcome_paths(source, state_text, **kw):
+    u = Universe(max_depth=64)
+    program = parse(source)
+    state = parse_state(state_text, program, u)
+    return [(script, steps, outcome) for script, _final, steps, outcome
+            in enumerate_outcomes(program, state, u, **kw)]
+
+
+class TestEnumerateOutcomesGolden:
+    """Exact path lists: the order scripts are explored in, with each
+    script's steps and outcome."""
+
+    @pytest.mark.parametrize("max_steps, outcome", [
+        (1, BUDGET), (3, TERMINAL), (12, TERMINAL)])
+    def test_nested_choice(self, max_steps, outcome):
+        got = outcome_paths(NESTED_CHOICE,
+                            "term t = {a, b, c}\nterm r = {}\n",
+                            max_steps=max_steps)
+        assert got == [(script, 1, outcome) for script in NESTED_PATHS]
+
+    def test_choose_on_empty_set(self):
+        got = outcome_paths("atoms a; criticals t, r;\n"
+                            "if r = {} then let x = choose(t) in r := {x}\n",
+                            "term t = {}\nterm r = {}\n")
+        assert got == [((), 0, EMPTY_CHOICE)]
+
+    def test_unbounded_chooser(self):
+        state_text = "term t = {a, b}\nterm r = {}\n"
+        got = outcome_paths(ALWAYS_CHOOSES, state_text, max_steps=3)
+        assert got == [(script, 3, BUDGET) for script in (
+            (), (0, 0, 1), (0, 1), (0, 1, 1),
+            (1,), (1, 0, 1), (1, 1), (1, 1, 1))]
+        with pytest.raises(StateError, match="more than 64 choice paths"):
+            outcome_paths(ALWAYS_CHOOSES, state_text, max_steps=12)
+
+    def test_generated_choice_cases(self):
+        digest = hashlib.sha256()
+        for seed in range(5):
+            u = Universe(max_depth=64)
+            program, state = corpusgen.generate_case(
+                random.Random(seed), u, allow_choice=True,
+                require_choice=True)
+            digest.update(pretty_print(program).encode())
+            digest.update(print_state(state).encode())
+            for script, final, steps, outcome in enumerate_outcomes(
+                    program, state, u, max_steps=corpusgen.DEFAULT_MAX_STEPS):
+                digest.update(repr((script, steps, outcome)).encode())
+                digest.update(print_state(final).encode())
+        assert digest.hexdigest() == (
+            "866ffd4cc5ffeb3781fbb40d60c205954e56e56de1f9b5e89f3c8ab9ff98c94e")
 
 
 class TestStateHandling:

@@ -4,7 +4,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tangleca import pattern, tangle
+import tangleca
+from tangleca import kernel, pattern, tangle
 from tangleca.pattern import (Pattern, Rewrite, Rule, RuleError, RuleSet,
                               apply, make_match, match_all,
                               maximality_filter, parse_ruleset,
@@ -100,6 +101,10 @@ def out_of_order_tangle():
         g.add_edge(*e)
     g.active = c
     return g
+
+
+def test_kernel_names():
+    assert tangleca.KERNEL_NAME == kernel.KERNEL_NAME == "python"
 
 
 class TestMatching:

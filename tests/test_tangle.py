@@ -10,6 +10,47 @@ from tangleca.tangle import (Tangle, TangleError, check_invariants, decode,
 from test_hfset import values
 
 
+KINDS = (tangle.ATOM, tangle.SET, tangle.PAIR, tangle.TUPLE, tangle.SCRATCH)
+NODE_COLORS = (tangle.PLAIN, tangle.EMPTY, tangle.MARKER, tangle.JUNK, "s3")
+EDGE_LABELS = (tangle.ELEM, tangle.FST, tangle.SND, tangle.VAL, "arg1", "t")
+
+
+@st.composite
+def mixed_graphs(draw):
+    """A Criticals node plus up to seven nodes of any kind and color,
+    with random edges, self-loops included, over containment and other
+    labels."""
+    g = Tangle()
+    g.active = g.add_node(tangle.PLAIN, tangle.CRITICALS)
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(KINDS))
+        g.add_node(draw(st.sampled_from(NODE_COLORS)), kind,
+                   payload="a" if kind == tangle.ATOM else None)
+    possible = [(a, l, b) for a in g.nodes for b in g.nodes
+                for l in EDGE_LABELS]
+    for e in draw(st.lists(st.sampled_from(possible), max_size=14,
+                           unique=True)):
+        g.add_edge(*e)
+    return g
+
+
+def has_containment_cycle(g):
+    """Brute force: some node reaches itself along elem/fst/snd edges."""
+    for start in g.nodes:
+        seen = set()
+        stack = [start]
+        while stack:
+            nid = stack.pop()
+            for label in tangle.CONTAINMENT:
+                for nxt in g.targets(nid, label):
+                    if nxt == start:
+                        return True
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return False
+
+
 def committed_value_nodes(g):
     return [n for n in g.nodes.values()
             if n.kind in (tangle.ATOM, tangle.SET, tangle.PAIR)
@@ -159,6 +200,19 @@ class TestDecode:
         with pytest.raises(TangleError):
             decode(g, u)
 
+    def test_cycle_through_uncommitted_node(self):
+        # t's committed set and a marked (uncommitted) set hold each
+        # other: the cycle is reached only through the critical term
+        u = Universe()
+        g = encode({"t": u.singleton(u.empty())}, universe=u)
+        (t,) = g.targets(g.criticals(), "t")
+        m = g.add_node(tangle.MARKER, tangle.SET)
+        g.add_edge(m, tangle.ELEM, t)
+        g.add_edge(t, tangle.ELEM, m)
+        with pytest.raises(TangleError, match="containment cycle"):
+            decode(g, u)
+        assert check_invariants(g, u) == ["containment cycle"]
+
     def test_malformed_pair(self):
         u = Universe()
         a, b = u.atom("a"), u.atom("b")
@@ -189,6 +243,12 @@ class TestInvariants:
         (t,) = g.targets(g.criticals(), "t")
         g.add_edge(t, tangle.ELEM, t)
         assert any("cycle" in v for v in check_invariants(g, u))
+
+    @given(g=mixed_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_cycle_verdict_matches_brute_force(self, g):
+        found = "containment cycle" in check_invariants(g, Universe())
+        assert found == has_containment_cycle(g)
 
     def test_duplicate_committed_value(self):
         u = Universe()
