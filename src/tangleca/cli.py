@@ -40,6 +40,14 @@ def _read(path):
         raise SystemExit2("cannot read %s: %s" % (path, exc))
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SystemExit2("cannot write %s: %s" % (path, exc))
+
+
 class SystemExit2(Exception):
     """Input problem: message printed to stderr, exit code 2."""
 
@@ -49,11 +57,16 @@ def _load_case(args, universe):
     violations = asmlang.validate(program)
     if violations:
         raise SystemExit2("invalid program:\n  " + "\n  ".join(violations))
-    if args.state:
-        state = interpreter.parse_state(_read(args.state), program,
-                                        universe)
-    else:
-        state = interpreter.State()
+    try:
+        if args.state:
+            state = interpreter.parse_state(_read(args.state), program,
+                                            universe)
+        else:
+            state = interpreter.State()
+        state = interpreter.initial_state(program, state, universe)
+    except hfset.HFLimitError as exc:
+        raise SystemExit2("state does not fit --max-depth %d: %s"
+                          % (args.max_depth, exc))
     return program, state
 
 
@@ -82,8 +95,7 @@ def cmd_compile(args):
         raise SystemExit2("compile error: %s" % exc)
     text = pattern.serialize_ruleset(unit.ruleset)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         print("%d rules -> %s" % (len(unit.ruleset.rules), args.output))
     else:
         sys.stdout.write(text)
@@ -118,8 +130,7 @@ def cmd_simulate(args):
                 idle_colors=unit.idle_colors,
                 universe=universe,
                 on_tick=on_tick)
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(automaton.format_trace(entries))
+            _write(args.trace, automaton.format_trace(entries))
         else:
             cfg, stats, outcome = automaton.run(
                 cfg, unit.ruleset, max_ticks=args.max_ticks,
@@ -132,13 +143,10 @@ def cmd_simulate(args):
         print("invariant violation: %s" % exc, file=sys.stderr)
         return INVARIANT
     for tick, dot in dot_sink:
-        path = "%s-%06d.dot" % (args.dot_prefix, tick)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write("%s-%06d.dot" % (args.dot_prefix, tick), dot)
     if args.stats_json:
-        with open(args.stats_json, "w", encoding="utf-8") as fh:
-            json.dump(stats.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.stats_json,
+               json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED
@@ -196,15 +204,21 @@ def cmd_bench(args):
     return OK if all_ok else FAIL
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive: %r" % text)
-    return value
+def _int_at_least(low, what):
+    """argparse type for ints of at least `low`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be %s: %r" % (what, text))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser():
@@ -219,7 +233,7 @@ def build_parser():
             sp.add_argument("state", nargs="?",
                             help="initial state file (.state); "
                                  "defaults to all-empty criticals")
-        sp.add_argument("--max-depth", type=int, default=64,
+        sp.add_argument("--max-depth", type=_non_negative_int, default=64,
                         help="value nesting limit (default 64)")
 
     sp = sub.add_parser("interpret", help="run the reference interpreter")
@@ -259,9 +273,9 @@ def build_parser():
 
     sp = sub.add_parser("difftest",
                         help="random differential testing vs interpreter")
-    sp.add_argument("--count", type=int, default=20)
+    sp.add_argument("--count", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--runs", type=int, default=2,
+    sp.add_argument("--runs", type=_non_negative_int, default=2,
                     help="random-schedule runs per case (default 2)")
     sp.add_argument("--allow-choice", action="store_true")
     sp.add_argument("--only-choice", action="store_true")
@@ -271,7 +285,7 @@ def build_parser():
                     default=corpusgen.DEFAULT_MAX_STEPS)
     sp.add_argument("--max-ticks", type=_positive_int,
                     default=difftest.DEFAULT_MAX_TICKS)
-    sp.add_argument("--max-depth", type=int, default=64)
+    sp.add_argument("--max-depth", type=_non_negative_int, default=64)
     sp.add_argument("--verbose", action="store_true")
     sp.set_defaults(func=cmd_difftest)
 

@@ -20,7 +20,7 @@ import random
 
 from . import asmlang as ast
 from . import interpreter
-from .hfset import HFError
+from .hfset import HFError, HFLimitError
 
 ATOM_POOL = ("a", "b", "c")
 CRITICAL_POOL = ("t", "p", "q", "w")
@@ -249,7 +249,10 @@ def generate_case(rng, universe, allow_choice=False, allow_locations=True,
             continue
         if ast.validate(program):
             continue
-        state = random_state(rng, program, universe)
+        try:
+            state = random_state(rng, program, universe)
+        except HFLimitError:
+            continue    # a value past the universe's limits
         if acceptable(program, state, universe, max_steps=max_steps,
                       require_choice=require_choice) is not None:
             return program, state

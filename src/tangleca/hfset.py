@@ -2,7 +2,9 @@
 
 All construction goes through a Universe, which hash-conses values:
 structurally equal values are the same object, and the integer uid is
-the canonical id (equal value <=> equal id, within one universe).
+the canonical id (equal value <=> equal id, within one universe).  A
+set's members are stored once, in sort_key order, when the set is first
+made; later requests for the same set find it by its member uids.
 """
 from __future__ import annotations
 
@@ -84,6 +86,10 @@ def format_value(v: HFValue) -> str:
 class Universe:
     """Interning context for HFValue construction.
 
+    One table maps each value's key to the value: (ATOM, name) for an
+    atom, (PAIR, uid, uid) for a pair, and the frozenset of member uids
+    for a set.  A value's uid is the table size when it was made.
+
     Not thread-safe; use one universe per thread or add external locking.
     Canonical ids are only comparable within a single universe.
     """
@@ -112,11 +118,19 @@ class Universe:
         return self.set_of(())
 
     def set_of(self, members) -> HFValue:
-        """Set from any iterable of values; deduplicates, sorts, checks limits."""
-        seen = {}
-        for m in members:
-            seen[m.uid] = m
-        ms = tuple(sorted(seen.values(), key=lambda m: m.sort_key))
+        """Set from any iterable of values; deduplicates and checks limits.
+
+        The set is looked up by the frozenset of its member uids, so a set
+        the universe already holds costs one pass over the members.  Only
+        a new set has its members sorted by sort_key and the depth and
+        width limits checked; a held set passed them when it was made.
+        """
+        seen = {m.uid: m for m in members}
+        return self._intern(frozenset(seen),
+                            lambda uid: self._new_set(uid, seen.values()))
+
+    def _new_set(self, uid, members):
+        ms = tuple(sorted(members, key=lambda m: m.sort_key))
         if len(ms) > self.max_width:
             raise HFLimitError("set width %d exceeds limit %d"
                                % (len(ms), self.max_width))
@@ -124,12 +138,8 @@ class Universe:
         if depth > self.max_depth:
             raise HFLimitError("nesting depth %d exceeds limit %d"
                                % (depth, self.max_depth))
-        key = (SET, tuple(m.uid for m in ms))
-        return self._intern(
-            key,
-            lambda uid: HFValue(SET, uid, members=ms, depth=depth,
-                                sort_key=(1, len(ms),
-                                          tuple(m.sort_key for m in ms))))
+        return HFValue(SET, uid, members=ms, depth=depth,
+                       sort_key=(1, len(ms), tuple(m.sort_key for m in ms)))
 
     def singleton(self, v: HFValue) -> HFValue:
         return self.set_of((v,))

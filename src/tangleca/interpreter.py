@@ -79,16 +79,15 @@ class _Chooser:
         self.widths = []
 
     def pick(self, value):
-        members = value.members
+        members = value.members   # already in sort_key order
         if not members:
             raise hfset.EmptyChoiceError("choose on the empty set")
-        ordered = sorted(members, key=lambda m: m.sort_key)
         used = len(self.widths)
-        self.widths.append(len(ordered))
+        self.widths.append(len(members))
         if self.script is None:
-            return ordered[self.rng.randrange(len(ordered))]
+            return members[self.rng.randrange(len(members))]
         index = self.script[used] if used < len(self.script) else 0
-        return ordered[index % len(ordered)]
+        return members[index % len(members)]
 
 
 def eval_term(term, state, env, universe):

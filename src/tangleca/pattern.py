@@ -301,9 +301,14 @@ def apply(g, m):
 
 
 def validate_ruleset(ruleset, negative_edges=False):
-    """Structural violations across all rules; empty list iff valid."""
+    """Structural violations across all rules; empty list iff valid.
+
+    A pattern's shape depends only on its cell names, focus and edge
+    endpoints, so it is computed once per such key within one call.
+    """
     violations = []
     seen_names = set()
+    shapes = {}
     for rule in ruleset.rules:
         ctx = "rule %s: " % rule.name
         if rule.name in seen_names:
@@ -324,7 +329,12 @@ def validate_ruleset(ruleset, negative_edges=False):
             if l not in ruleset.labels:
                 violations.append(ctx + "label %s not in alphabet" % l)
         if endpoints_ok:
-            r, cyclic = p.shape()
+            key = (tuple(p.names), p.focus,
+                   tuple([(a, b) for a, _l, b in p.edges]))
+            found = shapes.get(key)
+            if found is None:
+                found = shapes[key] = p.shape()
+            r, cyclic = found
             if r is None:
                 violations.append(ctx + "pattern is disconnected")
             elif r > ruleset.radius:

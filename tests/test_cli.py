@@ -248,6 +248,11 @@ class TestBadCounts:
         ["simulate", "--dot-every", "0"],
         ["difftest", "--max-ticks", "0"],
         ["difftest", "--max-steps", "0"],
+        ["difftest", "--count", "0"],
+        ["difftest", "--count", "-3"],
+        ["difftest", "--runs", "-1"],
+        ["difftest", "--max-depth", "-1"],
+        ["simulate", "--max-depth", "-1"],
     ])
     def test_non_positive_count_exits_2(self, argv, tmp_path, capsys,
                                         monkeypatch):
@@ -261,6 +266,40 @@ class TestBadCounts:
         _, err = capsys.readouterr()
         assert argv[-2] in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+
+class TestLimitsAndPaths:
+    @pytest.mark.parametrize("command", ["interpret", "simulate"])
+    def test_state_deeper_than_max_depth_exits_2(self, command, capsys):
+        prog, state = case("02-counter")
+        code, _, err = run_main([command, prog, state, "--max-depth", "0"],
+                                capsys)
+        assert code == cli.BADINPUT
+        assert err == ("error: state does not fit --max-depth 0: "
+                       "nesting depth 1 exceeds limit 0\n")
+
+    def test_depth_no_generated_case_fits_exits_2(self, capsys):
+        code, out, err = run_main(
+            ["difftest", "--count", "1", "--max-depth", "0"], capsys)
+        assert code == cli.BADINPUT
+        assert err == "error: no acceptable case in 2000 attempts\n"
+        assert "agree" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "-o", "{out}"],
+        ["simulate", "--trace", "{out}"],
+        ["simulate", "--stats-json", "{out}"],
+        ["simulate", "--dot-every", "5", "--dot-prefix", "{out}"],
+    ])
+    def test_unwritable_output_exits_2(self, argv, tmp_path, capsys):
+        prog, state = case("02-counter")
+        out = str(tmp_path / "missing" / "out")
+        args = [a.format(out=out) for a in argv[1:]]
+        files = [prog] if argv[0] == "compile" else [prog, state]
+        code, _, err = run_main(argv[:1] + files + args, capsys)
+        assert code == cli.BADINPUT
+        assert err.startswith("error: cannot write %s" % out)
+        assert "Traceback" not in err
 
 
 def test_module_invocation_subprocess():

@@ -215,6 +215,47 @@ class TestVariants:
             ("C", "$r0", "X"), ("C", "$r1", "Z"), ("C", "$r2", "W"),
             ("X", tangle.ELEM, "W"), ("Z", tangle.ELEM, "X")]
 
+    def test_quotient_memo_keeps_colour_equality_apart(self):
+        ctx = compiler.EmitContext()
+        pairs = [("p", "p"), ("p", "q"), (None, "p"), ("p", None),
+                 (None, None), ("u", "u"), ("u", "v"), (None, "u")]
+        for first, second in pairs:
+            cells = [("C", "s0"), ("X", first), ("Y", second)]
+            edges = [("C", "$r0", "X"), ("C", "$r1", "Y")]
+            assert ctx._variants(cells, edges, [("X", "Y")]) == \
+                compiler._variants(cells, edges, [("X", "Y")])
+        # one key per colour-equality pattern, None kept apart
+        assert len(ctx._quotients) == 5
+
+    def test_quotient_memo_keeps_label_equality_apart(self):
+        ctx = compiler.EmitContext()
+        cells = [("C", "s0"), ("X", None), ("Y", None)]
+        for a, b in [("$r0", "$r0"), ("$r0", "$r1"), ("$r2", "$r2"),
+                     ("$r1", "$r0")]:
+            edges = [("C", a, "X"), ("C", b, "Y")]
+            assert ctx._variants(cells, edges, [("X", "Y")]) == \
+                compiler._variants(cells, edges, [("X", "Y")])
+        assert len(ctx._quotients) == 2
+        merged = ctx._variants(cells, [("C", "$r5", "X"), ("C", "$r5", "Y")],
+                               [("X", "Y")])[1]
+        assert merged[2] == [("C", "$r5", "X")]
+
+    def test_union_rules_match_a_fresh_context(self):
+        def rules(ctx, entry, first, second):
+            return [(r.name, r.pattern.cells, r.pattern.edges,
+                     r.rewrite.recolor, r.rewrite.add_edges,
+                     r.rewrite.del_edges, r.rewrite.creates, r.neg_edges)
+                    for r in compiler.compile_union(ctx, entry, entry + "n",
+                                                    first, second, "$r9")]
+
+        shared = compiler.EmitContext()
+        # x U x, then x U y and y U y: the operands' label equality differs
+        for entry, first, second in [("s0", "$r0", "$r0"),
+                                     ("s1", "$r0", "$r1"),
+                                     ("s2", "$r1", "$r1")]:
+            assert rules(shared, entry, first, second) == rules(
+                compiler.EmitContext(), entry, first, second)
+
     def test_alias_free_cycle_fails_compilation(self, monkeypatch):
         def cyclic_commit(ctx, entry, nxt, name, src):
             return ctx.emit("commit:%s:term" % entry,

@@ -1,12 +1,15 @@
 """Interned hereditarily-finite values: construction, parsing, limits."""
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangleca import hfset
+from tangleca import asmlang, difftest, hfset, interpreter
 from tangleca.hfset import (EmptyChoiceError, HFLimitError, HFParseError,
                             HFTypeError, Universe, format_value)
+
+from conftest import MODES, corpus_names, load_corpus_case
 
 
 def values(universe, max_leaves=12):
@@ -118,6 +121,18 @@ class TestLimits:
             u.set_of(ms)
         assert u.set_of(ms[:2])
 
+    def test_new_set_past_a_limit_raises_among_held_sets(self):
+        u = Universe(max_depth=2, max_width=2)
+        a, b, c = (u.atom(n) for n in "abc")
+        inner = u.singleton(u.empty())
+        outer = u.set_of([inner, a])             # depth 2, width 2
+        assert u.set_of([a, inner, a]) is outer  # held: found, not rebuilt
+        with pytest.raises(HFLimitError):
+            u.singleton(outer)                   # new, depth 3
+        with pytest.raises(HFLimitError):
+            u.set_of([c, b, a, b])               # new, width 3
+        assert u.set_of([b, a]).members == (a, b)
+
     def test_bad_atom_name(self, universe):
         for bad in ("", "1x", "a-b", "a b", None):
             with pytest.raises(HFParseError):
@@ -184,3 +199,48 @@ class TestAlgebra:
         for x, y in zip(keys, keys[1:]):
             if x.sort_key == y.sort_key:
                 assert x is y
+
+
+class TestCanonicalSets:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_member_list_gives_one_set_in_sort_key_order(self, data):
+        u = Universe(max_depth=64)
+        ms = data.draw(st.lists(values(u, 5), max_size=5))
+        dups = data.draw(st.lists(st.sampled_from(ms), max_size=4)
+                         if ms else st.just([]))
+        shuffled = data.draw(st.permutations(ms + dups))
+        s = u.set_of(ms)
+        assert u.set_of(shuffled) is s
+        assert u.set_of(iter(shuffled)) is s
+        assert {m.uid for m in s.members} == {m.uid for m in ms}
+        keys = [m.sort_key for m in s.members]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+class TestUidsPinned:
+    """Uids depend only on the order in which values are first made.
+
+    Hashes (uid, printed value) of every value in the universe after
+    each corpus case is parsed and run through difftest.run_case, in
+    both edge modes.  Recorded before set_of looked a set up before
+    sorting its members.
+    """
+
+    DIGEST = "6f3ef3612c902f64adcb534be124ca1759ecbf80e7fbf3c2a3461967ea59f5b5"
+
+    def test_corpus_uids_unchanged(self):
+        digest = hashlib.sha256()
+        for name in corpus_names():
+            source, state_text = load_corpus_case(name)
+            for neg in MODES:
+                u = Universe(max_depth=64)
+                program = asmlang.parse(source)
+                state = interpreter.parse_state(state_text, program, u)
+                assert difftest.run_case(program, state, u,
+                                         negative_edges=neg).ok
+                digest.update(("%s %s\n" % (name, neg)).encode())
+                for v in sorted(u._table.values(), key=lambda v: v.uid):
+                    digest.update(("%d %s\n" % (v.uid, format_value(v)))
+                                  .encode())
+        assert digest.hexdigest() == self.DIGEST

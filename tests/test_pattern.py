@@ -418,6 +418,50 @@ class TestValidate:
             "rule paint: edit label v not in alphabet",
         ]
 
+    def test_shared_cell_names_keep_their_own_shape(self):
+        # one cell list; edges differ in direction (cyclic and acyclic
+        # share their undirected edges), in labels only, or the focus moves
+        cells = [("C", None), ("A", None), ("B", None), ("D", None)]
+        chain = [("C", "x", "A"), ("A", "x", "B"), ("B", "x", "D")]
+        relabelled = [("C", "y", "A"), ("A", "z", "B"), ("B", "y", "D")]
+        flipped = [("C", "x", "A"), ("B", "x", "A"), ("B", "x", "D")]
+        cyclic = [("C", "x", "A"), ("A", "x", "B"), ("B", "x", "C"),
+                  ("B", "x", "D")]
+        acyclic = [("C", "x", "A"), ("A", "x", "B"), ("C", "x", "B"),
+                   ("B", "x", "D")]
+        split = [("C", "x", "A"), ("B", "x", "D")]
+        rules = [Rule("%s@%s" % (name, focus), Pattern(cells, edges, focus),
+                      Rewrite())
+                 for focus in ("C", "A", "D")
+                 for name, edges in [("chain", chain),
+                                     ("relabelled", relabelled),
+                                     ("flipped", flipped),
+                                     ("cyclic", cyclic),
+                                     ("acyclic", acyclic), ("split", split)]]
+        # and the same edges with one more, unconnected, cell
+        rules.append(Rule("chain+E", Pattern(cells + [("E", None)], chain,
+                                             "C"), Rewrite()))
+        expected = []
+        for rule in rules:
+            r, loop = rule.pattern.shape()
+            if r is None:
+                expected.append("rule %s: pattern is disconnected"
+                                % rule.name)
+            elif r > 2:
+                expected.append("rule %s: radius %d exceeds bound 2"
+                                % (rule.name, r))
+            if loop:
+                expected.append("rule %s: pattern loop" % rule.name)
+        found = validate_ruleset(RuleSet(COLORS, LABELS, rules, 2))
+        assert found == expected
+        assert found == [v for rule in rules for v in validate_ruleset(
+            RuleSet(COLORS, LABELS, [rule], 2))]
+        assert "rule chain@C: radius 3 exceeds bound 2" in found
+        assert not any(v.startswith("rule chain@A:") for v in found)
+        assert "rule cyclic@D: pattern loop" in found
+        assert "rule acyclic@D: pattern loop" not in found
+        assert found[-1] == "rule chain+E: pattern is disconnected"
+
     def test_unknown_edge_endpoint_is_reported(self):
         r = Rule("ghost", Pattern([("C", None)], [("C", "x", "Z")], "C"),
                  Rewrite())
