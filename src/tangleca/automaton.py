@@ -82,13 +82,13 @@ def select_match(pairs, cfg):
     return pairs[cfg.rng.randrange(len(pairs))]
 
 
-def step(cfg, rules, negative_edges=False):
+def step(cfg, rules):
     """One tick; returns the applied Match or None when quiescent.
 
     Selection works on the kernel's pairs; a Match is built only for the
     chosen one.
     """
-    pairs = pattern.match_all(cfg.tangle, rules, negative_edges)
+    pairs = pattern.match_all(cfg.tangle, rules)
     if not pairs:
         return None
     chosen = pattern.make_match(
@@ -98,10 +98,14 @@ def step(cfg, rules, negative_edges=False):
     return chosen
 
 
-def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
-        check_invariants=False, idle_colors=None, universe=None,
-        on_tick=None):
+def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
+        idle_colors=None, universe=None, on_tick=None):
     """Iterate step until quiescence or budget; returns (cfg, stats, outcome).
+
+    The rules decide the edge mode: negative edges are honoured wherever
+    a rule has them.  on_tick(cfg, applied), if given, is called after
+    each tick, before that tick's invariant check; it is how a caller
+    records a trace or takes snapshots.
 
     With check_invariants on, InvariantViolation is raised at the first
     tick that leaves the tangle malformed:
@@ -129,7 +133,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
             raise InvariantViolation(cfg.tick, violations)
     prev_nodes = cfg.tangle.node_count()
     while True:
-        applied = step(cfg, rules, negative_edges)
+        applied = step(cfg, rules)
         if applied is None:
             return cfg, stats, QUIESCENT
         stats.count(applied.rule.name)
@@ -191,37 +195,3 @@ def _reaches(g, start, goal):
                     seen.add(nxt)
                     stack.append(nxt)
     return False
-
-
-def trace(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, negative_edges=False,
-          snapshots=True, check_invariants=False, idle_colors=None,
-          universe=None, on_tick=None):
-    """Run and record (tick, rule name, binding, snapshot) per transition.
-
-    check_invariants, idle_colors and universe are passed on to run;
-    on_tick, if given, is called after each tick is recorded.
-    """
-    entries = []
-
-    def record(c, applied):
-        entries.append((c.tick, applied.rule.name, dict(applied.binding),
-                        c.tangle.snapshot() if snapshots else None))
-        if on_tick is not None:
-            on_tick(c, applied)
-
-    cfg, stats, outcome = run(cfg, rules, max_ticks, negative_edges,
-                              check_invariants=check_invariants,
-                              idle_colors=idle_colors, universe=universe,
-                              on_tick=record)
-    return entries, cfg, stats, outcome
-
-
-def format_trace(entries):
-    lines = []
-    for tick, rule_name, binding, snap in entries:
-        binds = " ".join("%s=%d" % (k, binding[k]) for k in sorted(binding))
-        lines.append("tick %d rule %s %s" % (tick, rule_name, binds))
-        if snap is not None:
-            lines.append(snap.rstrip("\n"))
-            lines.append("")
-    return "\n".join(lines) + "\n"

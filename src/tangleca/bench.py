@@ -67,19 +67,17 @@ def fit_slope(points):
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def run_ticks(source, state_text, negative_edges=False, seed=0,
-              mode=automaton.DETERMINISTIC, max_depth=64,
-              max_ticks=BENCH_MAX_TICKS):
-    """Compile, run to quiescence, and return per-phase tick counts."""
-    universe = hfset.Universe(max_depth=max_depth)
+def run_ticks(source, state_text, negative_edges=False):
+    """Compile, run to quiescence in deterministic mode, and return
+    per-phase tick counts."""
+    universe = hfset.Universe(max_depth=64)
     program = asmlang.parse(source)
     unit = compiler.compile_program(program, negative_edges=negative_edges)
     state = interpreter.parse_state(state_text, program, universe)
     graph = unit.initial_graph(state, universe)
-    cfg = automaton.Configuration(graph, seed=seed, mode=mode)
-    cfg, stats, outcome = automaton.run(cfg, unit.ruleset,
-                                        max_ticks=max_ticks,
-                                        negative_edges=negative_edges)
+    cfg, stats, outcome = automaton.run(automaton.Configuration(graph),
+                                        unit.ruleset,
+                                        max_ticks=BENCH_MAX_TICKS)
     if outcome != automaton.QUIESCENT:
         raise RuntimeError("benchmark run did not quiesce: " + outcome)
     color = cfg.tangle.color_of(cfg.tangle.active)
@@ -106,7 +104,7 @@ def union_case(n):
     return source, state
 
 
-def bench_union(negative_edges=False, sizes=UNION_SIZES):
+def bench_union(negative_edges=False):
     """Quadratic: n decoy parents of the witness, each with ~n members.
 
     Every decoy contains the witness m plus all scale atoms but one, so
@@ -114,8 +112,8 @@ def bench_union(negative_edges=False, sizes=UNION_SIZES):
     so every decoy is checked before the result is built.
     """
     points = []
-    for n in sizes:
-        stats = run_ticks(*union_case(n), negative_edges=negative_edges)
+    for n in UNION_SIZES:
+        stats = run_ticks(*union_case(n), negative_edges)
         points.append((n, stats.phases.get("union-check", 0)
                        + stats.phases.get("union-build", 0)))
     slope = fit_slope(points)
@@ -123,10 +121,10 @@ def bench_union(negative_edges=False, sizes=UNION_SIZES):
     return BenchResult("union", points, slope, UNION_WINDOW, ok)
 
 
-def bench_singleton(negative_edges=False, sizes=SINGLETON_SIZES):
+def bench_singleton(negative_edges=False):
     """Linear: n decoy parents of the element, each dismissed in O(1)."""
     points = []
-    for n in sizes:
+    for n in SINGLETON_SIZES:
         xs = _atom_list(n)
         source = ("atoms m, %s;\ncriticals s, w, r;\n"
                   "if r = {} then r := {s}\n" % ", ".join(xs))
@@ -195,7 +193,7 @@ def overhead_case(depth):
     return source, state
 
 
-def bench_overhead(negative_edges=False, sizes=OVERHEAD_SIZES):
+def bench_overhead(negative_edges=False):
     """Total ticks for T transitions of an accumulating program stay
     polynomial with a small exponent.
 
@@ -203,8 +201,8 @@ def bench_overhead(negative_edges=False, sizes=OVERHEAD_SIZES):
     accumulator, so both the state and the per-round work grow with T.
     """
     points = []
-    for t in sizes:
-        stats = run_ticks(*overhead_case(t), negative_edges=negative_edges)
+    for t in OVERHEAD_SIZES:
+        stats = run_ticks(*overhead_case(t), negative_edges)
         points.append((t, stats.total))
     slope = fit_slope(points)
     ok = slope <= OVERHEAD_MAX_EXPONENT

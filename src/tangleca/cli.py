@@ -7,12 +7,17 @@ Subcommands:
   difftest   random differential testing of automaton vs interpreter
   bench      step-complexity benchmarks with pass/fail windows
 
+simulate opens its --trace and --stats-json files before the first
+tick, so a path it cannot write fails at once, and writes each trace
+entry and each --dot-every snapshot as the run takes it.
+
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
 2 bad input; 3 step/tick budget exhausted; 4 invariant violation.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -44,6 +49,13 @@ def _write(path, text):
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SystemExit2("cannot write %s: %s" % (path, exc))
+
+
+def _open(path):
+    try:
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise SystemExit2("cannot write %s: %s" % (path, exc))
 
@@ -102,6 +114,16 @@ def cmd_compile(args):
     return OK
 
 
+def _trace_entry(cfg, applied):
+    """One --trace entry: tick, rule and binding, then a snapshot of the
+    tangle after the tick."""
+    binding = applied.binding
+    binds = " ".join("%s=%d" % (k, binding[k]) for k in sorted(binding))
+    return "tick %d rule %s %s\n%s\n\n" % (
+        cfg.tick, applied.rule.name, binds,
+        cfg.tangle.snapshot().rstrip("\n"))
+
+
 def cmd_simulate(args):
     universe = hfset.Universe(max_depth=args.max_depth)
     program, state = _load_case(args, universe)
@@ -114,39 +136,35 @@ def cmd_simulate(args):
     mode = automaton.RANDOM if args.random else automaton.DETERMINISTIC
     cfg = automaton.Configuration(graph, seed=args.seed, mode=mode)
 
-    dot_sink = []
-    on_tick = None
-    if args.dot_every:
-        def on_tick(c, applied):
-            if c.tick % args.dot_every == 0:
-                dot_sink.append((c.tick, c.tangle.to_dot()))
-
     try:
-        if args.trace:
-            entries, cfg, stats, outcome = automaton.trace(
-                cfg, unit.ruleset, max_ticks=args.max_ticks,
-                negative_edges=args.negative_edges,
-                check_invariants=args.check_invariants,
-                idle_colors=unit.idle_colors,
-                universe=universe,
-                on_tick=on_tick)
-            _write(args.trace, automaton.format_trace(entries))
-        else:
+        with contextlib.ExitStack() as files:
+            trace = stats_json = None
+            if args.trace:
+                trace = files.enter_context(_open(args.trace))
+            if args.stats_json:
+                stats_json = files.enter_context(_open(args.stats_json))
+
+            def on_tick(c, applied):
+                if trace is not None:
+                    trace.write(_trace_entry(c, applied))
+                if args.dot_every and c.tick % args.dot_every == 0:
+                    _write("%s-%06d.dot" % (args.dot_prefix, c.tick),
+                           c.tangle.to_dot())
+
             cfg, stats, outcome = automaton.run(
                 cfg, unit.ruleset, max_ticks=args.max_ticks,
-                negative_edges=args.negative_edges,
                 check_invariants=args.check_invariants,
-                idle_colors=unit.idle_colors,
-                universe=universe,
+                idle_colors=unit.idle_colors, universe=universe,
                 on_tick=on_tick)
+            if stats_json is not None:
+                stats_json.write(json.dumps(stats.as_dict(), indent=2,
+                                            sort_keys=True) + "\n")
     except automaton.InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return INVARIANT
-    for tick, dot in dot_sink:
-        _write("%s-%06d.dot" % (args.dot_prefix, tick), dot)
-    if args.stats_json:
-        _write(args.stats_json,
-               json.dumps(stats.as_dict(), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        # only the open --trace and --stats-json files are written here
+        raise SystemExit2("cannot write --trace or --stats-json: %s" % exc)
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED

@@ -186,9 +186,8 @@ class EmitContext:
 
         cells: [(name, color-or-None)] with the focus named "C";
         aliases: cell-name pairs that may legitimately bind one node.
-        Returns the rules appended.
         """
-        out = []
+        before = len(self.rules)
         for mapping, qcells, qedges, suffix in self._variants(cells, edges,
                                                               aliases):
             rc = _dedupe(((mapping.get(n, n), c) for n, c in recolor)
@@ -206,7 +205,6 @@ class EmitContext:
             rule = Rule(name + suffix, Pattern(qcells, qedges, "C"),
                         Rewrite(rc, qadd, qdel, creates), qneg)
             self.rules.append(rule)
-            out.append(rule)
             for _n, c in qcells:
                 if c is not None:
                     self.colors.add(c)
@@ -216,9 +214,8 @@ class EmitContext:
                 self.colors.add(c)
             for a, l, b in list(qedges) + qadd + qdel + qneg:
                 self.labels.add(l)
-        if not out:
+        if len(self.rules) == before:
             raise CompileError("template %s has no feasible variant" % name)
-        return out
 
     def ruleset(self):
         return RuleSet(sorted(self.colors), sorted(self.labels),
@@ -376,13 +373,12 @@ def compile_conditional(ctx, entry, nxt, kind, left, right, bit):
     else:
         raise CompileError("unknown bit test %r" % kind)
     cells, edges = _pad(cells, edges)
-    rules = ctx.emit("conditional:%s:true" % entry, cells, edges,
-                     add=[("C", bit, "T")], recolor=[("C", nxt)])
-    rules += ctx.emit("conditional:%s:false" % entry,
-                      [("C", entry), ("F", tangle.MARKER)],
-                      [("C", tangle.FALSE_EDGE, "F")],
-                      add=[("C", bit, "F")], recolor=[("C", nxt)])
-    return rules
+    ctx.emit("conditional:%s:true" % entry, cells, edges,
+             add=[("C", bit, "T")], recolor=[("C", nxt)])
+    ctx.emit("conditional:%s:false" % entry,
+             [("C", entry), ("F", tangle.MARKER)],
+             [("C", tangle.FALSE_EDGE, "F")],
+             add=[("C", bit, "F")], recolor=[("C", nxt)])
 
 
 def _row_pattern(entry, row):
@@ -408,17 +404,13 @@ def compile_lock_wrapping(ctx, entry, run, skip, formula, phase="eval"):
     """Guard stage: one rule per complete truth-table row, jumping to
     `run` on satisfying rows and `skip` on falsifying ones.  Rows are
     mutually exclusive, so exactly one rule fires."""
-    rules = []
     for i, (row, sat) in enumerate(formula.assignments()):
         cells, edges = _row_pattern(entry, row)
-        rules += ctx.emit("%s:%s:%s%d" % (phase, entry,
-                                          "sat" if sat else "skip", i),
-                          cells, edges,
-                          recolor=[("C", run if sat else skip)])
-    return rules
+        ctx.emit("%s:%s:%s%d" % (phase, entry, "sat" if sat else "skip", i),
+                 cells, edges, recolor=[("C", run if sat else skip)])
 
 
-def compile_choice(ctx, entry, nxt, source, dst, error_color=CHOICE_ERROR):
+def compile_choice(ctx, entry, nxt, source, dst):
     """Pick any element of the source register's set.  One tick.
 
     Every element is a maximal match, so the random scheduler realizes
@@ -427,12 +419,11 @@ def compile_choice(ctx, entry, nxt, source, dst, error_color=CHOICE_ERROR):
     """
     cells, edges = _pad([("C", entry), ("S", None), ("X", None)],
                         [("C", source, "S"), ("X", tangle.ELEM, "S")])
-    rules = ctx.emit("choice:%s:pick" % entry, cells, edges,
-                     add=[("C", dst, "X")], recolor=[("C", nxt)])
-    rules += ctx.emit("choice:%s:empty" % entry,
-                      [("C", entry), ("S", None)], [("C", source, "S")],
-                      recolor=[("C", error_color)])
-    return rules
+    ctx.emit("choice:%s:pick" % entry, cells, edges,
+             add=[("C", dst, "X")], recolor=[("C", nxt)])
+    ctx.emit("choice:%s:empty" % entry,
+             [("C", entry), ("S", None)], [("C", source, "S")],
+             recolor=[("C", CHOICE_ERROR)])
 
 
 def compile_pairing(ctx, entry, nxt, first, second, dst):
@@ -442,18 +433,17 @@ def compile_pairing(ctx, entry, nxt, first, second, dst):
                          ("P", None)],
                         [("C", first, "X"), ("C", second, "Y"),
                          ("X", tangle.FST, "P"), ("Y", tangle.SND, "P")])
-    rules = ctx.emit("pairing:%s:reuse" % entry, cells, edges,
-                     add=[("C", dst, "P")], recolor=[("C", nxt)],
-                     aliases=[("X", "Y")])
-    rules += ctx.emit("pairing:%s:create" % entry,
-                      [("C", entry), ("X", None), ("Y", None)],
-                      [("C", first, "X"), ("C", second, "Y")],
-                      creates=[("P", tangle.PLAIN, tangle.PAIR)],
-                      add=[("X", tangle.FST, "P"), ("Y", tangle.SND, "P"),
-                           ("C", dst, "P")],
-                      recolor=[("C", nxt)],
-                      aliases=[("X", "Y")])
-    return rules
+    ctx.emit("pairing:%s:reuse" % entry, cells, edges,
+             add=[("C", dst, "P")], recolor=[("C", nxt)],
+             aliases=[("X", "Y")])
+    ctx.emit("pairing:%s:create" % entry,
+             [("C", entry), ("X", None), ("Y", None)],
+             [("C", first, "X"), ("C", second, "Y")],
+             creates=[("P", tangle.PLAIN, tangle.PAIR)],
+             add=[("X", tangle.FST, "P"), ("Y", tangle.SND, "P"),
+                  ("C", dst, "P")],
+             recolor=[("C", nxt)],
+             aliases=[("X", "Y")])
 
 
 def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
@@ -473,17 +463,16 @@ def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
     cells, edges = _pad(cells, edges)
     hit_aliases = [p for p in itertools.combinations(
         alias_pool + ["V", "E"], 2)]
-    rules = ctx.emit("eval:%s:hit" % entry, cells, edges,
-                     add=[("C", dst, "V")], recolor=[("C", nxt)],
-                     aliases=hit_aliases)
+    ctx.emit("eval:%s:hit" % entry, cells, edges,
+             add=[("C", dst, "V")], recolor=[("C", nxt)],
+             aliases=hit_aliases)
 
     cells = [("C", entry)] + arg_cells + [("E", tangle.EMPTY)]
     edges = list(arg_edges) + [("C", tangle.EMPTY_EDGE, "E")]
     miss_aliases = [p for p in itertools.combinations(alias_pool + ["E"], 2)]
-    rules += ctx.emit("eval:%s:miss" % entry, cells, edges,
-                      add=[("C", dst, "E")], recolor=[("C", nxt)],
-                      aliases=miss_aliases)
-    return rules
+    ctx.emit("eval:%s:miss" % entry, cells, edges,
+             add=[("C", dst, "E")], recolor=[("C", nxt)],
+             aliases=miss_aliases)
 
 
 def compile_apply_write(ctx, entry, nxt, fname, argregs, src):
@@ -501,44 +490,42 @@ def compile_apply_write(ctx, entry, nxt, fname, argregs, src):
 
     cells, edges = _pad([("C", entry)] + arg_cells + [("T", None)],
                         arg_edges + [("C", fname, "T")] + tuple_edges)
-    rules = ctx.emit("commit:%s:resolve-hit" % entry, cells, edges,
-                     add=[("C", LOC, "T")], recolor=[("C", unlink)],
-                     aliases=aliases)
-    rules += ctx.emit("commit:%s:resolve-miss" % entry,
-                      [("C", entry)] + arg_cells, arg_edges,
-                      creates=[("T", tangle.PLAIN, tangle.TUPLE)],
-                      add=[("C", fname, "T")] + tuple_edges
-                          + [("C", LOC, "T")],
-                      recolor=[("C", unlink)],
-                      aliases=aliases)
+    ctx.emit("commit:%s:resolve-hit" % entry, cells, edges,
+             add=[("C", LOC, "T")], recolor=[("C", unlink)],
+             aliases=aliases)
+    ctx.emit("commit:%s:resolve-miss" % entry,
+             [("C", entry)] + arg_cells, arg_edges,
+             creates=[("T", tangle.PLAIN, tangle.TUPLE)],
+             add=[("C", fname, "T")] + tuple_edges + [("C", LOC, "T")],
+             recolor=[("C", unlink)],
+             aliases=aliases)
 
     cells, edges = _pad([("C", unlink), ("T", None), ("V", None)],
                         [("C", LOC, "T"), ("T", tangle.VAL, "V")])
-    rules += ctx.emit("commit:%s:unlink" % entry, cells, edges,
-                      delete=[("T", tangle.VAL, "V")],
-                      recolor=[("C", link)])
-    rules += ctx.emit("commit:%s:unlink-skip" % entry,
-                      [("C", unlink), ("T", None)], [("C", LOC, "T")],
-                      recolor=[("C", link)])
+    ctx.emit("commit:%s:unlink" % entry, cells, edges,
+             delete=[("T", tangle.VAL, "V")],
+             recolor=[("C", link)])
+    ctx.emit("commit:%s:unlink-skip" % entry,
+             [("C", unlink), ("T", None)], [("C", LOC, "T")],
+             recolor=[("C", link)])
 
-    rules += ctx.emit("commit:%s:link" % entry,
-                      [("C", link), ("T", None), ("X", None)],
-                      [("C", LOC, "T"), ("C", src, "X")],
-                      add=[("T", tangle.VAL, "X")],
-                      delete=[("C", LOC, "T")],
-                      recolor=[("C", nxt)])
-    return rules
+    ctx.emit("commit:%s:link" % entry,
+             [("C", link), ("T", None), ("X", None)],
+             [("C", LOC, "T"), ("C", src, "X")],
+             add=[("T", tangle.VAL, "X")],
+             delete=[("C", LOC, "T")],
+             recolor=[("C", nxt)])
 
 
 def compile_term_commit(ctx, entry, nxt, name, src):
     """Swing one critical-term edge to the register's node.  One tick."""
-    return ctx.emit("commit:%s:term" % entry,
-                    [("C", entry), ("X", None), ("Y", None)],
-                    [("C", name, "X"), ("C", src, "Y")],
-                    delete=[("C", name, "X")],
-                    add=[("C", name, "Y")],
-                    recolor=[("C", nxt)],
-                    aliases=[("X", "Y")])
+    ctx.emit("commit:%s:term" % entry,
+             [("C", entry), ("X", None), ("Y", None)],
+             [("C", name, "X"), ("C", src, "Y")],
+             delete=[("C", name, "X")],
+             add=[("C", name, "Y")],
+             recolor=[("C", nxt)],
+             aliases=[("X", "Y")])
 
 
 def compile_singleton(ctx, entry, nxt, source, dst):
@@ -556,32 +543,32 @@ def compile_singleton(ctx, entry, nxt, source, dst):
     check = entry + ".c"
     restore = entry + ".t"
 
-    rules = ctx.emit("singleton:%s:suggest" % entry,
-                     [("C", entry), ("X", None)], [("C", source, "X")],
-                     creates=[("W", SUGG, tangle.SET)],
-                     add=[("X", tangle.ELEM, "W"), ("C", SW, "W")],
-                     recolor=[("C", pick)])
+    ctx.emit("singleton:%s:suggest" % entry,
+             [("C", entry), ("X", None)], [("C", source, "X")],
+             creates=[("W", SUGG, tangle.SET)],
+             add=[("X", tangle.ELEM, "W"), ("C", SW, "W")],
+             recolor=[("C", pick)])
 
     cells, edges = _pad(
         [("C", pick), ("X", None), ("U", tangle.PLAIN), ("W", SUGG)],
         [("C", source, "X"), ("X", tangle.ELEM, "U"), ("C", SW, "W")])
-    rules += ctx.emit("singleton:%s:pick" % entry, cells, edges,
-                      add=[("C", CAND, "U")], recolor=[("C", check)],
-                      negs=[("U", TST, "W")] if neg else ())
-    rules += ctx.emit("singleton:%s:exit" % entry,
-                      [("C", pick), ("X", None), ("W", SUGG)],
-                      [("C", source, "X"), ("C", SW, "W")],
-                      add=[("C", dst, "W")],
-                      recolor=[("W", tangle.PLAIN), ("C", restore)])
+    ctx.emit("singleton:%s:pick" % entry, cells, edges,
+             add=[("C", CAND, "U")], recolor=[("C", check)],
+             negs=[("U", TST, "W")] if neg else ())
+    ctx.emit("singleton:%s:exit" % entry,
+             [("C", pick), ("X", None), ("W", SUGG)],
+             [("C", source, "X"), ("C", SW, "W")],
+             add=[("C", dst, "W")],
+             recolor=[("W", tangle.PLAIN), ("C", restore)])
 
-    rules += ctx.emit("singleton:%s:accept" % entry,
-                      [("C", check), ("X", None), ("U", tangle.PLAIN),
-                       ("W", SUGG)],
-                      [("C", source, "X"), ("C", CAND, "U"),
-                       ("X", tangle.ELEM, "U"), ("C", SW, "W")],
-                      add=[("C", dst, "U")],
-                      delete=[("C", CAND, "U"), ("X", tangle.ELEM, "W")],
-                      recolor=[("W", tangle.JUNK), ("C", restore)])
+    ctx.emit("singleton:%s:accept" % entry,
+             [("C", check), ("X", None), ("U", tangle.PLAIN),
+              ("W", SUGG)],
+             [("C", source, "X"), ("C", CAND, "U"),
+              ("X", tangle.ELEM, "U"), ("C", SW, "W")],
+             add=[("C", dst, "U")],
+             delete=[("C", CAND, "U"), ("X", tangle.ELEM, "W")],
+             recolor=[("W", tangle.JUNK), ("C", restore)])
     cells, edges = _pad(
         [("C", check), ("X", None), ("U", tangle.PLAIN), ("W", SUGG),
          ("Y", None)],
@@ -592,27 +579,25 @@ def compile_singleton(ctx, entry, nxt, source, dst):
         reject_edits["add"] = [("U", TST, "W")]
     else:
         reject_edits["recolor"].append(("U", TESTED))
-    rules += ctx.emit("singleton:%s:reject" % entry, cells, edges,
-                      **reject_edits)
+    ctx.emit("singleton:%s:reject" % entry, cells, edges, **reject_edits)
 
     if neg:
         cells, edges = _pad(
             [("C", restore), ("X", None), ("W", None), ("U", None)],
             [("C", source, "X"), ("C", SW, "W"), ("U", TST, "W")])
-        rules += ctx.emit("singleton:%s:restore" % entry, cells, edges,
-                          delete=[("U", TST, "W")])
+        ctx.emit("singleton:%s:restore" % entry, cells, edges,
+                 delete=[("U", TST, "W")])
     else:
         cells, edges = _pad(
             [("C", restore), ("X", None), ("U", TESTED), ("W", None)],
             [("C", source, "X"), ("X", tangle.ELEM, "U"), ("C", SW, "W")])
-        rules += ctx.emit("singleton:%s:restore" % entry, cells, edges,
-                          recolor=[("U", tangle.PLAIN)])
-    rules += ctx.emit("singleton:%s:restore-exit" % entry,
-                      [("C", restore), ("X", None), ("W", None)],
-                      [("C", source, "X"), ("C", SW, "W")],
-                      delete=[("C", SW, "W")],
-                      recolor=[("C", nxt)])
-    return rules
+        ctx.emit("singleton:%s:restore" % entry, cells, edges,
+                 recolor=[("U", tangle.PLAIN)])
+    ctx.emit("singleton:%s:restore-exit" % entry,
+             [("C", restore), ("X", None), ("W", None)],
+             [("C", source, "X"), ("C", SW, "W")],
+             delete=[("C", SW, "W")],
+             recolor=[("C", nxt)])
 
 
 def compile_union(ctx, entry, nxt, first, second, dst):
@@ -661,39 +646,37 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     scans = ((tangle.PLAIN, MKU, ""),) if neg else (
         (tangle.PLAIN, MKU, ""), (UREJ, MKUR, "-rej"))
 
-    rules = []
-
     # dispatch: same node, or an empty operand, in one tick
     cells, edges = _pad([("C", entry), ("X", None)],
                         [("C", first, "X"), ("C", second, "X")])
-    rules += ctx.emit("union-check:%s:same" % entry, cells, edges,
-                      add=[("C", dst, "X")], recolor=[("C", nxt)])
+    ctx.emit("union-check:%s:same" % entry, cells, edges,
+             add=[("C", dst, "X")], recolor=[("C", nxt)])
     cells, edges = _pad([("C", entry), ("E", tangle.EMPTY), ("Y", None)],
                         [("C", first, "E"), ("C", second, "Y")])
-    rules += ctx.emit("union-check:%s:left-empty" % entry, cells, edges,
-                      add=[("C", dst, "Y")], recolor=[("C", nxt)])
+    ctx.emit("union-check:%s:left-empty" % entry, cells, edges,
+             add=[("C", dst, "Y")], recolor=[("C", nxt)])
     cells, edges = _pad([("C", entry), ("X", None), ("E", tangle.EMPTY)],
                         [("C", first, "X"), ("C", second, "E")])
-    rules += ctx.emit("union-check:%s:right-empty" % entry, cells, edges,
-                      add=[("C", dst, "X")], recolor=[("C", nxt)])
-    rules += ctx.emit("union-check:%s:general" % entry,
-                      [("C", entry)], [], recolor=[("C", seed)])
+    ctx.emit("union-check:%s:right-empty" % entry, cells, edges,
+             add=[("C", dst, "X")], recolor=[("C", nxt)])
+    ctx.emit("union-check:%s:general" % entry,
+             [("C", entry)], [], recolor=[("C", seed)])
 
     # witness member of the first operand
-    rules += ctx.emit("union-check:%s:seed" % entry,
-                      [("C", seed), ("S", None), ("M", None)],
-                      [("C", first, "S"), ("M", tangle.ELEM, "S")],
-                      add=[("C", SEED, "M")], recolor=[("C", pick)])
+    ctx.emit("union-check:%s:seed" % entry,
+             [("C", seed), ("S", None), ("M", None)],
+             [("C", first, "S"), ("M", tangle.ELEM, "S")],
+             add=[("C", SEED, "M")], recolor=[("C", pick)])
 
     # candidate loop over the witness's parents
     cells, edges = _pad([("C", pick), ("M", None), ("U", tangle.PLAIN)],
                         [("C", SEED, "M"), ("M", tangle.ELEM, "U")])
-    rules += ctx.emit("union-check:%s:pick" % entry, cells, edges,
-                      add=[("C", CAND, "U")], recolor=[("C", mark)],
-                      negs=[("U", REJ, "M")] if neg else ())
-    rules += ctx.emit("union-check:%s:pick-exit" % entry,
-                      [("C", pick), ("M", None)], [("C", SEED, "M")],
-                      recolor=[("C", prebuild)])
+    ctx.emit("union-check:%s:pick" % entry, cells, edges,
+             add=[("C", CAND, "U")], recolor=[("C", mark)],
+             negs=[("U", REJ, "M")] if neg else ())
+    ctx.emit("union-check:%s:pick-exit" % entry,
+             [("C", pick), ("M", None)], [("C", SEED, "M")],
+             recolor=[("C", prebuild)])
 
     # mark candidate members occurring in an operand
     for tag, reg in (("a", first), ("b", second)):
@@ -703,14 +686,13 @@ def compile_union(ctx, entry, nxt, first, second, dst):
                  ("X", scol)],
                 [("C", reg, "S"), ("C", CAND, "U"),
                  ("X", tangle.ELEM, "S"), ("X", tangle.ELEM, "U")])
-            rules += ctx.emit("union-check:%s:mark-%s%s"
-                              % (entry, tag, stag),
-                              cells, edges, recolor=[("X", mcol)],
-                              aliases=[("S", "U")])
-    rules += ctx.emit("union-check:%s:mark-exit" % entry,
-                      [("C", mark), ("U", tangle.PLAIN)],
-                      [("C", CAND, "U")],
-                      recolor=[("C", sube)])
+            ctx.emit("union-check:%s:mark-%s%s" % (entry, tag, stag),
+                     cells, edges, recolor=[("X", mcol)],
+                     aliases=[("S", "U")])
+    ctx.emit("union-check:%s:mark-exit" % entry,
+             [("C", mark), ("U", tangle.PLAIN)],
+             [("C", CAND, "U")],
+             recolor=[("C", sube)])
 
     # empty-set membership stages: a presence rule strictly contains
     # the reject/continue fallbacks, so an unmatched presence rule
@@ -722,31 +704,31 @@ def compile_union(ctx, entry, nxt, first, second, dst):
             [("C", CAND, "U"), ("C", tangle.EMPTY_EDGE, "E"),
              ("E", tangle.ELEM, "U"), ("C", reg, "S"),
              ("E", tangle.ELEM, "S")])
-        rules += ctx.emit("union-check:%s:sub-empty-in-%s" % (entry, tag),
-                          cells, edges, recolor=[("C", sub)],
-                          aliases=[("S", "U")])
-    rules += ctx.emit("union-check:%s:sub-empty-reject" % entry,
-                      [("C", sube), ("U", tangle.PLAIN),
-                       ("E", tangle.EMPTY)],
-                      [("C", CAND, "U"), ("C", tangle.EMPTY_EDGE, "E"),
-                       ("E", tangle.ELEM, "U")],
-                      recolor=[("C", unmark_j)])
-    rules += ctx.emit("union-check:%s:sub-empty-pass" % entry,
-                      [("C", sube), ("U", tangle.PLAIN)],
-                      [("C", CAND, "U")],
-                      recolor=[("C", sub)])
+        ctx.emit("union-check:%s:sub-empty-in-%s" % (entry, tag),
+                 cells, edges, recolor=[("C", sub)],
+                 aliases=[("S", "U")])
+    ctx.emit("union-check:%s:sub-empty-reject" % entry,
+             [("C", sube), ("U", tangle.PLAIN),
+              ("E", tangle.EMPTY)],
+             [("C", CAND, "U"), ("C", tangle.EMPTY_EDGE, "E"),
+              ("E", tangle.ELEM, "U")],
+             recolor=[("C", unmark_j)])
+    ctx.emit("union-check:%s:sub-empty-pass" % entry,
+             [("C", sube), ("U", tangle.PLAIN)],
+             [("C", CAND, "U")],
+             recolor=[("C", sub)])
 
     # any unmarked member of the candidate is outside both operands
     for scol, _mcol, stag in scans:
         cells, edges = _pad(
             [("C", sub), ("U", tangle.PLAIN), ("X", scol)],
             [("C", CAND, "U"), ("X", tangle.ELEM, "U")])
-        rules += ctx.emit("union-check:%s:sub-reject%s" % (entry, stag),
-                          cells, edges, recolor=[("C", unmark_j)])
-    rules += ctx.emit("union-check:%s:sub-pass" % entry,
-                      [("C", sub), ("U", tangle.PLAIN)],
-                      [("C", CAND, "U")],
-                      recolor=[("C", supae)])
+        ctx.emit("union-check:%s:sub-reject%s" % (entry, stag),
+                 cells, edges, recolor=[("C", unmark_j)])
+    ctx.emit("union-check:%s:sub-pass" % entry,
+             [("C", sub), ("U", tangle.PLAIN)],
+             [("C", CAND, "U")],
+             recolor=[("C", supae)])
 
     # operand-inclusion stages: empty-set membership first, then the
     # remaining members (marked iff they are also candidate members)
@@ -758,89 +740,83 @@ def compile_union(ctx, entry, nxt, first, second, dst):
             [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
              ("E", tangle.ELEM, "S"), ("C", CAND, "U"),
              ("E", tangle.ELEM, "U")])
-        rules += ctx.emit("union-check:%s:sup-%s-empty-in" % (entry, tag),
-                          cells, edges, recolor=[("C", scolor)],
-                          aliases=[("S", "U")])
-        rules += ctx.emit("union-check:%s:sup-%s-empty-reject"
-                          % (entry, tag),
-                          [("C", ecolor), ("S", None),
-                           ("E", tangle.EMPTY)],
-                          [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
-                           ("E", tangle.ELEM, "S")],
-                          recolor=[("C", unmark_j)])
-        rules += ctx.emit("union-check:%s:sup-%s-empty-pass"
-                          % (entry, tag),
-                          [("C", ecolor), ("S", None)],
-                          [("C", reg, "S")],
-                          recolor=[("C", scolor)])
+        ctx.emit("union-check:%s:sup-%s-empty-in" % (entry, tag),
+                 cells, edges, recolor=[("C", scolor)],
+                 aliases=[("S", "U")])
+        ctx.emit("union-check:%s:sup-%s-empty-reject" % (entry, tag),
+                 [("C", ecolor), ("S", None),
+                  ("E", tangle.EMPTY)],
+                 [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
+                  ("E", tangle.ELEM, "S")],
+                 recolor=[("C", unmark_j)])
+        ctx.emit("union-check:%s:sup-%s-empty-pass" % (entry, tag),
+                 [("C", ecolor), ("S", None)],
+                 [("C", reg, "S")],
+                 recolor=[("C", scolor)])
         nxt_color = supbe if tag == "a" else acc
         for scol, _mcol, stag in scans:
             cells, edges = _pad(
                 [("C", scolor), ("S", None), ("X", scol)],
                 [("C", reg, "S"), ("X", tangle.ELEM, "S")])
-            rules += ctx.emit("union-check:%s:sup-%s-reject%s"
-                              % (entry, tag, stag),
-                              cells, edges, recolor=[("C", unmark_j)])
-        rules += ctx.emit("union-check:%s:sup-%s-pass" % (entry, tag),
-                          [("C", scolor), ("S", None)],
-                          [("C", reg, "S")],
-                          recolor=[("C", nxt_color)])
+            ctx.emit("union-check:%s:sup-%s-reject%s" % (entry, tag, stag),
+                     cells, edges, recolor=[("C", unmark_j)])
+        ctx.emit("union-check:%s:sup-%s-pass" % (entry, tag),
+                 [("C", scolor), ("S", None)],
+                 [("C", reg, "S")],
+                 recolor=[("C", nxt_color)])
 
     # accept: deliver the candidate, unmark its members, restore
-    rules += ctx.emit("union-check:%s:accept" % entry,
-                      [("C", acc), ("U", tangle.PLAIN)],
-                      [("C", CAND, "U")],
-                      add=[("C", dst, "U")],
-                      delete=[("C", CAND, "U")],
-                      recolor=[("C", unmark_a)])
+    ctx.emit("union-check:%s:accept" % entry,
+             [("C", acc), ("U", tangle.PLAIN)],
+             [("C", CAND, "U")],
+             add=[("C", dst, "U")],
+             delete=[("C", CAND, "U")],
+             recolor=[("C", unmark_a)])
     for scol, mcol, stag in scans:
         cells, edges = _pad(
             [("C", unmark_a), ("U", tangle.PLAIN), ("X", mcol)],
             [("C", dst, "U"), ("X", tangle.ELEM, "U")])
-        rules += ctx.emit("union-check:%s:accept-unmark%s"
-                          % (entry, stag),
-                          cells, edges, recolor=[("X", scol)])
-    rules += ctx.emit("union-check:%s:accept-unmark-exit" % entry,
-                      [("C", unmark_a), ("U", tangle.PLAIN)],
-                      [("C", dst, "U")],
-                      recolor=[("C", restore)])
+        ctx.emit("union-check:%s:accept-unmark%s" % (entry, stag),
+                 cells, edges, recolor=[("X", scol)])
+    ctx.emit("union-check:%s:accept-unmark-exit" % entry,
+             [("C", unmark_a), ("U", tangle.PLAIN)],
+             [("C", dst, "U")],
+             recolor=[("C", restore)])
 
     # reject: unmark this candidate's members, flag it, resume the loop
     for scol, mcol, stag in scans:
         cells, edges = _pad(
             [("C", unmark_j), ("U", tangle.PLAIN), ("X", mcol)],
             [("C", CAND, "U"), ("X", tangle.ELEM, "U")])
-        rules += ctx.emit("union-check:%s:reject-unmark%s"
-                          % (entry, stag),
-                          cells, edges, recolor=[("X", scol)])
-    rules += ctx.emit("union-check:%s:reject-unmark-exit" % entry,
-                      [("C", unmark_j), ("U", tangle.PLAIN)],
-                      [("C", CAND, "U")],
-                      recolor=[("C", rej_done)])
+        ctx.emit("union-check:%s:reject-unmark%s" % (entry, stag),
+                 cells, edges, recolor=[("X", scol)])
+    ctx.emit("union-check:%s:reject-unmark-exit" % entry,
+             [("C", unmark_j), ("U", tangle.PLAIN)],
+             [("C", CAND, "U")],
+             recolor=[("C", rej_done)])
     if neg:
-        rules += ctx.emit("union-check:%s:reject-flag" % entry,
-                          [("C", rej_done), ("U", tangle.PLAIN),
-                           ("M", None)],
-                          [("C", CAND, "U"), ("C", SEED, "M")],
-                          add=[("U", REJ, "M")],
-                          delete=[("C", CAND, "U")],
-                          recolor=[("C", pick)])
+        ctx.emit("union-check:%s:reject-flag" % entry,
+                 [("C", rej_done), ("U", tangle.PLAIN),
+                  ("M", None)],
+                 [("C", CAND, "U"), ("C", SEED, "M")],
+                 add=[("U", REJ, "M")],
+                 delete=[("C", CAND, "U")],
+                 recolor=[("C", pick)])
     else:
-        rules += ctx.emit("union-check:%s:reject-flag" % entry,
-                          [("C", rej_done), ("U", tangle.PLAIN)],
-                          [("C", CAND, "U")],
-                          delete=[("C", CAND, "U")],
-                          recolor=[("U", UREJ), ("C", pick)])
+        ctx.emit("union-check:%s:reject-flag" % entry,
+                 [("C", rej_done), ("U", tangle.PLAIN)],
+                 [("C", CAND, "U")],
+                 delete=[("C", CAND, "U")],
+                 recolor=[("U", UREJ), ("C", pick)])
 
     # all candidates rejected: drop the reject marks first, so the
     # build phase sees every operand member as plain, then build
-    _emit_union_restore(ctx, entry, prebuild, build, "prebuild-restore",
-                        release_seed=True)
-    rules += ctx.emit("union-build:%s:fresh" % entry,
-                      [("C", build)], [],
-                      creates=[("W", UBUILD, tangle.SET)],
-                      add=[("C", BW, "W")],
-                      recolor=[("C", cpea)])
+    _emit_union_restore(ctx, entry, prebuild, build, "prebuild-restore")
+    ctx.emit("union-build:%s:fresh" % entry,
+             [("C", build)], [],
+             creates=[("W", UBUILD, tangle.SET)],
+             add=[("C", BW, "W")],
+             recolor=[("C", cpea)])
     for ecolor, ccolor, after, reg, tag in (
             (cpea, cpa, cpeb, first, "a"),
             (cpeb, cpb, unmark_b, second, "b")):
@@ -849,46 +825,44 @@ def compile_union(ctx, entry, nxt, first, second, dst):
              ("W", UBUILD)],
             [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
              ("E", tangle.ELEM, "S"), ("C", BW, "W")])
-        rules += ctx.emit("union-build:%s:copy-%s-empty" % (entry, tag),
-                          cells, edges,
-                          add=[("E", tangle.ELEM, "W")],
-                          recolor=[("C", ccolor)])
-        rules += ctx.emit("union-build:%s:copy-%s-empty-skip"
-                          % (entry, tag),
-                          [("C", ecolor)], [],
-                          recolor=[("C", ccolor)])
+        ctx.emit("union-build:%s:copy-%s-empty" % (entry, tag),
+                 cells, edges,
+                 add=[("E", tangle.ELEM, "W")],
+                 recolor=[("C", ccolor)])
+        ctx.emit("union-build:%s:copy-%s-empty-skip" % (entry, tag),
+                 [("C", ecolor)], [],
+                 recolor=[("C", ccolor)])
         cells, edges = _pad(
             [("C", ccolor), ("S", None), ("W", UBUILD),
              ("X", tangle.PLAIN)],
             [("C", reg, "S"), ("C", BW, "W"), ("X", tangle.ELEM, "S")])
-        rules += ctx.emit("union-build:%s:copy-%s" % (entry, tag),
-                          cells, edges,
-                          add=[("X", tangle.ELEM, "W")],
-                          recolor=[("X", MKB)])
-        rules += ctx.emit("union-build:%s:copy-%s-exit" % (entry, tag),
-                          [("C", ccolor), ("S", None), ("W", UBUILD)],
-                          [("C", reg, "S"), ("C", BW, "W")],
-                          recolor=[("C", after)])
+        ctx.emit("union-build:%s:copy-%s" % (entry, tag),
+                 cells, edges,
+                 add=[("X", tangle.ELEM, "W")],
+                 recolor=[("X", MKB)])
+        ctx.emit("union-build:%s:copy-%s-exit" % (entry, tag),
+                 [("C", ccolor), ("S", None), ("W", UBUILD)],
+                 [("C", reg, "S"), ("C", BW, "W")],
+                 recolor=[("C", after)])
     cells, edges = _pad(
         [("C", unmark_b), ("W", UBUILD), ("X", MKB)],
         [("C", BW, "W"), ("X", tangle.ELEM, "W")])
-    rules += ctx.emit("union-build:%s:unmark" % entry, cells, edges,
-                      recolor=[("X", tangle.PLAIN)])
-    rules += ctx.emit("union-build:%s:unmark-exit" % entry,
-                      [("C", unmark_b), ("W", UBUILD)],
-                      [("C", BW, "W")],
-                      add=[("C", dst, "W")],
-                      delete=[("C", BW, "W")],
-                      recolor=[("W", tangle.PLAIN), ("C", nxt)])
+    ctx.emit("union-build:%s:unmark" % entry, cells, edges,
+             recolor=[("X", tangle.PLAIN)])
+    ctx.emit("union-build:%s:unmark-exit" % entry,
+             [("C", unmark_b), ("W", UBUILD)],
+             [("C", BW, "W")],
+             add=[("C", dst, "W")],
+             delete=[("C", BW, "W")],
+             recolor=[("W", tangle.PLAIN), ("C", nxt)])
 
     # accept path: restore rejected candidates, release the witness
-    _emit_union_restore(ctx, entry, restore, nxt, "restore",
-                        release_seed=True)
-    return rules
+    _emit_union_restore(ctx, entry, restore, nxt, "restore")
 
 
-def _emit_union_restore(ctx, entry, stage, after, label, release_seed):
-    """Loop stripping every reject mark, then step to `after`."""
+def _emit_union_restore(ctx, entry, stage, after, label):
+    """Loop stripping every reject mark, then release the witness and
+    step to `after`."""
     if ctx.negative_edges:
         cells, edges = _pad(
             [("C", stage), ("M", None), ("U", None)],
@@ -901,12 +875,9 @@ def _emit_union_restore(ctx, entry, stage, after, label, release_seed):
             [("C", SEED, "M"), ("M", tangle.ELEM, "U")])
         ctx.emit("union-check:%s:%s" % (entry, label), cells, edges,
                  recolor=[("U", tangle.PLAIN)])
-    exit_edits = dict(recolor=[("C", after)])
-    if release_seed:
-        exit_edits["delete"] = [("C", SEED, "M")]
     ctx.emit("union-check:%s:%s-exit" % (entry, label),
              [("C", stage), ("M", None)], [("C", SEED, "M")],
-             **exit_edits)
+             delete=[("C", SEED, "M")], recolor=[("C", after)])
 
 
 # -- program lowering ------------------------------------------------------
@@ -1056,11 +1027,10 @@ class CompilationUnit:
     """A compiled program: the rule set plus everything needed to run
     it against encoded states and read answers back out."""
 
-    def __init__(self, program, ruleset, negative_edges, registers, bits,
-                 first_color, idle_colors):
+    def __init__(self, program, ruleset, registers, bits, first_color,
+                 idle_colors):
         self.program = program
         self.ruleset = ruleset
-        self.negative_edges = negative_edges
         self.registers = registers
         self.bits = bits
         self.start_color = BOOT
@@ -1239,7 +1209,7 @@ def compile_program(program, negative_edges=False):
         raise CompileError("generated rule set is invalid: "
                            + "; ".join(problems[:5]))
     idle = frozenset((BOOT, first, DONE, CHOICE_ERROR))
-    return CompilationUnit(program, ruleset, negative_edges,
+    return CompilationUnit(program, ruleset,
                            ["$r%d" % i for i in range(lo.nreg)],
                            ["$b%d" % i for i in range(lo.nbit)],
                            first, idle)

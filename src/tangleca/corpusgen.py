@@ -16,8 +16,6 @@ stay away from.
 """
 from __future__ import annotations
 
-import random
-
 from . import asmlang as ast
 from . import interpreter
 from .hfset import HFError, HFLimitError
@@ -28,6 +26,7 @@ LET_VARS = ("x", "y")
 
 DEFAULT_MAX_STEPS = 60
 DEFAULT_MAX_PATHS = 64
+ATTEMPTS = 2000
 
 
 class GenLimit(Exception):
@@ -35,17 +34,15 @@ class GenLimit(Exception):
 
 
 class _Gen:
-    def __init__(self, rng, allow_choice, allow_locations,
-                 force_choice=False):
+    def __init__(self, rng, allow_choice, force_choice=False):
         self.rng = rng
         self.allow_choice = allow_choice
-        self.allow_locations = allow_locations
         self.force_choice = force_choice
         self.atoms = list(ATOM_POOL[:rng.randint(1, len(ATOM_POOL))])
         self.criticals = list(
             CRITICAL_POOL[:rng.randint(2, len(CRITICAL_POOL))])
         self.functions = []
-        if allow_locations and rng.random() < 0.5:
+        if rng.random() < 0.5:
             self.functions.append(("g", rng.randint(1, 2)))
         self.wrote_location = False
 
@@ -236,14 +233,12 @@ def acceptable(program, state, universe, max_steps=DEFAULT_MAX_STEPS,
         return None
 
 
-def generate_case(rng, universe, allow_choice=False, allow_locations=True,
-                  max_steps=DEFAULT_MAX_STEPS, require_choice=None,
-                  attempts=2000):
+def generate_case(rng, universe, allow_choice=False,
+                  max_steps=DEFAULT_MAX_STEPS, require_choice=None):
     """One accepted (program, state) pair, by rejection sampling."""
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         try:
-            gen = _Gen(rng, allow_choice, allow_locations,
-                       force_choice=bool(require_choice))
+            gen = _Gen(rng, allow_choice, force_choice=bool(require_choice))
             program = gen.program()
         except GenLimit:
             continue
@@ -256,13 +251,4 @@ def generate_case(rng, universe, allow_choice=False, allow_locations=True,
         if acceptable(program, state, universe, max_steps=max_steps,
                       require_choice=require_choice) is not None:
             return program, state
-    raise GenLimit("no acceptable case in %d attempts" % attempts)
-
-
-def generate_corpus(seed, count, universe, allow_choice=False,
-                    allow_locations=True, max_steps=DEFAULT_MAX_STEPS,
-                    require_choice=None):
-    rng = random.Random(seed)
-    return [generate_case(rng, universe, allow_choice, allow_locations,
-                          max_steps, require_choice)
-            for _ in range(count)]
+    raise GenLimit("no acceptable case in %d attempts" % ATTEMPTS)

@@ -29,15 +29,15 @@ class CaseResult:
 
 def run_case(program, state, universe, seeds=(0, 1, 2),
              negative_edges=False, max_ticks=DEFAULT_MAX_TICKS,
-             max_steps=interpreter.MAX_STEPS, check_invariants=False,
-             label="case"):
+             check_invariants=False, label="case"):
     """Compare automaton and interpreter on one case.
 
-    Runs the deterministic schedule once and a random schedule per
-    seed.  Returns a CaseResult listing every disagreement.
+    negative_edges selects how the program is compiled; the rules then
+    carry it.  Runs the deterministic schedule once and a random schedule
+    per seed.  Returns a CaseResult listing every disagreement.
     """
     oracle_state, _steps, oracle_outcome = interpreter.run_to_termination(
-        program, state, universe, seed=0, max_steps=max_steps)
+        program, state, universe, seed=0)
     unit = compiler.compile_program(program,
                                     negative_edges=negative_edges)
     disagreements = []
@@ -50,7 +50,6 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
         cfg, stats, outcome = automaton.run(
             cfg, unit.ruleset, max_ticks=max_ticks,
-            negative_edges=negative_edges,
             check_invariants=check_invariants,
             idle_colors=unit.idle_colors if check_invariants else None,
             universe=universe)

@@ -13,7 +13,9 @@ class Plan:
 
     steps: (new_cell, from_cell, label, forward) — bind new_cell from the
     adjacency of an already-bound cell.  checks: edges not consumed by
-    steps, verified on full bindings.  negs: edges that must be absent.
+    steps, verified on full bindings.  negs: edges that must be absent,
+    checked whenever the plan has any; only rules compiled with negative
+    edges, or written with neg_edges, have them.
     """
 
     __slots__ = ("rule_index", "n", "colors", "focus", "steps", "checks",
@@ -53,7 +55,7 @@ class PlanIndex:
         return merged
 
 
-def enumerate_matches(index, g, active, negative_edges):
+def enumerate_matches(index, g, active):
     """All matches anchored at `active`, as (rule_index, binding) pairs.
 
     Deterministic: plan order, then lexicographically by binding tuple
@@ -69,13 +71,13 @@ def enumerate_matches(index, g, active, negative_edges):
         binding = [-1] * plan.n
         binding[plan.focus] = active
         if plan.n == 1:
-            _finish(plan, g, binding, out, negative_edges)
+            _finish(plan, g, binding, out)
         else:
-            _extend(plan, g, 0, binding, out, negative_edges)
+            _extend(plan, g, 0, binding, out)
     return out
 
 
-def _extend(plan, g, depth, binding, out, negative_edges):
+def _extend(plan, g, depth, binding, out):
     new, frm, label, forward = plan.steps[depth]
     anchor = binding[frm]
     if forward:
@@ -99,20 +101,19 @@ def _extend(plan, g, depth, binding, out, negative_edges):
             continue
         binding[new] = cand
         if last:
-            _finish(plan, g, binding, out, negative_edges)
+            _finish(plan, g, binding, out)
         else:
-            _extend(plan, g, depth + 1, binding, out, negative_edges)
+            _extend(plan, g, depth + 1, binding, out)
         binding[new] = -1
 
 
-def _finish(plan, g, binding, out, negative_edges):
+def _finish(plan, g, binding, out):
     for a, label, b in plan.checks:
         targets = g.out[binding[a]].get(label)
         if not targets or binding[b] not in targets:
             return
-    if negative_edges:
-        for a, label, b in plan.negs:
-            targets = g.out[binding[a]].get(label)
-            if targets and binding[b] in targets:
-                return
+    for a, label, b in plan.negs:
+        targets = g.out[binding[a]].get(label)
+        if targets and binding[b] in targets:
+            return
     out.append((plan.rule_index, tuple(binding)))

@@ -216,17 +216,17 @@ def make_plan(rule, rule_index):
     return kernel.Plan(rule_index, n, colors, focus, steps, checks, neg)
 
 
-def match_all(g, ruleset, negative_edges=False):
+def match_all(g, ruleset):
     """Every match of every rule anchored at the active node.
 
     Returns the kernel's (rule_index, binding_tuple) pairs, binding tuples
     indexed like the rule's pattern cells, in canonical order: rule order,
-    then binding tuple.  The kernel's list is returned as is unless a
-    plan that can run at the active colour binds its cells out of index
-    order (RuleSet.unordered); only then is it sorted.
+    then binding tuple.  A rule's negative edges are always honoured.
+    The kernel's list is returned as is unless a plan that can run at the
+    active colour binds its cells out of index order (RuleSet.unordered);
+    only then is it sorted.
     """
-    pairs = kernel.enumerate_matches(ruleset.plans(), g, g.active,
-                                     negative_edges)
+    pairs = kernel.enumerate_matches(ruleset.plans(), g, g.active)
     unordered = ruleset.unordered
     if unordered and (g.nodes[g.active].color in unordered
                       or None in unordered):

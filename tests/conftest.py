@@ -40,7 +40,6 @@ def run_automaton(source, state_text, negative_edges=False, seed=0,
     cfg = automaton.Configuration(graph, seed=seed, mode=mode)
     cfg, stats, outcome = automaton.run(
         cfg, unit.ruleset, max_ticks=max_ticks,
-        negative_edges=negative_edges,
         check_invariants=check_invariants,
         idle_colors=unit.idle_colors if check_invariants else None,
         universe=universe if check_invariants else None)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from tangleca import automaton, hfset, pattern, tangle
 from tangleca.automaton import (BUDGET, DETERMINISTIC, QUIESCENT, RANDOM,
                                 Configuration, InvariantViolation, StepStats,
-                                run, select_match, step, trace, format_trace)
+                                run, select_match, step)
 from tangleca.pattern import Pattern, Rewrite, Rule, RuleSet
 
 from conftest import compile_case, load_corpus_case
@@ -124,8 +124,7 @@ class TestCanonicalOrderGuard:
 
     def test_out_of_order_plan_is_detected_and_sorted(self):
         g, rules = self._setup()
-        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active,
-                                               False)
+        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
         assert raw == [(0, (0, 4, 1)), (0, (0, 3, 2))]
         assert rules.unordered == {"red"}
         assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
@@ -202,36 +201,6 @@ class TestRunLoop:
         assert names == ["t:ping", "t:pong", "t:ping", "t:pong"]
 
 
-class TestTrace:
-    def test_trace_records_each_tick(self):
-        g = tangle.Tangle()
-        c = g.add_node("red", tangle.CRITICALS)
-        g.active = c
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("t:a", Pattern([("C", "red")], [], "C"),
-                 Rewrite(recolor=[("C", "green")])),
-            Rule("t:b", Pattern([("C", "green")], [], "C"),
-                 Rewrite(recolor=[("C", "blue")]))], 3)
-        entries, cfg, stats, outcome = trace(Configuration(g), rules,
-                                             max_ticks=100)
-        assert outcome == QUIESCENT
-        assert [rule for _t, rule, _b, _s in entries] == ["t:a", "t:b"]
-        assert [t for t, _r, _b, _s in entries] == [1, 2]
-        assert all(snap is not None for _t, _r, _b, snap in entries)
-        text = format_trace(entries)
-        assert "t:a" in text and "t:b" in text
-
-    def test_trace_without_snapshots(self):
-        g = tangle.Tangle()
-        c = g.add_node("red", tangle.CRITICALS)
-        g.active = c
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("t:a", Pattern([("C", "red")], [], "C"),
-                 Rewrite(recolor=[("C", "blue")]))], 3)
-        entries, _, _, _ = trace(Configuration(g), rules, snapshots=False)
-        assert len(entries) == 1 and entries[0][3] is None
-
-
 class TestInvariantChecking:
     def test_second_criticals_trips_the_check(self):
         g = tangle.Tangle()
@@ -279,18 +248,6 @@ class TestInvariantChecking:
         _, _, outcome = run(Configuration(g2), relax, check_invariants=True,
                             idle_colors=frozenset(("never",)))
         assert outcome == QUIESCENT
-
-    def test_trace_forwards_the_checks(self):
-        g = tangle.Tangle()
-        c = g.add_node("red", tangle.CRITICALS)
-        g.active = c
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("bad", Pattern([("C", "red")], [], "C"),
-                 Rewrite(recolor=[("C", "blue")],
-                         creates=[("D", "plain", tangle.CRITICALS)]))], 3)
-        with pytest.raises(InvariantViolation) as exc:
-            trace(Configuration(g), rules, check_invariants=True)
-        assert exc.value.tick == 1
 
 
 # Checks after a tick that ends at an idle color walk the whole graph;

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from tangleca import cli, corpusgen, tangle
+from tangleca import automaton, cli, corpusgen, tangle
 
 from conftest import CORPUS_DIR
 
@@ -181,6 +183,39 @@ class TestSimulate:
         assert "budget" in out
 
 
+# sha256 over every output of `simulate --check-invariants --trace
+# --dot-every 25 --stats-json` (stdout, exit code, trace, .dot files and
+# stats JSON) on a union, a singleton, a location-write and a choice case,
+# each in three schedule and edge modes.
+SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
+                  "11-choice-collapse")
+SIMULATE_MODES = ([], ["--negative-edges"],
+                  ["--random", "--seed", "3", "--negative-edges"])
+SIMULATE_DIGEST = (
+    "4963bb90b251b5b74beb06448ecea64497a2310cbe1765c91bb20f99262ff9af")
+
+
+def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for name in SIMULATE_CASES:
+        for mode in SIMULATE_MODES:
+            run_dir = tmp_path / ("%s%d" % (name, len(mode)))
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            argv = (["simulate", *case(name), "--check-invariants",
+                     "--trace", "run.trace", "--dot-every", "25",
+                     "--stats-json", "stats.json"] + mode)
+            code, out, err = run_main(argv, capsys)
+            assert err == ""
+            digest.update(("%s %s exit %d\n" % (name, " ".join(mode), code))
+                          .encode())
+            digest.update(out.encode())
+            for path in sorted(run_dir.iterdir()):
+                digest.update(("== %s\n" % path.name).encode())
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == SIMULATE_DIGEST
+
+
 class TestDifftest:
     def test_generated_cases_agree(self, capsys):
         code, out, _ = run_main(
@@ -299,6 +334,29 @@ class TestLimitsAndPaths:
         code, _, err = run_main(argv[:1] + files + args, capsys)
         assert code == cli.BADINPUT
         assert err.startswith("error: cannot write %s" % out)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--trace", "--stats-json"])
+    def test_unwritable_output_fails_before_the_first_tick(
+            self, option, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("automaton.run was called")
+
+        monkeypatch.setattr(automaton, "run", no_run)
+        out = str(tmp_path / "missing" / "out")
+        code, _, err = run_main(["simulate", *case("02-counter"), option, out],
+                                capsys)
+        assert code == cli.BADINPUT
+        assert err.startswith("error: cannot write %s" % out)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    @pytest.mark.parametrize("option", ["--trace", "--stats-json"])
+    def test_failed_write_of_an_open_output_exits_2(self, option, capsys):
+        code, _, err = run_main(
+            ["simulate", *case("02-counter"), option, "/dev/full"], capsys)
+        assert code == cli.BADINPUT
+        assert err.startswith("error: cannot write --trace or --stats-json")
         assert "Traceback" not in err
 
 

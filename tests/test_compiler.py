@@ -167,6 +167,23 @@ class TestGoldenRuleSets:
         assert digest.hexdigest() == self.DIGEST
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_negative_edges_need_no_run_flag(name):
+    """A unit compiled with negative edges carries them in its rules: a
+    plain automaton.run reaches the interpreter's outcome and state."""
+    source, state_text = load_corpus_case(name)
+    universe, program, unit, state, graph = compile_case(
+        source, state_text, negative_edges=True)
+    want, _steps, want_outcome = interpreter.run_to_termination(
+        program, state, universe)
+    cfg, _stats, outcome = automaton.run(automaton.Configuration(graph),
+                                         unit.ruleset, max_ticks=20000)
+    assert outcome == automaton.QUIESCENT
+    assert unit.classify(cfg.tangle) == want_outcome
+    if want_outcome == interpreter.TERMINAL:
+        assert unit.final_state(cfg.tangle, universe) == want
+
+
 class TestVariants:
     def test_alias_free_template_is_its_only_variant(self):
         cells = [("C", "s0"), ("X", None)]
@@ -176,11 +193,11 @@ class TestVariants:
 
     def test_alias_free_emit_keeps_the_template(self):
         ctx = compiler.EmitContext()
-        [rule] = ctx.emit("t", [("C", "s0"), ("X", None)],
-                          [("C", "$r0", "X")],
-                          recolor=[("C", "s1"), ("C", "s1")],
-                          add=[("C", "$r1", "X"), ("C", "$r1", "X")],
-                          delete=[("C", "$r0", "X")])
+        ctx.emit("t", [("C", "s0"), ("X", None)], [("C", "$r0", "X")],
+                 recolor=[("C", "s1"), ("C", "s1")],
+                 add=[("C", "$r1", "X"), ("C", "$r1", "X")],
+                 delete=[("C", "$r0", "X")])
+        [rule] = ctx.rules
         assert rule.name == "t"
         assert rule.rewrite.recolor == [("C", "s1")]
         assert rule.rewrite.add_edges == [("C", "$r1", "X")]
@@ -189,8 +206,9 @@ class TestVariants:
 
     def test_apply_read_variants_keep_their_order(self):
         ctx = compiler.EmitContext()
-        rules = compiler.compile_apply_read(ctx, "s0", "s1", "g",
-                                            ["$r0", "$r1"], "$r2")
+        compiler.compile_apply_read(ctx, "s0", "s1", "g", ["$r0", "$r1"],
+                                    "$r2")
+        rules = ctx.rules
         hit = ["", "~A1=A2", "~A1=E", "~A1=A2=E", "~A1=V", "~A1=A2=V",
                "~A1=E=V", "~A1=A2=E=V", "~A2=E", "~A1=V~A2=E", "~A2=V",
                "~A1=E~A2=V", "~A2=E=V", "~E=V", "~A1=A2~E=V"]
@@ -242,11 +260,13 @@ class TestVariants:
 
     def test_union_rules_match_a_fresh_context(self):
         def rules(ctx, entry, first, second):
+            start = len(ctx.rules)
+            compiler.compile_union(ctx, entry, entry + "n", first, second,
+                                   "$r9")
             return [(r.name, r.pattern.cells, r.pattern.edges,
                      r.rewrite.recolor, r.rewrite.add_edges,
                      r.rewrite.del_edges, r.rewrite.creates, r.neg_edges)
-                    for r in compiler.compile_union(ctx, entry, entry + "n",
-                                                    first, second, "$r9")]
+                    for r in ctx.rules[start:]]
 
         shared = compiler.EmitContext()
         # x U x, then x U y and y U y: the operands' label equality differs
@@ -258,11 +278,11 @@ class TestVariants:
 
     def test_alias_free_cycle_fails_compilation(self, monkeypatch):
         def cyclic_commit(ctx, entry, nxt, name, src):
-            return ctx.emit("commit:%s:term" % entry,
-                            [("C", entry), ("X", None), ("Y", None)],
-                            [("C", name, "X"), ("X", tangle.ELEM, "Y"),
-                             ("Y", tangle.ELEM, "X")],
-                            recolor=[("C", nxt)])
+            ctx.emit("commit:%s:term" % entry,
+                     [("C", entry), ("X", None), ("Y", None)],
+                     [("C", name, "X"), ("X", tangle.ELEM, "Y"),
+                      ("Y", tangle.ELEM, "X")],
+                     recolor=[("C", nxt)])
 
         monkeypatch.setattr(compiler, "compile_term_commit", cyclic_commit)
         with pytest.raises(CompileError, match="pattern loop"):
@@ -454,11 +474,11 @@ class TestUnionRegressions:
         state = "term t = {m, {m, q}}\nterm p = {q}\nterm r = {}\n"
         from conftest import compile_case
         u, _p, unit, st, graph = compile_case(src, state)
-        cfg = automaton.Configuration(graph)
-        entries, cfg, _stats, outcome = automaton.trace(cfg, unit.ruleset,
-                                                        snapshots=False)
+        fired = set()
+        _cfg, _stats, outcome = automaton.run(
+            automaton.Configuration(graph), unit.ruleset,
+            on_tick=lambda _c, applied: fired.add(applied.rule.name))
         assert outcome == automaton.QUIESCENT
-        fired = {rule for _t, rule, _b, _s in entries}
         assert any(r.endswith("prebuild-restore") for r in fired)
         assert any("-rej" in r for r in fired)
 
@@ -540,8 +560,7 @@ class TestNonTerminating:
             # the first crossing is the boot tick, before any transition
             while crossings < rounds + 1:
                 assert cfg.tick < 200000, "no round boundary reached"
-                assert automaton.step(cfg, unit.ruleset,
-                                      negative_edges=neg) is not None
+                assert automaton.step(cfg, unit.ruleset) is not None
                 if cfg.tangle.color_of(cfg.tangle.active) == unit.first_color:
                     crossings += 1
             got = unit.final_state(cfg.tangle, universe)

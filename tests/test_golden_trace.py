@@ -71,8 +71,7 @@ def trace_digest(cases, negative_edges, mode, seed):
             source, state_text, negative_edges=negative_edges)
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
         _cfg, stats, outcome = automaton.run(
-            cfg, unit.ruleset, max_ticks=200000,
-            negative_edges=negative_edges, on_tick=on_tick)
+            cfg, unit.ruleset, max_ticks=200000, on_tick=on_tick)
         digest.update(("%s %s %d\n" % (name, outcome, stats.total)).encode())
     return digest.hexdigest()
 

@@ -15,8 +15,9 @@ COLORS = ("red", "green", "blue")
 LABELS = ("x", "y", "z")
 
 
-def brute_matches(g, ruleset, negative_edges=False):
-    """Reference matcher: try every injective assignment outright."""
+def brute_matches(g, ruleset):
+    """Reference matcher: try every injective assignment outright; a
+    rule's negative edges must be absent."""
     out = []
     node_ids = sorted(g.nodes)
     for rule_index, rule in enumerate(ruleset.rules):
@@ -38,10 +39,9 @@ def brute_matches(g, ruleset, negative_edges=False):
             ok = ok and all(
                 g.has_edge(binding[p.index[a]], l, binding[p.index[b]])
                 for a, l, b in p.edges)
-            if ok and negative_edges:
-                ok = not any(
-                    g.has_edge(binding[p.index[a]], l, binding[p.index[b]])
-                    for a, l, b in rule.neg_edges)
+            ok = ok and not any(
+                g.has_edge(binding[p.index[a]], l, binding[p.index[b]])
+                for a, l, b in rule.neg_edges)
             if ok:
                 out.append((rule_index, tuple(binding)))
     return sorted(out)
@@ -108,13 +108,12 @@ def test_kernel_names():
 
 
 class TestMatching:
-    @given(g=random_tangles(), neg=st.booleans())
-    @example(g=out_of_order_tangle(), neg=False)
+    @given(g=random_tangles())
+    @example(g=out_of_order_tangle())
     @settings(max_examples=200, deadline=None)
-    def test_matches_equal_brute_force(self, g, neg):
+    def test_matches_equal_brute_force(self, g):
         rules = probe_rules()
-        got = sorted(match_all(g, rules, negative_edges=neg))
-        assert got == brute_matches(g, rules, negative_edges=neg)
+        assert sorted(match_all(g, rules)) == brute_matches(g, rules)
 
     @given(g=random_tangles())
     @example(g=out_of_order_tangle())
@@ -170,8 +169,7 @@ class TestPlans:
     def test_probe_binds_out_of_index_order(self):
         rules = probe_rules()
         g = out_of_order_tangle()
-        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active,
-                                               False)
+        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
         assert rules.unordered == {"blue"}
         assert raw != sorted(raw)
 
