@@ -23,10 +23,13 @@ RANDOM = "random"
 
 
 class InvariantViolation(Exception):
-    def __init__(self, tick, violations):
+    """A malformed tangle; stats counts the ticks up to the violating one."""
+
+    def __init__(self, tick, violations, stats):
         super().__init__("tick %d: %s" % (tick, "; ".join(violations)))
         self.tick = tick
         self.violations = violations
+        self.stats = stats
 
 
 class Configuration:
@@ -71,11 +74,11 @@ class StepStats:
 def select_match(pairs, cfg):
     """Tie-break among maximal (rule_index, binding_tuple) pairs.
 
-    The pairs arrive in canonical order (rule order, then binding tuple;
-    see pattern.match_all), so nothing is sorted here.  Deterministic:
-    the first pair.  Random: seeded-uniform over the list, drawing from
-    the rng only when there is a choice, so a seed fully determines the
-    run.
+    The pairs arrive as the kernel emits them, in canonical order (rule
+    order, then binding tuple), so nothing is sorted here.
+    Deterministic: the first pair.  Random: seeded-uniform over the list,
+    drawing from the rng only when there is a choice, so a seed fully
+    determines the run.
     """
     if cfg.mode == DETERMINISTIC or len(pairs) == 1:
         return pairs[0]
@@ -108,7 +111,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     records a trace or takes snapshots.
 
     With check_invariants on, InvariantViolation is raised at the first
-    tick that leaves the tangle malformed:
+    tick that leaves the tangle malformed, carrying the run's stats:
 
     - before the first tick, tangle.check_invariants runs on the initial
       graph (a violation there reports the configuration's starting tick);
@@ -130,7 +133,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     if check_invariants:
         violations = tg.check_invariants(cfg.tangle, universe)
         if violations:
-            raise InvariantViolation(cfg.tick, violations)
+            raise InvariantViolation(cfg.tick, violations, stats)
     prev_nodes = cfg.tangle.node_count()
     while True:
         applied = step(cfg, rules)
@@ -140,13 +143,13 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
         if on_tick is not None:
             on_tick(cfg, applied)
         if check_invariants:
-            _check(cfg, applied, prev_nodes, idle_colors, universe)
+            _check(cfg, applied, prev_nodes, idle_colors, universe, stats)
         prev_nodes = cfg.tangle.node_count()
         if cfg.tick >= max_ticks:
             return cfg, stats, BUDGET
 
 
-def _check(cfg, applied, prev_nodes, idle_colors, universe):
+def _check(cfg, applied, prev_nodes, idle_colors, universe, stats):
     g = cfg.tangle
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
         violations = tg.check_invariants(g, universe)
@@ -155,7 +158,7 @@ def _check(cfg, applied, prev_nodes, idle_colors, universe):
     if g.node_count() < prev_nodes:
         violations.insert(0, "node count decreased")
     if violations:
-        raise InvariantViolation(cfg.tick, violations)
+        raise InvariantViolation(cfg.tick, violations, stats)
 
 
 def _tick_violations(g, applied, prev_nodes):

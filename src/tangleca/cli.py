@@ -7,9 +7,10 @@ Subcommands:
   difftest   random differential testing of automaton vs interpreter
   bench      step-complexity benchmarks with pass/fail windows
 
-simulate opens its --trace and --stats-json files before the first
-tick, so a path it cannot write fails at once, and writes each trace
-entry and each --dot-every snapshot as the run takes it.
+simulate opens its --trace and --stats-json files, and checks the
+--dot-prefix directory, before the first tick, so a path it cannot write
+fails at once; it writes each trace entry and each --dot-every snapshot
+as the run takes it, and the stats also after an invariant violation.
 
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
 2 bad input; 3 step/tick budget exhausted; 4 invariant violation.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import random
 import sys
 
@@ -135,7 +137,13 @@ def cmd_simulate(args):
     graph = unit.initial_graph(state, universe)
     mode = automaton.RANDOM if args.random else automaton.DETERMINISTIC
     cfg = automaton.Configuration(graph, seed=args.seed, mode=mode)
+    if args.dot_every:
+        directory = os.path.dirname(args.dot_prefix) or "."
+        if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            raise SystemExit2("cannot write %s: %s is not a writable "
+                              "directory" % (args.dot_prefix, directory))
 
+    violation = None
     try:
         with contextlib.ExitStack() as files:
             trace = stats_json = None
@@ -151,20 +159,23 @@ def cmd_simulate(args):
                     _write("%s-%06d.dot" % (args.dot_prefix, c.tick),
                            c.tangle.to_dot())
 
-            cfg, stats, outcome = automaton.run(
-                cfg, unit.ruleset, max_ticks=args.max_ticks,
-                check_invariants=args.check_invariants,
-                idle_colors=unit.idle_colors, universe=universe,
-                on_tick=on_tick)
+            try:
+                cfg, stats, outcome = automaton.run(
+                    cfg, unit.ruleset, max_ticks=args.max_ticks,
+                    check_invariants=args.check_invariants,
+                    idle_colors=unit.idle_colors, universe=universe,
+                    on_tick=on_tick)
+            except automaton.InvariantViolation as exc:
+                violation, stats = exc, exc.stats
             if stats_json is not None:
                 stats_json.write(json.dumps(stats.as_dict(), indent=2,
                                             sort_keys=True) + "\n")
-    except automaton.InvariantViolation as exc:
-        print("invariant violation: %s" % exc, file=sys.stderr)
-        return INVARIANT
     except OSError as exc:
         # only the open --trace and --stats-json files are written here
         raise SystemExit2("cannot write --trace or --stats-json: %s" % exc)
+    if violation is not None:
+        print("invariant violation: %s" % violation, file=sys.stderr)
+        return INVARIANT
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED

@@ -1033,10 +1033,8 @@ class CompilationUnit:
         self.ruleset = ruleset
         self.registers = registers
         self.bits = bits
-        self.start_color = BOOT
         self.first_color = first_color
         self.done_color = DONE
-        self.error_color = CHOICE_ERROR
         self.idle_colors = idle_colors
 
     def initial_graph(self, state, universe):

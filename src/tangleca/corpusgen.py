@@ -25,7 +25,6 @@ CRITICAL_POOL = ("t", "p", "q", "w")
 LET_VARS = ("x", "y")
 
 DEFAULT_MAX_STEPS = 60
-DEFAULT_MAX_PATHS = 64
 ATTEMPTS = 2000
 
 
@@ -201,7 +200,7 @@ def _uses_choice(stmt):
 
 
 def acceptable(program, state, universe, max_steps=DEFAULT_MAX_STEPS,
-               max_paths=DEFAULT_MAX_PATHS, require_choice=None):
+               require_choice=None):
     """Keep a case iff it terminates cleanly; choice must be confluent.
 
     Returns the number of interpreter steps, or None to reject.
@@ -212,8 +211,7 @@ def acceptable(program, state, universe, max_steps=DEFAULT_MAX_STEPS,
     try:
         if uses_choice:
             outcomes = interpreter.enumerate_outcomes(
-                program, state, universe, max_steps=max_steps,
-                max_paths=max_paths)
+                program, state, universe, max_steps=max_steps)
             finals = set()
             steps = 0
             for _script, fstate, nsteps, outcome in outcomes:

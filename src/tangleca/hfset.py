@@ -1,4 +1,4 @@
-"""Hereditarily finite values: atoms, unordered sets, ordered pairs.
+"""Hereditarily finite values: atoms, sets, ordered pairs.
 
 All construction goes through a Universe, which hash-conses values:
 structurally equal values are the same object, and the integer uid is

@@ -3,6 +3,13 @@
 The per-tick hot loop: enumerate every injective embedding of every
 eligible pattern, anchored at the active node.  pattern.match_all looks
 enumerate_matches up on this module at call time.
+
+The kernel emits canonical order: rule order, then binding tuple.  Plans
+run in rule order, and each step tries its candidates in increasing node
+id, so a plan whose steps bind its non-focus cells in increasing cell
+index (Plan.ordered) emits its bindings sorted.  A focus-first plan may
+bind them out of index order; its own run of pairs, which all share one
+rule index, is then sorted when it holds two or more.
 """
 
 KERNEL_NAME = "python"
@@ -15,11 +22,12 @@ class Plan:
     adjacency of an already-bound cell.  checks: edges not consumed by
     steps, verified on full bindings.  negs: edges that must be absent,
     checked whenever the plan has any; only rules compiled with negative
-    edges, or written with neg_edges, have them.
+    edges, or written with neg_edges, have them.  ordered: the steps bind
+    cells in increasing cell index, so the plan emits its bindings sorted.
     """
 
     __slots__ = ("rule_index", "n", "colors", "focus", "steps", "checks",
-                 "negs")
+                 "negs", "ordered")
 
     def __init__(self, rule_index, n, colors, focus, steps, checks, negs):
         self.rule_index = rule_index
@@ -29,10 +37,17 @@ class Plan:
         self.steps = [tuple(s) for s in steps]
         self.checks = [tuple(c) for c in checks]
         self.negs = [tuple(c) for c in negs]
+        self.ordered = all(a[0] < b[0]
+                           for a, b in zip(self.steps, self.steps[1:]))
 
 
 class PlanIndex:
-    """Plans grouped by required focus color; wildcard focus always tried."""
+    """Plans grouped by focus colour, each group in rule order.
+
+    A wildcard-focus plan runs at every colour: it is merged into each
+    colour's group once, here, and `wildcard` holds it for colours no
+    plan names.
+    """
 
     def __init__(self, plans):
         self.by_color = {}
@@ -43,37 +58,29 @@ class PlanIndex:
                 self.wildcard.append(p)
             else:
                 self.by_color.setdefault(c, []).append(p)
+        if self.wildcard:
+            for group in self.by_color.values():
+                group += self.wildcard
+                group.sort(key=lambda p: p.rule_index)
 
     def candidates(self, color):
-        colored = self.by_color.get(color)
-        if not colored:
-            return self.wildcard
-        if not self.wildcard:
-            return colored
-        merged = colored + self.wildcard
-        merged.sort(key=lambda p: p.rule_index)
-        return merged
+        return self.by_color.get(color, self.wildcard)
 
 
 def enumerate_matches(index, g, active):
-    """All matches anchored at `active`, as (rule_index, binding) pairs.
-
-    Deterministic: plan order, then lexicographically by binding tuple
-    (candidates are explored in sorted node-id order).
-    """
+    """All matches anchored at `active`, as (rule_index, binding) pairs,
+    in canonical order: rule order, then binding tuple."""
     out = []
-    nodes = g.nodes
-    active_color = nodes[active].color
-    for plan in index.candidates(active_color):
-        want = plan.colors[plan.focus]
-        if want is not None and want != active_color:
-            continue
+    for plan in index.candidates(g.nodes[active].color):
+        start = len(out)
         binding = [-1] * plan.n
         binding[plan.focus] = active
         if plan.n == 1:
             _finish(plan, g, binding, out)
         else:
             _extend(plan, g, 0, binding, out)
+        if not plan.ordered and len(out) - start > 1:
+            out[start:] = sorted(out[start:])
     return out
 
 

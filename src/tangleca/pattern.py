@@ -19,11 +19,8 @@ lookup each and no fan-out step (an elem or membership scan) runs before
 them.  Function-location labels are the exception: they can point at
 several nodes, and a plan then branches at the focus.
 
-Canonical order is rule order, then binding tuple.  The kernel emits it
-for a focus colour whenever every plan for that colour binds its
-non-focus cells in increasing cell index.  Focus-first plans may not;
-RuleSet.plans() records their focus colours in RuleSet.unordered, and
-match_all sorts only at those colours.
+Matches come out of the kernel in canonical order (rule order, then
+binding tuple); the kernel module says how it keeps that order.
 """
 from __future__ import annotations
 
@@ -32,9 +29,6 @@ from . import kernel
 
 class RuleError(Exception):
     pass
-
-
-WILDCARD = None
 
 
 class Pattern:
@@ -124,9 +118,6 @@ class Rule:
         self.rewrite = rewrite
         self.neg_edges = [tuple(e) for e in neg_edges]
 
-    def phase(self):
-        return self.name.split(":", 1)[0]
-
 
 class Match:
     __slots__ = ("rule", "rule_index", "binding")
@@ -150,22 +141,12 @@ class RuleSet:
         self.rules = list(rules)
         self.radius = radius
         self._plans = None
-        self.unordered = None
 
     def plans(self):
-        """The kernel's plan index, built once.
-
-        Also sets unordered: the focus colours of the plans that bind
-        their non-focus cells out of increasing cell index, for which the
-        kernel's output is not in canonical order.  None stands for a
-        wildcard focus, whose plans run at every colour.
-        """
+        """The kernel's plan index, built once."""
         if self._plans is None:
-            plans = [make_plan(r, i) for i, r in enumerate(self.rules)]
-            self.unordered = {
-                p.colors[p.focus] for p in plans
-                if any(a[0] > b[0] for a, b in zip(p.steps, p.steps[1:]))}
-            self._plans = kernel.PlanIndex(plans)
+            self._plans = kernel.PlanIndex(
+                [make_plan(r, i) for i, r in enumerate(self.rules)])
         return self._plans
 
 
@@ -181,8 +162,8 @@ def make_plan(rule, rule_index):
     Focus edges go first because in compiled rule sets nearly all of
     them have one target, so they bind or reject in one lookup before a
     later step fans out; only function-location labels can have more.
-    The price is that cells may be bound out of index order; see
-    RuleSet.unordered.
+    The price is that cells may be bound out of index order; the plan's
+    `ordered` is then false, and the kernel sorts that plan's matches.
     """
     p = rule.pattern
     index = p.index
@@ -221,17 +202,10 @@ def match_all(g, ruleset):
 
     Returns the kernel's (rule_index, binding_tuple) pairs, binding tuples
     indexed like the rule's pattern cells, in canonical order: rule order,
-    then binding tuple.  A rule's negative edges are always honoured.
-    The kernel's list is returned as is unless a plan that can run at the
-    active colour binds its cells out of index order (RuleSet.unordered);
-    only then is it sorted.
+    then binding tuple, as the kernel emits them.  A rule's negative edges
+    are always honoured.
     """
-    pairs = kernel.enumerate_matches(ruleset.plans(), g, g.active)
-    unordered = ruleset.unordered
-    if unordered and (g.nodes[g.active].color in unordered
-                      or None in unordered):
-        return sorted(pairs)
-    return pairs
+    return kernel.enumerate_matches(ruleset.plans(), g, g.active)
 
 
 def maximality_filter(pairs):

@@ -101,7 +101,7 @@ class TestScheduling:
 
 class TestCanonicalOrderGuard:
     """A plan that binds cells out of index order still yields canonical
-    order: the kernel emits its matches unsorted, match_all sorts them."""
+    order: the kernel sorts that plan's matches itself."""
 
     def _setup(self):
         g = tangle.Tangle()
@@ -124,9 +124,10 @@ class TestCanonicalOrderGuard:
 
     def test_out_of_order_plan_is_detected_and_sorted(self):
         g, rules = self._setup()
+        [plan] = rules.plans().candidates("red")
+        assert not plan.ordered
         raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
-        assert raw == [(0, (0, 4, 1)), (0, (0, 3, 2))]
-        assert rules.unordered == {"red"}
+        assert raw == [(0, (0, 3, 2)), (0, (0, 4, 1))]
         assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
                                                (0, (0, 4, 1))]
         applied = step(Configuration(g, mode=DETERMINISTIC), rules)

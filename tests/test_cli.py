@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -167,6 +168,26 @@ class TestSimulate:
         stats = json.loads(target.read_text())
         assert stats["total"] == 3
         assert sum(stats["phases"].values()) == 3
+
+    def test_stats_json_on_invariant_violation(self, tmp_path, capsys,
+                                               monkeypatch):
+        checked = []
+
+        def planted(g, applied, prev_nodes):
+            checked.append(applied)
+            return ["planted violation"] if len(checked) == 5 else []
+
+        monkeypatch.setattr(automaton, "_tick_violations", planted)
+        target = tmp_path / "stats.json"
+        code, _, err = run_main(
+            ["simulate", *case("02-counter"), "--check-invariants",
+             "--stats-json", str(target)], capsys)
+        assert code == cli.INVARIANT
+        tick = int(re.fullmatch(r"invariant violation: tick (\d+): "
+                                r"planted violation\n", err).group(1))
+        stats = json.loads(target.read_text())
+        assert stats["total"] == tick > 5
+        assert sum(stats["rules"].values()) == tick
 
     def test_random_mode(self, capsys):
         prog, state = case("03-accumulate")
@@ -336,16 +357,20 @@ class TestLimitsAndPaths:
         assert err.startswith("error: cannot write %s" % out)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("option", ["--trace", "--stats-json"])
+    @pytest.mark.parametrize("options", [
+        pytest.param(["--trace"], id="--trace"),
+        pytest.param(["--stats-json"], id="--stats-json"),
+        pytest.param(["--dot-every", "50", "--dot-prefix"], id="--dot-prefix"),
+    ])
     def test_unwritable_output_fails_before_the_first_tick(
-            self, option, tmp_path, capsys, monkeypatch):
+            self, options, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("automaton.run was called")
 
         monkeypatch.setattr(automaton, "run", no_run)
         out = str(tmp_path / "missing" / "out")
-        code, _, err = run_main(["simulate", *case("02-counter"), option, out],
-                                capsys)
+        code, _, err = run_main(
+            ["simulate", *case("02-counter"), *options, out], capsys)
         assert code == cli.BADINPUT
         assert err.startswith("error: cannot write %s" % out)
 

@@ -107,9 +107,9 @@ class TestCompileStructure:
 
     def test_special_colors_and_idle_set(self):
         unit = compile_program(asmlang.parse(self.SRC))
-        assert unit.start_color == "boot"
+        assert compiler.BOOT == "boot"
         assert unit.done_color == "done"
-        assert unit.error_color == "choice-error"
+        assert compiler.CHOICE_ERROR == "choice-error"
         assert {"boot", "done", "choice-error"} <= set(unit.idle_colors)
         assert set(unit.idle_colors) <= set(unit.ruleset.palette)
 
@@ -136,7 +136,7 @@ class TestCompileStructure:
         g = unit.initial_graph(interpreter.State({"t": u.empty()}), u)
         g.set_color(g.criticals(), unit.done_color)
         assert unit.classify(g) == interpreter.TERMINAL
-        g.set_color(g.criticals(), unit.error_color)
+        g.set_color(g.criticals(), compiler.CHOICE_ERROR)
         assert unit.classify(g) == interpreter.EMPTY_CHOICE
         g.set_color(g.criticals(), "s0")
         assert unit.classify(g).startswith("stuck:")

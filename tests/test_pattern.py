@@ -91,8 +91,9 @@ def random_tangles(draw):
 
 
 def out_of_order_tangle():
-    """A tangle where the last probe's kernel output is out of canonical
-    order: its plan binds A, F, B, and there are two Fs and two Bs."""
+    """A tangle where the last probe's bindings come out of its plan out
+    of canonical order: the plan binds A, F, B, and there are two Fs and
+    two Bs, so the kernel must sort them."""
     g = tangle.Tangle()
     c, a, b1, b2, f1, f2 = (g.add_node(color, tangle.SET) for color in
                             ("blue", "red", "green", "green", "red", "red"))
@@ -169,9 +170,11 @@ class TestPlans:
     def test_probe_binds_out_of_index_order(self):
         rules = probe_rules()
         g = out_of_order_tangle()
+        plans = rules.plans().candidates("blue")
+        assert [p.rule_index for p in plans if not p.ordered] == [7]
         raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
-        assert rules.unordered == {"blue"}
-        assert raw != sorted(raw)
+        assert len([pair for pair in raw if pair[0] == 7]) == 4
+        assert raw == sorted(raw)
 
     def _mixed(self):
         # red rule: in order; green rule binds B (index 2) before A
@@ -201,13 +204,15 @@ class TestPlans:
             return emitted[-1]
 
         monkeypatch.setattr(pattern.kernel, "enumerate_matches", spy)
+        index = rules.plans()
+        assert [p.ordered for p in index.candidates("red")] == [True]
+        assert [p.ordered for p in index.candidates("green")] == [False]
         got = match_all(g, rules)
-        assert rules.unordered == {"green"}
         assert got is emitted[-1]
         assert got == [(0, (0, 1, 4)), (0, (0, 2, 3))]
         g.set_color(g.active, "green")
         got = match_all(g, rules)
-        assert emitted[-1] == [(1, (0, 4, 1)), (1, (0, 3, 2))]
+        assert got is emitted[-1]
         assert got == [(1, (0, 3, 2)), (1, (0, 4, 1))]
 
     def test_unordered_wildcard_sorts_every_colour(self):
@@ -215,11 +220,19 @@ class TestPlans:
         wild = Rule("wild", Pattern(
             [("C", None), ("A", None), ("B", None)],
             [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
-        rules = RuleSet(COLORS, LABELS, rules.rules[:1] + [wild], 3)
+        in_order = rules.rules[0]
+        rules = RuleSet(COLORS, LABELS, [in_order, wild], 3)
+        index = rules.plans()
+        assert [(p.rule_index, p.ordered)
+                for p in index.candidates("red")] == [(0, True), (1, False)]
+        assert [p.rule_index for p in index.candidates("blue")] == [1]
         got = match_all(g, rules)
-        assert rules.unordered == {None}
         assert got == [(0, (0, 1, 4)), (0, (0, 2, 3)),
                        (1, (0, 3, 2)), (1, (0, 4, 1))]
+        # a wildcard plan ahead of a coloured one keeps its rule order
+        rules = RuleSet(COLORS, LABELS, [wild, in_order], 3)
+        assert match_all(g, rules) == [(0, (0, 3, 2)), (0, (0, 4, 1)),
+                                       (1, (0, 1, 4)), (1, (0, 2, 3))]
 
 
 class TestMaximality:

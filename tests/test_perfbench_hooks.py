@@ -1,0 +1,65 @@
+"""The benchmark's hooks into the package still hold.
+
+perfbench/run.py wraps package functions by module and attribute name.
+A rename or deletion there would otherwise show only in the next
+benchmark run, so this loads the script and runs one untraced and one
+traced pass of its `accumulate` workload.
+"""
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+import tangleca
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "perfbench" / "run.py"
+
+pytestmark = pytest.mark.skipif(
+    not pathlib.Path(tangleca.__file__).resolve().is_relative_to(ROOT / "src"),
+    reason="tangleca is not imported from this checkout's src/")
+
+
+@pytest.fixture(scope="module")
+def run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_wrapped_attributes_exist(run):
+    for _name, module, attr, _count in run.TRACED:
+        assert hasattr(module, attr), (module.__name__, attr)
+    for _name, owner, attr, _fn in run.Recorder().replacements():
+        assert hasattr(owner, attr), (owner.__name__, attr)
+    assert hasattr(run.kernel, "enumerate_matches")
+
+
+def test_accumulate_passes_agree(run):
+    wl = run.set_up("accumulate", 0)
+    plain = run.timed_pass(wl, traced=False)
+    traced = run.timed_pass(wl, traced=True)
+    for p in (plain, traced):
+        assert p.problems == []
+        assert p.failed == 0
+    assert plain.signature == traced.signature
+    assert plain.signature[:4] == (6216, 146, 227, 1657)
+    # every wrapped layer this workload reaches was called
+    metrics = traced.metrics
+    assert metrics["kernel.matches"] > 0
+    assert metrics["pattern.matches_kept"] > 0
+    for name in ("kernel.enumerate_s", "pattern.match_all_self_s",
+                 "pattern.maximality_filter_s", "automaton.select_s",
+                 "pattern.apply_s", "tangle.decode_s",
+                 "compiler.compile_program_s", "tangle.encode_s",
+                 "asmlang.parse_s", "interpreter.parse_state_s",
+                 "interpreter.oracle_s", "automaton.run_self_s",
+                 "difftest.run_case_self_s"):
+        assert metrics[name] > 0, name
