@@ -7,7 +7,7 @@ Layering (low to high):
 
   hfset       hash-consed hereditarily finite values
   kernel      the pure-Python matching kernel
-  pattern     anchored patterns, rewrites, maximality filtering
+  pattern     rules (anchored pattern plus rewrite), matching, apply
   tangle      value heaps as colored graphs with maximal sharing
   automaton   sequential tick loop, scheduling, invariant checking
   asmlang     surface language: parser, validator, pretty-printer

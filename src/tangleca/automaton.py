@@ -1,10 +1,10 @@
 """Sequential simulation loop.
 
 Per tick: gather all matches at the active cell as the kernel's
-(rule_index, binding_tuple) pairs, apply the maximality filter, pick one
+(rule_index, binding) pairs, apply the maximality filter, pick one
 survivor (the first in canonical order in deterministic mode,
-seeded-uniform otherwise), build its Match and apply it.  Runs to
-quiescence (no maximal match) or a tick budget.
+seeded-uniform otherwise) and apply its rule at its binding tuple.  Runs
+to quiescence (no maximal match) or a tick budget.
 """
 from __future__ import annotations
 
@@ -40,6 +40,21 @@ class Configuration:
         self.rng = random.Random(seed)
 
 
+class Match:
+    """The applied pair of a tick: its rule, that rule's index and the
+    kernel's binding tuple."""
+
+    __slots__ = ("rule", "rule_index", "binding")
+
+    def __init__(self, rule, rule_index, binding):
+        self.rule = rule
+        self.rule_index = rule_index
+        self.binding = binding
+
+    def __repr__(self):
+        return "Match(%s, %r)" % (self.rule.name, self.binding)
+
+
 class StepStats:
     """Tick counts per rule name; phases group them by the rule-name
     prefix before ':'."""
@@ -72,7 +87,7 @@ class StepStats:
 
 
 def select_match(pairs, cfg):
-    """Tie-break among maximal (rule_index, binding_tuple) pairs.
+    """Tie-break among maximal (rule_index, binding) pairs.
 
     The pairs arrive as the kernel emits them, in canonical order (rule
     order, then binding tuple), so nothing is sorted here.
@@ -88,17 +103,17 @@ def select_match(pairs, cfg):
 def step(cfg, rules):
     """One tick; returns the applied Match or None when quiescent.
 
-    Selection works on the kernel's pairs; a Match is built only for the
-    chosen one.
+    Selection works on the kernel's pairs, and the chosen pair's binding
+    tuple goes to pattern.apply as it is.
     """
     pairs = pattern.match_all(cfg.tangle, rules)
     if not pairs:
         return None
-    chosen = pattern.make_match(
-        rules, select_match(pattern.maximality_filter(pairs), cfg))
-    pattern.apply(cfg.tangle, chosen)
+    rule_index, binding = select_match(pattern.maximality_filter(pairs), cfg)
+    rule = rules.rules[rule_index]
+    pattern.apply(cfg.tangle, rule, binding)
     cfg.tick += 1
-    return chosen
+    return Match(rule, rule_index, binding)
 
 
 def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
@@ -164,20 +179,19 @@ def _check(cfg, applied, prev_nodes, idle_colors, universe, stats):
 def _tick_violations(g, applied, prev_nodes):
     """Structural violations the applied rewrite can have introduced.
 
-    pattern.apply creates nodes with consecutive ids in rewrite.creates
-    order and never removes one, so the created nodes are prev_nodes
-    onwards.  Deleted edges and recolors cannot break a structural
-    invariant, and the active node is never reassigned.
+    pattern.apply creates nodes with consecutive ids in the rule's
+    creates order and never removes one, so the created nodes are
+    prev_nodes onwards, and created cell i of the rule is node
+    prev_nodes + i.  Deleted edges and recolors cannot break a
+    structural invariant, and the active node is never reassigned.
     """
     violations = []
+    now = g.node_count()
     if any(g.nodes[nid].kind == tg.CRITICALS
-           for nid in range(prev_nodes, g.node_count())):
+           for nid in range(prev_nodes, now)):
         violations.append("multiple criticals")
-    rewrite = applied.rule.rewrite
-    node_of = dict(applied.binding)
-    for i, (name, _color, _kind) in enumerate(rewrite.creates):
-        node_of[name] = prev_nodes + i
-    for a, label, d in rewrite.add_edges:
+    node_of = applied.binding + tuple(range(prev_nodes, now))
+    for a, label, d in applied.rule.add:
         if label in tg.CONTAINMENT and _reaches(g, node_of[d], node_of[a]):
             violations.append("containment cycle")
             break

@@ -12,8 +12,13 @@ simulate opens its --trace and --stats-json files, and checks the
 fails at once; it writes each trace entry and each --dot-every snapshot
 as the run takes it, and the stats also after an invariant violation.
 
+difftest always checks invariants; a violation is reported as that
+schedule's disagreement.
+
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
-2 bad input; 3 step/tick budget exhausted; 4 invariant violation.
+2 bad input; 3 step/tick budget exhausted, or difftest's case generator
+found no acceptable case within its attempts (and no case run so far
+disagreed); 4 invariant violation.
 """
 from __future__ import annotations
 
@@ -119,8 +124,8 @@ def cmd_compile(args):
 def _trace_entry(cfg, applied):
     """One --trace entry: tick, rule and binding, then a snapshot of the
     tangle after the tick."""
-    binding = applied.binding
-    binds = " ".join("%s=%d" % (k, binding[k]) for k in sorted(binding))
+    binds = " ".join("%s=%d" % pair for pair in
+                     sorted(zip(applied.rule.names, applied.binding)))
     return "tick %d rule %s %s\n%s\n\n" % (
         cfg.tick, applied.rule.name, binds,
         cfg.tangle.snapshot().rstrip("\n"))
@@ -191,18 +196,22 @@ def cmd_simulate(args):
 def cmd_difftest(args):
     universe = hfset.Universe(max_depth=args.max_depth)
     rng = random.Random(args.seed)
-    failures = 0
+    failures = ran = 0
     for i in range(args.count):
-        program, state = corpusgen.generate_case(
-            rng, universe, allow_choice=args.allow_choice,
-            require_choice=True if args.only_choice else None,
-            max_steps=args.max_steps)
+        try:
+            program, state = corpusgen.generate_case(
+                rng, universe, allow_choice=args.allow_choice,
+                require_choice=True if args.only_choice else None,
+                max_steps=args.max_steps)
+        except corpusgen.GenLimit as exc:
+            print("stopped before case%03d: %s" % (i, exc))
+            break
+        ran += 1
         result = difftest.run_case(
             program, state, universe,
             seeds=tuple(range(1, args.runs + 1)),
             negative_edges=args.negative_edges,
-            max_ticks=args.max_ticks,
-            check_invariants=args.check_invariants,
+            max_ticks=args.max_ticks, check_invariants=True,
             label="case%03d" % i)
         if result.ok:
             print("ok   case%03d (%d ticks)" % (i, result.ticks))
@@ -213,8 +222,10 @@ def cmd_difftest(args):
             if args.verbose:
                 print(asmlang.pretty_print(program))
                 sys.stdout.write(interpreter.print_state(state))
-    print("%d/%d cases agree" % (args.count - failures, args.count))
-    return FAIL if failures else OK
+    print("%d/%d cases agree" % (ran - failures, ran))
+    if failures:
+        return FAIL
+    return EXHAUSTED if ran < args.count else OK
 
 
 def cmd_bench(args):
@@ -309,7 +320,6 @@ def build_parser():
     sp.add_argument("--allow-choice", action="store_true")
     sp.add_argument("--only-choice", action="store_true")
     sp.add_argument("--negative-edges", action="store_true")
-    sp.add_argument("--check-invariants", action="store_true")
     sp.add_argument("--max-steps", type=_positive_int,
                     default=corpusgen.DEFAULT_MAX_STEPS)
     sp.add_argument("--max-ticks", type=_positive_int,
@@ -337,7 +347,7 @@ def main(argv=None):
         return BADINPUT
     except (asmlang.ParseError, hfset.HFParseError,
             interpreter.StateError, tangle.TangleError,
-            pattern.RuleError, corpusgen.GenLimit) as exc:
+            pattern.RuleError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return BADINPUT
 

@@ -44,8 +44,7 @@ import itertools
 from . import asmlang as ast
 from . import interpreter
 from . import tangle
-from .pattern import (Pattern, Rewrite, Rule, RuleSet, has_directed_cycle,
-                      validate_ruleset)
+from .pattern import Rule, RuleSet, has_directed_cycle, validate_ruleset
 
 RADIUS = 3
 
@@ -202,8 +201,8 @@ class EmitContext:
             qadd = _remap(mapping, add)
             qdel = _remap(mapping, delete)
             qneg = _remap(mapping, negs)
-            rule = Rule(name + suffix, Pattern(qcells, qedges, "C"),
-                        Rewrite(rc, qadd, qdel, creates), qneg)
+            rule = Rule(name + suffix, qcells, qedges, recolor=rc, add=qadd,
+                        delete=qdel, creates=creates, negs=qneg)
             self.rules.append(rule)
             for _n, c in qcells:
                 if c is not None:

@@ -34,7 +34,9 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
 
     negative_edges selects how the program is compiled; the rules then
     carry it.  Runs the deterministic schedule once and a random schedule
-    per seed.  Returns a CaseResult listing every disagreement.
+    per seed.  Returns a CaseResult listing every disagreement; with
+    check_invariants on, a schedule that leaves the tangle malformed is
+    one, and the next schedule still runs.
     """
     oracle_state, _steps, oracle_outcome = interpreter.run_to_termination(
         program, state, universe, seed=0)
@@ -48,11 +50,17 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
         tag = "%s[%s/%d]" % (label, mode, seed)
         graph = unit.initial_graph(state, universe)
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
-        cfg, stats, outcome = automaton.run(
-            cfg, unit.ruleset, max_ticks=max_ticks,
-            check_invariants=check_invariants,
-            idle_colors=unit.idle_colors if check_invariants else None,
-            universe=universe)
+        try:
+            cfg, stats, outcome = automaton.run(
+                cfg, unit.ruleset, max_ticks=max_ticks,
+                check_invariants=check_invariants,
+                idle_colors=unit.idle_colors if check_invariants else None,
+                universe=universe)
+        except automaton.InvariantViolation as exc:
+            total_ticks += exc.stats.total
+            disagreements.append("%s: invariant violation at tick %d: %s"
+                                 % (tag, exc.tick, "; ".join(exc.violations)))
+            continue
         total_ticks += stats.total
         if outcome != automaton.QUIESCENT:
             disagreements.append("%s: automaton %s" % (tag, outcome))

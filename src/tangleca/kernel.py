@@ -18,12 +18,14 @@ KERNEL_NAME = "python"
 class Plan:
     """Precompiled join order for one rule's pattern.
 
-    steps: (new_cell, from_cell, label, forward) — bind new_cell from the
+    colors: the rule's own tuple, one per cell, shared.  steps:
+    (new_cell, from_cell, label, forward) — bind new_cell from the
     adjacency of an already-bound cell.  checks: edges not consumed by
-    steps, verified on full bindings.  negs: edges that must be absent,
-    checked whenever the plan has any; only rules compiled with negative
-    edges, or written with neg_edges, have them.  ordered: the steps bind
-    cells in increasing cell index, so the plan emits its bindings sorted.
+    steps, verified on full bindings.  negs: the rule's edges that must
+    be absent, checked whenever it has any; only rules compiled with
+    negative edges, or written with negs, have them.  ordered: the steps
+    bind cells in increasing cell index, so the plan emits its bindings
+    sorted.
     """
 
     __slots__ = ("rule_index", "n", "colors", "focus", "steps", "checks",
@@ -32,11 +34,11 @@ class Plan:
     def __init__(self, rule_index, n, colors, focus, steps, checks, negs):
         self.rule_index = rule_index
         self.n = n
-        self.colors = list(colors)
+        self.colors = colors
         self.focus = focus
-        self.steps = [tuple(s) for s in steps]
-        self.checks = [tuple(c) for c in checks]
-        self.negs = [tuple(c) for c in negs]
+        self.steps = steps
+        self.checks = checks
+        self.negs = negs
         self.ordered = all(a[0] < b[0]
                            for a, b in zip(self.steps, self.steps[1:]))
 

@@ -1,9 +1,13 @@
 """Transition rules: neighborhood patterns, rewrites, matching, precedence.
 
-A pattern is a small connected graph of cells anchored at a focus cell;
-a match binds cells injectively to tangle nodes, the focus to the active
-node.  Matching works on the kernel's own (rule_index, binding_tuple)
-pairs; a Match object is built only for the pair that gets applied.
+A rule is a small connected pattern of cells anchored at a focus cell,
+plus a rewrite that may create cells.  Rule holds both with its cells
+numbered, and that one form runs from the compiler's emit to apply;
+cell names are kept only for serialization, traces and messages.  A
+match binds cells injectively to tangle nodes, the focus to the active
+node.  It stays the kernel's (rule_index, binding) pair throughout: the
+binding is a tuple of nodes indexed like the rule's pattern cells, and
+apply takes it as it is.
 
 The maximality filter drops any match whose cell set is a strict subset
 of another match's cell set; equal cell sets survive together.  Bindings
@@ -31,20 +35,58 @@ class RuleError(Exception):
     pass
 
 
-class Pattern:
-    """cells: ordered (name, color-or-None); edges: (src, label, dst)."""
+class Rule:
+    """One transition rule, its cells numbered.
 
-    def __init__(self, cells, edges, focus):
-        self.cells = list(cells)
-        self.edges = [tuple(e) for e in edges]
-        self.focus = focus
-        self.names = [c[0] for c in self.cells]
-        self.index = {n: i for i, n in enumerate(self.names)}
-        if focus not in self.index:
-            raise RuleError("focus %r is not a pattern cell" % focus)
+    Pattern cells are 0 .. len(colors) - 1 and created cell i is
+    len(colors) + i.  names holds the pattern cells' names, then the
+    created cells'; only serialization, traces and messages read it.
+    colors has one entry per pattern cell (None: any colour), and focus
+    is the focus cell's number.  edges and negs are (src, label, dst)
+    triples that must be present and absent.  The rewrite: creates is
+    (color, kind) per created cell, recolor (cell, color), add and
+    delete (src, label, dst) triples over pattern and created cells.
+    """
 
-    def color_of(self, name):
-        return self.cells[self.index[name]][1]
+    __slots__ = ("name", "names", "colors", "focus", "edges", "negs",
+                 "creates", "recolor", "add", "delete")
+
+    def __init__(self, name, cells, edges, focus="C", recolor=(), add=(),
+                 delete=(), creates=(), negs=()):
+        """A rule written over cell names, resolved to numbers here.
+
+        cells: (name, color-or-None) pairs; creates: (name, color, kind)
+        triples; edges, negs, add, delete: (name, label, name) triples;
+        recolor: (name, color) pairs.  A name fault raises RuleError.
+        """
+        fault = "rule %s: " % name
+        names = [n for n, _c in cells]
+        index = {n: i for i, n in enumerate(names)}
+        if len(index) != len(names):
+            raise RuleError(fault + "duplicate cell name")
+        if focus not in index:
+            raise RuleError(fault + "focus %r is not a pattern cell" % focus)
+        self.name = name
+        self.colors = tuple([c for _n, c in cells])
+        self.focus = index[focus]
+        self.edges = _resolve(index, edges, fault + "edge endpoint not a cell")
+        self.negs = _resolve(index, negs,
+                             fault + "negative edge endpoint unbound")
+        for n, _c, _k in creates:
+            if n in index:
+                raise RuleError(fault + "created cell %s shadows a cell" % n)
+            index[n] = len(names)
+            names.append(n)
+        self.names = tuple(names)
+        self.creates = tuple([(c, k) for _n, c, k in creates])
+        try:
+            self.recolor = tuple([(index[n], c) for n, c in recolor])
+        except KeyError as exc:
+            raise RuleError(fault + "recolor of unknown cell %s"
+                            % exc.args[0]) from None
+        fault += "uncovered cell in edge edit"
+        self.add = _resolve(index, add, fault)
+        self.delete = _resolve(index, delete, fault)
 
     def shape(self):
         """(radius, cyclic) from one adjacency build.
@@ -53,8 +95,9 @@ class Pattern:
         edges, None when some cell is unreachable (disconnected);
         cyclic: whether the directed edges close a cycle.
         """
-        out = {n: [] for n in self.names}
-        adj = {n: set() for n in self.names}
+        n = len(self.colors)
+        out = {i: [] for i in range(n)}
+        adj = [set() for _ in range(n)]
         for a, _l, b in self.edges:
             out[a].append(b)
             adj[a].add(b)
@@ -64,17 +107,25 @@ class Pattern:
         radius = 0
         while frontier:
             nxt = []
-            for n in frontier:
-                for m in adj[n]:
-                    if m not in reached:
-                        reached.add(m)
-                        nxt.append(m)
+            for i in frontier:
+                for j in adj[i]:
+                    if j not in reached:
+                        reached.add(j)
+                        nxt.append(j)
             if nxt:
                 radius += 1
             frontier = nxt
-        if len(reached) != len(self.names):
+        if len(reached) != n:
             radius = None
         return radius, has_directed_cycle(out)
+
+
+def _resolve(index, edges, fault):
+    """(name, label, name) triples as cell-number triples."""
+    try:
+        return tuple([(index[a], l, index[b]) for a, l, b in edges])
+    except KeyError:
+        raise RuleError(fault) from None
 
 
 def has_directed_cycle(out):
@@ -94,44 +145,6 @@ def has_directed_cycle(out):
             if not indegree[m]:
                 ready.append(m)
     return peeled != len(out)
-
-
-class Rewrite:
-    """Edits over the matched cells; created cells get fresh node ids.
-
-    The right side is expressed directly over left-side cell names, so
-    the left-to-right correspondence is the identity on pattern cells
-    plus the created fresh names.
-    """
-
-    def __init__(self, recolor=(), add_edges=(), del_edges=(), creates=()):
-        self.recolor = [tuple(r) for r in recolor]
-        self.add_edges = [tuple(e) for e in add_edges]
-        self.del_edges = [tuple(e) for e in del_edges]
-        self.creates = [tuple(c) for c in creates]  # (name, color, kind)
-
-
-class Rule:
-    def __init__(self, name, pattern, rewrite, neg_edges=()):
-        self.name = name
-        self.pattern = pattern
-        self.rewrite = rewrite
-        self.neg_edges = [tuple(e) for e in neg_edges]
-
-
-class Match:
-    __slots__ = ("rule", "rule_index", "binding")
-
-    def __init__(self, rule, rule_index, binding):
-        self.rule = rule
-        self.rule_index = rule_index
-        self.binding = binding
-
-    def binding_tuple(self):
-        return tuple(self.binding[n] for n in self.rule.pattern.names)
-
-    def __repr__(self):
-        return "Match(%s, %r)" % (self.rule.name, self.binding)
 
 
 class RuleSet:
@@ -165,12 +178,9 @@ def make_plan(rule, rule_index):
     The price is that cells may be bound out of index order; the plan's
     `ordered` is then false, and the kernel sorts that plan's matches.
     """
-    p = rule.pattern
-    index = p.index
-    n = len(p.cells)
-    colors = [color for _name, color in p.cells]
-    focus = index[p.focus]
-    edges = [(index[a], l, index[b]) for a, l, b in p.edges]
+    n = len(rule.colors)
+    focus = rule.focus
+    edges = rule.edges
     bound = [False] * n
     bound[focus] = True
     is_step = [False] * len(edges)
@@ -193,17 +203,17 @@ def make_plan(rule, rule_index):
             bound[a] = True
             steps.append((a, b, l, False))   # new cell is the edge source
     checks = [e for e, stepped in zip(edges, is_step) if not stepped]
-    neg = [(index[a], l, index[b]) for a, l, b in rule.neg_edges]
-    return kernel.Plan(rule_index, n, colors, focus, steps, checks, neg)
+    return kernel.Plan(rule_index, n, rule.colors, focus, steps, checks,
+                       rule.negs)
 
 
 def match_all(g, ruleset):
     """Every match of every rule anchored at the active node.
 
-    Returns the kernel's (rule_index, binding_tuple) pairs, binding tuples
-    indexed like the rule's pattern cells, in canonical order: rule order,
-    then binding tuple, as the kernel emits them.  A rule's negative edges
-    are always honoured.
+    Returns the kernel's (rule_index, binding) pairs, each binding a
+    tuple of nodes indexed like the rule's pattern cells, in canonical
+    order: rule order, then binding tuple, as the kernel emits them.  A
+    rule's negative edges are always honoured.
     """
     return kernel.enumerate_matches(ruleset.plans(), g, g.active)
 
@@ -233,53 +243,52 @@ def maximality_filter(pairs):
     return out
 
 
-def make_match(ruleset, pair):
-    """The Match for one (rule_index, binding_tuple) pair."""
-    rule_index, binding = pair
-    rule = ruleset.rules[rule_index]
-    return Match(rule, rule_index, dict(zip(rule.pattern.names, binding)))
+def apply(g, rule, binding):
+    """Apply a rule's rewrite at one binding, in place; returns the
+    created node ids.
 
-
-def apply(g, m):
-    """Apply one match's rewrite in place; returns created node ids.
-
-    Raises RuleError on a stale match (binding no longer valid), which
-    signals a scheduler bug rather than a rule-set property.
+    binding is the kernel's tuple, one node per pattern cell; the
+    created nodes extend it, in creates order.  Raises RuleError on a
+    stale match (binding no longer valid), which signals a scheduler bug
+    rather than a rule-set property.
     """
-    rule = m.rule
-    p = rule.pattern
-    b = dict(m.binding)
-    for name in p.names:
-        nid = b[name]
-        if nid not in g.nodes:
+    names = rule.names
+    if len(binding) != len(rule.colors):
+        raise RuleError("stale match: %d nodes bound for %d cells of %s"
+                        % (len(binding), len(rule.colors), rule.name))
+    nodes = g.nodes
+    for nid, want, name in zip(binding, rule.colors, names):
+        if nid not in nodes:
             raise RuleError("stale match: node %d is gone" % nid)
-        want = p.color_of(name)
-        if want is not None and g.color_of(nid) != want:
+        if want is not None and nodes[nid].color != want:
             raise RuleError("stale match: %s changed color" % name)
-    for a, l, d in p.edges:
-        if not g.has_edge(b[a], l, b[d]):
-            raise RuleError("stale match: edge %s-%s->%s missing" % (a, l, d))
+    for a, l, d in rule.edges:
+        if not g.has_edge(binding[a], l, binding[d]):
+            raise RuleError("stale match: edge %s-%s->%s missing"
+                            % (names[a], l, names[d]))
     created = []
-    for name, color, kind in rule.rewrite.creates:
-        if name in b:
-            raise RuleError("created cell %s collides" % name)
-        b[name] = g.add_node(color, kind)
-        created.append(b[name])
-    for a, l, d in rule.rewrite.del_edges:
+    for color, kind in rule.creates:
+        created.append(g.add_node(color, kind))
+    b = binding + tuple(created) if created else binding
+    for a, l, d in rule.delete:
         g.remove_edge(b[a], l, b[d])
-    for a, l, d in rule.rewrite.add_edges:
+    for a, l, d in rule.add:
         g.add_edge(b[a], l, b[d])
-    for name, color in rule.rewrite.recolor:
-        g.set_color(b[name], color)
+    for i, color in rule.recolor:
+        g.set_color(b[i], color)
     return created
 
 
 def validate_ruleset(ruleset, negative_edges=False):
-    """Structural violations across all rules; empty list iff valid.
+    """Palette, alphabet, shape, duplicate-rule-name and extension-flag
+    violations across all rules; empty list iff valid.  A fault in a
+    rule's own cell names cannot reach here: Rule raises it when the
+    rule is built.
 
-    A pattern's shape depends only on its cell names, focus and edge
+    A pattern's shape depends only on its cell count, focus and edge
     endpoints, so it is computed once per such key within one call.
     """
+    palette, labels = ruleset.palette, ruleset.labels
     violations = []
     seen_names = set()
     shapes = {}
@@ -288,149 +297,66 @@ def validate_ruleset(ruleset, negative_edges=False):
         if rule.name in seen_names:
             violations.append(ctx + "duplicate rule name")
         seen_names.add(rule.name)
-        p = rule.pattern
-        if len(set(p.names)) != len(p.names):
-            violations.append(ctx + "duplicate cell name")
-            continue
-        for name, color in p.cells:
-            if color is not None and color not in ruleset.palette:
+        for color in rule.colors:
+            if color is not None and color not in palette:
                 violations.append(ctx + "color %s not in palette" % color)
-        endpoints_ok = True
-        for a, l, b in p.edges:
-            if a not in p.index or b not in p.index:
-                violations.append(ctx + "edge endpoint not a cell")
-                endpoints_ok = False
-            if l not in ruleset.labels:
+        for _a, l, _b in rule.edges:
+            if l not in labels:
                 violations.append(ctx + "label %s not in alphabet" % l)
-        if endpoints_ok:
-            key = (tuple(p.names), p.focus,
-                   tuple([(a, b) for a, _l, b in p.edges]))
-            found = shapes.get(key)
-            if found is None:
-                found = shapes[key] = p.shape()
-            r, cyclic = found
-            if r is None:
-                violations.append(ctx + "pattern is disconnected")
-            elif r > ruleset.radius:
-                violations.append(ctx + "radius %d exceeds bound %d"
-                                  % (r, ruleset.radius))
-            if cyclic:
-                violations.append(ctx + "pattern loop")
-        if rule.neg_edges and not negative_edges:
+        key = (len(rule.colors), rule.focus,
+               tuple([(a, b) for a, _l, b in rule.edges]))
+        found = shapes.get(key)
+        if found is None:
+            found = shapes[key] = rule.shape()
+        r, cyclic = found
+        if r is None:
+            violations.append(ctx + "pattern is disconnected")
+        elif r > ruleset.radius:
+            violations.append(ctx + "radius %d exceeds bound %d"
+                              % (r, ruleset.radius))
+        if cyclic:
+            violations.append(ctx + "pattern loop")
+        if rule.negs and not negative_edges:
             violations.append(ctx + "negative edges without the extension flag")
-        known = set(p.names)
-        for name, color, kind in rule.rewrite.creates:
-            if name in known:
-                violations.append(ctx + "created cell %s shadows a cell" % name)
-            known.add(name)
-            if color not in ruleset.palette:
+        for color, _kind in rule.creates:
+            if color not in palette:
                 violations.append(ctx + "created color %s not in palette"
                                   % color)
-        for name, color in rule.rewrite.recolor:
-            if name not in known:
-                violations.append(ctx + "recolor of unknown cell %s" % name)
-            if color not in ruleset.palette:
+        for _i, color in rule.recolor:
+            if color not in palette:
                 violations.append(ctx + "recolor to %s not in palette" % color)
-        for a, l, b in (list(rule.rewrite.add_edges)
-                        + list(rule.rewrite.del_edges)):
-            if a not in known or b not in known:
-                violations.append(ctx + "uncovered cell in edge edit")
-            if l not in ruleset.labels:
+        for _a, l, _b in rule.add + rule.delete:
+            if l not in labels:
                 violations.append(ctx + "edit label %s not in alphabet" % l)
-        for a, l, b in rule.neg_edges:
-            if a not in p.index or b not in p.index:
-                violations.append(ctx + "negative edge endpoint unbound")
     return violations
 
 
 # -- serialization ----------------------------------------------------
 
 def serialize_ruleset(ruleset):
+    """The rule set as text, cells by name.  The format is an output
+    only: nothing reads it back."""
     lines = ["ruleset"]
     lines.append("palette " + " ".join(sorted(ruleset.palette)))
     lines.append("labels " + " ".join(sorted(ruleset.labels)))
     lines.append("radius %d" % ruleset.radius)
     for rule in ruleset.rules:
+        names = rule.names
         lines.append("rule %s" % rule.name)
-        p = rule.pattern
-        for name, color in p.cells:
-            mark = " focus" if name == p.focus else ""
-            lines.append("  cell %s %s%s" % (name, color or "*", mark))
-        for a, l, b in p.edges:
-            lines.append("  edge %s %s %s" % (a, l, b))
-        for a, l, b in rule.neg_edges:
-            lines.append("  neg %s %s %s" % (a, l, b))
-        for name, color, kind in rule.rewrite.creates:
-            lines.append("  create %s %s %s" % (name, color, kind))
-        for a, l, b in rule.rewrite.del_edges:
-            lines.append("  del %s %s %s" % (a, l, b))
-        for a, l, b in rule.rewrite.add_edges:
-            lines.append("  add %s %s %s" % (a, l, b))
-        for name, color in rule.rewrite.recolor:
-            lines.append("  recolor %s %s" % (name, color))
+        for i, color in enumerate(rule.colors):
+            mark = " focus" if i == rule.focus else ""
+            lines.append("  cell %s %s%s" % (names[i], color or "*", mark))
+        for a, l, b in rule.edges:
+            lines.append("  edge %s %s %s" % (names[a], l, names[b]))
+        for a, l, b in rule.negs:
+            lines.append("  neg %s %s %s" % (names[a], l, names[b]))
+        for i, (color, kind) in enumerate(rule.creates, len(rule.colors)):
+            lines.append("  create %s %s %s" % (names[i], color, kind))
+        for a, l, b in rule.delete:
+            lines.append("  del %s %s %s" % (names[a], l, names[b]))
+        for a, l, b in rule.add:
+            lines.append("  add %s %s %s" % (names[a], l, names[b]))
+        for i, color in rule.recolor:
+            lines.append("  recolor %s %s" % (names[i], color))
         lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def parse_ruleset(text):
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    if not lines or lines[0].strip() != "ruleset":
-        raise RuleError("not a ruleset file")
-    palette, labels, radius = set(), set(), None
-    rules = []
-    i = 1
-    cur = None
-
-    def finish(cur):
-        name, cells, edges, focus, neg, creates, dels, adds, recolors = cur
-        if focus is None:
-            raise RuleError("rule %s has no focus cell" % name)
-        rules.append(Rule(name, Pattern(cells, edges, focus),
-                          Rewrite(recolors, adds, dels, creates), neg))
-
-    while i < len(lines):
-        ln = lines[i].strip()
-        i += 1
-        if not ln:
-            continue
-        parts = ln.split()
-        if cur is None:
-            if parts[0] == "palette":
-                palette.update(parts[1:])
-            elif parts[0] == "labels":
-                labels.update(parts[1:])
-            elif parts[0] == "radius":
-                radius = int(parts[1])
-            elif parts[0] == "rule":
-                cur = [parts[1], [], [], None, [], [], [], [], []]
-            else:
-                raise RuleError("unexpected line: %s" % ln)
-            continue
-        name, cells, edges, focus, neg, creates, dels, adds, recolors = cur
-        if parts[0] == "cell":
-            color = None if parts[2] == "*" else parts[2]
-            cells.append((parts[1], color))
-            if len(parts) > 3 and parts[3] == "focus":
-                cur[3] = parts[1]
-        elif parts[0] == "edge":
-            edges.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "neg":
-            neg.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "create":
-            creates.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "del":
-            dels.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "add":
-            adds.append((parts[1], parts[2], parts[3]))
-        elif parts[0] == "recolor":
-            recolors.append((parts[1], parts[2]))
-        elif parts[0] == "end":
-            finish(cur)
-            cur = None
-        else:
-            raise RuleError("unexpected line in rule: %s" % ln)
-    if cur is not None:
-        raise RuleError("unterminated rule")
-    if radius is None:
-        raise RuleError("missing radius")
-    return RuleSet(palette, labels, rules, radius)

@@ -6,7 +6,7 @@ from tangleca import automaton, hfset, pattern, tangle
 from tangleca.automaton import (BUDGET, DETERMINISTIC, QUIESCENT, RANDOM,
                                 Configuration, InvariantViolation, StepStats,
                                 run, select_match, step)
-from tangleca.pattern import Pattern, Rewrite, Rule, RuleSet
+from tangleca.pattern import Rule, RuleSet
 
 from conftest import compile_case, load_corpus_case
 
@@ -23,12 +23,11 @@ def overlap_setup():
     g.add_edge(c, "x", a)
     g.add_edge(a, "y", b)
     g.active = c
-    small = Rule("small", Pattern([("C", "red"), ("A", None)],
-                                  [("C", "x", "A")], "C"),
-                 Rewrite(recolor=[("C", "green")]))
-    large = Rule("large", Pattern([("C", "red"), ("A", None), ("B", None)],
-                                  [("C", "x", "A"), ("A", "y", "B")], "C"),
-                 Rewrite(recolor=[("C", "blue")]))
+    small = Rule("small", [("C", "red"), ("A", None)], [("C", "x", "A")],
+                 recolor=[("C", "green")])
+    large = Rule("large", [("C", "red"), ("A", None), ("B", None)],
+                 [("C", "x", "A"), ("A", "y", "B")],
+                 recolor=[("C", "blue")])
     return g, RuleSet(COLORS, LABELS, [small, large], 3)
 
 
@@ -60,10 +59,8 @@ class TestScheduling:
         g.add_edge(c, "x", a)
         g.add_edge(c, "x", b)
         g.active = c
-        rule = Rule("pick", Pattern([("C", "red"), ("A", None)],
-                                    [("C", "x", "A")], "C"),
-                    Rewrite(recolor=[("C", "green")],
-                            del_edges=[("C", "x", "A")]))
+        rule = Rule("pick", [("C", "red"), ("A", None)], [("C", "x", "A")],
+                    recolor=[("C", "green")], delete=[("C", "x", "A")])
         return g, RuleSet(COLORS, LABELS, [rule], 3)
 
     def test_deterministic_takes_least_binding(self):
@@ -71,14 +68,14 @@ class TestScheduling:
         cfg = Configuration(g, mode=DETERMINISTIC)
         applied = step(cfg, rules)
         others = sorted(n for n in g.nodes if n != g.active)
-        assert applied.binding["A"] == others[0]
+        assert applied.binding[1] == others[0]
 
     def test_random_is_reproducible_per_seed(self):
         applied_by_run = []
         for _ in range(2):
             g, rules = self._tie_setup()
             cfg = Configuration(g, seed=7, mode=RANDOM)
-            applied_by_run.append(step(cfg, rules).binding["A"])
+            applied_by_run.append(step(cfg, rules).binding[1])
         assert applied_by_run[0] == applied_by_run[1]
 
     def test_random_covers_both_choices_across_seeds(self):
@@ -86,7 +83,7 @@ class TestScheduling:
         for seed in range(12):
             g, rules = self._tie_setup()
             cfg = Configuration(g, seed=seed, mode=RANDOM)
-            seen.add(step(cfg, rules).binding_tuple()[1])
+            seen.add(step(cfg, rules).binding[1])
         assert len(seen) == 2
 
     def test_select_match_orders_by_rule_then_binding(self):
@@ -116,10 +113,9 @@ class TestCanonicalOrderGuard:
         g.add_edge(b2, "y", a1)
         g.active = c
         # the plan grows C-x->B first, so it binds B (index 2) before A
-        rule = Rule("late", Pattern(
-            [("C", "red"), ("A", None), ("B", None)],
-            [("C", "x", "B"), ("B", "y", "A")], "C"),
-            Rewrite(recolor=[("C", "green")]))
+        rule = Rule("late", [("C", "red"), ("A", None), ("B", None)],
+                    [("C", "x", "B"), ("B", "y", "A")],
+                    recolor=[("C", "green")])
         return g, RuleSet(COLORS, LABELS, [rule], 3)
 
     def test_out_of_order_plan_is_detected_and_sorted(self):
@@ -131,7 +127,7 @@ class TestCanonicalOrderGuard:
         assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
                                                (0, (0, 4, 1))]
         applied = step(Configuration(g, mode=DETERMINISTIC), rules)
-        assert (applied.rule_index, applied.binding_tuple()) == (0, (0, 3, 2))
+        assert (applied.rule_index, applied.binding) == (0, (0, 3, 2))
 
 
 class TestRunLoop:
@@ -139,8 +135,7 @@ class TestRunLoop:
         g = tangle.Tangle()
         c = g.add_node("blue", tangle.CRITICALS)
         g.active = c
-        rule = Rule("r", Pattern([("C", "red")], [], "C"),
-                    Rewrite(recolor=[("C", "green")]))
+        rule = Rule("r", [("C", "red")], [], recolor=[("C", "green")])
         cfg, stats, outcome = run(Configuration(g),
                                   RuleSet(COLORS, LABELS, [rule], 3))
         assert outcome == QUIESCENT
@@ -150,10 +145,8 @@ class TestRunLoop:
         g = tangle.Tangle()
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
-        ping = Rule("t:ping", Pattern([("C", "red")], [], "C"),
-                    Rewrite(recolor=[("C", "green")]))
-        pong = Rule("t:pong", Pattern([("C", "green")], [], "C"),
-                    Rewrite(recolor=[("C", "red")]))
+        ping = Rule("t:ping", [("C", "red")], [], recolor=[("C", "green")])
+        pong = Rule("t:pong", [("C", "green")], [], recolor=[("C", "red")])
         return g, RuleSet(COLORS, LABELS, [ping, pong], 3)
 
     def test_budget_exhaustion(self):
@@ -208,9 +201,8 @@ class TestInvariantChecking:
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
         rules = RuleSet(COLORS, LABELS, [
-            Rule("bad", Pattern([("C", "red")], [], "C"),
-                 Rewrite(recolor=[("C", "blue")],
-                         creates=[("D", "plain", tangle.CRITICALS)]))], 3)
+            Rule("bad", [("C", "red")], [], recolor=[("C", "blue")],
+                 creates=[("D", "plain", tangle.CRITICALS)])], 3)
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, check_invariants=True)
         assert exc.value.tick == 1
@@ -221,8 +213,7 @@ class TestInvariantChecking:
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
         rules = RuleSet(COLORS, LABELS, [
-            Rule("ok", Pattern([("C", "red")], [], "C"),
-                 Rewrite(recolor=[("C", "blue")]))], 3)
+            Rule("ok", [("C", "red")], [], recolor=[("C", "blue")])], 3)
         _, _, outcome = run(Configuration(g), rules, check_invariants=True)
         assert outcome == QUIESCENT
 
@@ -234,9 +225,8 @@ class TestInvariantChecking:
         g.active = c
         e1 = g.add_node(tangle.EMPTY, tangle.SET)
         g.add_edge(c, "x", e1)
-        dup = Rule("dup", Pattern([("C", "red")], [], "C"),
-                   Rewrite(recolor=[("C", "green")],
-                           creates=[("E", tangle.EMPTY, tangle.SET)]))
+        dup = Rule("dup", [("C", "red")], [], recolor=[("C", "green")],
+                   creates=[("E", tangle.EMPTY, tangle.SET)])
         relax = RuleSet(COLORS + (tangle.EMPTY,), LABELS, [dup], 3)
         with pytest.raises(InvariantViolation):
             run(Configuration(g), relax, check_invariants=True,
@@ -270,11 +260,10 @@ def two_set_graph():
 
 
 def two_set_rules(*rewrites, colors=("red",)):
-    """Rule i fires at focus color colors[i] on any two x-targets."""
-    rules = [Rule("r%d" % i,
-                  Pattern([("C", color), ("A", None), ("B", None)],
-                          [("C", "x", "A"), ("C", "x", "B")], "C"),
-                  rewrite)
+    """Rule i fires at focus color colors[i] on any two x-targets and
+    applies rewrites[i], a dict of Rule's rewrite keywords."""
+    rules = [Rule("r%d" % i, [("C", color), ("A", None), ("B", None)],
+                  [("C", "x", "A"), ("C", "x", "B")], **rewrite)
              for i, (color, rewrite) in enumerate(zip(colors, rewrites))]
     return RuleSet(COLORS + ("idle",), LABELS + tuple(tangle.CONTAINMENT),
                    rules, 3)
@@ -286,9 +275,8 @@ class TestIncrementalChecks:
         # while the focus stays at a non-idle color
         g = two_set_graph()
         rules = two_set_rules(
-            Rewrite(add_edges=[("A", tangle.ELEM, "B")],
-                    recolor=[("C", "blue")]),
-            Rewrite(add_edges=[("B", tangle.ELEM, "A")]),
+            dict(add=[("A", tangle.ELEM, "B")], recolor=[("C", "blue")]),
+            dict(add=[("B", tangle.ELEM, "A")]),
             colors=("red", "blue"))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
@@ -298,10 +286,10 @@ class TestIncrementalChecks:
 
     def test_cycle_through_created_node_is_caught(self):
         g = two_set_graph()
-        rules = two_set_rules(Rewrite(
+        rules = two_set_rules(dict(
             creates=[("N", "marker", tangle.SET)],
-            add_edges=[("A", tangle.ELEM, "N"), ("N", tangle.FST, "B"),
-                       ("B", tangle.SND, "A")]))
+            add=[("A", tangle.ELEM, "N"), ("N", tangle.FST, "B"),
+                 ("B", tangle.SND, "A")]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
                 check_invariants=True, idle_colors=IDLE)
@@ -309,7 +297,7 @@ class TestIncrementalChecks:
 
     def test_self_loop_is_a_cycle(self):
         g = two_set_graph()
-        rules = two_set_rules(Rewrite(add_edges=[("A", tangle.ELEM, "A")]))
+        rules = two_set_rules(dict(add=[("A", tangle.ELEM, "A")]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
                 check_invariants=True, idle_colors=IDLE)
@@ -317,7 +305,7 @@ class TestIncrementalChecks:
 
     def test_second_criticals_mid_protocol_is_caught_at_that_tick(self):
         g = two_set_graph()
-        rules = two_set_rules(Rewrite(
+        rules = two_set_rules(dict(
             creates=[("D", "plain", tangle.CRITICALS)]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
@@ -334,7 +322,7 @@ class TestIncrementalChecks:
             g.add_edge(b, tangle.ELEM, a)
         else:
             g.add_node("plain", tangle.CRITICALS)
-        rules = two_set_rules(Rewrite(recolor=[("C", "blue")]))
+        rules = two_set_rules(dict(recolor=[("C", "blue")]))
         applied = []
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, check_invariants=True,
@@ -389,12 +377,10 @@ def random_rules(draw):
             st.sampled_from(names)), max_size=3))
         add_edges += [("C", "x", name) for name, _c, _k in creates]
         focus = draw(st.sampled_from(FOCUS_COLORS + (None,)))
-        rewrite = Rewrite(
-            recolor=[("C", draw(st.sampled_from(FOCUS_COLORS)))],
-            add_edges=add_edges, creates=creates)
-        rules.append(Rule("r%d" % i, Pattern(
-            [("C", focus), ("A", None), ("B", None)],
-            [("C", "x", "A"), ("C", "x", "B")], "C"), rewrite))
+        recolor = [("C", draw(st.sampled_from(FOCUS_COLORS)))]
+        rules.append(Rule("r%d" % i, [("C", focus), ("A", None), ("B", None)],
+                          [("C", "x", "A"), ("C", "x", "B")],
+                          recolor=recolor, add=add_edges, creates=creates))
     return RuleSet(FOCUS_COLORS + ("plain", "marker"),
                    ("x",) + tuple(tangle.CONTAINMENT), rules, 3)
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from tangleca import automaton, cli, corpusgen, tangle
+from tangleca import automaton, cli, corpusgen, difftest, tangle
 
 from conftest import CORPUS_DIR
 
@@ -246,19 +246,76 @@ class TestDifftest:
 
     def test_choice_cases_agree(self, capsys):
         code, out, _ = run_main(
-            ["difftest", "--count", "2", "--seed", "5", "--only-choice",
-             "--check-invariants"], capsys)
+            ["difftest", "--count", "2", "--seed", "5", "--only-choice"],
+            capsys)
         assert code == 0
         assert "2/2 cases agree" in out
 
-    def test_no_acceptable_case_exits_2(self, capsys, monkeypatch):
+    def test_no_acceptable_case_exits_3(self, capsys, monkeypatch):
         def no_case(*args, **kwargs):
             raise corpusgen.GenLimit("no acceptable case in 2000 attempts")
 
         monkeypatch.setattr(corpusgen, "generate_case", no_case)
-        code, _, err = run_main(["difftest", "--count", "1"], capsys)
-        assert code == cli.BADINPUT
-        assert err == "error: no acceptable case in 2000 attempts\n"
+        code, out, err = run_main(["difftest", "--count", "1"], capsys)
+        assert code == cli.EXHAUSTED
+        assert out == ("stopped before case000: no acceptable case in "
+                       "2000 attempts\n0/0 cases agree\n")
+        assert err == ""
+
+    def _cases_then_limit(self, monkeypatch, cases):
+        real = corpusgen.generate_case
+        calls = []
+
+        def some_cases(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > cases:
+                raise corpusgen.GenLimit("no acceptable case in 2000 "
+                                         "attempts")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(corpusgen, "generate_case", some_cases)
+
+    def test_limit_after_agreeing_cases_summarises_them(self, capsys,
+                                                        monkeypatch):
+        self._cases_then_limit(monkeypatch, 2)
+        code, out, err = run_main(
+            ["difftest", "--count", "5", "--seed", "5"], capsys)
+        assert code == cli.EXHAUSTED
+        lines = out.splitlines()
+        assert [ln.split()[:2] for ln in lines[:2]] == [
+            ["ok", "case000"], ["ok", "case001"]]
+        assert lines[2:] == [
+            "stopped before case002: no acceptable case in 2000 attempts",
+            "2/2 cases agree"]
+        assert err == ""
+
+    def test_limit_after_a_disagreement_exits_1(self, capsys, monkeypatch):
+        self._cases_then_limit(monkeypatch, 1)
+        monkeypatch.setattr(difftest, "run_case",
+                            lambda *args, label, **kwargs: difftest.CaseResult(
+                                label, ["%s: planted" % label], 0))
+        code, out, _ = run_main(["difftest", "--count", "3", "--seed", "5"],
+                                capsys)
+        assert code == cli.FAIL
+        assert out.splitlines()[-2:] == [
+            "stopped before case001: no acceptable case in 2000 attempts",
+            "0/1 cases agree"]
+
+    def test_invariant_violation_is_a_failed_case(self, capsys, monkeypatch):
+        monkeypatch.setattr(automaton, "_tick_violations",
+                            lambda *args: ["planted violation"])
+        code, out, err = run_main(
+            ["difftest", "--count", "2", "--seed", "5"], capsys)
+        assert code == cli.FAIL
+        fails = [ln for ln in out.splitlines() if ln.startswith("FAIL ")]
+        for case_label in ("case000", "case001"):
+            for schedule in ("deterministic/0", "random/1", "random/2"):
+                assert any(re.fullmatch(
+                    r"FAIL %s\[%s\]: invariant violation at tick \d+: "
+                    r"planted violation" % (case_label, schedule), ln)
+                    for ln in fails), (case_label, schedule)
+        assert out.endswith("0/2 cases agree\n")
+        assert "Traceback" not in out + err
 
 
 class TestBench:
@@ -334,12 +391,13 @@ class TestLimitsAndPaths:
         assert err == ("error: state does not fit --max-depth 0: "
                        "nesting depth 1 exceeds limit 0\n")
 
-    def test_depth_no_generated_case_fits_exits_2(self, capsys):
+    def test_depth_no_generated_case_fits_exits_3(self, capsys):
         code, out, err = run_main(
             ["difftest", "--count", "1", "--max-depth", "0"], capsys)
-        assert code == cli.BADINPUT
-        assert err == "error: no acceptable case in 2000 attempts\n"
-        assert "agree" not in out
+        assert code == cli.EXHAUSTED
+        assert out == ("stopped before case000: no acceptable case in "
+                       "2000 attempts\n0/0 cases agree\n")
+        assert err == ""
 
     @pytest.mark.parametrize("argv", [
         ["compile", "-o", "{out}"],

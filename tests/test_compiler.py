@@ -7,8 +7,7 @@ import pytest
 from tangleca import (asmlang, automaton, compiler, difftest, hfset,
                       interpreter, tangle)
 from tangleca.compiler import CompileError, Formula, compile_program
-from tangleca.pattern import (parse_ruleset, serialize_ruleset,
-                              validate_ruleset)
+from tangleca.pattern import serialize_ruleset, validate_ruleset
 
 from conftest import (MODES, compile_case, corpus_names, load_corpus_case,
                       oracle_state, run_automaton)
@@ -118,11 +117,6 @@ class TestCompileStructure:
         b = serialize_ruleset(compile_program(asmlang.parse(self.SRC)).ruleset)
         assert a == b
 
-    def test_serialized_ruleset_roundtrips(self):
-        rs = compile_program(asmlang.parse(self.SRC)).ruleset
-        text = serialize_ruleset(rs)
-        assert serialize_ruleset(parse_ruleset(text)) == text
-
     def test_invalid_program_rejected(self):
         bad = asmlang.parse("criticals t; t := q")
         with pytest.raises(CompileError):
@@ -199,9 +193,10 @@ class TestVariants:
                  delete=[("C", "$r0", "X")])
         [rule] = ctx.rules
         assert rule.name == "t"
-        assert rule.rewrite.recolor == [("C", "s1")]
-        assert rule.rewrite.add_edges == [("C", "$r1", "X")]
-        assert rule.rewrite.del_edges == [("C", "$r0", "X")]
+        assert rule.names == ("C", "X")
+        assert rule.recolor == ((0, "s1"),)
+        assert rule.add == ((0, "$r1", 1),)
+        assert rule.delete == ((0, "$r0", 1),)
         assert {"$r0", "$r1"} <= ctx.labels and "s1" in ctx.colors
 
     def test_apply_read_variants_keep_their_order(self):
@@ -217,8 +212,8 @@ class TestVariants:
             ["eval:s0:hit" + x for x in hit]
             + ["eval:s0:miss" + x for x in miss])
         merged = rules[1]
-        assert merged.pattern.names == ["C", "A1", "T", "V", "E", "F"]
-        assert ("T", "arg2", "A1") in merged.pattern.edges
+        assert merged.names == ("C", "A1", "T", "V", "E", "F")
+        assert (2, "arg2", 1) in merged.edges
 
     def test_quotient_closing_a_cycle_is_dropped(self):
         cells = [("C", "s0"), ("W", None), ("X", None), ("Y", None),
@@ -263,9 +258,8 @@ class TestVariants:
             start = len(ctx.rules)
             compiler.compile_union(ctx, entry, entry + "n", first, second,
                                    "$r9")
-            return [(r.name, r.pattern.cells, r.pattern.edges,
-                     r.rewrite.recolor, r.rewrite.add_edges,
-                     r.rewrite.del_edges, r.rewrite.creates, r.neg_edges)
+            return [(r.name, r.names, r.colors, r.focus, r.edges, r.negs,
+                     r.creates, r.recolor, r.add, r.delete)
                     for r in ctx.rules[start:]]
 
         shared = compiler.EmitContext()
@@ -565,3 +559,40 @@ class TestNonTerminating:
                     crossings += 1
             got = unit.final_state(cfg.tangle, universe)
             assert got == want, rounds
+
+
+# Error outcomes on which the automaton and the interpreter still part
+# ways (ROADMAP item 3), as (source, state, interpreter outcome).  Each
+# probe is expected to fail its comparison; a fix turns it into an XPASS,
+# which strict mode reports as a failure until the mark comes off.
+ERROR_PROBES = {
+    # automaton: stuck:s5.r.s after 10 ticks
+    "union-of-atoms": ("atoms a, b; criticals t;\nif t = {} then t := a U b\n",
+                       "term t = {}\n", interpreter.TYPE_ERROR),
+    # automaton: terminal (an atom has no members)
+    "member-of-atom": ("atoms a, b; criticals t;\nif a in b then t := {}\n",
+                       "term t = {}\n", interpreter.TYPE_ERROR),
+    # automaton: terminal after 66 ticks, the last write wins
+    "clashing-location-writes": (
+        "atoms a; functions f/1; criticals x, y, t;\n"
+        "if t = {} then (f(x) := {a} par f(y) := {} par t := {{}})\n",
+        "term x = {}\nterm y = {}\nterm t = {}\n", interpreter.CLASH),
+    # automaton: grows without bound, so the tick budget runs out
+    "unbounded-depth": ("criticals c;\nc := {c}\n", "term c = {}\n",
+                        interpreter.LIMIT),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="error outcomes still diverge (ROADMAP item 3)")
+@pytest.mark.parametrize("probe", sorted(ERROR_PROBES))
+def test_error_outcome_matches_interpreter(probe):
+    source, state_text, oracle = ERROR_PROBES[probe]
+    universe, program, unit, state, graph = compile_case(source, state_text)
+    _final, _steps, want = interpreter.run_to_termination(program, state,
+                                                          universe)
+    if want != oracle:
+        pytest.fail("interpreter outcome changed: %s" % want)
+    cfg, _stats, _outcome = automaton.run(automaton.Configuration(graph),
+                                          unit.ruleset, max_ticks=5000)
+    assert unit.classify(cfg.tangle) == want

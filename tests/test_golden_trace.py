@@ -1,7 +1,7 @@
 """Applied-match traces on the corpus and the bench cases stay byte-identical.
 
 For each edge mode and schedule, every case runs to quiescence and the
-sequence of applied (rule_index, binding_tuple) pairs, plus each case's
+sequence of applied (rule_index, binding) pairs, plus each case's
 outcome and tick count, is hashed.  The corpus digests were recorded
 before match selection moved to raw kernel pairs; the bench digests
 (union-16, whose ticks each wade through many decoy matches, and
@@ -63,7 +63,7 @@ def trace_digest(cases, negative_edges, mode, seed):
     digest = hashlib.sha256()
 
     def on_tick(_cfg, m):
-        binding = " ".join(str(m.binding[n]) for n in m.rule.pattern.names)
+        binding = " ".join(map(str, m.binding))
         digest.update(("%d %s\n" % (m.rule_index, binding)).encode())
 
     for name, source, state_text in cases:

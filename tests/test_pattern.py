@@ -1,4 +1,4 @@
-"""Anchored matching against a brute-force oracle; precedence; serialization."""
+"""Anchored matching against a brute-force oracle; precedence; rules."""
 import itertools
 
 import pytest
@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import tangleca
 from tangleca import kernel, pattern, tangle
-from tangleca.pattern import (Pattern, Rewrite, Rule, RuleError, RuleSet,
-                              apply, make_match, match_all,
-                              maximality_filter, parse_ruleset,
-                              serialize_ruleset, validate_ruleset)
+from tangleca.pattern import (Rule, RuleError, RuleSet, apply, match_all,
+                              maximality_filter, serialize_ruleset,
+                              validate_ruleset)
 
 COLORS = ("red", "green", "blue")
 LABELS = ("x", "y", "z")
@@ -21,27 +20,21 @@ def brute_matches(g, ruleset):
     out = []
     node_ids = sorted(g.nodes)
     for rule_index, rule in enumerate(ruleset.rules):
-        p = rule.pattern
-        names = p.names
-        focus_i = p.index[p.focus]
-        rest = [i for i in range(len(names)) if i != focus_i]
+        n = len(rule.colors)
+        rest = [i for i in range(n) if i != rule.focus]
         for perm in itertools.permutations(node_ids, len(rest)):
-            binding = [None] * len(names)
-            binding[focus_i] = g.active
+            binding = [None] * n
+            binding[rule.focus] = g.active
             for i, nid in zip(rest, perm):
                 binding[i] = nid
             if len(set(binding)) != len(binding):
                 continue
-            ok = all(
-                p.cells[i][1] is None
-                or g.color_of(binding[i]) == p.cells[i][1]
-                for i in range(len(names)))
-            ok = ok and all(
-                g.has_edge(binding[p.index[a]], l, binding[p.index[b]])
-                for a, l, b in p.edges)
-            ok = ok and not any(
-                g.has_edge(binding[p.index[a]], l, binding[p.index[b]])
-                for a, l, b in rule.neg_edges)
+            ok = all(color is None or g.color_of(nid) == color
+                     for nid, color in zip(binding, rule.colors))
+            ok = ok and all(g.has_edge(binding[a], l, binding[b])
+                            for a, l, b in rule.edges)
+            ok = ok and not any(g.has_edge(binding[a], l, binding[b])
+                                for a, l, b in rule.negs)
             if ok:
                 out.append((rule_index, tuple(binding)))
     return sorted(out)
@@ -50,7 +43,7 @@ def brute_matches(g, ruleset):
 def probe_rules():
     """A small zoo of pattern shapes over COLORS/LABELS."""
     mk = lambda cells, edges, focus, negs=(): Rule(
-        "probe%d" % mk.n, Pattern(cells, edges, focus), Rewrite(), negs)
+        "probe%d" % mk.n, cells, edges, focus, negs=negs)
     mk.n = 0
     rules = []
 
@@ -130,8 +123,7 @@ class TestMatching:
         g.active = c
         g.add_edge(c, "x", c)  # self loop: C and A cannot both bind c
         rules = RuleSet(COLORS, LABELS, [
-            Rule("two", Pattern([("C", None), ("A", None)],
-                                [("C", "x", "A")], "C"), Rewrite())], 3)
+            Rule("two", [("C", None), ("A", None)], [("C", "x", "A")])], 3)
         assert match_all(g, rules) == []
 
     def test_anchoring_at_active_only(self):
@@ -140,8 +132,7 @@ class TestMatching:
         b = g.add_node("red", tangle.SET)
         g.add_edge(a, "x", b)
         rules = RuleSet(COLORS, LABELS, [
-            Rule("out", Pattern([("C", "red"), ("A", None)],
-                                [("C", "x", "A")], "C"), Rewrite())], 3)
+            Rule("out", [("C", "red"), ("A", None)], [("C", "x", "A")])], 3)
         g.active = a
         assert len(match_all(g, rules)) == 1
         g.active = b
@@ -151,7 +142,8 @@ class TestMatching:
 class TestPlans:
     def test_focus_out_edges_bind_first(self):
         # cells C=0 A=1 B=2 D=3 E=4
-        rule = Rule("r", Pattern(
+        rule = Rule(
+            "r",
             [("C", None), ("A", None), ("B", None), ("D", None),
              ("E", None)],
             [("E", "y", "C"),        # into the focus: waits for growth
@@ -160,8 +152,7 @@ class TestPlans:
              ("C", "x", "C"),        # focus self-loop: a check
              ("C", "z", "D"),
              ("C", "z", "A"),        # second focus edge to A: a check
-             ("D", "y", "B")],       # both ends bound by then: a check
-            "C"), Rewrite())
+             ("D", "y", "B")])       # both ends bound by then: a check
         plan = pattern.make_plan(rule, 0)
         assert plan.steps == [(1, 0, "x", True), (3, 0, "z", True),
                               (4, 0, "y", False), (2, 1, "y", False)]
@@ -186,12 +177,10 @@ class TestPlans:
         g.add_edge(b1, "y", a2)
         g.add_edge(b2, "y", a1)
         g.active = c
-        in_order = Rule("in", Pattern(
-            [("C", "red"), ("B", None), ("A", None)],
-            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
-        late = Rule("late", Pattern(
-            [("C", "green"), ("A", None), ("B", None)],
-            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
+        in_order = Rule("in", [("C", "red"), ("B", None), ("A", None)],
+                        [("C", "x", "B"), ("B", "y", "A")])
+        late = Rule("late", [("C", "green"), ("A", None), ("B", None)],
+                    [("C", "x", "B"), ("B", "y", "A")])
         return g, RuleSet(COLORS, LABELS, [in_order, late], 3)
 
     def test_only_unordered_colours_are_sorted(self, monkeypatch):
@@ -217,9 +206,8 @@ class TestPlans:
 
     def test_unordered_wildcard_sorts_every_colour(self):
         g, rules = self._mixed()
-        wild = Rule("wild", Pattern(
-            [("C", None), ("A", None), ("B", None)],
-            [("C", "x", "B"), ("B", "y", "A")], "C"), Rewrite())
+        wild = Rule("wild", [("C", None), ("A", None), ("B", None)],
+                    [("C", "x", "B"), ("B", "y", "A")])
         in_order = rules.rules[0]
         rules = RuleSet(COLORS, LABELS, [in_order, wild], 3)
         index = rules.plans()
@@ -236,7 +224,7 @@ class TestPlans:
 
 
 class TestMaximality:
-    # pairs as the kernel emits them: (rule_index, binding_tuple); rule 0
+    # pairs as the kernel emits them: (rule_index, binding); rule 0
     # has one cell, rule 1 two cells, rule 2 three cells
 
     def test_strict_subset_blocked(self):
@@ -274,33 +262,73 @@ class TestMaximality:
 
 class TestPatternStructure:
     def test_radius(self):
-        chain = Pattern([("A", None), ("B", None), ("C", None)],
-                        [("A", "x", "B"), ("B", "x", "C")], "A")
+        chain = Rule("chain", [("A", None), ("B", None), ("C", None)],
+                     [("A", "x", "B"), ("B", "x", "C")], "A")
         assert chain.shape() == (2, False)
-        assert Pattern([("A", None)], [], "A").shape() == (0, False)
-        disconnected = Pattern([("A", None), ("B", None)], [], "A")
+        assert Rule("one", [("A", None)], [], "A").shape() == (0, False)
+        disconnected = Rule("two", [("A", None), ("B", None)], [], "A")
         assert disconnected.shape()[0] is None
 
     def test_directed_cycle_detection(self):
-        loop = Pattern([("A", None), ("B", None)],
-                       [("A", "x", "B"), ("B", "y", "A")], "A")
+        loop = Rule("loop", [("A", None), ("B", None)],
+                    [("A", "x", "B"), ("B", "y", "A")], "A")
         assert loop.shape() == (1, True)
-        dag = Pattern([("A", None), ("B", None), ("C", None)],
-                      [("A", "x", "B"), ("A", "y", "C"), ("B", "z", "C")],
-                      "A")
+        dag = Rule("dag", [("A", None), ("B", None), ("C", None)],
+                   [("A", "x", "B"), ("A", "y", "C"), ("B", "z", "C")], "A")
         assert dag.shape() == (1, False)
-        self_loop = Pattern([("A", None)], [("A", "x", "A")], "A")
+        self_loop = Rule("self", [("A", None)], [("A", "x", "A")], "A")
         assert self_loop.shape() == (0, True)
 
     def test_focus_must_be_a_cell(self):
         with pytest.raises(RuleError):
-            Pattern([("A", None)], [], "Z")
+            Rule("f", [("A", None)], [], "Z")
 
     def test_plan_rejects_disconnected_pattern(self):
-        r = Rule("d", Pattern([("A", None), ("B", None)], [], "A"),
-                 Rewrite())
+        r = Rule("d", [("A", None), ("B", None)], [], "A")
         with pytest.raises(RuleError):
             RuleSet(COLORS, LABELS, [r], 3).plans()
+
+
+class TestRuleCells:
+    """Rule numbers its cells once, when it is built."""
+
+    def test_cells_are_numbered_pattern_first(self):
+        rule = Rule("edit", [("C", "red"), ("A", None)], [("C", "x", "A")],
+                    recolor=[("W", "blue"), ("C", "green")],
+                    add=[("A", "y", "W")], delete=[("C", "x", "A")],
+                    creates=[("W", "green", tangle.SET)],
+                    negs=[("A", "z", "C")])
+        assert rule.names == ("C", "A", "W")
+        assert rule.colors == ("red", None)
+        assert rule.focus == 0
+        assert rule.edges == ((0, "x", 1),)
+        assert rule.negs == ((1, "z", 0),)
+        assert rule.creates == (("green", tangle.SET),)
+        assert rule.recolor == ((2, "blue"), (0, "green"))
+        assert rule.add == ((1, "y", 2),)
+        assert rule.delete == ((0, "x", 1),)
+
+    def test_plan_shares_the_rule_colors(self):
+        rule = Rule("r", [("C", "red"), ("A", None)], [("C", "x", "A")])
+        assert pattern.make_plan(rule, 0).colors is rule.colors
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(cells=[("C", None), ("C", "red")]), "duplicate cell name"),
+        (dict(edges=[("C", "x", "Z")]), "edge endpoint not a cell"),
+        (dict(negs=[("Z", "x", "C")]), "negative edge endpoint unbound"),
+        (dict(creates=[("A", "red", tangle.SET)]),
+         "created cell A shadows a cell"),
+        (dict(recolor=[("Z", "red")]), "recolor of unknown cell Z"),
+        (dict(add=[("C", "x", "Z")]), "uncovered cell in edge edit"),
+        (dict(delete=[("Z", "x", "C")]), "uncovered cell in edge edit"),
+        (dict(focus="Z"), "focus 'Z' is not a pattern cell"),
+    ])
+    def test_name_faults_raise(self, kwargs, message):
+        args = dict(cells=[("C", None), ("A", None)], edges=[])
+        args.update(kwargs)
+        with pytest.raises(RuleError) as exc:
+            Rule("bad", **args)
+        assert str(exc.value) == "rule bad: " + message
 
 
 class TestApply:
@@ -310,83 +338,82 @@ class TestApply:
         a = g.add_node("green", tangle.SET)
         g.add_edge(c, "x", a)
         g.active = c
-        rule = Rule(
-            "edit",
-            Pattern([("C", "red"), ("A", "green")], [("C", "x", "A")], "C"),
-            Rewrite(recolor=[("C", "blue")],
-                    add_edges=[("A", "y", "C"), ("A", "z", "W")],
-                    del_edges=[("C", "x", "A")],
-                    creates=[("W", "green", tangle.SET)]))
+        rule = Rule("edit", [("C", "red"), ("A", "green")], [("C", "x", "A")],
+                    recolor=[("C", "blue")],
+                    add=[("A", "y", "C"), ("A", "z", "W")],
+                    delete=[("C", "x", "A")],
+                    creates=[("W", "green", tangle.SET)])
         return g, rule
 
-    def _only_match(self, g, rule):
-        rules = RuleSet(COLORS, LABELS, [rule], 3)
-        (pair,) = match_all(g, rules)
-        return make_match(rules, pair)
+    def _only_binding(self, g, rule):
+        (pair,) = match_all(g, RuleSet(COLORS, LABELS, [rule], 3))
+        return pair[1]
 
     def test_rewrite_effects(self):
         g, rule = self._simple()
-        m = self._only_match(g, rule)
-        created = apply(g, m)
+        c, a = binding = self._only_binding(g, rule)
+        created = apply(g, rule, binding)
         assert len(created) == 1
         (w,) = created
         assert g.color_of(w) == "green"
         assert g.color_of(g.active) == "blue"
-        assert not g.has_edge(m.binding["C"], "x", m.binding["A"])
-        assert g.has_edge(m.binding["A"], "y", m.binding["C"])
-        assert g.has_edge(m.binding["A"], "z", w)
+        assert not g.has_edge(c, "x", a)
+        assert g.has_edge(a, "y", c)
+        assert g.has_edge(a, "z", w)
 
     def test_stale_match_raises(self):
         g, rule = self._simple()
-        m = self._only_match(g, rule)
-        g.set_color(m.binding["A"], "blue")
+        c, a = binding = self._only_binding(g, rule)
+        g.set_color(a, "blue")
         with pytest.raises(RuleError):
-            apply(g, m)
-        g.set_color(m.binding["A"], "green")
-        g.remove_edge(m.binding["C"], "x", m.binding["A"])
+            apply(g, rule, binding)
+        g.set_color(a, "green")
+        g.remove_edge(c, "x", a)
         with pytest.raises(RuleError):
-            apply(g, m)
+            apply(g, rule, binding)
+
+    def test_binding_of_another_size_raises(self):
+        g, rule = self._simple()
+        with pytest.raises(RuleError):
+            apply(g, rule, (g.active,))
 
 
 class TestValidate:
     def _ok_rule(self, name="ok"):
-        return Rule(name, Pattern([("C", "red"), ("A", None)],
-                                  [("C", "x", "A")], "C"),
-                    Rewrite(recolor=[("C", "green")]))
+        return Rule(name, [("C", "red"), ("A", None)], [("C", "x", "A")],
+                    recolor=[("C", "green")])
 
     def test_clean(self):
         rs = RuleSet(COLORS, LABELS, [self._ok_rule()], 3)
         assert validate_ruleset(rs) == []
 
     def test_violations(self):
-        bad_color = Rule("bc", Pattern([("C", "purple")], [], "C"), Rewrite())
-        bad_label = Rule("bl", Pattern([("C", None), ("A", None)],
-                                       [("C", "w", "A")], "C"), Rewrite())
-        too_far = Rule("tf", Pattern(
+        bad_color = Rule("bc", [("C", "purple")], [])
+        bad_label = Rule("bl", [("C", None), ("A", None)], [("C", "w", "A")])
+        too_far = Rule(
+            "tf",
             [("A", None), ("B", None), ("C", None), ("D", None), ("E", None)],
             [("A", "x", "B"), ("B", "x", "C"), ("C", "x", "D"),
-             ("D", "x", "E")], "A"), Rewrite())
-        loop = Rule("lp", Pattern([("C", None), ("A", None)],
-                                  [("C", "x", "A"), ("A", "y", "C")], "C"),
-                    Rewrite())
-        neg = Rule("ng", Pattern([("C", None), ("A", None)],
-                                 [("C", "x", "A")], "C"), Rewrite(),
-                   neg_edges=[("C", "y", "A")])
-        bad_recolor = Rule("br", Pattern([("C", None)], [], "C"),
-                           Rewrite(recolor=[("Z", "red")]))
+             ("D", "x", "E")], "A")
+        loop = Rule("lp", [("C", None), ("A", None)],
+                    [("C", "x", "A"), ("A", "y", "C")])
+        neg = Rule("ng", [("C", None), ("A", None)], [("C", "x", "A")],
+                   negs=[("C", "y", "A")])
         dup1 = self._ok_rule("dup")
         dup2 = self._ok_rule("dup")
         rs = RuleSet(COLORS, LABELS,
-                     [bad_color, bad_label, too_far, loop, neg,
-                      bad_recolor, dup1, dup2], 3)
+                     [bad_color, bad_label, too_far, loop, neg, dup1, dup2],
+                     3)
         v = validate_ruleset(rs, negative_edges=False)
         assert any("not in palette" in s for s in v)
         assert any("not in alphabet" in s for s in v)
         assert any("radius" in s for s in v)
         assert any("loop" in s for s in v)
         assert any("negative edges" in s for s in v)
-        assert any("unknown cell" in s for s in v)
         assert any("duplicate rule name" in s for s in v)
+        # a name fault is caught when the rule is built
+        with pytest.raises(RuleError, match="unknown cell"):
+            Rule("br", [("C", None)], [], recolor=[("Z", "red")])
         # the same set is clean once the extension flag admits negatives
         ok = RuleSet(COLORS, LABELS, [neg], 3)
         assert validate_ruleset(ok, negative_edges=True) == []
@@ -395,25 +422,20 @@ class TestValidate:
     def test_violation_list_is_exact(self):
         # recorded before the radius and loop checks shared one walk
         rules = [
-            Rule("disc", Pattern([("C", None), ("A", None), ("B", None)],
-                                 [("C", "x", "A")], "C"), Rewrite()),
-            Rule("far", Pattern(
-                [("A", None), ("B", None), ("C", None), ("D", None),
-                 ("E", None)],
-                [("A", "x", "B"), ("C", "x", "B"), ("C", "x", "D"),
-                 ("E", "x", "D")], "A"), Rewrite()),
-            Rule("loop", Pattern([("C", None), ("A", None), ("B", None)],
-                                 [("C", "x", "A"), ("A", "y", "B"),
-                                  ("B", "z", "A")], "C"), Rewrite()),
-            Rule("self", Pattern([("C", None)], [("C", "x", "C")], "C"),
-                 Rewrite()),
-            Rule("discloop", Pattern([("C", None), ("A", None)],
-                                     [("A", "x", "A")], "C"), Rewrite()),
-            Rule("paint", Pattern([("C", "purple"), ("A", "red")],
-                                  [("C", "w", "A")], "C"),
-                 Rewrite(recolor=[("A", "mauve")],
-                         add_edges=[("C", "v", "A")],
-                         creates=[("N", "teal", "set")])),
+            Rule("disc", [("C", None), ("A", None), ("B", None)],
+                 [("C", "x", "A")]),
+            Rule("far",
+                 [("A", None), ("B", None), ("C", None), ("D", None),
+                  ("E", None)],
+                 [("A", "x", "B"), ("C", "x", "B"), ("C", "x", "D"),
+                  ("E", "x", "D")], "A"),
+            Rule("loop", [("C", None), ("A", None), ("B", None)],
+                 [("C", "x", "A"), ("A", "y", "B"), ("B", "z", "A")]),
+            Rule("self", [("C", None)], [("C", "x", "C")]),
+            Rule("discloop", [("C", None), ("A", None)], [("A", "x", "A")]),
+            Rule("paint", [("C", "purple"), ("A", "red")], [("C", "w", "A")],
+                 recolor=[("A", "mauve")], add=[("C", "v", "A")],
+                 creates=[("N", "teal", "set")]),
         ]
         assert validate_ruleset(RuleSet(COLORS, LABELS, rules, 3)) == [
             "rule disc: pattern is disconnected",
@@ -441,8 +463,7 @@ class TestValidate:
         acyclic = [("C", "x", "A"), ("A", "x", "B"), ("C", "x", "B"),
                    ("B", "x", "D")]
         split = [("C", "x", "A"), ("B", "x", "D")]
-        rules = [Rule("%s@%s" % (name, focus), Pattern(cells, edges, focus),
-                      Rewrite())
+        rules = [Rule("%s@%s" % (name, focus), cells, edges, focus)
                  for focus in ("C", "A", "D")
                  for name, edges in [("chain", chain),
                                      ("relabelled", relabelled),
@@ -450,11 +471,10 @@ class TestValidate:
                                      ("cyclic", cyclic),
                                      ("acyclic", acyclic), ("split", split)]]
         # and the same edges with one more, unconnected, cell
-        rules.append(Rule("chain+E", Pattern(cells + [("E", None)], chain,
-                                             "C"), Rewrite()))
+        rules.append(Rule("chain+E", cells + [("E", None)], chain, "C"))
         expected = []
         for rule in rules:
-            r, loop = rule.pattern.shape()
+            r, loop = rule.shape()
             if r is None:
                 expected.append("rule %s: pattern is disconnected"
                                 % rule.name)
@@ -474,42 +494,36 @@ class TestValidate:
         assert found[-1] == "rule chain+E: pattern is disconnected"
 
     def test_unknown_edge_endpoint_is_reported(self):
-        r = Rule("ghost", Pattern([("C", None)], [("C", "x", "Z")], "C"),
-                 Rewrite())
-        assert validate_ruleset(RuleSet(COLORS, LABELS, [r], 3)) == [
-            "rule ghost: edge endpoint not a cell"]
+        with pytest.raises(RuleError) as exc:
+            Rule("ghost", [("C", None)], [("C", "x", "Z")])
+        assert str(exc.value) == "rule ghost: edge endpoint not a cell"
 
 
 class TestSerialization:
-    def _ruleset(self):
-        r1 = Rule("edit:one",
-                  Pattern([("C", "red"), ("A", None)], [("C", "x", "A")],
-                          "C"),
-                  Rewrite(recolor=[("C", "blue")],
-                          add_edges=[("A", "y", "C")],
-                          del_edges=[("C", "x", "A")],
-                          creates=[("W", "green", tangle.SET)]))
-        r2 = Rule("edit:two", Pattern([("C", None)], [], "C"), Rewrite(),
-                  neg_edges=[("C", "z", "C")])
-        return RuleSet(COLORS, LABELS, [r1, r2], 3)
-
-    def test_roundtrip_is_identity_on_text(self):
-        rs = self._ruleset()
-        text = serialize_ruleset(rs)
-        again = serialize_ruleset(parse_ruleset(text))
-        assert text == again
-
-    def test_roundtrip_preserves_structure(self):
-        rs = parse_ruleset(serialize_ruleset(self._ruleset()))
-        assert [r.name for r in rs.rules] == ["edit:one", "edit:two"]
-        r1 = rs.rules[0]
-        assert r1.pattern.cells == [("C", "red"), ("A", None)]
-        assert r1.rewrite.creates == [("W", "green", tangle.SET)]
-        assert rs.rules[1].neg_edges == [("C", "z", "C")]
-        assert rs.radius == 3
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(RuleError):
-            parse_ruleset("not a ruleset\n")
-        with pytest.raises(RuleError):
-            parse_ruleset("")
+    def test_cells_print_by_name(self):
+        r1 = Rule("edit:one", [("C", "red"), ("A", None)], [("C", "x", "A")],
+                  recolor=[("C", "blue")], add=[("A", "y", "W")],
+                  delete=[("C", "x", "A")],
+                  creates=[("W", "green", tangle.SET)])
+        r2 = Rule("edit:two", [("A", None), ("C", None)], [("C", "z", "A")],
+                  "C", negs=[("A", "z", "C")])
+        assert serialize_ruleset(RuleSet(COLORS, LABELS, [r1, r2], 3)) == (
+            "ruleset\n"
+            "palette blue green red\n"
+            "labels x y z\n"
+            "radius 3\n"
+            "rule edit:one\n"
+            "  cell C red focus\n"
+            "  cell A *\n"
+            "  edge C x A\n"
+            "  create W green set\n"
+            "  del C x A\n"
+            "  add A y W\n"
+            "  recolor C blue\n"
+            "end\n"
+            "rule edit:two\n"
+            "  cell A *\n"
+            "  cell C * focus\n"
+            "  edge C z A\n"
+            "  neg A z C\n"
+            "end\n")
