@@ -125,8 +125,9 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     each tick, before that tick's invariant check; it is how a caller
     records a trace or takes snapshots.
 
-    With check_invariants on, InvariantViolation is raised at the first
-    tick that leaves the tangle malformed, carrying the run's stats:
+    With check_invariants on, `universe` must be the one the initial
+    graph's values were built in, and InvariantViolation is raised at the
+    first tick that leaves the tangle malformed, carrying the run's stats:
 
     - before the first tick, tangle.check_invariants runs on the initial
       graph (a violation there reports the configuration's starting tick);
@@ -144,6 +145,8 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     """
     if max_ticks <= 0:
         raise ValueError("max_ticks must be positive")
+    if check_invariants and universe is None:
+        raise ValueError("check_invariants needs the run's universe")
     stats = StepStats()
     if check_invariants:
         violations = tg.check_invariants(cfg.tangle, universe)

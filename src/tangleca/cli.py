@@ -291,11 +291,9 @@ def build_parser():
     sp = sub.add_parser("simulate", help="compile and run the automaton")
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--deterministic", action="store_true",
-                       help="smallest-match tie-breaking (default)")
-    group.add_argument("--random", action="store_true",
-                       help="seeded-random tie-breaking")
+    sp.add_argument("--random", action="store_true",
+                    help="seeded-random tie-breaking (default: the first "
+                         "maximal match in canonical order)")
     sp.add_argument("--max-ticks", type=_positive_int,
                     default=automaton.DEFAULT_MAX_TICKS)
     sp.add_argument("--trace", metavar="FILE",

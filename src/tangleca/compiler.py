@@ -16,7 +16,14 @@ cycle of focus-node colors acting as a program counter:
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers only, so parallel assignments all read the
   pre-transition state.
-* k{i} (cleanup): drop register and bit edges, then loop to s0.
+* k{i} (cleanup): drop register and bit edges, then loop to s0;
+  f{i} (wind-down) drops them the same way before halting in "done".
+
+Lowering turns the program body into stage lists; a stage is
+(phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
+*args) emits its rules.  _emit_stages is the one place that gives each
+stage its colour (chain prefix plus index), links it to the next, and
+wraps a stage whose path condition is not trivially true in a guard.
 
 Value nodes are never deleted and committed values are never
 duplicated: every constructor first scans for an existing node
@@ -148,8 +155,9 @@ class Formula:
         return out
 
     def is_true(self):
-        m = self.minimize()
-        return not m.support and bool(m.rows)
+        """True for the constant; exact on minimal formulas, which every
+        constructor and connective returns."""
+        return not self.support and bool(self.rows)
 
     def is_false(self):
         return not self.rows
@@ -353,6 +361,29 @@ def _pad(cells, edges):
 # register labels; every cell list names the focus "C" carrying the
 # entry color of the tick the rule fires in.
 
+def compile_copy(ctx, entry, nxt, name, dst):
+    """Read a critical term into a register.  One tick."""
+    ctx.emit("eval:%s:copy" % entry,
+             [("C", entry), ("X", None)], [("C", name, "X")],
+             add=[("C", dst, "X")], recolor=[("C", nxt)])
+
+
+def compile_atom(ctx, entry, nxt, name, dst):
+    """Read a declared atom into a register.  One tick."""
+    ctx.emit("eval:%s:atom" % entry,
+             [("C", entry), ("X", None)],
+             [("C", tangle.atom_edge(name), "X")],
+             add=[("C", dst, "X")], recolor=[("C", nxt)])
+
+
+def compile_empty(ctx, entry, nxt, dst):
+    """Read the empty set into a register.  One tick."""
+    ctx.emit("eval:%s:empty" % entry,
+             [("C", entry), ("E", tangle.EMPTY)],
+             [("C", tangle.EMPTY_EDGE, "E")],
+             add=[("C", dst, "E")], recolor=[("C", nxt)])
+
+
 def compile_conditional(ctx, entry, nxt, kind, left, right, bit):
     """Bit test: point `bit` at the true/false marker.  One tick.
 
@@ -399,7 +430,7 @@ def _row_pattern(entry, row):
     return cells, edges
 
 
-def compile_lock_wrapping(ctx, entry, run, skip, formula, phase="eval"):
+def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
     """Guard stage: one rule per complete truth-table row, jumping to
     `run` on satisfying rows and `skip` on falsifying ones.  Rows are
     mutually exclusive, so exactly one rule fires."""
@@ -407,6 +438,30 @@ def compile_lock_wrapping(ctx, entry, run, skip, formula, phase="eval"):
         cells, edges = _row_pattern(entry, row)
         ctx.emit("%s:%s:%s%d" % (phase, entry, "sat" if sat else "skip", i),
                  cells, edges, recolor=[("C", run if sat else skip)])
+
+
+def compile_decide(ctx, entry, nxt, formula, commit):
+    """Decide stage: jump to `commit` on a row satisfying its path
+    condition; the pass rule, a strict subset of every row rule, hands
+    over to `nxt` when none does."""
+    for i, (row, sat) in enumerate(formula.assignments()):
+        if sat:
+            cells, edges = _row_pattern(entry, row)
+            ctx.emit("decide:%s:fire%d" % (entry, i), cells, edges,
+                     recolor=[("C", commit)])
+    ctx.emit("decide:%s:pass" % entry, [("C", entry)], [],
+             recolor=[("C", nxt)])
+
+
+def compile_cleanup(ctx, entry, nxt, label):
+    """Drop a register or bit edge if it is set.  One tick.  A bit may
+    point at the false marker, which is also the pad."""
+    cells, edges = _pad([("C", entry), ("X", None)], [("C", label, "X")])
+    ctx.emit("cleanup:%s:drop" % entry, cells, edges,
+             delete=[("C", label, "X")], recolor=[("C", nxt)],
+             aliases=[("X", "F")] if label.startswith("$b") else ())
+    ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
+             recolor=[("C", nxt)])
 
 
 def compile_choice(ctx, entry, nxt, source, dst):
@@ -881,86 +936,51 @@ def _emit_union_restore(ctx, entry, stage, after, label):
 
 # -- program lowering ------------------------------------------------------
 
-class _Step:
-    """One eval-phase operation producing a register or a bit."""
-
-    __slots__ = ("kind", "dst", "args", "context")
-
-    def __init__(self, kind, dst, args, context):
-        self.kind = kind
-        self.dst = dst
-        self.args = args
-        self.context = context
-
-
-class _Commit:
-    __slots__ = ("context", "kind", "target", "argregs", "src")
-
-    def __init__(self, context, kind, target, argregs, src):
-        self.context = context
-        self.kind = kind
-        self.target = target
-        self.argregs = argregs
-        self.src = src
+_TRUE = Formula.true()
 
 
 class _Lowerer:
-    def __init__(self, program):
-        self.program = program
-        self.atoms = set(program.atoms)
-        self.criticals = set(program.criticals)
+    """Lowers a program body to two stage lists: `steps` (eval) and
+    `commits`.  A stage is (phase, path condition, emitter, args), and
+    emitter(ctx, entry, nxt, *args) emits its rules."""
+
+    def __init__(self, criticals):
+        self.criticals = set(criticals)
         self.steps = []
         self.commits = []
         self.nreg = 0
         self.nbit = 0
 
-    def reg(self):
-        r = "$r%d" % self.nreg
+    def value(self, ctx, phase, emitter, *args):
+        """Append an eval stage writing a fresh register; return it."""
+        dst = "$r%d" % self.nreg
         self.nreg += 1
-        return r
-
-    def bit(self):
-        b = self.nbit
-        self.nbit += 1
-        return b
+        self.steps.append((phase, ctx, emitter, args + (dst,)))
+        return dst
 
     def term(self, t, env, ctx):
         """Lower a term to the register holding its value."""
         if isinstance(t, ast.Name):
             if t.id in env:
                 return env[t.id]
-            dst = self.reg()
-            if t.id in self.criticals:
-                self.steps.append(_Step("copy", dst, (t.id,), ctx))
-            else:
-                self.steps.append(_Step("atom", dst, (t.id,), ctx))
-            return dst
+            emitter = compile_copy if t.id in self.criticals else compile_atom
+            return self.value(ctx, "eval", emitter, t.id)
         if isinstance(t, ast.EmptySet):
-            dst = self.reg()
-            self.steps.append(_Step("empty", dst, (), ctx))
-            return dst
+            return self.value(ctx, "eval", compile_empty)
         if isinstance(t, ast.Singleton):
-            item = self.term(t.item, env, ctx)
-            dst = self.reg()
-            self.steps.append(_Step("singleton", dst, (item,), ctx))
-            return dst
+            return self.value(ctx, "singleton", compile_singleton,
+                              self.term(t.item, env, ctx))
         if isinstance(t, ast.UnionTerm):
-            left = self.term(t.left, env, ctx)
-            right = self.term(t.right, env, ctx)
-            dst = self.reg()
-            self.steps.append(_Step("union", dst, (left, right), ctx))
-            return dst
+            return self.value(ctx, "union-check", compile_union,
+                              self.term(t.left, env, ctx),
+                              self.term(t.right, env, ctx))
         if isinstance(t, ast.PairTerm):
-            first = self.term(t.first, env, ctx)
-            second = self.term(t.second, env, ctx)
-            dst = self.reg()
-            self.steps.append(_Step("pair", dst, (first, second), ctx))
-            return dst
+            return self.value(ctx, "pairing", compile_pairing,
+                              self.term(t.first, env, ctx),
+                              self.term(t.second, env, ctx))
         if isinstance(t, ast.Apply):
-            args = tuple(self.term(a, env, ctx) for a in t.args)
-            dst = self.reg()
-            self.steps.append(_Step("apply", dst, (t.func,) + args, ctx))
-            return dst
+            return self.value(ctx, "eval", compile_apply_read, t.func,
+                              tuple(self.term(a, env, ctx) for a in t.args))
         raise CompileError("cannot lower term %r" % (t,))
 
     def cond(self, c, env, ctx):
@@ -970,10 +990,11 @@ class _Lowerer:
         if isinstance(c, (ast.Member, ast.Eq, ast.Ne)):
             left = self.term(c.left, env, ctx)
             right = self.term(c.right, env, ctx)
-            bit = self.bit()
+            bit = self.nbit
+            self.nbit += 1
             kind = "member" if isinstance(c, ast.Member) else "eq"
-            self.steps.append(_Step("bit-" + kind, bit, (left, right),
-                                    Formula.true()))
+            self.steps.append(("conditional", _TRUE, compile_conditional,
+                               (kind, left, right, "$b%d" % bit)))
             f = Formula.of_bit(bit)
             return f.negate() if isinstance(c, ast.Ne) else f
         if isinstance(c, ast.And):
@@ -990,13 +1011,13 @@ class _Lowerer:
         if isinstance(s, ast.Assign):
             if isinstance(s.lhs, ast.Name):
                 src = self.term(s.rhs, env, ctx)
-                self.commits.append(_Commit(ctx, "term", s.lhs.id, (), src))
+                self.commits.append(("commit", ctx, compile_term_commit,
+                                     (s.lhs.id, src)))
             else:
-                argregs = tuple(self.term(a, env, ctx)
-                                for a in s.lhs.args)
+                argregs = tuple(self.term(a, env, ctx) for a in s.lhs.args)
                 src = self.term(s.rhs, env, ctx)
-                self.commits.append(_Commit(ctx, "loc", s.lhs.func,
-                                            argregs, src))
+                self.commits.append(("commit", ctx, compile_apply_write,
+                                     (s.lhs.func, argregs, src)))
         elif isinstance(s, ast.If):
             f = self.cond(s.cond, env, ctx)
             self.stmt(s.then, env, ctx.conj(f))
@@ -1005,9 +1026,7 @@ class _Lowerer:
         elif isinstance(s, ast.Let):
             src = self.term(s.source, env, ctx)
             if s.choice:
-                dst = self.reg()
-                self.steps.append(_Step("choose", dst, (src,), ctx))
-                src = dst
+                src = self.value(ctx, "choice", compile_choice, src)
             self.stmt(s.body, env | {s.var: src}, ctx)
         elif isinstance(s, ast.Par):
             for item in s.items:
@@ -1016,10 +1035,22 @@ class _Lowerer:
             raise CompileError("cannot lower statement %r" % (s,))
 
 
-_STEP_PHASE = {"copy": "eval", "atom": "eval", "empty": "eval",
-               "apply": "eval", "singleton": "singleton", "union": "union-check",
-               "pair": "pairing", "choose": "choice",
-               "bit-member": "conditional", "bit-eq": "conditional"}
+def _emit_stages(ctx, prefix, stages, after):
+    """Emit a chain of stages, the one place colours and guards are set.
+
+    Stage i enters at colour prefix+i and hands over to the next stage,
+    the last one to `after`.  A stage whose path condition is not
+    trivially true runs behind a guard stage (compile_lock_wrapping)
+    that skips to the next stage when the condition fails.
+    """
+    for i, (phase, condition, emitter, args) in enumerate(stages):
+        entry = "%s%d" % (prefix, i)
+        nxt = "%s%d" % (prefix, i + 1) if i + 1 < len(stages) else after
+        run = entry
+        if not condition.is_true():
+            run = entry + ".r"
+            compile_lock_wrapping(ctx, entry, run, nxt, condition, phase)
+        emitter(ctx, run, nxt, *args)
 
 
 class CompilationUnit:
@@ -1070,24 +1101,21 @@ def compile_program(program, negative_edges=False):
     violations = ast.validate(program)
     if violations:
         raise CompileError("; ".join(violations))
-    lo = _Lowerer(program)
-    lo.stmt(program.body, {}, Formula.true())
+    lo = _Lowerer(program.criticals)
+    lo.stmt(program.body, {}, _TRUE)
     if not lo.commits:
         raise CompileError("program has no assignment")
+    registers = ["$r%d" % i for i in range(lo.nreg)]
+    bits = ["$b%d" % i for i in range(lo.nbit)]
+    first = "s0" if lo.steps else "d0"
+    # cleanup strips register and bit edges, then starts the next round;
+    # the wind-down twin strips them before halting instead
+    decide = [("decide", _TRUE, compile_decide, (condition, "m%d" % i))
+              for i, (_p, condition, _e, _a) in enumerate(lo.commits)]
+    cleanup = [("cleanup", _TRUE, compile_cleanup, (label,))
+               for label in registers + bits]
 
     ctx = EmitContext(negative_edges)
-    steps = lo.steps
-    commits = lo.commits
-    step_colors = ["s%d" % i for i in range(len(steps))]
-    decide_colors = ["d%d" % i for i in range(len(commits))]
-    commit_colors = ["m%d" % i for i in range(len(commits))]
-    clean_targets = (["$r%d" % i for i in range(lo.nreg)]
-                     + ["$b%d" % i for i in range(lo.nbit)])
-    clean_colors = ["k%d" % i for i in range(len(clean_targets))]
-    wind_colors = ["f%d" % i for i in range(len(clean_targets))]
-    halt = wind_colors[0] if clean_targets else DONE
-    first = step_colors[0] if steps else decide_colors[0]
-
     # boot: create the shared true/false markers, then start evaluating
     ctx.emit("boot:start",
              [("C", BOOT)], [],
@@ -1096,100 +1124,13 @@ def compile_program(program, negative_edges=False):
              add=[("C", tangle.TRUE_EDGE, "T"),
                   ("C", tangle.FALSE_EDGE, "F")],
              recolor=[("C", first)])
-
-    for i, step in enumerate(steps):
-        entry = step_colors[i]
-        nxt = step_colors[i + 1] if i + 1 < len(steps) else decide_colors[0]
-        phase = _STEP_PHASE[step.kind]
-        context = step.context.minimize()
-        if context.is_true():
-            run = entry
-        else:
-            run = entry + ".r"
-            compile_lock_wrapping(ctx, entry, run, nxt, context, phase)
-        if step.kind == "copy":
-            ctx.emit("eval:%s:copy" % run,
-                     [("C", run), ("X", None)],
-                     [("C", step.args[0], "X")],
-                     add=[("C", step.dst, "X")], recolor=[("C", nxt)])
-        elif step.kind == "atom":
-            ctx.emit("eval:%s:atom" % run,
-                     [("C", run), ("X", None)],
-                     [("C", tangle.atom_edge(step.args[0]), "X")],
-                     add=[("C", step.dst, "X")], recolor=[("C", nxt)])
-        elif step.kind == "empty":
-            ctx.emit("eval:%s:empty" % run,
-                     [("C", run), ("E", tangle.EMPTY)],
-                     [("C", tangle.EMPTY_EDGE, "E")],
-                     add=[("C", step.dst, "E")], recolor=[("C", nxt)])
-        elif step.kind == "apply":
-            compile_apply_read(ctx, run, nxt, step.args[0],
-                               list(step.args[1:]), step.dst)
-        elif step.kind == "singleton":
-            compile_singleton(ctx, run, nxt, step.args[0], step.dst)
-        elif step.kind == "union":
-            compile_union(ctx, run, nxt, step.args[0], step.args[1],
-                          step.dst)
-        elif step.kind == "pair":
-            compile_pairing(ctx, run, nxt, step.args[0], step.args[1],
-                            step.dst)
-        elif step.kind == "choose":
-            compile_choice(ctx, run, nxt, step.args[0], step.dst)
-        elif step.kind in ("bit-member", "bit-eq"):
-            compile_conditional(ctx, run, nxt, step.kind[4:],
-                                step.args[0], step.args[1],
-                                "$b%d" % step.dst)
-        else:
-            raise CompileError("unknown step kind %r" % step.kind)
-
-    # decide: jump to the first enabled commit, or wind down and halt
-    for i, commit in enumerate(commits):
-        entry = decide_colors[i]
-        give_up = decide_colors[i + 1] if i + 1 < len(commits) else halt
-        for j, (row, sat) in enumerate(
-                commit.context.minimize().assignments()):
-            if not sat:
-                continue
-            cells, edges = _row_pattern(entry, row)
-            ctx.emit("decide:%s:fire%d" % (entry, j), cells, edges,
-                     recolor=[("C", commit_colors[i])])
-        ctx.emit("decide:%s:pass" % entry, [("C", entry)], [],
-                 recolor=[("C", give_up)])
-
-    # commit chain: every enabled assignment applies, in program order
-    for i, commit in enumerate(commits):
-        entry = commit_colors[i]
-        nxt = (commit_colors[i + 1] if i + 1 < len(commits)
-               else (clean_colors[0] if clean_colors else first))
-        context = commit.context.minimize()
-        if context.is_true():
-            run = entry
-        else:
-            run = entry + ".r"
-            compile_lock_wrapping(ctx, entry, run, nxt, context, "commit")
-        if commit.kind == "term":
-            compile_term_commit(ctx, run, nxt, commit.target, commit.src)
-        else:
-            compile_apply_write(ctx, run, nxt, commit.target,
-                                list(commit.argregs), commit.src)
-
-    # cleanup: strip register and bit edges, then start the next round;
-    # the wind-down twin strips them before halting instead
-    def emit_clean_chain(colors, after):
-        for j, label in enumerate(clean_targets):
-            entry = colors[j]
-            nxt = colors[j + 1] if j + 1 < len(clean_targets) else after
-            is_bit = label.startswith("$b")
-            cells, edges = _pad([("C", entry), ("X", None)],
-                                [("C", label, "X")])
-            ctx.emit("cleanup:%s:drop" % entry, cells, edges,
-                     delete=[("C", label, "X")], recolor=[("C", nxt)],
-                     aliases=[("X", "F")] if is_bit else ())
-            ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
-                     recolor=[("C", nxt)])
-
-    emit_clean_chain(clean_colors, first)
-    emit_clean_chain(wind_colors, DONE)
+    _emit_stages(ctx, "s", lo.steps, "d0")
+    # decide: jump to the first enabled commit, or wind down and halt;
+    # the commit chain then applies every enabled assignment in order
+    _emit_stages(ctx, "d", decide, "f0" if cleanup else DONE)
+    _emit_stages(ctx, "m", lo.commits, "k0" if cleanup else first)
+    _emit_stages(ctx, "k", cleanup, first)
+    _emit_stages(ctx, "f", cleanup, DONE)
 
     for name in program.atoms:
         ctx.labels.add(tangle.atom_edge(name))
@@ -1206,7 +1147,4 @@ def compile_program(program, negative_edges=False):
         raise CompileError("generated rule set is invalid: "
                            + "; ".join(problems[:5]))
     idle = frozenset((BOOT, first, DONE, CHOICE_ERROR))
-    return CompilationUnit(program, ruleset,
-                           ["$r%d" % i for i in range(lo.nreg)],
-                           ["$b%d" % i for i in range(lo.nbit)],
-                           first, idle)
+    return CompilationUnit(program, ruleset, registers, bits, first, idle)

@@ -8,7 +8,6 @@ made; later requests for the same set find it by its member uids.
 """
 from __future__ import annotations
 
-import random
 import re
 
 
@@ -164,21 +163,6 @@ class Universe:
             (PAIR, v.uid, w.uid),
             lambda uid: HFValue(PAIR, uid, first=v, second=w, depth=depth,
                                 sort_key=(2, v.sort_key, w.sort_key)))
-
-    def choose(self, s: HFValue, seed) -> HFValue:
-        """Some member of s, deterministic given the seed.
-
-        seed may be an int or a random.Random whose state advances.
-        """
-        if s.kind != SET:
-            raise HFTypeError("choose needs a set, got %s" % s.kind)
-        if not s.members:
-            raise EmptyChoiceError("choose on empty set")
-        rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        return s.members[rng.randrange(len(s.members))]
-
-    def canonical_id(self, v: HFValue) -> int:
-        return v.uid
 
     def parse(self, text: str) -> HFValue:
         """Parse `a`, `{v,w}`, `{}`, `<v,w>`.  Inverse of format_value."""

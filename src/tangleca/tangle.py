@@ -11,7 +11,6 @@ Criticals edges and tuple edges run outward.
 """
 from __future__ import annotations
 
-from .hfset import Universe, HFValue
 from .pattern import has_directed_cycle
 
 # structural edge labels
@@ -190,7 +189,7 @@ def is_internal_label(label):
     return label.startswith("$") or label.startswith("#")
 
 
-def encode(terms, locations=None, universe=None, criticals_color=PLAIN,
+def encode(terms, universe, locations=None, criticals_color=PLAIN,
            atoms=()):
     """Build a tangle for a critical-term mapping (plus function locations).
 
@@ -199,9 +198,9 @@ def encode(terms, locations=None, universe=None, criticals_color=PLAIN,
     guaranteed handle on the empty set.  Atom names passed via `atoms`
     are likewise pre-created and held by #atom_<name> edges: created
     nodes carry no atom identity, so every atom a rule set mentions must
-    exist up front.
+    exist up front.  `universe` is the one the values were built in:
+    nodes are shared by value uid, which only that universe defines.
     """
-    u = universe if universe is not None else Universe()
     g = Tangle()
     c = g.add_node(criticals_color, CRITICALS)
     g.active = c
@@ -227,9 +226,9 @@ def encode(terms, locations=None, universe=None, criticals_color=PLAIN,
         nodemap[v.uid] = nid
         return nid
 
-    g.add_edge(c, EMPTY_EDGE, value_node(u.empty()))
+    g.add_edge(c, EMPTY_EDGE, value_node(universe.empty()))
     for name in sorted(atoms):
-        g.add_edge(c, atom_edge(name), value_node(u.atom(name)))
+        g.add_edge(c, atom_edge(name), value_node(universe.atom(name)))
     for name in sorted(terms):
         g.add_edge(c, name, value_node(terms[name]))
     if locations:
@@ -307,14 +306,13 @@ def _node_values(g, universe, strict=True, roots=None):
     return values
 
 
-def decode(g, universe=None):
+def decode(g, universe):
     """Critical-term mapping back out of a tangle.
 
     Skips internal ($/#) edges and function-location tuples; raises
     TangleError on malformed structure (dangling critical edge,
     containment cycle, duplicate committed values).
     """
-    u = universe if universe is not None else Universe()
     c = g.criticals()
     terms = {}
     for label in sorted(g.out[c]):
@@ -329,12 +327,12 @@ def decode(g, universe=None):
             if label in terms:
                 raise TangleError("critical term %s has multiple edges" % label)
             terms[label] = dst
-    values = _node_values(g, u, roots=terms.values())
+    values = _node_values(g, universe, roots=terms.values())
     result = {label: values[nid] for label, nid in terms.items()}
 
     # duplicate committed values anywhere in the graph are malformed
     seen = {}
-    for nid, v in _node_values(g, u, strict=False).items():
+    for nid, v in _node_values(g, universe, strict=False).items():
         prev = seen.get(v.uid)
         if prev is not None:
             raise TangleError(
@@ -344,11 +342,10 @@ def decode(g, universe=None):
     return result
 
 
-def decode_locations(g, universe=None):
+def decode_locations(g, universe):
     """Function-location mapping (f, args) -> value out of a tangle."""
-    u = universe if universe is not None else Universe()
     c = g.criticals()
-    values = _node_values(g, u, strict=True)
+    values = _node_values(g, universe, strict=True)
 
     def value_at(nid, what):
         if nid not in values:
@@ -385,7 +382,7 @@ def decode_locations(g, universe=None):
     return result
 
 
-def check_invariants(g, universe=None):
+def check_invariants(g, universe):
     """List of structural violations; empty iff the tangle is well formed.
 
     Checks: exactly one Criticals node, active is Criticals, containment
@@ -395,7 +392,6 @@ def check_invariants(g, universe=None):
     that ends at an idle color, and between those checks only what a
     tick can break.
     """
-    u = universe if universe is not None else Universe()
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
     if len(crit) != 1:
@@ -421,7 +417,7 @@ def check_invariants(g, universe=None):
 
     if "containment cycle" not in violations:
         seen = {}
-        for nid, v in _node_values(g, u, strict=False).items():
+        for nid, v in _node_values(g, universe, strict=False).items():
             if v.uid in seen:
                 violations.append(
                     "duplicate committed value at nodes %d and %d"

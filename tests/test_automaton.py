@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangleca import automaton, hfset, pattern, tangle
+from tangleca import automaton, bench, hfset, pattern, tangle
 from tangleca.automaton import (BUDGET, DETERMINISTIC, QUIESCENT, RANDOM,
                                 Configuration, InvariantViolation, StepStats,
                                 run, select_match, step)
@@ -204,7 +204,8 @@ class TestInvariantChecking:
             Rule("bad", [("C", "red")], [], recolor=[("C", "blue")],
                  creates=[("D", "plain", tangle.CRITICALS)])], 3)
         with pytest.raises(InvariantViolation) as exc:
-            run(Configuration(g), rules, check_invariants=True)
+            run(Configuration(g), rules, check_invariants=True,
+                universe=hfset.Universe())
         assert exc.value.tick == 1
         assert any("criticals" in v for v in exc.value.violations)
 
@@ -214,7 +215,8 @@ class TestInvariantChecking:
         g.active = c
         rules = RuleSet(COLORS, LABELS, [
             Rule("ok", [("C", "red")], [], recolor=[("C", "blue")])], 3)
-        _, _, outcome = run(Configuration(g), rules, check_invariants=True)
+        _, _, outcome = run(Configuration(g), rules, check_invariants=True,
+                            universe=hfset.Universe())
         assert outcome == QUIESCENT
 
     def test_mid_protocol_duplicates_exempt_when_idle_colors_given(self):
@@ -230,6 +232,7 @@ class TestInvariantChecking:
         relax = RuleSet(COLORS + (tangle.EMPTY,), LABELS, [dup], 3)
         with pytest.raises(InvariantViolation):
             run(Configuration(g), relax, check_invariants=True,
+                universe=hfset.Universe(),
                 idle_colors=frozenset(("green",)))
         g2 = tangle.Tangle()
         c2 = g2.add_node("red", tangle.CRITICALS)
@@ -237,8 +240,19 @@ class TestInvariantChecking:
         e2 = g2.add_node(tangle.EMPTY, tangle.SET)
         g2.add_edge(c2, "x", e2)
         _, _, outcome = run(Configuration(g2), relax, check_invariants=True,
+                            universe=hfset.Universe(),
                             idle_colors=frozenset(("never",)))
         assert outcome == QUIESCENT
+
+    def test_checks_without_a_universe_raise_before_the_first_tick(self):
+        # the initial graph is deeper than a fresh universe allows
+        source, state_text = bench.overhead_case(20)
+        _u, _program, unit, _state, graph = compile_case(source, state_text)
+        cfg = Configuration(graph)
+        with pytest.raises(ValueError, match="universe"):
+            run(cfg, unit.ruleset, check_invariants=True,
+                idle_colors=unit.idle_colors)
+        assert cfg.tick == 0
 
 
 # Checks after a tick that ends at an idle color walk the whole graph;
@@ -280,7 +294,8 @@ class TestIncrementalChecks:
             colors=("red", "blue"))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
-                check_invariants=True, idle_colors=IDLE)
+                check_invariants=True, idle_colors=IDLE,
+                universe=hfset.Universe())
         assert exc.value.tick == 2
         assert exc.value.violations == ["containment cycle"]
 
@@ -292,7 +307,8 @@ class TestIncrementalChecks:
                  ("B", tangle.SND, "A")]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
-                check_invariants=True, idle_colors=IDLE)
+                check_invariants=True, idle_colors=IDLE,
+                universe=hfset.Universe())
         assert exc.value.tick == 1
 
     def test_self_loop_is_a_cycle(self):
@@ -300,7 +316,8 @@ class TestIncrementalChecks:
         rules = two_set_rules(dict(add=[("A", tangle.ELEM, "A")]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
-                check_invariants=True, idle_colors=IDLE)
+                check_invariants=True, idle_colors=IDLE,
+                universe=hfset.Universe())
         assert exc.value.tick == 1
 
     def test_second_criticals_mid_protocol_is_caught_at_that_tick(self):
@@ -309,7 +326,8 @@ class TestIncrementalChecks:
             creates=[("D", "plain", tangle.CRITICALS)]))
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10,
-                check_invariants=True, idle_colors=IDLE)
+                check_invariants=True, idle_colors=IDLE,
+                universe=hfset.Universe())
         assert exc.value.tick == 1
         assert exc.value.violations == ["multiple criticals"]
 
@@ -326,6 +344,7 @@ class TestIncrementalChecks:
         applied = []
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, check_invariants=True,
+                universe=hfset.Universe(),
                 idle_colors=IDLE,
                 on_tick=lambda cfg, m: applied.append(m))
         assert exc.value.tick == 0 and applied == []

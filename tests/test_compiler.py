@@ -1,6 +1,7 @@
 """Lowering ASM programs to transition rules: units, end-to-end, regressions."""
 import hashlib
 import itertools
+import pathlib
 
 import pytest
 
@@ -136,29 +137,52 @@ class TestCompileStructure:
         assert unit.classify(g).startswith("stuck:")
 
 
-class TestGoldenRuleSets:
-    """The compiled rule sets of the corpus stay byte-identical.
+FROZEN_DIR = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+              / "cases")
 
-    Pins rule names, rule order, cells, edges, rewrites and negative
-    edges, plus the register and bit lists, first color and idle set, in
-    both edge modes.  Recorded before alias-free templates stopped
-    running the quotient search.
+
+def rule_set_digest(sources):
+    """SHA-256 over the compiled rule sets of named programs, both modes.
+
+    Covers rule names, rule order, cells, edges, rewrites and negative
+    edges, plus the register and bit lists, first color and idle set.
+    """
+    digest = hashlib.sha256()
+    for name, source in sources:
+        program = asmlang.parse(source)
+        for neg in MODES:
+            unit = compile_program(program, negative_edges=neg)
+            digest.update(("%s %s\n" % (name, neg)).encode())
+            digest.update(serialize_ruleset(unit.ruleset).encode())
+            digest.update(("%r %r %r %r\n" % (
+                unit.registers, unit.bits, unit.first_color,
+                sorted(unit.idle_colors))).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenRuleSets:
+    """The compiled rule sets stay byte-identical.
+
+    The corpus digest was recorded before alias-free templates stopped
+    running the quotient search; the frozen-case digest covers the 60
+    generated `perfbench/cases/gen-*.asml` programs (read only here),
+    which use locations and choice more than the corpus does.
     """
 
     DIGEST = "f5da4d2b6fc77f81f0c13e45dcbb70c70cffe85943a73519d3d535ef41c65a1e"
+    FROZEN_DIGEST = ("559bf95d99fa8021dc662dba5e1d3f6c8f94ac3f2f871058"
+                     "afc34b93d574aec7")
 
     def test_corpus_rule_sets_unchanged(self):
-        digest = hashlib.sha256()
-        for name in corpus_names():
-            program = asmlang.parse(load_corpus_case(name)[0])
-            for neg in MODES:
-                unit = compile_program(program, negative_edges=neg)
-                digest.update(("%s %s\n" % (name, neg)).encode())
-                digest.update(serialize_ruleset(unit.ruleset).encode())
-                digest.update(("%r %r %r %r\n" % (
-                    unit.registers, unit.bits, unit.first_color,
-                    sorted(unit.idle_colors))).encode())
-        assert digest.hexdigest() == self.DIGEST
+        assert rule_set_digest(
+            (name, load_corpus_case(name)[0])
+            for name in corpus_names()) == self.DIGEST
+
+    def test_frozen_case_rule_sets_unchanged(self):
+        paths = sorted(FROZEN_DIR.glob("gen-*.asml"))
+        assert len(paths) == 60
+        assert rule_set_digest(
+            (p.stem, p.read_text()) for p in paths) == self.FROZEN_DIGEST
 
 
 @pytest.mark.parametrize("name", corpus_names())

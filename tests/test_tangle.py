@@ -2,11 +2,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangleca import hfset, tangle
+from tangleca import bench, hfset, tangle
 from tangleca.hfset import Universe
 from tangleca.tangle import (Tangle, TangleError, check_invariants, decode,
                              decode_locations, encode)
 
+from conftest import compile_case
 from test_hfset import values
 
 
@@ -276,3 +277,28 @@ class TestInvariants:
         g = encode({}, universe=u)
         g.add_node("marker", tangle.PAIR)
         assert check_invariants(g, u) == []
+
+
+class TestUniverseIsRequired:
+    """Encoding, decoding and checking run in the values' own universe;
+    there is no fallback to a fresh one."""
+
+    def test_encode_takes_the_values_universe(self):
+        # uids mean nothing outside their universe: another one's empty
+        # set can carry the uid of atom a
+        u = Universe()
+        a = u.atom("a")
+        with pytest.raises(TypeError):
+            encode({"t": a})
+        assert decode(encode({"t": a}, universe=u), u) == {"t": a}
+
+    def test_deep_initial_graph_checks_and_decodes(self):
+        # the graph is deeper than a default universe's depth limit
+        source, state_text = bench.overhead_case(20)
+        universe, _program, _unit, state, graph = compile_case(
+            source, state_text)
+        for reader in (check_invariants, decode, decode_locations):
+            with pytest.raises(TypeError):
+                reader(graph)
+        assert check_invariants(graph, universe) == []
+        assert decode(graph, universe)["lim"] is state.values["lim"]
