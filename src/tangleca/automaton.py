@@ -1,10 +1,11 @@
 """Sequential simulation loop.
 
 Per tick: gather all matches at the active cell as the kernel's
-(rule_index, binding) pairs, apply the maximality filter, pick one
-survivor (the first in canonical order in deterministic mode,
-seeded-uniform otherwise) and apply its rule at its binding tuple.  Runs
-to quiescence (no maximal match) or a tick budget.
+(rule_index, binding) pairs, pick one maximal pair and apply its rule at
+its binding tuple.  Deterministic mode takes the first maximal pair in
+canonical order, and the maximality filter stops at it; random mode
+filters the whole list and draws a survivor seeded-uniform.  Runs to
+quiescence (no match) or a tick budget.
 """
 from __future__ import annotations
 
@@ -57,10 +58,12 @@ class Match:
 
 class StepStats:
     """Tick counts per rule name; phases group them by the rule-name
-    prefix before ':'."""
+    prefix before ':'.  matches counts the pairs the kernel returned
+    over the run, kept or not."""
 
     def __init__(self):
         self.total = 0
+        self.matches = 0
         self.rules = {}
 
     def count(self, rule_name):
@@ -76,8 +79,8 @@ class StepStats:
         return phases
 
     def as_dict(self):
-        return {"total": self.total, "phases": self.phases,
-                "rules": dict(self.rules)}
+        return {"total": self.total, "matches": self.matches,
+                "phases": self.phases, "rules": dict(self.rules)}
 
     def format(self):
         phases = self.phases
@@ -87,29 +90,37 @@ class StepStats:
 
 
 def select_match(pairs, cfg):
-    """Tie-break among maximal (rule_index, binding) pairs.
+    """One maximal pair of a non-empty list of (rule_index, binding)
+    pairs.
 
     The pairs arrive as the kernel emits them, in canonical order (rule
-    order, then binding tuple), so nothing is sorted here.
-    Deterministic: the first pair.  Random: seeded-uniform over the list,
-    drawing from the rng only when there is a choice, so a seed fully
-    determines the run.
+    order, then binding tuple), so nothing is sorted here, and the
+    maximality filter runs here.  Deterministic: the first maximal pair,
+    with the filter stopping at it.  Random: the whole list is filtered
+    and a survivor drawn seeded-uniform, from the rng only when there is
+    a choice, so a seed fully determines the run.
     """
-    if cfg.mode == DETERMINISTIC or len(pairs) == 1:
-        return pairs[0]
-    return pairs[cfg.rng.randrange(len(pairs))]
+    if cfg.mode == DETERMINISTIC:
+        return pattern.maximality_filter(pairs, first=True)[0]
+    maximal = pattern.maximality_filter(pairs)
+    if len(maximal) == 1:
+        return maximal[0]
+    return maximal[cfg.rng.randrange(len(maximal))]
 
 
-def step(cfg, rules):
+def step(cfg, rules, stats=None):
     """One tick; returns the applied Match or None when quiescent.
 
     Selection works on the kernel's pairs, and the chosen pair's binding
-    tuple goes to pattern.apply as it is.
+    tuple goes to pattern.apply as it is.  Given stats, it adds the
+    number of pairs the kernel returned to stats.matches.
     """
     pairs = pattern.match_all(cfg.tangle, rules)
+    if stats is not None:
+        stats.matches += len(pairs)
     if not pairs:
         return None
-    rule_index, binding = select_match(pattern.maximality_filter(pairs), cfg)
+    rule_index, binding = select_match(pairs, cfg)
     rule = rules.rules[rule_index]
     pattern.apply(cfg.tangle, rule, binding)
     cfg.tick += 1
@@ -154,7 +165,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             raise InvariantViolation(cfg.tick, violations, stats)
     prev_nodes = cfg.tangle.node_count()
     while True:
-        applied = step(cfg, rules)
+        applied = step(cfg, rules, stats)
         if applied is None:
             return cfg, stats, QUIESCENT
         stats.count(applied.rule.name)

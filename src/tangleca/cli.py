@@ -16,7 +16,8 @@ difftest always checks invariants; a violation is reported as that
 schedule's disagreement.
 
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
-2 bad input; 3 step/tick budget exhausted, or difftest's case generator
+2 bad input; 3 step/tick budget exhausted, simulate's invariant check
+met a value nested deeper than --max-depth, or difftest's case generator
 found no acceptable case within its attempts (and no case run so far
 disagreed); 4 invariant violation.
 """
@@ -172,6 +173,10 @@ def cmd_simulate(args):
                     on_tick=on_tick)
             except automaton.InvariantViolation as exc:
                 violation, stats = exc, exc.stats
+            except hfset.HFLimitError as exc:
+                print("error: tick %d: %s (--max-depth %d)"
+                      % (cfg.tick, exc, args.max_depth), file=sys.stderr)
+                return EXHAUSTED
             if stats_json is not None:
                 stats_json.write(json.dumps(stats.as_dict(), indent=2,
                                             sort_keys=True) + "\n")
@@ -300,7 +305,7 @@ def build_parser():
                     help="write a full per-tick trace")
     sp.add_argument("--stats-json", metavar="PATH",
                     help="write tick counts (total, per phase, per rule) "
-                         "as JSON")
+                         "and the number of matches found as JSON")
     sp.add_argument("--dot-every", type=_positive_int, metavar="K",
                     help="write a graphviz snapshot every K ticks")
     sp.add_argument("--dot-prefix", default="tangle",

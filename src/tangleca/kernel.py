@@ -8,8 +8,12 @@ The kernel emits canonical order: rule order, then binding tuple.  Plans
 run in rule order, and each step tries its candidates in increasing node
 id, so a plan whose steps bind its non-focus cells in increasing cell
 index (Plan.ordered) emits its bindings sorted.  A focus-first plan may
-bind them out of index order; its own run of pairs, which all share one
-rule index, is then sorted when it holds two or more.
+bind them out of index order.  Its run of pairs, which all share one
+rule index, is still sorted when a focus step has at most one candidate
+at this tick and the other steps bind in increasing cell index
+(Plan.rest_ordered): the focus steps then bind the same node in every
+binding, and the other cells vary in tuple order.  Otherwise, when the
+run holds two or more pairs, the kernel sorts it.
 """
 
 KERNEL_NAME = "python"
@@ -25,11 +29,14 @@ class Plan:
     be absent, checked whenever it has any; only rules compiled with
     negative edges, or written with negs, have them.  ordered: the steps
     bind cells in increasing cell index, so the plan emits its bindings
-    sorted.
+    sorted.  focus_steps: the (label, forward) of every step anchored at
+    the focus.  rest_ordered: the other steps bind cells in increasing
+    cell index, so the plan emits its bindings sorted at a tick where
+    no focus step has two or more candidates.
     """
 
     __slots__ = ("rule_index", "n", "colors", "focus", "steps", "checks",
-                 "negs", "ordered")
+                 "negs", "ordered", "focus_steps", "rest_ordered")
 
     def __init__(self, rule_index, n, colors, focus, steps, checks, negs):
         self.rule_index = rule_index
@@ -39,8 +46,20 @@ class Plan:
         self.steps = steps
         self.checks = checks
         self.negs = negs
-        self.ordered = all(a[0] < b[0]
-                           for a, b in zip(self.steps, self.steps[1:]))
+        self.ordered = self.rest_ordered = True
+        focus_steps = []
+        last = last_rest = -1
+        for new, frm, label, forward in steps:
+            if new < last:
+                self.ordered = False
+            last = new
+            if frm == focus:
+                focus_steps.append((label, forward))
+            else:
+                if new < last_rest:
+                    self.rest_ordered = False
+                last_rest = new
+        self.focus_steps = tuple(focus_steps)
 
 
 class PlanIndex:
@@ -81,9 +100,19 @@ def enumerate_matches(index, g, active):
             _finish(plan, g, binding, out)
         else:
             _extend(plan, g, 0, binding, out)
-        if not plan.ordered and len(out) - start > 1:
+        if (not plan.ordered and len(out) - start > 1
+                and (not plan.rest_ordered or _fans_out(plan, g, active))):
             out[start:] = sorted(out[start:])
     return out
+
+
+def _fans_out(plan, g, active):
+    """Whether a focus step has two or more candidates at `active`."""
+    for label, forward in plan.focus_steps:
+        cands = (g.out if forward else g.inn)[active].get(label)
+        if cands is not None and len(cands) > 1:
+            return True
+    return False
 
 
 def _extend(plan, g, depth, binding, out):
@@ -98,15 +127,10 @@ def _extend(plan, g, depth, binding, out):
     want = plan.colors[new]
     nodes = g.nodes
     last = depth == len(plan.steps) - 1
-    for cand in sorted(cands):
+    for cand in sorted(cands) if len(cands) > 1 else cands:
         if want is not None and nodes[cand].color != want:
             continue
-        ok = True
-        for b in binding:
-            if b == cand:
-                ok = False
-                break
-        if not ok:
+        if cand in binding:
             continue
         binding[new] = cand
         if last:

@@ -176,7 +176,8 @@ def make_plan(rule, rule_index):
     them have one target, so they bind or reject in one lookup before a
     later step fans out; only function-location labels can have more.
     The price is that cells may be bound out of index order; the plan's
-    `ordered` is then false, and the kernel sorts that plan's matches.
+    `ordered` is then false, and the kernel sorts that plan's matches
+    unless it can prove them sorted at that tick (see the kernel module).
     """
     n = len(rule.colors)
     focus = rule.focus
@@ -218,7 +219,7 @@ def match_all(g, ruleset):
     return kernel.enumerate_matches(ruleset.plans(), g, g.active)
 
 
-def maximality_filter(pairs):
+def maximality_filter(pairs, first=False):
     """Drop pairs whose cell set is a strict subset of another's.
 
     Keeps the input order.  Returns the input itself when all bindings
@@ -226,10 +227,14 @@ def maximality_filter(pairs):
     subsets of each other.  Otherwise a pair is compared only with longer
     bindings, where containment alone means strict containment, and the
     longest bindings are kept unchecked.
+
+    With first, the scan stops at the first survivor and returns a list
+    holding it alone: maximality_filter(pairs)[:1], without checking the
+    pairs after it.
     """
     sizes = {len(binding) for _rule_index, binding in pairs}
     if len(sizes) <= 1:
-        return pairs
+        return pairs[:1] if first else pairs
     largest = max(sizes)
     out = []
     for pair in pairs:
@@ -240,6 +245,8 @@ def maximality_filter(pairs):
                    for _rule_index, other in pairs):
                 continue
         out.append(pair)
+        if first:
+            break
     return out
 
 

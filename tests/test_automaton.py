@@ -181,7 +181,8 @@ class TestRunLoop:
             stats.count(name)
         assert stats.rules == {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}
         assert stats.as_dict() == {
-            "total": 5, "phases": {"a": 3, "b": 1, "plain": 1},
+            "total": 5, "matches": 0,
+            "phases": {"a": 3, "b": 1, "plain": 1},
             "rules": {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}}
         assert stats.format() == (
             "phase a 3\nphase b 1\nphase plain 1\ntotal 5\n")

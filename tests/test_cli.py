@@ -145,8 +145,10 @@ class TestSimulate:
             ["simulate", prog, state, "--stats-json", str(target)], capsys)
         assert code == 0
         stats = json.loads(target.read_text())
-        assert set(stats) == {"total", "phases", "rules"}
+        assert set(stats) == {"total", "matches", "phases", "rules"}
         assert "outcome terminal after %d ticks" % stats["total"] in out
+        # every tick applies one of the pairs the kernel returned
+        assert stats["matches"] >= stats["total"]
         assert sum(stats["rules"].values()) == stats["total"]
         phases = {}
         for name, ticks in stats["rules"].items():
@@ -207,17 +209,21 @@ class TestSimulate:
 # sha256 over every output of `simulate --check-invariants --trace
 # --dot-every 25 --stats-json` (stdout, exit code, trace, .dot files and
 # stats JSON) on a union, a singleton, a location-write and a choice case,
-# each in three schedule and edge modes.
+# each in three schedule and edge modes.  The stats JSON is hashed
+# without its "matches" count, which it gained after the digest was
+# recorded; that count is pinned by SIMULATE_MATCHES.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
                   ["--random", "--seed", "3", "--negative-edges"])
 SIMULATE_DIGEST = (
     "4963bb90b251b5b74beb06448ecea64497a2310cbe1765c91bb20f99262ff9af")
+SIMULATE_MATCHES = [123, 123, 78, 55, 55, 55, 160, 160, 160, 90, 90, 91]
 
 
 def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     digest = hashlib.sha256()
+    matches = []
     for name in SIMULATE_CASES:
         for mode in SIMULATE_MODES:
             run_dir = tmp_path / ("%s%d" % (name, len(mode)))
@@ -233,8 +239,15 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
             digest.update(out.encode())
             for path in sorted(run_dir.iterdir()):
                 digest.update(("== %s\n" % path.name).encode())
-                digest.update(path.read_bytes())
+                data = path.read_bytes()
+                if path.name == "stats.json":
+                    stats = json.loads(data)
+                    matches.append(stats.pop("matches"))
+                    data = (json.dumps(stats, indent=2, sort_keys=True)
+                            + "\n").encode()
+                digest.update(data)
     assert digest.hexdigest() == SIMULATE_DIGEST
+    assert matches == SIMULATE_MATCHES
 
 
 class TestDifftest:
@@ -390,6 +403,20 @@ class TestLimitsAndPaths:
         assert code == cli.BADINPUT
         assert err == ("error: state does not fit --max-depth 0: "
                        "nesting depth 1 exceeds limit 0\n")
+
+    def test_value_deeper_than_max_depth_mid_run_exits_3(self, tmp_path,
+                                                         capsys):
+        # c := {c} nests c one level deeper each step, so the invariant
+        # check meets a value past the limit after some ticks
+        prog = tmp_path / "deepen.asml"
+        prog.write_text("criticals c;\nc := {c}\n")
+        code, out, err = run_main(
+            ["simulate", str(prog), "--check-invariants", "--max-depth", "8"],
+            capsys)
+        assert code == cli.EXHAUSTED
+        assert out == ""
+        assert err == ("error: tick 73: nesting depth 9 exceeds limit 8 "
+                       "(--max-depth 8)\n")
 
     def test_depth_no_generated_case_fits_exits_3(self, capsys):
         code, out, err = run_main(

@@ -5,9 +5,13 @@ sequence of applied (rule_index, binding) pairs, plus each case's
 outcome and tick count, is hashed.  The corpus digests were recorded
 before match selection moved to raw kernel pairs; the bench digests
 (union-16, whose ticks each wade through many decoy matches, and
-overhead-8) before join plans bound the focus's out-edges first.  Any
-change to matching, maximality filtering or selection that alters a
-single applied match shows up here.
+overhead-8) before join plans bound the focus's out-edges first, and
+union-32's, whose unordered runs are longer, before the kernel stopped
+sorting runs it can prove sorted and deterministic selection stopped
+filtering past the first maximal pair.  Any change to matching,
+maximality filtering or selection that alters a single applied match
+shows up here.  The number of pairs the kernel returns over a
+deterministic union run is pinned too.
 """
 import hashlib
 
@@ -34,6 +38,7 @@ GOLDEN = {
 
 BENCH_CASES = {
     "union-16": lambda: bench.union_case(16),
+    "union-32": lambda: bench.union_case(32),
     "overhead-8": lambda: bench.overhead_case(8),
 }
 
@@ -54,7 +59,19 @@ BENCH_GOLDEN = {
         "0d8238adb280ee08a308035efe10ab8d254802ab03598382c76998aa36519979",
     ("union-16", True, automaton.RANDOM, 1):
         "fdec66bfa43130366910029c5b88d2f288ce707145cf363a3cea6999788e4601",
+    ("union-32", False, automaton.DETERMINISTIC, 0):
+        "8976a5675daf341863de3612a0a561b7fc407dfc7ca0c44cfb416c270d18455c",
+    ("union-32", False, automaton.RANDOM, 1):
+        "89b2a4d8fcd27d120d25ffa2194b224ab11e6ae23ff3f11d3d30e0ae4bf2c3e4",
+    ("union-32", True, automaton.DETERMINISTIC, 0):
+        "f5d5bbdd95757923aceaf259fef78edbb22064bd8622268984def8b68cf1d351",
+    ("union-32", True, automaton.RANDOM, 1):
+        "fb252507e9a7271a0c1776cc718195a889a075202b767c0b347659370e0285ff",
 }
+
+# (pairs the kernel returned, ticks) over a deterministic run; union-64
+# is perfbench's `union` workload, whose traced kernel.matches agrees
+UNION_PAIRS = {16: (6216, 791), 32: (39976, 2535), 64: (288744, 9095)}
 
 
 def trace_digest(cases, negative_edges, mode, seed):
@@ -89,3 +106,12 @@ def test_bench_trace_unchanged(name, negative_edges, mode, seed):
     got = trace_digest([(name,) + BENCH_CASES[name]()],
                        negative_edges, mode, seed)
     assert got == BENCH_GOLDEN[(name, negative_edges, mode, seed)]
+
+
+@pytest.mark.parametrize("n", sorted(UNION_PAIRS))
+def test_union_kernel_pairs_per_run(n):
+    _u, _p, unit, _s, graph = compile_case(*bench.union_case(n))
+    _cfg, stats, outcome = automaton.run(automaton.Configuration(graph),
+                                         unit.ruleset)
+    assert outcome == automaton.QUIESCENT
+    assert (stats.matches, stats.total) == UNION_PAIRS[n]

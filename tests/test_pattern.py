@@ -66,6 +66,12 @@ def probe_rules():
     add([("C", "blue"), ("A", None), ("B", None), ("F", None)],
         [("C", "x", "A"), ("B", "y", "A"), ("C", "z", "F")],
         "C")                        # focus edge after a fan-out: F before B
+    add([("C", "green"), ("A", None), ("B", None)],
+        [("C", "z", "B"), ("B", "y", "A")],
+        "C")                        # focus step binds B, the rest A after it
+    add([("C", "green"), ("A", None), ("B", None), ("D", None)],
+        [("C", "x", "D"), ("D", "y", "B"), ("B", "z", "A")],
+        "C")                        # the steps off the focus bind B before A
     return RuleSet(COLORS, LABELS, rules, radius=3)
 
 
@@ -97,6 +103,33 @@ def out_of_order_tangle():
     return g
 
 
+def fanned_focus_tangle():
+    """Probe 8's plan binds B (a focus step) before A, and the focus's z
+    label has two targets whose As come in the other order, so the
+    kernel must sort although A alone follows the focus steps."""
+    g = tangle.Tangle()
+    c, a1, a2, b1, b2 = (g.add_node(color, tangle.SET) for color in
+                         ("green", "red", "red", "blue", "blue"))
+    for e in ((c, "z", b1), (c, "z", b2), (b1, "y", a2), (b2, "y", a1)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
+def unordered_rest_tangle():
+    """Probe 9's focus step has one candidate D, and the steps after it
+    bind B before A with the As in the other order, so the kernel must
+    sort although no focus step fans out."""
+    g = tangle.Tangle()
+    c, a1, a2, b1, b2, d = (g.add_node(color, tangle.SET) for color in
+                            ("green", "red", "red", "blue", "blue", "red"))
+    for e in ((c, "x", d), (d, "y", b1), (d, "y", b2), (b1, "z", a2),
+              (b2, "z", a1)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
 def test_kernel_names():
     assert tangleca.KERNEL_NAME == kernel.KERNEL_NAME == "python"
 
@@ -104,6 +137,8 @@ def test_kernel_names():
 class TestMatching:
     @given(g=random_tangles())
     @example(g=out_of_order_tangle())
+    @example(g=fanned_focus_tangle())
+    @example(g=unordered_rest_tangle())
     @settings(max_examples=200, deadline=None)
     def test_matches_equal_brute_force(self, g):
         rules = probe_rules()
@@ -111,6 +146,8 @@ class TestMatching:
 
     @given(g=random_tangles())
     @example(g=out_of_order_tangle())
+    @example(g=fanned_focus_tangle())
+    @example(g=unordered_rest_tangle())
     @settings(max_examples=60, deadline=None)
     def test_match_order_is_canonical(self, g):
         rules = probe_rules()
@@ -157,6 +194,32 @@ class TestPlans:
         assert plan.steps == [(1, 0, "x", True), (3, 0, "z", True),
                               (4, 0, "y", False), (2, 1, "y", False)]
         assert plan.checks == [(0, "x", 0), (0, "z", 1), (3, "y", 2)]
+        assert plan.focus_steps == (("x", True), ("z", True), ("y", False))
+        assert not plan.ordered and plan.rest_ordered
+
+    def test_order_proof_fields(self):
+        plans = {p.rule_index: p for p in probe_rules().plans()
+                 .candidates("green")}
+        fanned, rest = plans[8], plans[9]
+        assert fanned.steps == [(2, 0, "z", True), (1, 2, "y", True)]
+        assert fanned.focus_steps == (("z", True),)
+        assert (fanned.ordered, fanned.rest_ordered) == (False, True)
+        assert rest.steps == [(3, 0, "x", True), (2, 3, "y", True),
+                              (1, 2, "z", True)]
+        assert rest.focus_steps == (("x", True),)
+        assert (rest.ordered, rest.rest_ordered) == (False, False)
+        # a plan whose steps all start at the focus has no rest to order
+        assert plans[0].focus_steps == () and plans[0].rest_ordered
+
+    @pytest.mark.parametrize("make_g,rule_index", [
+        (fanned_focus_tangle, 8), (unordered_rest_tangle, 9)])
+    def test_unprovable_runs_are_sorted(self, make_g, rule_index):
+        g = make_g()
+        rules = probe_rules()
+        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
+        run = [pair for pair in raw if pair[0] == rule_index]
+        assert len(run) == 2
+        assert raw == sorted(raw)
 
     def test_probe_binds_out_of_index_order(self):
         rules = probe_rules()
@@ -223,6 +286,11 @@ class TestPlans:
                                        (1, (0, 1, 4)), (1, (0, 2, 3))]
 
 
+# cell sets of the pairs TestMaximality draws
+PAIR_SETS = st.lists(st.lists(st.integers(1, 6), min_size=1, unique=True),
+                     min_size=1, max_size=8)
+
+
 class TestMaximality:
     # pairs as the kernel emits them: (rule_index, binding); rule 0
     # has one cell, rule 1 two cells, rule 2 three cells
@@ -248,9 +316,7 @@ class TestMaximality:
         m3 = (2, (1, 2, 3))
         assert maximality_filter([m1, m2, m3]) == [m3]
 
-    @given(sets=st.lists(st.lists(st.integers(1, 6), min_size=1,
-                                  unique=True),
-                         min_size=1, max_size=8))
+    @given(sets=PAIR_SETS)
     @settings(max_examples=100, deadline=None)
     def test_filter_equals_bruteforce_subset_check(self, sets):
         pairs = [(0, tuple(s)) for s in sets]
@@ -258,6 +324,20 @@ class TestMaximality:
         want = [p for p in pairs
                 if not any(set(p[1]) < set(o[1]) for o in pairs)]
         assert got == want
+
+    @given(sets=PAIR_SETS)
+    @settings(max_examples=100, deadline=None)
+    def test_first_is_the_first_survivor(self, sets):
+        pairs = [(0, tuple(s)) for s in sets]
+        assert (maximality_filter(pairs, first=True)
+                == maximality_filter(pairs)[:1])
+
+    def test_first_stops_at_a_blocked_prefix(self):
+        m1 = (0, (1,))
+        m2 = (1, (1, 2))
+        m3 = (1, (3, 4))
+        assert maximality_filter([m1, m2, m3], first=True) == [m2]
+        assert maximality_filter([], first=True) == []
 
 
 class TestPatternStructure:

@@ -3,7 +3,8 @@
 perfbench/run.py wraps package functions by module and attribute name.
 A rename or deletion there would otherwise show only in the next
 benchmark run, so this loads the script and runs one untraced and one
-traced pass of its `accumulate` workload.
+traced pass of its `accumulate` workload, and one untraced pass of its
+`union` workload.
 """
 import importlib.util
 import pathlib
@@ -63,3 +64,11 @@ def test_accumulate_passes_agree(run):
                  "interpreter.oracle_s", "automaton.run_self_s",
                  "difftest.run_case_self_s"):
         assert metrics[name] > 0, name
+
+
+def test_union_pass_is_clean(run):
+    wl = run.set_up("union", 0)
+    plain = run.timed_pass(wl, traced=False)
+    assert plain.problems == []
+    assert plain.failed == 0
+    assert plain.signature[:4] == (9095, 107, 138, 4366)
