@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from . import pattern
+from . import hfset, pattern
 from . import tangle as tg
 
 DEFAULT_MAX_TICKS = 10 ** 6
@@ -150,6 +150,10 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       second Criticals, and no added containment edge closes a cycle.
       Mid-protocol marks are exempt from uniqueness and pair shape.
 
+    An invariant check that meets a value past the universe's limits
+    raises hfset.HFLimitError; run sets the error's `stats` to the run's
+    stats before it passes the error on.
+
     The incremental checks extend the previous clean check, so they
     assume that between two checks the graph changes only through
     pattern.apply: on_tick must not mutate the tangle.
@@ -159,23 +163,27 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     if check_invariants and universe is None:
         raise ValueError("check_invariants needs the run's universe")
     stats = StepStats()
-    if check_invariants:
-        violations = tg.check_invariants(cfg.tangle, universe)
-        if violations:
-            raise InvariantViolation(cfg.tick, violations, stats)
-    prev_nodes = cfg.tangle.node_count()
-    while True:
-        applied = step(cfg, rules, stats)
-        if applied is None:
-            return cfg, stats, QUIESCENT
-        stats.count(applied.rule.name)
-        if on_tick is not None:
-            on_tick(cfg, applied)
+    try:
         if check_invariants:
-            _check(cfg, applied, prev_nodes, idle_colors, universe, stats)
+            violations = tg.check_invariants(cfg.tangle, universe)
+            if violations:
+                raise InvariantViolation(cfg.tick, violations, stats)
         prev_nodes = cfg.tangle.node_count()
-        if cfg.tick >= max_ticks:
-            return cfg, stats, BUDGET
+        while True:
+            applied = step(cfg, rules, stats)
+            if applied is None:
+                return cfg, stats, QUIESCENT
+            stats.count(applied.rule.name)
+            if on_tick is not None:
+                on_tick(cfg, applied)
+            if check_invariants:
+                _check(cfg, applied, prev_nodes, idle_colors, universe, stats)
+            prev_nodes = cfg.tangle.node_count()
+            if cfg.tick >= max_ticks:
+                return cfg, stats, BUDGET
+    except hfset.HFLimitError as exc:
+        exc.stats = stats
+        raise
 
 
 def _check(cfg, applied, prev_nodes, idle_colors, universe, stats):

@@ -10,7 +10,8 @@ Subcommands:
 simulate opens its --trace and --stats-json files, and checks the
 --dot-prefix directory, before the first tick, so a path it cannot write
 fails at once; it writes each trace entry and each --dot-every snapshot
-as the run takes it, and the stats also after an invariant violation.
+as the run takes it, and the stats also after an invariant violation or
+a value past --max-depth.
 
 difftest always checks invariants; a violation is reported as that
 schedule's disagreement.
@@ -149,7 +150,7 @@ def cmd_simulate(args):
             raise SystemExit2("cannot write %s: %s is not a writable "
                               "directory" % (args.dot_prefix, directory))
 
-    violation = None
+    violation = limit = None
     try:
         with contextlib.ExitStack() as files:
             trace = stats_json = None
@@ -174,9 +175,7 @@ def cmd_simulate(args):
             except automaton.InvariantViolation as exc:
                 violation, stats = exc, exc.stats
             except hfset.HFLimitError as exc:
-                print("error: tick %d: %s (--max-depth %d)"
-                      % (cfg.tick, exc, args.max_depth), file=sys.stderr)
-                return EXHAUSTED
+                limit, stats = exc, exc.stats
             if stats_json is not None:
                 stats_json.write(json.dumps(stats.as_dict(), indent=2,
                                             sort_keys=True) + "\n")
@@ -186,6 +185,10 @@ def cmd_simulate(args):
     if violation is not None:
         print("invariant violation: %s" % violation, file=sys.stderr)
         return INVARIANT
+    if limit is not None:
+        print("error: tick %d: %s (--max-depth %d)"
+              % (cfg.tick, limit, args.max_depth), file=sys.stderr)
+        return EXHAUSTED
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED

@@ -35,6 +35,7 @@ ATOM = "atom"
 SET = "set"
 PAIR = "pair"
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -204,10 +205,12 @@ class Universe:
             if pos >= len(text) or text[pos] != ">":
                 raise HFParseError("expected > at %d" % pos)
             return self.pair(v, w), pos + 1
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos:])
+        # matched in place: slicing the rest of the text for every atom
+        # would make parsing quadratic in the text's length
+        m = _NAME_RE.match(text, pos)
         if not m:
             raise HFParseError("unexpected character %r at %d" % (c, pos))
-        return self.atom(m.group(0)), pos + m.end()
+        return self.atom(m.group(0)), m.end()
 
 
 def _skip_ws(text, pos):

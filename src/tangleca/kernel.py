@@ -4,6 +4,17 @@ The per-tick hot loop: enumerate every injective embedding of every
 eligible pattern, anchored at the active node.  pattern.match_all looks
 enumerate_matches up on this module at call time.
 
+Each step of a plan binds one cell from one candidate set, computed by
+set operations in C as in Leapfrog Triejoin: the adjacency set of the
+step's anchor, intersected with the class of the colour the cell wants
+(Tangle.color_class) and with the adjacency of every bound cell that a
+folded check links to it, minus the adjacency of every bound cell that a
+folded negative edge forbids (pattern.make_plan folds them into the step
+that binds their later endpoint).  Only the survivors are sorted and
+tried against injectivity.  A step with one candidate tests it directly
+and builds no set, and the last step appends its bindings as they are
+when the plan has no self-loop left to check.
+
 The kernel emits canonical order: rule order, then binding tuple.  Plans
 run in rule order, and each step tries its candidates in increasing node
 id, so a plan whose steps bind its non-focus cells in increasing cell
@@ -14,6 +25,12 @@ at this tick and the other steps bind in increasing cell index
 (Plan.rest_ordered): the focus steps then bind the same node in every
 binding, and the other cells vary in tuple order.  Otherwise, when the
 run holds two or more pairs, the kernel sorts it.
+
+The candidate sets leave this proof as it was: a fold moves a test of
+the full binding to the step where its last cell is bound, so the same
+bindings survive, and the survivors of a step are tried in increasing
+node id like the candidates they came from.  _fans_out counts a focus
+step's whole adjacency set, which bounds its survivors.
 """
 
 KERNEL_NAME = "python"
@@ -23,12 +40,14 @@ class Plan:
     """Precompiled join order for one rule's pattern.
 
     colors: the rule's own tuple, one per cell, shared.  steps:
-    (new_cell, from_cell, label, forward) — bind new_cell from the
-    adjacency of an already-bound cell.  checks: edges not consumed by
-    steps, verified on full bindings.  negs: the rule's edges that must
-    be absent, checked whenever it has any; only rules compiled with
-    negative edges, or written with negs, have them.  ordered: the steps
-    bind cells in increasing cell index, so the plan emits its bindings
+    (new_cell, from_cell, label, forward, want, links, forbids) — bind
+    new_cell, of colour want (None: any), from the adjacency of an
+    already-bound cell.  links and forbids are tuples of (cell, label,
+    forward) over cells bound before the step: new_cell must be in each
+    link's adjacency (an edge no step consumed) and in no forbid's (a
+    negative edge).  checks and negs: the edges and negative edges left
+    for full bindings, the self-loops only.  ordered: the steps bind
+    cells in increasing cell index, so the plan emits its bindings
     sorted.  focus_steps: the (label, forward) of every step anchored at
     the focus.  rest_ordered: the other steps bind cells in increasing
     cell index, so the plan emits its bindings sorted at a tick where
@@ -36,20 +55,23 @@ class Plan:
     """
 
     __slots__ = ("rule_index", "n", "colors", "focus", "steps", "checks",
-                 "negs", "ordered", "focus_steps", "rest_ordered")
+                 "negs", "ordered", "focus_steps", "rest_ordered", "last",
+                 "finish")
 
-    def __init__(self, rule_index, n, colors, focus, steps, checks, negs):
+    def __init__(self, rule_index, colors, focus, steps, checks, negs):
         self.rule_index = rule_index
-        self.n = n
+        self.n = len(colors)
         self.colors = colors
         self.focus = focus
         self.steps = steps
         self.checks = checks
         self.negs = negs
+        self.last = len(steps) - 1
+        self.finish = bool(checks or negs)
         self.ordered = self.rest_ordered = True
         focus_steps = []
         last = last_rest = -1
-        for new, frm, label, forward in steps:
+        for new, frm, label, forward, _want, _links, _forbids in steps:
             if new < last:
                 self.ordered = False
             last = new
@@ -116,28 +138,65 @@ def _fans_out(plan, g, active):
 
 
 def _extend(plan, g, depth, binding, out):
-    new, frm, label, forward = plan.steps[depth]
-    anchor = binding[frm]
-    if forward:
-        cands = g.out[anchor].get(label)
-    else:
-        cands = g.inn[anchor].get(label)
+    new, frm, label, forward, want, links, forbids = plan.steps[depth]
+    cands = (g.out if forward else g.inn)[binding[frm]].get(label)
     if not cands:
         return
-    want = plan.colors[new]
-    nodes = g.nodes
-    last = depth == len(plan.steps) - 1
-    for cand in sorted(cands) if len(cands) > 1 else cands:
-        if want is not None and nodes[cand].color != want:
-            continue
-        if cand in binding:
-            continue
+    if len(cands) == 1:
+        (cand,) = cands
+        if (cand in binding
+                or want is not None and g.nodes[cand].color != want):
+            return
+        for cell, l, fwd in links:
+            adj = (g.out if fwd else g.inn)[binding[cell]].get(l)
+            if not adj or cand not in adj:
+                return
+        for cell, l, fwd in forbids:
+            adj = (g.out if fwd else g.inn)[binding[cell]].get(l)
+            if adj and cand in adj:
+                return
         binding[new] = cand
-        if last:
+        if depth < plan.last:
+            _extend(plan, g, depth + 1, binding, out)
+        elif plan.finish:
             _finish(plan, g, binding, out)
         else:
-            _extend(plan, g, depth + 1, binding, out)
+            out.append((plan.rule_index, tuple(binding)))
         binding[new] = -1
+        return
+    if want is not None:
+        members = g.classes.get(want)
+        if members is None:
+            members = g.color_class(want)
+        cands = cands & members
+    for cell, l, fwd in links:
+        adj = (g.out if fwd else g.inn)[binding[cell]].get(l)
+        if not adj:
+            return
+        cands = cands & adj
+    for cell, l, fwd in forbids:
+        adj = (g.out if fwd else g.inn)[binding[cell]].get(l)
+        if adj:
+            cands = cands - adj
+    if len(cands) > 1:
+        cands = sorted(cands)
+    if depth < plan.last:
+        for cand in cands:
+            if cand not in binding:
+                binding[new] = cand
+                _extend(plan, g, depth + 1, binding, out)
+    elif plan.finish:
+        for cand in cands:
+            if cand not in binding:
+                binding[new] = cand
+                _finish(plan, g, binding, out)
+    else:
+        rule_index = plan.rule_index
+        for cand in cands:
+            if cand not in binding:
+                binding[new] = cand
+                out.append((rule_index, tuple(binding)))
+    binding[new] = -1
 
 
 def _finish(plan, g, binding, out):

@@ -21,7 +21,10 @@ Criticals node, and each of its register, bit, scratch, plumbing and
 critical-term labels points at one node at most, so these steps cost one
 lookup each and no fan-out step (an elem or membership scan) runs before
 them.  Function-location labels are the exception: they can point at
-several nodes, and a plan then branches at the focus.
+several nodes, and a plan then branches at the focus.  Every edge that
+no step consumes, and every negative edge, is folded into the step that
+binds its later endpoint, where the kernel applies it to that step's
+candidate set (see make_plan).
 
 Matches come out of the kernel in canonical order (rule order, then
 binding tuple); the kernel module says how it keeps that order.
@@ -169,8 +172,14 @@ def make_plan(rule, rule_index):
     First every cell reached by an edge out of the focus is bound, in
     edge order.  Then each step takes the first remaining edge, in edge
     order, with exactly one bound endpoint and binds the other one.
-    Edges left over (a second focus edge to a bound cell, a focus
-    self-loop, any edge between bound cells) become checks.
+
+    An edge left over (a second focus edge to a bound cell, any edge
+    between bound cells) is folded into the step that binds its later
+    endpoint, as a link, and so is each negative edge, as a forbid: the
+    kernel then builds that step's candidates from the link's adjacency
+    and without the forbid's, instead of testing full bindings.  Only an
+    edge or negative edge from a cell to itself (in practice a focus
+    self-loop) is left to the full binding, as a check or a neg.
 
     Focus edges go first because in compiled rule sets nearly all of
     them have one target, so they bind or reject in one lookup before a
@@ -179,33 +188,61 @@ def make_plan(rule, rule_index):
     `ordered` is then false, and the kernel sorts that plan's matches
     unless it can prove them sorted at that tick (see the kernel module).
     """
-    n = len(rule.colors)
+    colors = rule.colors
     focus = rule.focus
-    edges = rule.edges
-    bound = [False] * n
-    bound[focus] = True
-    is_step = [False] * len(edges)
+    at = [None] * len(colors)          # the step that binds each cell
+    at[focus] = -1
     steps = []
-    for i, (a, l, b) in enumerate(edges):
-        if a == focus and not bound[b]:
-            bound[b] = is_step[i] = True
-            steps.append((b, a, l, True))
-    while len(steps) < n - 1:
-        for i, (a, l, b) in enumerate(edges):
-            if bound[a] != bound[b]:
+    rest = []                          # edges no step has consumed
+    for edge in rule.edges:
+        a, l, b = edge
+        if a == focus and at[b] is None:
+            at[b] = len(steps)
+            steps.append((b, a, l, True, colors[b], (), ()))
+        else:
+            rest.append(edge)
+    while len(steps) < len(at) - 1:
+        for i, (a, l, b) in enumerate(rest):
+            if (at[a] is None) != (at[b] is None):
                 break
         else:
             raise RuleError("pattern of %s is disconnected" % rule.name)
-        is_step[i] = True
-        if bound[a]:
-            bound[b] = True
-            steps.append((b, a, l, True))    # new cell is the edge target
+        del rest[i]
+        if at[b] is None:                # new cell is the edge target
+            at[b] = len(steps)
+            steps.append((b, a, l, True, colors[b], (), ()))
+        else:                            # new cell is the edge source
+            at[a] = len(steps)
+            steps.append((a, b, l, False, colors[a], (), ()))
+    if rest:
+        rest = _fold(rest, at, steps, _LINKS)
+    negs = rule.negs
+    if negs:
+        negs = _fold(negs, at, steps, _FORBIDS)
+    return kernel.Plan(rule_index, colors, focus, steps, rest, negs)
+
+
+_LINKS, _FORBIDS = 5, 6                # their places in a plan step
+
+
+def _fold(edges, at, steps, place):
+    """Fold each edge into the step that binds its later endpoint, as
+    (earlier cell, label, forward) at `place` in that step; returns the
+    self-loops, which no step can test."""
+    loops = []
+    for edge in edges:
+        a, l, b = edge
+        if a == b:
+            loops.append(edge)
+            continue
+        if at[a] < at[b]:
+            d, fold = at[b], (a, l, True)      # the later cell is the target
         else:
-            bound[a] = True
-            steps.append((a, b, l, False))   # new cell is the edge source
-    checks = [e for e, stepped in zip(edges, is_step) if not stepped]
-    return kernel.Plan(rule_index, n, rule.colors, focus, steps, checks,
-                       rule.negs)
+            d, fold = at[a], (b, l, False)     # the later cell is the source
+        step = list(steps[d])
+        step[place] += (fold,)
+        steps[d] = tuple(step)
+    return loops
 
 
 def match_all(g, ruleset):

@@ -74,10 +74,19 @@ class TangleNode:
 
 
 class Tangle:
-    """Single-owner mutable graph.  Nodes are never removed."""
+    """Single-owner mutable graph.  Nodes are never removed.
+
+    classes maps a colour to the set of ids of the nodes that have it.
+    A colour gets its class when color_class first asks for it, and
+    add_node, set_color and copy keep every class that exists.  The
+    kernel asks only for the colours its fan-out steps want, so the
+    focus, which is recoloured at nearly every tick into colours no step
+    wants, costs two dictionary tests per recolour.
+    """
 
     def __init__(self):
         self.nodes = {}
+        self.classes = {}  # color -> set of node ids, for colours asked for
         self.out = {}  # src -> label -> set of dst
         self.inn = {}  # dst -> label -> set of src
         self.active = None
@@ -90,13 +99,32 @@ class Tangle:
         self.nodes[nid] = TangleNode(nid, color, kind, payload)
         self.out[nid] = {}
         self.inn[nid] = {}
+        if color in self.classes:
+            self.classes[color].add(nid)
         return nid
 
     def color_of(self, nid):
         return self.nodes[nid].color
 
+    def color_class(self, color):
+        """The ids of the nodes of `color`, kept up to date from now on."""
+        members = self.classes.get(color)
+        if members is None:
+            members = self.classes[color] = {
+                nid for nid, node in self.nodes.items()
+                if node.color == color}
+        return members
+
     def set_color(self, nid, color):
-        self.nodes[nid].color = color
+        node = self.nodes[nid]
+        old = node.color
+        if old != color:
+            node.color = color
+            classes = self.classes
+            if old in classes:
+                classes[old].remove(nid)
+            if color in classes:
+                classes[color].add(nid)
 
     def add_edge(self, src, label, dst):
         # edge sets: re-adding an existing edge is a no-op
@@ -141,6 +169,7 @@ class Tangle:
         g._next_id = self._next_id
         g.active = self.active
         g._edge_count = self._edge_count
+        g.classes = {c: set(members) for c, members in self.classes.items()}
         for nid, n in self.nodes.items():
             g.nodes[nid] = TangleNode(n.id, n.color, n.kind, n.payload)
             g.out[nid] = {l: set(t) for l, t in self.out[nid].items() if t}

@@ -418,6 +418,21 @@ class TestLimitsAndPaths:
         assert err == ("error: tick 73: nesting depth 9 exceeds limit 8 "
                        "(--max-depth 8)\n")
 
+    def test_stats_json_on_value_deeper_than_max_depth(self, tmp_path,
+                                                       capsys):
+        prog = tmp_path / "deepen.asml"
+        prog.write_text("criticals c;\nc := {c}\n")
+        target = tmp_path / "stats.json"
+        code, out, err = run_main(
+            ["simulate", str(prog), "--check-invariants", "--max-depth", "8",
+             "--stats-json", str(target)], capsys)
+        assert code == cli.EXHAUSTED
+        assert out == ""
+        assert err.startswith("error: tick 73: nesting depth 9")
+        stats = json.loads(target.read_text())
+        assert stats["total"] == 73
+        assert sum(stats["rules"].values()) == 73
+
     def test_depth_no_generated_case_fits_exits_3(self, capsys):
         code, out, err = run_main(
             ["difftest", "--count", "1", "--max-depth", "0"], capsys)

@@ -137,6 +137,21 @@ class TestParse:
             with pytest.raises(HFParseError):
                 universe.parse(bad)
 
+    def test_long_and_deep_values(self):
+        u = Universe(max_depth=64, max_width=20000)
+        names = ["a%d" % i for i in range(20000)]
+        flat = u.parse("{" + ", ".join(names) + "}")
+        assert flat is u.set_of([u.atom(name) for name in names])
+        assert len(flat.members) == 20000
+        deep = u.parse("{" * 64 + "}" * 64)
+        v = u.empty()
+        for _ in range(63):
+            v = u.singleton(v)
+        assert deep is v and deep.depth == 63
+        nested = u.parse("<" * 32 + "a" + ", b>" * 32)
+        assert nested.depth == 32
+        assert format_value(nested) == "<" * 32 + "a" + ",b>" * 32
+
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_format_parse_roundtrip(self, data):

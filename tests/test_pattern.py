@@ -72,6 +72,16 @@ def probe_rules():
     add([("C", "green"), ("A", None), ("B", None), ("D", None)],
         [("C", "x", "D"), ("D", "y", "B"), ("B", "z", "A")],
         "C")                        # the steps off the focus bind B before A
+    add([("C", None), ("A", None), ("B", "green")],
+        [("C", "x", "A"), ("B", "y", "A")],
+        "C")                        # a coloured cell bound at a fan-out step
+    add([("C", None), ("A", None), ("D", None), ("B", "red")],
+        [("C", "x", "A"), ("A", "y", "B"), ("D", "z", "B"), ("C", "x", "D")],
+        "C")                        # D z B folds into B's fan-out step
+    add([("C", None), ("A", None), ("B", None)],
+        [("C", "z", "A"), ("A", "x", "B")], "C",
+        negs=[("C", "y", "B"), ("B", "z", "A")])
+    # ^ negative edges whose later endpoint B is bound at a fan-out step
     return RuleSet(COLORS, LABELS, rules, radius=3)
 
 
@@ -130,6 +140,52 @@ def unordered_rest_tangle():
     return g
 
 
+def empty_colour_tangle():
+    """Probe 10's B step has two candidates but no node is green: the
+    one green node left the colour's class when it was recoloured."""
+    g = tangle.Tangle()
+    c, a, b1, b2 = (g.add_node(color, tangle.SET) for color in
+                    ("red", "blue", "green", "red"))
+    assert g.color_class("green") == {b1}
+    g.set_color(b1, "blue")
+    for e in ((c, "x", a), (b1, "y", a), (b2, "y", a)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
+def failed_fold_tangle():
+    """Probe 11's B step has one candidate, of the wanted colour, which
+    fails the D z B check folded into that step; a second A, D pair
+    binds B from two candidates, one of which passes the check."""
+    g = tangle.Tangle()
+    c, a1, d1, b1, a2, d2, b2, b3 = (
+        g.add_node(color, tangle.SET) for color in
+        ("blue", "green", "green", "red", "blue", "blue", "red", "red"))
+    for e in ((c, "x", a1), (c, "x", d1), (a1, "y", b1),
+              (c, "x", a2), (c, "x", d2), (a2, "y", b2), (a2, "y", b3),
+              (d2, "z", b3)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
+def negative_fan_out_tangle():
+    """Probe 12 binds B from three candidates when A is a: the focus's y
+    edge forbids one, a z edge back to A the second, and the third
+    survives.  When A is a2, B's one candidate is forbidden."""
+    g = tangle.Tangle()
+    c, a, b1, b2, b3, a2, b4 = (
+        g.add_node(color, tangle.SET) for color in
+        ("red", "green", "blue", "blue", "blue", "green", "blue"))
+    for e in ((c, "z", a), (a, "x", b1), (a, "x", b2), (a, "x", b3),
+              (c, "y", b1), (b2, "z", a),
+              (c, "z", a2), (a2, "x", b4), (c, "y", b4)):
+        g.add_edge(*e)
+    g.active = c
+    return g
+
+
 def test_kernel_names():
     assert tangleca.KERNEL_NAME == kernel.KERNEL_NAME == "python"
 
@@ -139,6 +195,9 @@ class TestMatching:
     @example(g=out_of_order_tangle())
     @example(g=fanned_focus_tangle())
     @example(g=unordered_rest_tangle())
+    @example(g=empty_colour_tangle())
+    @example(g=failed_fold_tangle())
+    @example(g=negative_fan_out_tangle())
     @settings(max_examples=200, deadline=None)
     def test_matches_equal_brute_force(self, g):
         rules = probe_rules()
@@ -148,6 +207,9 @@ class TestMatching:
     @example(g=out_of_order_tangle())
     @example(g=fanned_focus_tangle())
     @example(g=unordered_rest_tangle())
+    @example(g=empty_colour_tangle())
+    @example(g=failed_fold_tangle())
+    @example(g=negative_fan_out_tangle())
     @settings(max_examples=60, deadline=None)
     def test_match_order_is_canonical(self, g):
         rules = probe_rules()
@@ -188,12 +250,22 @@ class TestPlans:
              ("C", "x", "A"),
              ("C", "x", "C"),        # focus self-loop: a check
              ("C", "z", "D"),
-             ("C", "z", "A"),        # second focus edge to A: a check
-             ("D", "y", "B")])       # both ends bound by then: a check
+             ("C", "z", "A"),        # second focus edge to A: A's link
+             ("D", "y", "B")],       # both ends bound by then: B's link
+            negs=[("E", "z", "A"),   # E binds after A: E's forbid
+                  ("C", "y", "C"),   # focus self-loop: a neg
+                  ("B", "x", "D")])  # B binds after D: B's forbid
         plan = pattern.make_plan(rule, 0)
-        assert plan.steps == [(1, 0, "x", True), (3, 0, "z", True),
-                              (4, 0, "y", False), (2, 1, "y", False)]
-        assert plan.checks == [(0, "x", 0), (0, "z", 1), (3, "y", 2)]
+        # (new, from, label, forward, want, links, forbids): each check
+        # and negative edge folds into the step that binds its later
+        # endpoint, as (earlier cell, label, forward)
+        assert plan.steps == [
+            (1, 0, "x", True, None, ((0, "z", True),), ()),
+            (3, 0, "z", True, None, (), ()),
+            (4, 0, "y", False, None, (), ((1, "z", False),)),
+            (2, 1, "y", False, None, ((3, "y", True),), ((3, "x", False),))]
+        assert plan.checks == [(0, "x", 0)]
+        assert plan.negs == [(0, "y", 0)]
         assert plan.focus_steps == (("x", True), ("z", True), ("y", False))
         assert not plan.ordered and plan.rest_ordered
 
@@ -201,11 +273,13 @@ class TestPlans:
         plans = {p.rule_index: p for p in probe_rules().plans()
                  .candidates("green")}
         fanned, rest = plans[8], plans[9]
-        assert fanned.steps == [(2, 0, "z", True), (1, 2, "y", True)]
+        assert fanned.steps == [(2, 0, "z", True, None, (), ()),
+                                (1, 2, "y", True, None, (), ())]
         assert fanned.focus_steps == (("z", True),)
         assert (fanned.ordered, fanned.rest_ordered) == (False, True)
-        assert rest.steps == [(3, 0, "x", True), (2, 3, "y", True),
-                              (1, 2, "z", True)]
+        assert rest.steps == [(3, 0, "x", True, None, (), ()),
+                              (2, 3, "y", True, None, (), ()),
+                              (1, 2, "z", True, None, (), ())]
         assert rest.focus_steps == (("x", True),)
         assert (rest.ordered, rest.rest_ordered) == (False, False)
         # a plan whose steps all start at the focus has no rest to order

@@ -3,8 +3,10 @@
 perfbench/run.py wraps package functions by module and attribute name.
 A rename or deletion there would otherwise show only in the next
 benchmark run, so this loads the script and runs one untraced and one
-traced pass of its `accumulate` workload, and one untraced pass of its
-`union` workload.
+traced pass of its `accumulate` workload, and one untraced pass each of
+its `union` and `difftest` workloads.  The signatures pinned here are
+the benchmark's own repeat check: a change to what the kernel matches
+changes them.
 """
 import importlib.util
 import pathlib
@@ -72,3 +74,15 @@ def test_union_pass_is_clean(run):
     assert plain.problems == []
     assert plain.failed == 0
     assert plain.signature[:4] == (9095, 107, 138, 4366)
+
+
+def test_difftest_pass_is_clean(run):
+    # 80 cases x 2 edge modes x 3 schedules, invariant checks on; the
+    # negative-edge mode is the only tier-1 run of negative edges at scale
+    wl = run.set_up("difftest", 0)
+    plain = run.timed_pass(wl, traced=False)
+    assert plain.problems == []
+    assert plain.attempted == 480
+    assert plain.failed == 0
+    assert plain.signature[:4] == (35284, 25232, 5388, 7362)
+    assert plain.signature[4].startswith("edfb16a6")

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangleca import bench, hfset, tangle
+from tangleca import automaton, bench, hfset, tangle
 from tangleca.hfset import Universe
 from tangleca.tangle import (Tangle, TangleError, check_invariants, decode,
                              decode_locations, encode)
@@ -81,6 +81,37 @@ class TestTangleBasics:
         h.add_node("plain", tangle.SET)
         assert g.color_of(c) == "boot"
         assert g.node_count() == 1 and h.node_count() == 2
+
+    def test_colour_classes_follow_the_nodes(self):
+        def exact(g):
+            return all(ids == {nid for nid, node in g.nodes.items()
+                               if node.color == color}
+                       for color, ids in g.classes.items())
+
+        g = Tangle()
+        c = g.add_node("boot", tangle.CRITICALS)
+        a = g.add_node("plain", tangle.SET)
+        assert g.classes == {}                 # none asked for yet
+        assert g.color_class("plain") == {a}
+        assert g.color_class("mark") == set()
+        b = g.add_node("plain", tangle.SET)
+        g.set_color(a, "mark")
+        assert exact(g) and g.color_class("plain") == {b}
+        g.set_color(a, "mark")                 # to the colour it has
+        g.set_color(c, "done")                 # into a colour not asked for
+        assert exact(g) and set(g.classes) == {"plain", "mark"}
+        h = g.copy()
+        assert exact(h)
+        h.set_color(b, "mark")
+        assert exact(h) and exact(g)           # the copy shares no class
+        assert g.color_class("mark") == {a}
+
+        source, state = bench.union_case(16)
+        _u, _p, unit, _s, graph = compile_case(source, state)
+        cfg, _stats, outcome = automaton.run(automaton.Configuration(graph),
+                                             unit.ruleset)
+        assert outcome == automaton.QUIESCENT
+        assert cfg.tangle.classes and exact(cfg.tangle)
 
     def test_snapshot_detects_difference(self):
         g = Tangle()
