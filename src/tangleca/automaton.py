@@ -3,8 +3,8 @@
 Per tick: gather all matches at the active cell as the kernel's
 (rule_index, binding) pairs, pick one maximal pair and apply its rule at
 its binding tuple.  Deterministic mode takes the first maximal pair in
-canonical order, and the maximality filter stops at it; random mode
-filters the whole list and draws a survivor seeded-uniform.  Runs to
+the kernel's join order, and the maximality filter stops at it; random
+mode filters the whole list and draws a survivor seeded-uniform.  Runs to
 quiescence (no match) or a tick budget.
 """
 from __future__ import annotations
@@ -93,12 +93,13 @@ def select_match(pairs, cfg):
     """One maximal pair of a non-empty list of (rule_index, binding)
     pairs.
 
-    The pairs arrive as the kernel emits them, in canonical order (rule
-    order, then binding tuple), so nothing is sorted here, and the
-    maximality filter runs here.  Deterministic: the first maximal pair,
-    with the filter stopping at it.  Random: the whole list is filtered
-    and a survivor drawn seeded-uniform, from the rng only when there is
-    a choice, so a seed fully determines the run.
+    The pairs arrive as the kernel emits them, in join order (rule
+    order, then the nodes bound at the plan's steps), which is the match
+    order: nothing is sorted here, and the maximality filter runs here.
+    Deterministic: the first maximal pair, with the filter stopping at
+    it.  Random: the whole list is filtered and a survivor drawn
+    seeded-uniform, from the rng only when there is a choice, so a seed
+    fully determines the run.
     """
     if cfg.mode == DETERMINISTIC:
         return pattern.maximality_filter(pairs, first=True)[0]

@@ -287,7 +287,8 @@ def build_parser():
     sp = sub.add_parser("interpret", help="run the reference interpreter")
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-steps", type=int, default=interpreter.MAX_STEPS)
+    sp.add_argument("--max-steps", type=_positive_int,
+                    default=interpreter.MAX_STEPS)
     sp.set_defaults(func=cmd_interpret)
 
     sp = sub.add_parser("compile", help="lower a program to a rule set")
@@ -301,7 +302,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--random", action="store_true",
                     help="seeded-random tie-breaking (default: the first "
-                         "maximal match in canonical order)")
+                         "maximal match in rule order, then join order)")
     sp.add_argument("--max-ticks", type=_positive_int,
                     default=automaton.DEFAULT_MAX_TICKS)
     sp.add_argument("--trace", metavar="FILE",

@@ -301,6 +301,8 @@ def parse_state(text, program, universe):
             if len(args) != functions[fname]:
                 raise StateError("arity mismatch for %s" % fname)
             values = tuple(universe.parse(a) for a in args)
+            if (fname, tuple(v.uid for v in values)) in state.locations:
+                raise StateError("duplicate location %s" % head)
             state.write_location(fname, values,
                                  universe.parse(value_text.strip()))
         else:

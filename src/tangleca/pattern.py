@@ -26,8 +26,9 @@ no step consumes, and every negative edge, is folded into the step that
 binds its later endpoint, where the kernel applies it to that step's
 candidate set (see make_plan).
 
-Matches come out of the kernel in canonical order (rule order, then
-binding tuple); the kernel module says how it keeps that order.
+Matches come out of the kernel in join order: rule order, then the
+nodes bound at the plan's first step, its second, and so on (see
+make_plan).
 """
 from __future__ import annotations
 
@@ -177,16 +178,16 @@ def make_plan(rule, rule_index):
     between bound cells) is folded into the step that binds its later
     endpoint, as a link, and so is each negative edge, as a forbid: the
     kernel then builds that step's candidates from the link's adjacency
-    and without the forbid's, instead of testing full bindings.  Only an
-    edge or negative edge from a cell to itself (in practice a focus
-    self-loop) is left to the full binding, as a check or a neg.
+    and without the forbid's, instead of testing full bindings.  An edge
+    or negative edge from a cell to itself has no such step and raises
+    RuleError, as a disconnected pattern does; no compiled rule has one.
 
     Focus edges go first because in compiled rule sets nearly all of
     them have one target, so they bind or reject in one lookup before a
     later step fans out; only function-location labels can have more.
-    The price is that cells may be bound out of index order; the plan's
-    `ordered` is then false, and the kernel sorts that plan's matches
-    unless it can prove them sorted at that tick (see the kernel module).
+    The steps are also the match order: the kernel emits a plan's
+    bindings by the node bound at its first step, then at its second,
+    and so on.
     """
     colors = rule.colors
     focus = rule.focus
@@ -214,27 +215,21 @@ def make_plan(rule, rule_index):
         else:                            # new cell is the edge source
             at[a] = len(steps)
             steps.append((a, b, l, False, colors[a], (), ()))
-    if rest:
-        rest = _fold(rest, at, steps, _LINKS)
-    negs = rule.negs
-    if negs:
-        negs = _fold(negs, at, steps, _FORBIDS)
-    return kernel.Plan(rule_index, colors, focus, steps, rest, negs)
+    _fold(rule, rest, at, steps, _LINKS)
+    _fold(rule, rule.negs, at, steps, _FORBIDS)
+    return kernel.Plan(rule_index, colors, focus, steps)
 
 
 _LINKS, _FORBIDS = 5, 6                # their places in a plan step
 
 
-def _fold(edges, at, steps, place):
-    """Fold each edge into the step that binds its later endpoint, as
-    (earlier cell, label, forward) at `place` in that step; returns the
-    self-loops, which no step can test."""
-    loops = []
-    for edge in edges:
-        a, l, b = edge
+def _fold(rule, edges, at, steps, place):
+    """Fold each of a rule's edges into the step that binds its later
+    endpoint, as (earlier cell, label, forward) at `place` in that step;
+    a self-loop, which no step can test, raises RuleError."""
+    for a, l, b in edges:
         if a == b:
-            loops.append(edge)
-            continue
+            raise RuleError("pattern of %s has a self-loop" % rule.name)
         if at[a] < at[b]:
             d, fold = at[b], (a, l, True)      # the later cell is the target
         else:
@@ -242,16 +237,16 @@ def _fold(edges, at, steps, place):
         step = list(steps[d])
         step[place] += (fold,)
         steps[d] = tuple(step)
-    return loops
 
 
 def match_all(g, ruleset):
     """Every match of every rule anchored at the active node.
 
     Returns the kernel's (rule_index, binding) pairs, each binding a
-    tuple of nodes indexed like the rule's pattern cells, in canonical
-    order: rule order, then binding tuple, as the kernel emits them.  A
-    rule's negative edges are always honoured.
+    tuple of nodes indexed like the rule's pattern cells, in the order
+    the kernel emits them: rule order, then the nodes bound at the
+    plan's steps, in step order.  A rule's negative edges are always
+    honoured.
     """
     return kernel.enumerate_matches(ruleset.plans(), g, g.active)
 

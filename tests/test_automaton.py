@@ -87,8 +87,9 @@ class TestScheduling:
         assert len(seen) == 2
 
     def test_select_match_orders_by_rule_then_binding(self):
-        # match_all hands over pairs in canonical order (rule, then
-        # binding tuple); deterministic selection takes the first one
+        # match_all hands over pairs in join order (rule, then the nodes
+        # bound at the plan's steps); deterministic selection takes the
+        # first one
         g, rules = self._tie_setup()
         cfg = Configuration(g, mode=DETERMINISTIC)
         pairs = pattern.match_all(g, rules)
@@ -96,9 +97,9 @@ class TestScheduling:
         assert select_match(pairs, cfg) is pairs[0]
 
 
-class TestCanonicalOrderGuard:
-    """A plan that binds cells out of index order still yields canonical
-    order: the kernel sorts that plan's matches itself."""
+class TestJoinOrder:
+    """A plan that binds cells out of index order yields its matches in
+    join order, and deterministic selection takes the first of them."""
 
     def _setup(self):
         g = tangle.Tangle()
@@ -118,16 +119,13 @@ class TestCanonicalOrderGuard:
                     recolor=[("C", "green")])
         return g, RuleSet(COLORS, LABELS, [rule], 3)
 
-    def test_out_of_order_plan_is_detected_and_sorted(self):
+    def test_out_of_order_plan_applies_its_first_join(self):
         g, rules = self._setup()
-        [plan] = rules.plans().candidates("red")
-        assert not plan.ordered
         raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
-        assert raw == [(0, (0, 3, 2)), (0, (0, 4, 1))]
-        assert pattern.match_all(g, rules) == [(0, (0, 3, 2)),
-                                               (0, (0, 4, 1))]
+        assert raw == [(0, (0, 4, 1)), (0, (0, 3, 2))]
+        assert pattern.match_all(g, rules) == raw
         applied = step(Configuration(g, mode=DETERMINISTIC), rules)
-        assert (applied.rule_index, applied.binding) == (0, (0, 3, 2))
+        assert (applied.rule_index, applied.binding) == (0, (0, 4, 1))
 
 
 class TestRunLoop:

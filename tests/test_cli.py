@@ -365,6 +365,17 @@ class TestBadInput:
         assert "invalid program" in err
 
 
+    def test_duplicate_location_exits_2(self, tmp_path, capsys):
+        prog = tmp_path / "loc.asml"
+        prog.write_text("atoms a; functions f/1; criticals t;\nt := t\n")
+        state = tmp_path / "loc.state"
+        state.write_text("loc f(a) = {}\nloc f(a) = {a}\n")
+        code, out, err = run_main(["interpret", str(prog), str(state)],
+                                  capsys)
+        assert code == cli.BADINPUT
+        assert out == "" and "duplicate location f(a)" in err
+
+
 class TestBadCounts:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--max-ticks", "0"],
@@ -379,11 +390,13 @@ class TestBadCounts:
         ["difftest", "--runs", "-1"],
         ["difftest", "--max-depth", "-1"],
         ["simulate", "--max-depth", "-1"],
+        ["interpret", "--max-steps", "0"],
+        ["interpret", "--max-steps", "-3"],
     ])
     def test_non_positive_count_exits_2(self, argv, tmp_path, capsys,
                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
-        if argv[0] == "simulate":
+        if argv[0] in ("interpret", "simulate"):
             prog, state = case("02-counter")
             argv = argv[:1] + [prog, state] + argv[1:]
         with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,17 @@ before match selection moved to raw kernel pairs; the bench digests
 overhead-8) before join plans bound the focus's out-edges first, and
 union-32's, whose unordered runs are longer, before the kernel stopped
 sorting runs it can prove sorted and deterministic selection stopped
-filtering past the first maximal pair.  Any change to matching,
-maximality filtering or selection that alters a single applied match
-shows up here.  The number of pairs the kernel returns over a
-deterministic union run is pinned too.
+filtering past the first maximal pair.  The digests of perfbench's 60
+frozen generated programs, where focus steps fan out over location
+tuples, were recorded while the kernel still sorted each plan's run
+into binding-tuple order, before its join order became the match order
+(rule order, then the nodes bound at the plan's steps, in step order).
+Any change to matching, maximality filtering or selection that alters a
+single applied match shows up here.  The number of pairs the kernel
+returns over a deterministic union run is pinned too.
 """
 import hashlib
+import pathlib
 
 import pytest
 
@@ -69,6 +74,21 @@ BENCH_GOLDEN = {
         "fb252507e9a7271a0c1776cc718195a889a075202b767c0b347659370e0285ff",
 }
 
+# perfbench's 60 frozen generated programs, read only: their focus steps
+# fan out over function-location tuples
+FROZEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cases"
+
+FROZEN_GOLDEN = {
+    (False, automaton.DETERMINISTIC, 0):
+        "7ee7170ad558b706dcb3e1946b2dd5a1dac860517e41c5f4172b503fc1263754",
+    (False, automaton.RANDOM, 1):
+        "b900707fd25078143b8f50768ffebc71e0c3bbc229cd794eb308c5518ec39d95",
+    (True, automaton.DETERMINISTIC, 0):
+        "7b44116678adbb643dffe8039f48dbf71db2406fa953a603bd8c89a0e37d943d",
+    (True, automaton.RANDOM, 1):
+        "8074a0075fbd55aa31585289df933b18809b0f15767ae7e88186cf8b423aac5f",
+}
+
 # (pairs the kernel returned, ticks) over a deterministic run; union-64
 # is perfbench's `union` workload, whose traced kernel.matches agrees
 UNION_PAIRS = {16: (6216, 791), 32: (39976, 2535), 64: (288744, 9095)}
@@ -106,6 +126,15 @@ def test_bench_trace_unchanged(name, negative_edges, mode, seed):
     got = trace_digest([(name,) + BENCH_CASES[name]()],
                        negative_edges, mode, seed)
     assert got == BENCH_GOLDEN[(name, negative_edges, mode, seed)]
+
+
+@pytest.mark.parametrize("negative_edges,mode,seed", sorted(FROZEN_GOLDEN))
+def test_frozen_case_trace_unchanged(negative_edges, mode, seed):
+    cases = [(p.stem, p.read_text(), p.with_suffix(".state").read_text())
+             for p in sorted(FROZEN_DIR.glob("gen-*.asml"))]
+    assert len(cases) == 60
+    got = trace_digest(cases, negative_edges, mode, seed)
+    assert got == FROZEN_GOLDEN[(negative_edges, mode, seed)]
 
 
 @pytest.mark.parametrize("n", sorted(UNION_PAIRS))

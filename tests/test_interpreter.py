@@ -281,6 +281,17 @@ class TestStateHandling:
             with pytest.raises(StateError):
                 parse_state(bad, program, u)
 
+    def test_duplicate_location_is_rejected(self):
+        # keyed on the argument values: {a,b} and {b,a} are one location
+        u = Universe()
+        program = parse("atoms a, b; functions f/1; criticals t; t := t")
+        for text in ("loc f(a) = {}\nloc f(a) = {a}\n",
+                     "loc f({a,b}) = {}\nloc f({b,a}) = {b}\n"):
+            with pytest.raises(StateError, match="duplicate location"):
+                parse_state(text, program, u)
+        state = parse_state("loc f(a) = {}\nloc f(b) = {a}\n", program, u)
+        assert len(state.locations) == 2
+
     def test_state_equality_and_hash(self):
         u = Universe()
         a = u.atom("a")

@@ -100,9 +100,9 @@ def random_tangles(draw):
 
 
 def out_of_order_tangle():
-    """A tangle where the last probe's bindings come out of its plan out
-    of canonical order: the plan binds A, F, B, and there are two Fs and
-    two Bs, so the kernel must sort them."""
+    """A tangle where probe 7's bindings come out of its plan out of
+    tuple order: the plan binds A, F, B, and there are two Fs and two
+    Bs, so the join order differs from the binding tuples' order."""
     g = tangle.Tangle()
     c, a, b1, b2, f1, f2 = (g.add_node(color, tangle.SET) for color in
                             ("blue", "red", "green", "green", "red", "red"))
@@ -115,8 +115,8 @@ def out_of_order_tangle():
 
 def fanned_focus_tangle():
     """Probe 8's plan binds B (a focus step) before A, and the focus's z
-    label has two targets whose As come in the other order, so the
-    kernel must sort although A alone follows the focus steps."""
+    label has two targets whose As come in the other order, so the join
+    order differs from tuple order at a focus step that fans out."""
     g = tangle.Tangle()
     c, a1, a2, b1, b2 = (g.add_node(color, tangle.SET) for color in
                          ("green", "red", "red", "blue", "blue"))
@@ -128,8 +128,8 @@ def fanned_focus_tangle():
 
 def unordered_rest_tangle():
     """Probe 9's focus step has one candidate D, and the steps after it
-    bind B before A with the As in the other order, so the kernel must
-    sort although no focus step fans out."""
+    bind B before A with the As in the other order, so the join order
+    differs from tuple order although no focus step fans out."""
     g = tangle.Tangle()
     c, a1, a2, b1, b2, d = (g.add_node(color, tangle.SET) for color in
                             ("green", "red", "red", "blue", "blue", "red"))
@@ -212,9 +212,14 @@ class TestMatching:
     @example(g=negative_fan_out_tangle())
     @settings(max_examples=60, deadline=None)
     def test_match_order_is_canonical(self, g):
+        # the one match order is the join order: rule order, then the
+        # nodes bound at the plan's first step, its second, and so on
         rules = probe_rules()
-        seq = match_all(g, rules)
-        assert seq == sorted(seq)
+        steps = [[step[0] for step in pattern.make_plan(rule, i).steps]
+                 for i, rule in enumerate(rules.rules)]
+        joined = sorted(brute_matches(g, rules), key=lambda pair: (
+            pair[0], [pair[1][cell] for cell in steps[pair[0]]]))
+        assert match_all(g, rules) == joined
 
     def test_injectivity(self):
         g = tangle.Tangle()
@@ -248,12 +253,10 @@ class TestPlans:
             [("E", "y", "C"),        # into the focus: waits for growth
              ("B", "y", "A"),
              ("C", "x", "A"),
-             ("C", "x", "C"),        # focus self-loop: a check
              ("C", "z", "D"),
              ("C", "z", "A"),        # second focus edge to A: A's link
              ("D", "y", "B")],       # both ends bound by then: B's link
             negs=[("E", "z", "A"),   # E binds after A: E's forbid
-                  ("C", "y", "C"),   # focus self-loop: a neg
                   ("B", "x", "D")])  # B binds after D: B's forbid
         plan = pattern.make_plan(rule, 0)
         # (new, from, label, forward, want, links, forbids): each check
@@ -264,45 +267,26 @@ class TestPlans:
             (3, 0, "z", True, None, (), ()),
             (4, 0, "y", False, None, (), ((1, "z", False),)),
             (2, 1, "y", False, None, ((3, "y", True),), ((3, "x", False),))]
-        assert plan.checks == [(0, "x", 0)]
-        assert plan.negs == [(0, "y", 0)]
-        assert plan.focus_steps == (("x", True), ("z", True), ("y", False))
-        assert not plan.ordered and plan.rest_ordered
 
-    def test_order_proof_fields(self):
-        plans = {p.rule_index: p for p in probe_rules().plans()
-                 .candidates("green")}
-        fanned, rest = plans[8], plans[9]
-        assert fanned.steps == [(2, 0, "z", True, None, (), ()),
-                                (1, 2, "y", True, None, (), ())]
-        assert fanned.focus_steps == (("z", True),)
-        assert (fanned.ordered, fanned.rest_ordered) == (False, True)
-        assert rest.steps == [(3, 0, "x", True, None, (), ()),
-                              (2, 3, "y", True, None, (), ()),
-                              (1, 2, "z", True, None, (), ())]
-        assert rest.focus_steps == (("x", True),)
-        assert (rest.ordered, rest.rest_ordered) == (False, False)
-        # a plan whose steps all start at the focus has no rest to order
-        assert plans[0].focus_steps == () and plans[0].rest_ordered
-
-    @pytest.mark.parametrize("make_g,rule_index", [
-        (fanned_focus_tangle, 8), (unordered_rest_tangle, 9)])
-    def test_unprovable_runs_are_sorted(self, make_g, rule_index):
-        g = make_g()
-        rules = probe_rules()
-        raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
-        run = [pair for pair in raw if pair[0] == rule_index]
-        assert len(run) == 2
-        assert raw == sorted(raw)
+    @pytest.mark.parametrize("edges,negs", [
+        ([("C", "x", "A"), ("A", "y", "A")], []),
+        ([("C", "x", "A")], [("C", "y", "C")])])
+    def test_self_loop_raises(self, edges, negs):
+        rule = Rule("loop", [("C", None), ("A", None)], edges, negs=negs)
+        with pytest.raises(RuleError, match="self-loop"):
+            pattern.make_plan(rule, 0)
 
     def test_probe_binds_out_of_index_order(self):
         rules = probe_rules()
         g = out_of_order_tangle()
-        plans = rules.plans().candidates("blue")
-        assert [p.rule_index for p in plans if not p.ordered] == [7]
+        c, a, b1, b2, f1, f2 = range(6)
+        plan = pattern.make_plan(rules.rules[7], 7)
+        assert [step[0] for step in plan.steps] == [1, 3, 2]   # A, F, B
         raw = pattern.kernel.enumerate_matches(rules.plans(), g, g.active)
-        assert len([pair for pair in raw if pair[0] == 7]) == 4
-        assert raw == sorted(raw)
+        # the run comes out in join order, F before B, unsorted
+        assert [pair for pair in raw if pair[0] == 7] == [
+            (7, (c, a, b1, f1)), (7, (c, a, b2, f1)),
+            (7, (c, a, b1, f2)), (7, (c, a, b2, f2))]
 
     def _mixed(self):
         # red rule: in order; green rule binds B (index 2) before A
@@ -320,7 +304,7 @@ class TestPlans:
                     [("C", "x", "B"), ("B", "y", "A")])
         return g, RuleSet(COLORS, LABELS, [in_order, late], 3)
 
-    def test_only_unordered_colours_are_sorted(self, monkeypatch):
+    def test_out_of_order_runs_stay_in_join_order(self, monkeypatch):
         g, rules = self._mixed()
         emitted = []
         real = pattern.kernel.enumerate_matches
@@ -330,33 +314,30 @@ class TestPlans:
             return emitted[-1]
 
         monkeypatch.setattr(pattern.kernel, "enumerate_matches", spy)
-        index = rules.plans()
-        assert [p.ordered for p in index.candidates("red")] == [True]
-        assert [p.ordered for p in index.candidates("green")] == [False]
         got = match_all(g, rules)
         assert got is emitted[-1]
         assert got == [(0, (0, 1, 4)), (0, (0, 2, 3))]
+        # the green plan binds B before A: its run is ordered by B
         g.set_color(g.active, "green")
         got = match_all(g, rules)
         assert got is emitted[-1]
-        assert got == [(1, (0, 3, 2)), (1, (0, 4, 1))]
+        assert got == [(1, (0, 4, 1)), (1, (0, 3, 2))]
 
-    def test_unordered_wildcard_sorts_every_colour(self):
+    def test_wildcard_plans_keep_rule_and_join_order(self):
         g, rules = self._mixed()
         wild = Rule("wild", [("C", None), ("A", None), ("B", None)],
                     [("C", "x", "B"), ("B", "y", "A")])
         in_order = rules.rules[0]
         rules = RuleSet(COLORS, LABELS, [in_order, wild], 3)
         index = rules.plans()
-        assert [(p.rule_index, p.ordered)
-                for p in index.candidates("red")] == [(0, True), (1, False)]
+        assert [p.rule_index for p in index.candidates("red")] == [0, 1]
         assert [p.rule_index for p in index.candidates("blue")] == [1]
         got = match_all(g, rules)
         assert got == [(0, (0, 1, 4)), (0, (0, 2, 3)),
-                       (1, (0, 3, 2)), (1, (0, 4, 1))]
+                       (1, (0, 4, 1)), (1, (0, 3, 2))]
         # a wildcard plan ahead of a coloured one keeps its rule order
         rules = RuleSet(COLORS, LABELS, [wild, in_order], 3)
-        assert match_all(g, rules) == [(0, (0, 3, 2)), (0, (0, 4, 1)),
+        assert match_all(g, rules) == [(0, (0, 4, 1)), (0, (0, 3, 2)),
                                        (1, (0, 1, 4)), (1, (0, 2, 3))]
 
 
