@@ -3,9 +3,12 @@
 Per tick: gather all matches at the active cell as the kernel's
 (rule_index, binding) pairs, pick one maximal pair and apply its rule at
 its binding tuple.  Deterministic mode takes the first maximal pair in
-the kernel's join order, and the maximality filter stops at it; random
-mode filters the whole list and draws a survivor seeded-uniform.  Runs to
-quiescence (no match) or a tick budget.
+the kernel's join order: when the plan index's table says no later rule
+can cover the first pair's rule, that pair is maximal and is taken
+without the maximality filter (the tick is "settled"); otherwise the
+filter runs and stops at the first maximal pair.  Random mode filters
+the whole list and draws a survivor seeded-uniform.  Runs to quiescence
+(no match) or a tick budget.
 """
 from __future__ import annotations
 
@@ -59,11 +62,14 @@ class Match:
 class StepStats:
     """Tick counts per rule name; phases group them by the rule-name
     prefix before ':'.  matches counts the pairs the kernel returned
-    over the run, kept or not."""
+    over the run, kept or not; settled counts the deterministic ticks
+    whose pair the plan index's final table chose without the
+    maximality filter."""
 
     def __init__(self):
         self.total = 0
         self.matches = 0
+        self.settled = 0
         self.rules = {}
 
     def count(self, rule_name):
@@ -80,7 +86,8 @@ class StepStats:
 
     def as_dict(self):
         return {"total": self.total, "matches": self.matches,
-                "phases": self.phases, "rules": dict(self.rules)}
+                "settled": self.settled, "phases": self.phases,
+                "rules": dict(self.rules)}
 
     def format(self):
         phases = self.phases
@@ -89,19 +96,27 @@ class StepStats:
         return "\n".join(lines) + "\n"
 
 
-def select_match(pairs, cfg):
+def select_match(pairs, cfg, final, stats=None):
     """One maximal pair of a non-empty list of (rule_index, binding)
     pairs.
 
     The pairs arrive as the kernel emits them, in join order (rule
     order, then the nodes bound at the plan's steps), which is the match
     order: nothing is sorted here, and the maximality filter runs here.
-    Deterministic: the first maximal pair, with the filter stopping at
-    it.  Random: the whole list is filtered and a survivor drawn
-    seeded-uniform, from the rng only when there is a choice, so a seed
-    fully determines the run.
+    Deterministic: the first maximal pair.  When the plan index's table
+    `final` (kernel.PlanIndex.final) says no later rule can cover the
+    first pair's rule, that pair is returned without the filter and
+    counted in stats.settled; otherwise the filter stops at the first
+    maximal pair.  Random: the whole list is filtered and a survivor
+    drawn seeded-uniform, from the rng only when there is a choice, so a
+    seed fully determines the run.
     """
     if cfg.mode == DETERMINISTIC:
+        first = pairs[0]
+        if final[first[0]]:
+            if stats is not None:
+                stats.settled += 1
+            return first
         return pattern.maximality_filter(pairs, first=True)[0]
     maximal = pattern.maximality_filter(pairs)
     if len(maximal) == 1:
@@ -114,14 +129,16 @@ def step(cfg, rules, stats=None):
 
     Selection works on the kernel's pairs, and the chosen pair's binding
     tuple goes to pattern.apply as it is.  Given stats, it adds the
-    number of pairs the kernel returned to stats.matches.
+    number of pairs the kernel returned to stats.matches and counts a
+    settled tick in stats.settled.
     """
     pairs = pattern.match_all(cfg.tangle, rules)
     if stats is not None:
         stats.matches += len(pairs)
     if not pairs:
         return None
-    rule_index, binding = select_match(pairs, cfg)
+    rule_index, binding = select_match(pairs, cfg, rules.plans().final,
+                                       stats)
     rule = rules.rules[rule_index]
     pattern.apply(cfg.tangle, rule, binding)
     cfg.tick += 1

@@ -308,8 +308,10 @@ def build_parser():
     sp.add_argument("--trace", metavar="FILE",
                     help="write a full per-tick trace")
     sp.add_argument("--stats-json", metavar="PATH",
-                    help="write tick counts (total, per phase, per rule) "
-                         "and the number of matches found as JSON")
+                    help="write tick counts (total, per phase, per rule), "
+                         "the number of matches found and the number of "
+                         "deterministic ticks settled without the "
+                         "maximality filter as JSON")
     sp.add_argument("--dot-every", type=_positive_int, metavar="K",
                     help="write a graphviz snapshot every K ticks")
     sp.add_argument("--dot-prefix", default="tangle",

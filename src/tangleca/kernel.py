@@ -47,11 +47,22 @@ class Plan:
 
 
 class PlanIndex:
-    """Plans grouped by focus colour, each group in rule order.
+    """Plans grouped by focus colour, each group in rule order, and the
+    rules no later rule can cover.
 
     A wildcard-focus plan runs at every colour: it is merged into each
     colour's group once, here, and `wildcard` holds it for colours no
     plan names.
+
+    final[rule_index] is True when no later plan of the rule's focus
+    group (every plan, for a wildcard-focus rule) can cover a match of
+    it.  A plan B can cover a plan A only if B has more cells and some
+    injective map from A's cells to B's keeps the focus and pairs
+    compatible colours (None is compatible with any colour): a match of
+    B whose cell set holds a match of A binds each node of A's match to
+    a cell of B that accepts the node's colour.  So the first pair of a
+    tick, when its rule is final, is maximal: every other pair comes
+    from the same rule, with as many cells, or from a later one.
     """
 
     def __init__(self, plans):
@@ -67,9 +78,59 @@ class PlanIndex:
             for group in self.by_color.values():
                 group += self.wildcard
                 group.sort(key=lambda p: p.rule_index)
+        self.final = _final_table(plans, self.by_color, self.wildcard)
 
     def candidates(self, color):
         return self.by_color.get(color, self.wildcard)
+
+
+def _final_table(plans, by_color, wildcard):
+    """PlanIndex.final, as a tuple indexed by rule index.
+
+    A plan with its group's largest cell count is final untested, and a
+    plan is tested only against later plans with more cells.  The
+    non-focus colours of a plan are counted once, when a test first
+    needs them: B can take A's cells iff the cells of each colour A has
+    beyond B's cells of that colour fit, all together, into B's wildcard
+    cells (B has more cells in all, so A's wildcard cells then fit into
+    what is left).
+    """
+    final = [True] * (1 + max([p.rule_index for p in plans], default=-1))
+    counts = {}
+
+    def count(p):
+        found = counts.get(p)
+        if found is None:
+            tally = {}
+            for cell, c in enumerate(p.colors):
+                if cell != p.focus:
+                    tally[c] = tally.get(c, 0) + 1
+            found = counts[p] = (tally, tally.pop(None, 0))
+        return found
+
+    groups = [(group, False) for group in by_color.values()]
+    if wildcard:
+        # a wildcard-focus rule meets every later plan
+        groups.append((sorted(plans, key=lambda p: p.rule_index), True))
+    for group, wild in groups:
+        largest = max([p.n for p in group])
+        for k, a in enumerate(group):
+            if a.n == largest or (a.colors[a.focus] is None) != wild:
+                continue
+            need = count(a)[0]
+            for b in group[k + 1:]:
+                if b.n > a.n:
+                    have, spare = count(b)
+                    for c, m in need.items():
+                        m -= have.get(c, 0)
+                        if m > 0:
+                            spare -= m
+                            if spare < 0:
+                                break
+                    else:
+                        final[a.rule_index] = False
+                        break
+    return tuple(final)
 
 
 def enumerate_matches(index, g, active):

@@ -12,7 +12,11 @@ apply takes it as it is.
 The maximality filter drops any match whose cell set is a strict subset
 of another match's cell set; equal cell sets survive together.  Bindings
 are injective, so a strict superset always has more cells: each pair is
-compared only with longer pairs.
+compared only with longer pairs.  Deterministic selection wants only the
+first maximal pair, and RuleSet.plans() works out once which rules no
+later rule can cover (kernel.PlanIndex.final, a test on cell counts and
+colours alone): when the first pair's rule is one of them, that pair is
+maximal and automaton.select_match takes it without the filter.
 
 Join plans are rooted at the focus (as in GP 2's rooted rules): each plan
 first binds every cell reached by an edge out of the focus, then grows
@@ -160,7 +164,8 @@ class RuleSet:
         self._plans = None
 
     def plans(self):
-        """The kernel's plan index, built once."""
+        """The kernel's plan index, with its table of the rules no later
+        rule can cover, built once."""
         if self._plans is None:
             self._plans = kernel.PlanIndex(
                 [make_plan(r, i) for i, r in enumerate(self.rules)])
@@ -322,7 +327,9 @@ def validate_ruleset(ruleset, negative_edges=False):
     """Palette, alphabet, shape, duplicate-rule-name and extension-flag
     violations across all rules; empty list iff valid.  A fault in a
     rule's own cell names cannot reach here: Rule raises it when the
-    rule is built.
+    rule is built.  Every pattern make_plan refuses is reported: a
+    disconnected one, and an edge or negative edge from a cell to itself
+    ("pattern loop", "negative edge loop").
 
     A pattern's shape depends only on its cell count, focus and edge
     endpoints, so it is computed once per such key within one call.
@@ -357,6 +364,8 @@ def validate_ruleset(ruleset, negative_edges=False):
             violations.append(ctx + "pattern loop")
         if rule.negs and not negative_edges:
             violations.append(ctx + "negative edges without the extension flag")
+        if any(a == b for a, _l, b in rule.negs):
+            violations.append(ctx + "negative edge loop")
         for color, _kind in rule.creates:
             if color not in palette:
                 violations.append(ctx + "created color %s not in palette"

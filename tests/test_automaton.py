@@ -94,7 +94,25 @@ class TestScheduling:
         cfg = Configuration(g, mode=DETERMINISTIC)
         pairs = pattern.match_all(g, rules)
         assert len(pairs) == 2 and pairs == sorted(pairs)
-        assert select_match(pairs, cfg) is pairs[0]
+        assert select_match(pairs, cfg, rules.plans().final) is pairs[0]
+
+    def test_final_first_pair_is_taken_unfiltered(self, monkeypatch):
+        # unless the table calls rule 0 final, the filter runs and drops
+        # its one-cell pair
+        pairs = [(0, (5,)), (1, (5, 6)), (1, (5, 7))]
+        cfg = Configuration(tangle.Tangle(), mode=DETERMINISTIC)
+        stats = StepStats()
+        assert select_match(pairs, cfg, (False, True), stats) == pairs[1]
+        assert stats.settled == 0
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("maximality filter called")
+
+        # a final rule's first pair is taken without the filter
+        monkeypatch.setattr(pattern, "maximality_filter", no_filter)
+        pairs = [(0, (5, 6)), (1, (5, 7, 8))]
+        assert select_match(pairs, cfg, (True, True), stats) is pairs[0]
+        assert stats.settled == 1
 
 
 class TestJoinOrder:
@@ -179,7 +197,7 @@ class TestRunLoop:
             stats.count(name)
         assert stats.rules == {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}
         assert stats.as_dict() == {
-            "total": 5, "matches": 0,
+            "total": 5, "matches": 0, "settled": 0,
             "phases": {"a": 3, "b": 1, "plain": 1},
             "rules": {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}}
         assert stats.format() == (

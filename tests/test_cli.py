@@ -145,7 +145,8 @@ class TestSimulate:
             ["simulate", prog, state, "--stats-json", str(target)], capsys)
         assert code == 0
         stats = json.loads(target.read_text())
-        assert set(stats) == {"total", "matches", "phases", "rules"}
+        assert set(stats) == {"total", "matches", "settled", "phases",
+                              "rules"}
         assert "outcome terminal after %d ticks" % stats["total"] in out
         # every tick applies one of the pairs the kernel returned
         assert stats["matches"] >= stats["total"]
@@ -210,8 +211,9 @@ class TestSimulate:
 # --dot-every 25 --stats-json` (stdout, exit code, trace, .dot files and
 # stats JSON) on a union, a singleton, a location-write and a choice case,
 # each in three schedule and edge modes.  The stats JSON is hashed
-# without its "matches" count, which it gained after the digest was
-# recorded; that count is pinned by SIMULATE_MATCHES.
+# without its "matches" and "settled" counts, which it gained after the
+# digest was recorded; they are pinned by SIMULATE_MATCHES and
+# SIMULATE_SETTLED (random schedules settle no tick).
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
@@ -219,11 +221,13 @@ SIMULATE_MODES = ([], ["--negative-edges"],
 SIMULATE_DIGEST = (
     "4963bb90b251b5b74beb06448ecea64497a2310cbe1765c91bb20f99262ff9af")
 SIMULATE_MATCHES = [123, 123, 78, 55, 55, 55, 160, 160, 160, 90, 90, 91]
+SIMULATE_SETTLED = [71, 71, 0, 35, 35, 0, 108, 108, 0, 56, 57, 0]
 
 
 def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     digest = hashlib.sha256()
     matches = []
+    settled = []
     for name in SIMULATE_CASES:
         for mode in SIMULATE_MODES:
             run_dir = tmp_path / ("%s%d" % (name, len(mode)))
@@ -243,11 +247,13 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
                 if path.name == "stats.json":
                     stats = json.loads(data)
                     matches.append(stats.pop("matches"))
+                    settled.append(stats.pop("settled"))
                     data = (json.dumps(stats, indent=2, sort_keys=True)
                             + "\n").encode()
                 digest.update(data)
     assert digest.hexdigest() == SIMULATE_DIGEST
     assert matches == SIMULATE_MATCHES
+    assert settled == SIMULATE_SETTLED
 
 
 class TestDifftest:

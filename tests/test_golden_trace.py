@@ -15,14 +15,17 @@ into binding-tuple order, before its join order became the match order
 (rule order, then the nodes bound at the plan's steps, in step order).
 Any change to matching, maximality filtering or selection that alters a
 single applied match shows up here.  The number of pairs the kernel
-returns over a deterministic union run is pinned too.
+returns over a deterministic union run is pinned too.  On every
+deterministic tick of the corpus, the frozen programs, union-16 and
+overhead-8, the pair that selection takes (settled by the plan index's
+table or not) must be the maximality filter's first maximal pair.
 """
 import hashlib
 import pathlib
 
 import pytest
 
-from tangleca import automaton, bench
+from tangleca import automaton, bench, pattern
 
 from conftest import compile_case, corpus_names, load_corpus_case
 
@@ -144,3 +147,36 @@ def test_union_kernel_pairs_per_run(n):
                                          unit.ruleset)
     assert outcome == automaton.QUIESCENT
     assert (stats.matches, stats.total) == UNION_PAIRS[n]
+
+
+# (ticks settled by the plan index's final table, deterministic ticks)
+# over the 20 corpus and 60 frozen programs, union-16 and overhead-8
+SETTLED = {False: (6362, 7192), True: (6364, 7192)}
+
+
+@pytest.mark.parametrize("negative_edges", sorted(SETTLED))
+def test_settled_pair_is_the_first_maximal_pair(negative_edges,
+                                                monkeypatch):
+    real = automaton.select_match
+
+    def checked(pairs, cfg, final, stats=None):
+        got = real(pairs, cfg, final, stats)
+        assert got == pattern.maximality_filter(pairs, first=True)[0]
+        return got
+
+    monkeypatch.setattr(automaton, "select_match", checked)
+    cases = [load_corpus_case(name) for name in corpus_names()]
+    cases += [(p.read_text(), p.with_suffix(".state").read_text())
+              for p in sorted(FROZEN_DIR.glob("gen-*.asml"))]
+    cases += [bench.union_case(16), bench.overhead_case(8)]
+    assert len(cases) == 82
+    settled = ticks = 0
+    for source, state_text in cases:
+        _u, _p, unit, _s, graph = compile_case(
+            source, state_text, negative_edges=negative_edges)
+        _cfg, stats, outcome = automaton.run(automaton.Configuration(graph),
+                                             unit.ruleset)
+        assert outcome == automaton.QUIESCENT
+        settled += stats.settled
+        ticks += stats.total
+    assert (settled, ticks) == SETTLED[negative_edges]

@@ -395,6 +395,68 @@ class TestMaximality:
         assert maximality_filter([], first=True) == []
 
 
+def star(focus_color, *colors):
+    """A rule whose focus C points at one cell of each colour given."""
+    cells = [("C", focus_color)] + [("A%d" % i, c)
+                                    for i, c in enumerate(colors)]
+    return Rule("star", cells,
+                [("C", "x", "A%d" % i) for i in range(len(colors))])
+
+
+PROBE_ORDER = list(range(len(probe_rules().rules)))
+
+
+class TestFinalTable:
+    """kernel.PlanIndex.final: the rules no later rule can cover."""
+
+    @pytest.mark.parametrize("earlier,later,final", [
+        # the later rule has no cell that takes green
+        (star("red", "green"), star("red", "blue", "blue"), True),
+        (star("red", "green"), star("red", None, "blue"), False),
+        # another focus group, unless the later focus is a wildcard
+        (star("red", "green"), star("blue", "green", "green"), True),
+        (star("red", "green"), star(None, "green", "blue"), False),
+        # focus goes to focus: the red cell cannot take the red focus
+        (star(None, "red"), star("red", "blue", "green"), True),
+        # a wildcard-focus rule meets the plans of every group
+        (star(None, "red"), star("blue", "red", "green"), False),
+        # covering needs more cells
+        (star("red", "green"), star("red", None), True),
+        (star("red", None, None), star("red", "green"), True),
+        # two greens beyond the one green cell: one wildcard is not enough
+        (star("red", "green", "green", "green"),
+         star("red", "green", None, "blue", "blue"), True),
+        (star("red", "green", "green", "blue"),
+         star("red", "green", None, "blue", "blue"), False),
+    ])
+    def test_colour_only_cover_test(self, earlier, later, final):
+        rules = RuleSet(COLORS, LABELS, [earlier, later], 3)
+        # the last rule has no later rule to cover it
+        assert rules.plans().final == (final, True)
+
+    def test_one_entry_per_rule(self):
+        assert RuleSet(COLORS, LABELS, [], 3).plans().final == ()
+        rules = probe_rules()
+        assert len(rules.plans().final) == len(rules.rules)
+
+    @given(g=random_tangles(), order=st.permutations(PROBE_ORDER))
+    @example(g=out_of_order_tangle(), order=PROBE_ORDER)
+    @example(g=fanned_focus_tangle(), order=PROBE_ORDER)
+    @example(g=unordered_rest_tangle(), order=PROBE_ORDER)
+    @example(g=empty_colour_tangle(), order=PROBE_ORDER)
+    @example(g=failed_fold_tangle(), order=PROBE_ORDER)
+    @example(g=negative_fan_out_tangle(), order=PROBE_ORDER)
+    @settings(max_examples=200, deadline=None)
+    def test_first_pair_of_a_final_rule_is_maximal(self, g, order):
+        # the probe rules in any order: deterministic selection may take
+        # the first pair unfiltered whenever the table calls its rule final
+        probes = probe_rules().rules
+        rules = RuleSet(COLORS, LABELS, [probes[i] for i in order], 3)
+        pairs = match_all(g, rules)
+        if pairs and rules.plans().final[pairs[0][0]]:
+            assert pairs[0] in maximality_filter(pairs)
+
+
 class TestPatternStructure:
     def test_radius(self):
         chain = Rule("chain", [("A", None), ("B", None), ("C", None)],
@@ -627,6 +689,16 @@ class TestValidate:
         assert "rule cyclic@D: pattern loop" in found
         assert "rule acyclic@D: pattern loop" not in found
         assert found[-1] == "rule chain+E: pattern is disconnected"
+
+    def test_negative_self_loop_is_reported(self):
+        # make_plan refuses it at the first tick, so it must not validate
+        rule = Rule("nl", [("C", None), ("A", None)], [("C", "x", "A")],
+                    negs=[("C", "y", "C")])
+        rules = RuleSet(COLORS, LABELS, [rule], 3)
+        assert validate_ruleset(rules, negative_edges=True) == [
+            "rule nl: negative edge loop"]
+        with pytest.raises(RuleError, match="self-loop"):
+            rules.plans()
 
     def test_unknown_edge_endpoint_is_reported(self):
         with pytest.raises(RuleError) as exc:

@@ -3,12 +3,13 @@
 perfbench/run.py wraps package functions by module and attribute name.
 A rename or deletion there would otherwise show only in the next
 benchmark run, so this loads the script and runs one untraced and one
-traced pass of its `accumulate` workload, and one untraced pass each of
-its `union` and `difftest` workloads.  The signatures pinned here are
+traced pass each of its `accumulate` and `union` workloads, and one
+untraced pass of its `difftest` workload.  The signatures pinned here are
 the benchmark's own repeat check: a change to what the kernel matches
 changes them.
 """
 import importlib.util
+import math
 import pathlib
 import sys
 
@@ -68,12 +69,36 @@ def test_accumulate_passes_agree(run):
         assert metrics[name] > 0, name
 
 
-def test_union_pass_is_clean(run):
+@pytest.fixture(scope="module")
+def union(run):
     wl = run.set_up("union", 0)
-    plain = run.timed_pass(wl, traced=False)
+    return wl, run.timed_pass(wl, traced=False)
+
+
+def test_union_pass_is_clean(union):
+    _wl, plain = union
     assert plain.problems == []
     assert plain.failed == 0
     assert plain.signature[:4] == (9095, 107, 138, 4366)
+
+
+def test_union_traced_pass_agrees(run, union):
+    # most deterministic union ticks are settled by the plan index's
+    # table; the 69 that are not still reach the maximality filter
+    wl, plain = union
+    traced = run.timed_pass(wl, traced=True)
+    assert traced.problems == []
+    assert traced.failed == 0
+    assert traced.signature == plain.signature
+    metrics = traced.metrics
+    assert metrics["kernel.matches"] == 288744
+    assert 0 < metrics["pattern.matches_kept"] < metrics["kernel.matches"]
+    for name in ("kernel.enumerate_s", "pattern.match_all_self_s",
+                 "pattern.maximality_filter_s", "automaton.select_s",
+                 "pattern.apply_s", "automaton.run_self_s"):
+        assert metrics[name] > 0, name
+    for name, value in metrics.items():
+        assert math.isfinite(value), name
 
 
 def test_difftest_pass_is_clean(run):
