@@ -9,6 +9,11 @@ without the maximality filter (the tick is "settled"); otherwise the
 filter runs and stops at the first maximal pair.  Random mode filters
 the whole list and draws a survivor seeded-uniform.  Runs to quiescence
 (no match) or a tick budget.
+
+A checked run walks the whole tangle once, before the first tick.  After
+that each tick pays only for what its rule can break, looked up in the
+rule set's effect table, and a tick that ends at an idle color adds the
+committed-value checks that mid-protocol ticks are exempt from.
 """
 from __future__ import annotations
 
@@ -158,23 +163,27 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     graph's values were built in, and InvariantViolation is raised at the
     first tick that leaves the tangle malformed, carrying the run's stats:
 
-    - before the first tick, tangle.check_invariants runs on the initial
-      graph (a violation there reports the configuration's starting tick);
+    - before the first tick, tangle.check_invariants runs in full on the
+      initial graph (a violation there reports the configuration's
+      starting tick);
+    - after every tick, only what the applied rule can have broken is
+      checked, as the rule set's effect table (effects) records it: the
+      node count did not fall, and, for a rule that has the effect, no
+      created node is a second Criticals and no added containment edge
+      closes a cycle;
     - after a tick that ends at an idle color (every tick when
-      idle_colors is None), tangle.check_invariants runs in full,
-      committed-value uniqueness and pair shape included;
-    - after any other tick, only what the applied rule can have broken
-      is checked: the node count did not fall, no created node is a
-      second Criticals, and no added containment edge closes a cycle.
-      Mid-protocol marks are exempt from uniqueness and pair shape.
+      idle_colors is None), tangle.committed_violations also runs: pair
+      shape and committed-value uniqueness, which mid-protocol marks are
+      exempt from.
 
     An invariant check that meets a value past the universe's limits
     raises hfset.HFLimitError; run sets the error's `stats` to the run's
     stats before it passes the error on.
 
-    The incremental checks extend the previous clean check, so they
-    assume that between two checks the graph changes only through
-    pattern.apply: on_tick must not mutate the tangle.
+    Every check after the first extends the previous clean check, so
+    they assume that between two checks, idle ticks included, the graph
+    changes only through pattern.apply: on_tick must not mutate the
+    tangle.
     """
     if max_ticks <= 0:
         raise ValueError("max_ticks must be positive")
@@ -186,6 +195,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             violations = tg.check_invariants(cfg.tangle, universe)
             if violations:
                 raise InvariantViolation(cfg.tick, violations, stats)
+            table = effects(rules)
         prev_nodes = cfg.tangle.node_count()
         while True:
             applied = step(cfg, rules, stats)
@@ -195,7 +205,10 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             if on_tick is not None:
                 on_tick(cfg, applied)
             if check_invariants:
-                _check(cfg, applied, prev_nodes, idle_colors, universe, stats)
+                violations = _check(cfg.tangle, applied, prev_nodes, table,
+                                    idle_colors, universe)
+                if violations:
+                    raise InvariantViolation(cfg.tick, violations, stats)
             prev_nodes = cfg.tangle.node_count()
             if cfg.tick >= max_ticks:
                 return cfg, stats, BUDGET
@@ -204,35 +217,59 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
         raise
 
 
-def _check(cfg, applied, prev_nodes, idle_colors, universe, stats):
-    g = cfg.tangle
+def effects(rules):
+    """The rule set's effect table, built the first time a checked run
+    needs it and kept on the rule set.
+
+    Indexed by rule index: None for a rule that can break no structural
+    invariant, else (criticals, containment), where criticals is whether
+    the rule creates a Criticals node and containment holds the (src,
+    dst) cells of its containment add edges.  Both are fixed for the
+    rule: pattern.apply creates nodes in creates order with those kinds
+    and adds exactly those edges.  Deleted edges and recolors cannot
+    break a structural invariant.
+    """
+    if rules.effects is None:
+        table = []
+        for rule in rules.rules:
+            criticals = any(kind == tg.CRITICALS for _c, kind in rule.creates)
+            containment = tuple([(a, d) for a, label, d in rule.add
+                                 if label in tg.CONTAINMENT])
+            table.append((criticals, containment)
+                         if criticals or containment else None)
+        rules.effects = tuple(table)
+    return rules.effects
+
+
+def _check(g, applied, prev_nodes, table, idle_colors, universe):
+    """The violations of the tick just applied, in tangle.check_invariants
+    order, with "node count decreased" first."""
+    effect = table[applied.rule_index]
+    violations = ([] if effect is None
+                  else _tick_violations(g, applied, prev_nodes, effect))
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
-        violations = tg.check_invariants(g, universe)
-    else:
-        violations = _tick_violations(g, applied, prev_nodes)
+        violations += tg.committed_violations(
+            g, universe, "containment cycle" in violations)
     if g.node_count() < prev_nodes:
         violations.insert(0, "node count decreased")
-    if violations:
-        raise InvariantViolation(cfg.tick, violations, stats)
+    return violations
 
 
-def _tick_violations(g, applied, prev_nodes):
-    """Structural violations the applied rewrite can have introduced.
+def _tick_violations(g, applied, prev_nodes, effect):
+    """Structural violations the applied rewrite has introduced, given
+    the rule's entry in the effect table.
 
-    pattern.apply creates nodes with consecutive ids in the rule's
-    creates order and never removes one, so the created nodes are
-    prev_nodes onwards, and created cell i of the rule is node
-    prev_nodes + i.  Deleted edges and recolors cannot break a
-    structural invariant, and the active node is never reassigned.
+    The previous check found one Criticals node and acyclic containment,
+    so a created Criticals node is a second one, and a new cycle runs
+    through an added containment edge.  pattern.apply creates nodes with
+    consecutive ids in the rule's creates order and never removes one,
+    so created cell i of the rule is node prev_nodes + i.
     """
-    violations = []
-    now = g.node_count()
-    if any(g.nodes[nid].kind == tg.CRITICALS
-           for nid in range(prev_nodes, now)):
-        violations.append("multiple criticals")
-    node_of = applied.binding + tuple(range(prev_nodes, now))
-    for a, label, d in applied.rule.add:
-        if label in tg.CONTAINMENT and _reaches(g, node_of[d], node_of[a]):
+    criticals, containment = effect
+    violations = ["multiple criticals"] if criticals else []
+    node_of = applied.binding + tuple(range(prev_nodes, g.node_count()))
+    for a, d in containment:
+        if _reaches(g, node_of[d], node_of[a]):
             violations.append("containment cycle")
             break
     return violations

@@ -162,6 +162,7 @@ class RuleSet:
         self.rules = list(rules)
         self.radius = radius
         self._plans = None
+        self.effects = None  # automaton.effects builds it on first need
 
     def plans(self):
         """The kernel's plan index, with its table of the rules no later
@@ -324,8 +325,9 @@ def apply(g, rule, binding):
 
 
 def validate_ruleset(ruleset, negative_edges=False):
-    """Palette, alphabet, shape, duplicate-rule-name and extension-flag
-    violations across all rules; empty list iff valid.  A fault in a
+    """Palette, alphabet (the labels of edges, negative edges and
+    edits), shape, duplicate-rule-name and extension-flag violations
+    across all rules; empty list iff valid.  A fault in a
     rule's own cell names cannot reach here: Rule raises it when the
     rule is built.  Every pattern make_plan refuses is reported: a
     disconnected one, and an edge or negative edge from a cell to itself
@@ -349,6 +351,10 @@ def validate_ruleset(ruleset, negative_edges=False):
         for _a, l, _b in rule.edges:
             if l not in labels:
                 violations.append(ctx + "label %s not in alphabet" % l)
+        for _a, l, _b in rule.negs:
+            if l not in labels:
+                violations.append(ctx + "negative label %s not in alphabet"
+                                  % l)
         key = (len(rule.colors), rule.focus,
                tuple([(a, b) for a, _l, b in rule.edges]))
         found = shapes.get(key)

@@ -415,11 +415,13 @@ def check_invariants(g, universe):
     """List of structural violations; empty iff the tangle is well formed.
 
     Checks: exactly one Criticals node, active is Criticals, containment
-    acyclicity, one fst and one snd component on every committed pair,
-    committed-value uniqueness.  This walks the whole graph;
-    automaton.run calls it before the first tick and after every tick
-    that ends at an idle color, and between those checks only what a
-    tick can break.
+    acyclicity, then committed_violations (pair shape and committed-value
+    uniqueness).  This walks the whole graph; automaton.run calls it once,
+    before the first tick.  After that a checked run relies on induction:
+    nodes are never removed, kinds and the active node never change, and
+    each added containment edge is tested for a cycle when it is added,
+    so an idle-ending tick needs only its own structural check and
+    committed_violations.
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
@@ -430,11 +432,24 @@ def check_invariants(g, universe):
         violations.append("active is not the criticals node")
 
     # containment acyclicity, over every node whatever its kind or color
-    if has_directed_cycle({nid: [src for label in CONTAINMENT
-                                 for src in g.sources(nid, label)]
-                           for nid in g.nodes}):
+    cyclic = has_directed_cycle({nid: [src for label in CONTAINMENT
+                                       for src in g.sources(nid, label)]
+                                 for nid in g.nodes})
+    if cyclic:
         violations.append("containment cycle")
+    violations += committed_violations(g, universe, cyclic)
+    return violations
 
+
+def committed_violations(g, universe, cyclic):
+    """Violations among committed value nodes: a pair without exactly
+    one fst and one snd component, then each duplicate committed value.
+    Uniqueness is not checked when the containment is `cyclic`.
+
+    These are the checks mid-protocol ticks are exempt from, so
+    automaton.run runs them after every tick that ends at an idle color.
+    """
+    violations = []
     for n in g.nodes.values():
         if n.kind == PAIR and n.color in COMMITTED:
             fsts = len(g.sources(n.id, FST))
@@ -444,7 +459,7 @@ def check_invariants(g, universe):
                     "pair node %d has %d fst / %d snd components"
                     % (n.id, fsts, snds))
 
-    if "containment cycle" not in violations:
+    if not cyclic:
         seen = {}
         for nid, v in _node_values(g, universe, strict=False).items():
             if v.uid in seen:

@@ -366,24 +366,37 @@ class TestIncrementalChecks:
                 on_tick=lambda cfg, m: applied.append(m))
         assert exc.value.tick == 0 and applied == []
 
-    def test_full_check_runs_only_at_start_and_idle_ticks(self, monkeypatch):
-        # guard against a full-graph walk on every tick: one call before
-        # the first tick plus one per tick that ends at an idle color
+    def test_full_check_runs_once_per_run(self, monkeypatch):
+        # guard against a full-graph walk after the first tick and a
+        # structural check at a tick whose rule can break nothing: one
+        # full check before the first tick, one structural check per tick
+        # whose rule creates a Criticals node or adds a containment edge,
+        # and one committed check per tick that ends at an idle color
         source, state_text = load_corpus_case("03-accumulate")
         u, _p, unit, _s, graph = compile_case(source, state_text)
-        calls = []
-        full_check = tangle.check_invariants
+        calls = {"full": 0, "structural": 0, "committed": 0}
 
-        def counting_check(g, universe=None):
-            calls.append(g)
-            return full_check(g, universe)
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(tangle, "check_invariants", counting_check)
+        for name, mod, attr in [("full", tangle, "check_invariants"),
+                                ("structural", automaton, "_tick_violations"),
+                                ("committed", tangle, "committed_violations")]:
+            monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
         idle_ticks = []
+        effect_ticks = []
+        assert unit.ruleset.effects is None     # not built by the compiler
 
-        def on_tick(cfg, _m):
+        def on_tick(cfg, m):
             if cfg.tangle.color_of(cfg.tangle.active) in unit.idle_colors:
                 idle_ticks.append(cfg.tick)
+            if (any(kind == tangle.CRITICALS for _c, kind in m.rule.creates)
+                    or any(label in tangle.CONTAINMENT
+                           for _a, label, _d in m.rule.add)):
+                effect_ticks.append(cfg.tick)
 
         _, stats, outcome = run(Configuration(graph), unit.ruleset,
                                 check_invariants=True,
@@ -391,7 +404,55 @@ class TestIncrementalChecks:
                                 on_tick=on_tick)
         assert outcome == QUIESCENT
         assert 0 < len(idle_ticks) < stats.total
-        assert len(calls) == 1 + len(idle_ticks)
+        assert 0 < len(effect_ticks) < stats.total
+        assert calls == {"full": 1, "structural": len(effect_ticks),
+                         # the full check runs the committed part too
+                         "committed": 1 + len(idle_ticks)}
+        # built once per rule set, not per run
+        assert automaton.effects(unit.ruleset) is unit.ruleset.effects
+
+
+class TestIdleTickChecks:
+    """Rules that end at an idle color and break an invariant: the run
+    raises at that tick with the list the full check gives."""
+
+    def _violations(self, **rewrite):
+        g = two_set_graph()
+        rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "idle")]
+        u = hfset.Universe()
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), two_set_rules(rewrite), max_ticks=10,
+                check_invariants=True, idle_colors=IDLE, universe=u)
+        assert exc.value.tick == 1
+        assert exc.value.violations == tangle.check_invariants(g, u)
+        return exc.value.violations
+
+    @pytest.mark.parametrize("label", [tangle.FST, tangle.SND])
+    def test_containment_cycle(self, label):
+        # both sets are committed empty sets, but uniqueness is not
+        # checked once containment is cyclic
+        assert self._violations(
+            add=[("A", label, "B"), ("B", label, "A")],
+            recolor=[("A", tangle.PLAIN), ("B", tangle.PLAIN)],
+        ) == ["containment cycle"]
+
+    def test_second_criticals(self):
+        assert self._violations(
+            creates=[("D", tangle.PLAIN, tangle.CRITICALS)],
+            recolor=[("A", tangle.PLAIN), ("B", tangle.PLAIN)],
+        ) == ["multiple criticals",
+              "duplicate committed value at nodes 1 and 2"]
+
+    def test_pair_with_two_fst_components(self):
+        assert self._violations(
+            creates=[("P", tangle.PLAIN, tangle.PAIR)],
+            add=[("A", tangle.FST, "P"), ("B", tangle.FST, "P")],
+        ) == ["pair node 3 has 2 fst / 0 snd components"]
+
+    def test_duplicate_committed_value(self):
+        assert self._violations(
+            recolor=[("A", tangle.PLAIN), ("B", tangle.PLAIN)],
+        ) == ["duplicate committed value at nodes 1 and 2"]
 
 
 FOCUS_COLORS = ("idle", "busy", "red")
@@ -452,15 +513,16 @@ class TestIncrementalMatchesFull:
            st.sampled_from((DETERMINISTIC, RANDOM)), st.integers(0, 9))
     def test_first_violation_tick_agrees(self, g, rules, mode, seed):
         # the run must stop at the first tick where the full check,
-        # restricted to structural kinds at non-idle colors, is unclean
+        # restricted to structural kinds at non-idle colors, is unclean,
+        # and report exactly that restricted list
         u = hfset.Universe()
-        verdicts = [bool(tangle.check_invariants(g, u))]
+        found = [tangle.check_invariants(g, u)]
 
         def on_tick(cfg, _m):
-            found = tangle.check_invariants(cfg.tangle, u)
+            violations = tangle.check_invariants(cfg.tangle, u)
             if cfg.tangle.color_of(cfg.tangle.active) not in IDLE:
-                found = [v for v in found if v in STRUCTURAL]
-            verdicts.append(bool(found))
+                violations = [v for v in violations if v in STRUCTURAL]
+            found.append(violations)
 
         try:
             run(Configuration(g, seed=seed, mode=mode), rules, max_ticks=6,
@@ -469,5 +531,7 @@ class TestIncrementalMatchesFull:
             stopped = None
         except InvariantViolation as exc:
             stopped = exc.tick
-        expected = verdicts.index(True) if True in verdicts else None
+            assert exc.violations == found[stopped]
+        expected = next((tick for tick, violations in enumerate(found)
+                         if violations), None)
         assert stopped == expected

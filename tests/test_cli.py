@@ -174,13 +174,14 @@ class TestSimulate:
 
     def test_stats_json_on_invariant_violation(self, tmp_path, capsys,
                                                monkeypatch):
+        # every checked tick after the first runs _check
         checked = []
 
-        def planted(g, applied, prev_nodes):
-            checked.append(applied)
+        def planted(*args):
+            checked.append(args)
             return ["planted violation"] if len(checked) == 5 else []
 
-        monkeypatch.setattr(automaton, "_tick_violations", planted)
+        monkeypatch.setattr(automaton, "_check", planted)
         target = tmp_path / "stats.json"
         code, _, err = run_main(
             ["simulate", *case("02-counter"), "--check-invariants",
@@ -189,7 +190,7 @@ class TestSimulate:
         tick = int(re.fullmatch(r"invariant violation: tick (\d+): "
                                 r"planted violation\n", err).group(1))
         stats = json.loads(target.read_text())
-        assert stats["total"] == tick > 5
+        assert stats["total"] == tick == 5
         assert sum(stats["rules"].values()) == tick
 
     def test_random_mode(self, capsys):
@@ -321,7 +322,7 @@ class TestDifftest:
             "0/1 cases agree"]
 
     def test_invariant_violation_is_a_failed_case(self, capsys, monkeypatch):
-        monkeypatch.setattr(automaton, "_tick_violations",
+        monkeypatch.setattr(automaton, "_check",
                             lambda *args: ["planted violation"])
         code, out, err = run_main(
             ["difftest", "--count", "2", "--seed", "5"], capsys)

@@ -700,6 +700,14 @@ class TestValidate:
         with pytest.raises(RuleError, match="self-loop"):
             rules.plans()
 
+    def test_negative_label_outside_the_alphabet_is_reported(self):
+        # such an edge can never be present, so it would forbid nothing
+        rule = Rule("n", [("C", None), ("A", None)], [("C", "x", "A")],
+                    negs=[("C", "w", "A")])
+        rules = RuleSet(COLORS, ["x"], [rule], 3)
+        assert validate_ruleset(rules, negative_edges=True) == [
+            "rule n: negative label w not in alphabet"]
+
     def test_unknown_edge_endpoint_is_reported(self):
         with pytest.raises(RuleError) as exc:
             Rule("ghost", [("C", None)], [("C", "x", "Z")])
