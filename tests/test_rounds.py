@@ -1,16 +1,23 @@
 """The compiled automaton round by round, on the `difftest` workload.
 
 The workload's 80 programs are the 20 corpus programs and perfbench's 60
-frozen generated ones (read only here).  Step alignment: each time the
-focus enters the unit's first colour, the decoded tangle equals the
-interpreter's state after as many steps; the interpreter is stepped
-along by `interpreter.fire`, not re-run from the start.
+frozen generated ones (read only here).  Three properties are checked:
+
+- step alignment: each time the focus enters the unit's first colour,
+  the decoded tangle equals the interpreter's state after as many
+  steps; the interpreter is stepped along by `interpreter.fire`, not
+  re-run from the start;
+- no ties where a round ends: every tick whose pairs include a decide
+  or cleanup rule has exactly one maximal pair, so whether the automaton
+  starts another round or halts never rests on a tie-break;
+- clean halts: a run that ends terminal leaves no scratch (`$`-labelled)
+  edge on the Criticals node.
 """
 import pathlib
 
 import pytest
 
-from tangleca import automaton, bench, interpreter
+from tangleca import automaton, bench, interpreter, pattern
 
 from conftest import MODES, compile_case, corpus_names, load_corpus_case
 
@@ -64,3 +71,75 @@ def test_every_step_agrees_with_the_interpreter(negative_edges):
         boundaries += entries
     assert boundaries == BOUNDARIES
 
+
+# (runs, terminal runs, ticks whose pairs include a cleanup rule, ticks
+# whose pairs include a decide rule) over both edge modes, deterministic
+# and random seed 1
+BRANCH_RUNS = (328, 324, 7868, 916)
+
+
+@pytest.fixture(scope="module")
+def branch_runs():
+    """Every run of the workload, union-16 and overhead-8 in both edge
+    modes, deterministic and random seed 1: the pinned counts, the ties
+    at decide and cleanup ticks, and the scratch edges each terminal run
+    left on Criticals."""
+    cases = workload_cases()
+    cases += [("union-16",) + bench.union_case(16),
+              ("overhead-8",) + bench.overhead_case(8)]
+    real = automaton.select_match
+    current = {}
+    ties = []
+    ticks = {"cleanup": 0, "decide": 0}
+
+    def watched(pairs, cfg, final, stats=None):
+        rules = current["rules"]
+        phases = {rules[i].name.split(":", 1)[0] for i, _b in pairs}
+        phase = phases & set(ticks)
+        if phase:
+            ticks[phase.pop()] += 1
+            maximal = pattern.maximality_filter(pairs)
+            if len(maximal) != 1:
+                ties.append((current["label"], cfg.tick + 1,
+                             sorted(rules[i].name for i, _b in maximal)))
+        return real(pairs, cfg, final, stats)
+
+    runs = terminal = 0
+    leftovers = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton, "select_match", watched)
+        for negative_edges in MODES:
+            for mode, seed in ((automaton.DETERMINISTIC, 0),
+                               (automaton.RANDOM, 1)):
+                for name, source, state_text in cases:
+                    label = "%s[%s/%s/%d]" % (name, negative_edges, mode, seed)
+                    _u, _p, unit, _s, graph = compile_case(
+                        source, state_text, negative_edges=negative_edges)
+                    current.update(rules=unit.ruleset.rules, label=label)
+                    cfg, _stats, outcome = automaton.run(
+                        automaton.Configuration(graph, seed=seed, mode=mode),
+                        unit.ruleset)
+                    assert outcome == automaton.QUIESCENT, label
+                    runs += 1
+                    g = cfg.tangle
+                    if unit.classify(g) != interpreter.TERMINAL:
+                        continue
+                    terminal += 1
+                    scratch = sorted(l for l, targets in g.out[g.active].items()
+                                     if l.startswith("$") and targets)
+                    if scratch:
+                        leftovers.append((label, scratch))
+    counts = (runs, terminal, ticks["cleanup"], ticks["decide"])
+    return counts, ties, leftovers
+
+
+def test_round_ends_have_no_ties(branch_runs):
+    counts, ties, _leftovers = branch_runs
+    assert counts == BRANCH_RUNS
+    assert ties == []
+
+
+def test_terminal_runs_halt_clean(branch_runs):
+    counts, _ties, leftovers = branch_runs
+    assert counts == BRANCH_RUNS
+    assert leftovers == []
