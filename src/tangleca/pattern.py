@@ -156,10 +156,13 @@ def has_directed_cycle(out):
 
 
 class RuleSet:
+    """Palette, alphabet, rules and radius.  The rules are a tuple: the
+    plan index and the effect table are built from them once."""
+
     def __init__(self, palette, labels, rules, radius):
         self.palette = set(palette)
         self.labels = set(labels)
-        self.rules = list(rules)
+        self.rules = tuple(rules)
         self.radius = radius
         self._plans = None
         self.effects = None  # automaton.effects builds it on first need

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tangleca
-from tangleca import kernel, pattern, tangle
+from tangleca import automaton, kernel, pattern, tangle
 from tangleca.pattern import (Rule, RuleError, RuleSet, apply, match_all,
                               maximality_filter, serialize_ruleset,
                               validate_ruleset)
@@ -438,6 +438,22 @@ class TestFinalTable:
         assert RuleSet(COLORS, LABELS, [], 3).plans().final == ()
         rules = probe_rules()
         assert len(rules.plans().final) == len(rules.rules)
+
+    def test_rules_are_fixed_once_built(self):
+        # the plan index and the effect table are built once, from the
+        # rules as they are then, so a rule appended later would be
+        # silently ignored: appending must fail instead
+        g = tangle.Tangle()
+        g.active = g.add_node("red", tangle.CRITICALS)
+        red = Rule("red", [("C", "red")], [], recolor=[("C", "blue")])
+        rules = RuleSet(COLORS, LABELS, [red], 3)
+        _cfg, stats, outcome = automaton.run(automaton.Configuration(g),
+                                             rules)
+        assert (stats.total, outcome) == (1, automaton.QUIESCENT)
+        blue = Rule("blue", [("C", "blue")], [], recolor=[("C", "green")])
+        with pytest.raises(AttributeError):
+            rules.rules.append(blue)
+        assert rules.rules == (red,)
 
     @given(g=random_tangles(), order=st.permutations(PROBE_ORDER))
     @example(g=out_of_order_tangle(), order=PROBE_ORDER)
