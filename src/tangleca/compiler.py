@@ -4,20 +4,21 @@ The compiled automaton realizes one interpreter transition as a fixed
 cycle of focus-node colors acting as a program counter:
 
     boot -> s0 .. s{n-1} -> d0 .. d{m-1} -> m0 .. m{m-1} -> k0 .. -> s0
-                               \\-> done (no assignment enabled)
+                               \\-> k0 .. -> done (no assignment enabled)
 
 * boot (once): create the shared true/false marker nodes.
 * s{i} (eval): materialize one value into a scratch register edge
   ($r<j>) or one condition outcome into a bit edge ($b<j>, pointing at
   the true or false marker).  Register steps are wrapped in a guard
   stage when their path condition is non-trivial; bit steps always run.
-* d{i} (decide): find the first assignment whose path condition holds
-  and jump to its commit stage; if none holds, halt in "done".
+* d{i} (decide): find the first assignment whose path condition holds,
+  mark the round with a $go edge from the focus to the false marker,
+  and jump to its commit stage; if none holds, go to cleanup unmarked.
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers only, so parallel assignments all read the
   pre-transition state.
-* k{i} (cleanup): drop register and bit edges, then loop to s0;
-  f{i} (wind-down) drops them the same way before halting in "done".
+* k{i} (cleanup): drop bit, then register edges; the last stage drops
+  the $go mark too and loops to s0, or halts in "done" if there is none.
 
 Lowering turns the program body into stage lists; a stage is
 (phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
@@ -79,6 +80,7 @@ BW = "$bw"       # union build handle
 LOC = "$loc"     # resolved location tuple
 TST = "$tst"     # negative-edge mode: singleton reject mark
 REJ = "$rej"     # negative-edge mode: union reject mark
+GO = "$go"       # decide: an assignment fires this round
 
 
 class CompileError(Exception):
@@ -441,27 +443,38 @@ def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
 
 
 def compile_decide(ctx, entry, nxt, formula, commit):
-    """Decide stage: jump to `commit` on a row satisfying its path
-    condition; the pass rule, a strict subset of every row rule, hands
-    over to `nxt` when none does."""
+    """Decide stage: on a row satisfying its path condition, add the $go
+    mark from the focus to the false marker (the row's pad cell) and
+    jump to `commit`; the pass rule, a strict subset of every row rule,
+    hands over to `nxt` when none does."""
     for i, (row, sat) in enumerate(formula.assignments()):
         if sat:
             cells, edges = _row_pattern(entry, row)
             ctx.emit("decide:%s:fire%d" % (entry, i), cells, edges,
-                     recolor=[("C", commit)])
+                     add=[("C", GO, "F")], recolor=[("C", commit)])
     ctx.emit("decide:%s:pass" % entry, [("C", entry)], [],
              recolor=[("C", nxt)])
 
 
-def compile_cleanup(ctx, entry, nxt, label):
+def compile_cleanup(ctx, entry, nxt, label, again):
     """Drop a register or bit edge if it is set.  One tick.  A bit may
-    point at the false marker, which is also the pad."""
-    cells, edges = _pad([("C", entry), ("X", None)], [("C", label, "X")])
-    ctx.emit("cleanup:%s:drop" % entry, cells, edges,
+    point at the false marker, which is also the pad.  The last stage,
+    given `again`, branches: a twin of each rule also binds the $go mark
+    and the true marker, drops the mark and goes to `again`.  No register
+    points at a marker, so a twin strictly contains its halting rule."""
+    drop = _pad([("C", entry), ("X", None)], [("C", label, "X")])
+    ctx.emit("cleanup:%s:drop" % entry, *drop,
              delete=[("C", label, "X")], recolor=[("C", nxt)],
              aliases=[("X", "F")] if label.startswith("$b") else ())
     ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
              recolor=[("C", nxt)])
+    for kind, (cells, edges), delete in (
+            ("drop", drop, [("C", label, "X")]),
+            ("skip", _pad([("C", entry)], []), [])) if again else ():
+        ctx.emit("cleanup:%s:%s-again" % (entry, kind),
+                 cells + [("T", tangle.MARKER)],
+                 edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
+                 delete=delete + [("C", GO, "F")], recolor=[("C", again)])
 
 
 def compile_choice(ctx, entry, nxt, source, dst):
@@ -1108,12 +1121,13 @@ def compile_program(program, negative_edges=False):
     registers = ["$r%d" % i for i in range(lo.nreg)]
     bits = ["$b%d" % i for i in range(lo.nbit)]
     first = "s0" if lo.steps else "d0"
-    # cleanup strips register and bit edges, then starts the next round;
-    # the wind-down twin strips them before halting instead
     decide = [("decide", _TRUE, compile_decide, (condition, "m%d" % i))
               for i, (_p, condition, _e, _a) in enumerate(lo.commits)]
-    cleanup = [("cleanup", _TRUE, compile_cleanup, (label,))
-               for label in registers + bits]
+    # cleanup strips bits, then registers: every commit reads a register,
+    # so the last stage drops one, and it branches
+    cleanup = [("cleanup", _TRUE, compile_cleanup,
+                (label, first if label == registers[-1] else None))
+               for label in bits + registers]
 
     ctx = EmitContext(negative_edges)
     # boot: create the shared true/false markers, then start evaluating
@@ -1125,12 +1139,11 @@ def compile_program(program, negative_edges=False):
                   ("C", tangle.FALSE_EDGE, "F")],
              recolor=[("C", first)])
     _emit_stages(ctx, "s", lo.steps, "d0")
-    # decide: jump to the first enabled commit, or wind down and halt;
-    # the commit chain then applies every enabled assignment in order
-    _emit_stages(ctx, "d", decide, "f0" if cleanup else DONE)
-    _emit_stages(ctx, "m", lo.commits, "k0" if cleanup else first)
-    _emit_stages(ctx, "k", cleanup, first)
-    _emit_stages(ctx, "f", cleanup, DONE)
+    # decide: mark the round and jump to the first enabled commit, else
+    # clean up and halt; the commit chain applies every enabled one
+    _emit_stages(ctx, "d", decide, "k0")
+    _emit_stages(ctx, "m", lo.commits, "k0")
+    _emit_stages(ctx, "k", cleanup, DONE)
 
     for name in program.atoms:
         ctx.labels.add(tangle.atom_edge(name))
