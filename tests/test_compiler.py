@@ -166,12 +166,14 @@ class TestGoldenRuleSets:
     The corpus digest was recorded before alias-free templates stopped
     running the quotient search; the frozen-case digest covers the 60
     generated `perfbench/cases/gen-*.asml` programs (read only here),
-    which use locations and choice more than the corpus does.
+    which use locations and choice more than the corpus does.  Both
+    were re-recorded when the wind-down chain was folded into the
+    cleanup chain.
     """
 
-    DIGEST = "f5da4d2b6fc77f81f0c13e45dcbb70c70cffe85943a73519d3d535ef41c65a1e"
-    FROZEN_DIGEST = ("559bf95d99fa8021dc662dba5e1d3f6c8f94ac3f2f871058"
-                     "afc34b93d574aec7")
+    DIGEST = "8fc2d70168910228dd310451923d67407763e6c06368cd6250f29def7ac2b8ee"
+    FROZEN_DIGEST = ("7ea2c2d10418259beda27f17558877c284ecc7d875e4747d"
+                     "dfe54ff1e8ebd4f0")
 
     def test_corpus_rule_sets_unchanged(self):
         assert rule_set_digest(
