@@ -468,9 +468,11 @@ def compile_cleanup(ctx, entry, nxt, label, again):
              aliases=[("X", "F")] if label.startswith("$b") else ())
     ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
              recolor=[("C", nxt)])
+    if not again:
+        return
     for kind, (cells, edges), delete in (
             ("drop", drop, [("C", label, "X")]),
-            ("skip", _pad([("C", entry)], []), [])) if again else ():
+            ("skip", _pad([("C", entry)], []), [])):
         ctx.emit("cleanup:%s:%s-again" % (entry, kind),
                  cells + [("T", tangle.MARKER)],
                  edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
