@@ -458,10 +458,11 @@ def compile_decide(ctx, entry, nxt, formula, commit):
 
 def compile_cleanup(ctx, entry, nxt, label, again):
     """Drop a register or bit edge if it is set.  One tick.  A bit may
-    point at the false marker, which is also the pad.  The last stage,
-    given `again`, branches: a twin of each rule also binds the $go mark
-    and the true marker, drops the mark and goes to `again`.  No register
-    points at a marker, so a twin strictly contains its halting rule."""
+    point at the false marker, which is also the pad.  The chain drops
+    bits, then registers, and its last stage, given `again`, branches: a
+    twin of each rule also binds the $go mark and the true marker, drops
+    the mark and goes to `again`.  No register points at a marker, so a
+    twin strictly contains its halting rule."""
     drop = _pad([("C", entry), ("X", None)], [("C", label, "X")])
     ctx.emit("cleanup:%s:drop" % entry, *drop,
              delete=[("C", label, "X")], recolor=[("C", nxt)],
