@@ -456,52 +456,89 @@ class TestIdleTickChecks:
 
 
 FOCUS_COLORS = ("idle", "busy", "red")
+VALUE_COLORS = (tangle.PLAIN, tangle.EMPTY, tangle.MARKER)
+CONTAINMENT_EDGES = sorted(tangle.CONTAINMENT)
+
+# committed, nested initial values: a small pool, so that one edit to a
+# value often makes it equal another
+VALUE_TEXT = st.sampled_from(("{}", "{{}}", "{a}", "{b}", "{a,b}", "{{a}}",
+                              "{{a},b}", "{{a,b}}", "<a,b>", "{<a,b>}"))
 
 
 @st.composite
 def random_rules(draw):
-    """Rules over C -x-> A, C -x-> B that create nodes, add containment
-    edges among pattern and created cells and recolor the focus."""
+    """Rules over C -x-> A, C -x-> B that create nodes, add and delete
+    containment edges among pattern and created cells, recolor the focus,
+    and recolor other cells into and out of the committed colors."""
     rules = []
     for i in range(draw(st.integers(1, 3))):
-        creates = [("N%d" % j, draw(st.sampled_from(("plain", "marker"))),
+        creates = [("N%d" % j, draw(st.sampled_from(VALUE_COLORS)),
                     draw(st.sampled_from((tangle.SET, tangle.PAIR,
                                           tangle.CRITICALS))))
                    for j in range(draw(st.integers(0, 2)))]
         names = ("A", "B") + tuple(name for name, _c, _k in creates)
-        add_edges = draw(st.lists(st.tuples(
-            st.sampled_from(names), st.sampled_from(sorted(tangle.CONTAINMENT)),
-            st.sampled_from(names)), max_size=3))
+        edge = st.tuples(st.sampled_from(names),
+                         st.sampled_from(CONTAINMENT_EDGES),
+                         st.sampled_from(names))
+        add_edges = draw(st.lists(edge, max_size=3))
         add_edges += [("C", "x", name) for name, _c, _k in creates]
-        focus = draw(st.sampled_from(FOCUS_COLORS + (None,)))
-        recolor = [("C", draw(st.sampled_from(FOCUS_COLORS)))]
+        delete = draw(st.lists(edge, max_size=2))
+        # r0 matches at any focus color and any two x-targets, so every
+        # run takes a tick; a later rule may also need A inside B, and
+        # then may delete that edge
+        pattern = [("C", "x", "A"), ("C", "x", "B")]
+        focus = None
+        if i:
+            focus = draw(st.sampled_from(FOCUS_COLORS))
+            link = draw(st.none() | st.tuples(
+                st.just("A"), st.sampled_from(CONTAINMENT_EDGES),
+                st.just("B")))
+            if link is not None:
+                pattern.append(link)
+                if draw(st.booleans()):
+                    delete.append(link)
+        recolor = draw(st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(VALUE_COLORS)),
+            max_size=2, unique_by=lambda cell: cell[0]))
+        recolor.append(("C", draw(st.sampled_from(FOCUS_COLORS))))
         rules.append(Rule("r%d" % i, [("C", focus), ("A", None), ("B", None)],
-                          [("C", "x", "A"), ("C", "x", "B")],
-                          recolor=recolor, add=add_edges, creates=creates))
-    return RuleSet(FOCUS_COLORS + ("plain", "marker"),
+                          pattern, recolor=recolor, add=add_edges,
+                          delete=delete, creates=creates))
+    return RuleSet(FOCUS_COLORS + VALUE_COLORS,
                    ("x",) + tuple(tangle.CONTAINMENT), rules, 3)
 
 
 @st.composite
 def random_graph(draw):
-    """Criticals with x-edges to a few marked value nodes and acyclic
-    containment edges among them, plus at most one arbitrary edge (which
-    may close a cycle before the first tick)."""
-    g = tangle.Tangle()
-    c = g.add_node(draw(st.sampled_from(FOCUS_COLORS)), tangle.CRITICALS)
-    g.active = c
-    nodes = [g.add_node(tangle.MARKER,
-                        draw(st.sampled_from((tangle.SET, tangle.PAIR))))
-             for _ in range(draw(st.integers(2, 4)))]
+    """Criticals with x-edges to every value node: committed, nested,
+    maximally shared values as tangle.encode builds them, some of them
+    marked, and a few marked value nodes with acyclic containment edges
+    into them, plus at most one arbitrary edge (which may close a cycle
+    or break a committed value before the first tick)."""
+    u = hfset.Universe()
+    terms = {"t%d" % i: u.parse(text)
+             for i, text in enumerate(draw(st.lists(VALUE_TEXT, max_size=4)))}
+    g = tangle.encode(terms, u,
+                      criticals_color=draw(st.sampled_from(FOCUS_COLORS)))
+    c = g.active
+    for nid in draw(st.lists(st.sampled_from(sorted(g.nodes)[1:]),
+                             max_size=1)):
+        g.set_color(nid, tangle.MARKER)   # a mark inside a committed value
+    marked = [g.add_node(tangle.MARKER,
+                         draw(st.sampled_from((tangle.SET, tangle.PAIR))))
+              for _ in range(draw(st.integers(2, 4)))]
+    nodes = [nid for nid in sorted(g.nodes) if nid != c]
     for n in nodes:
         g.add_edge(c, "x", n)
-    edge = st.tuples(st.sampled_from(nodes),
-                     st.sampled_from(sorted(tangle.CONTAINMENT)),
-                     st.sampled_from(nodes))
-    for a, label, d in draw(st.lists(edge, max_size=3)):
+    into_marked = st.tuples(st.sampled_from(nodes),
+                            st.sampled_from(CONTAINMENT_EDGES),
+                            st.sampled_from(marked))
+    for a, label, d in draw(st.lists(into_marked, max_size=3)):
         if a < d:
             g.add_edge(a, label, d)
-    extra = draw(st.none() | edge)
+    extra = draw(st.none() | st.tuples(st.sampled_from(nodes),
+                                       st.sampled_from(CONTAINMENT_EDGES),
+                                       st.sampled_from(nodes)))
     if extra is not None:
         g.add_edge(*extra)
     return g
@@ -525,7 +562,7 @@ class TestIncrementalMatchesFull:
             found.append(violations)
 
         try:
-            run(Configuration(g, seed=seed, mode=mode), rules, max_ticks=6,
+            run(Configuration(g, seed=seed, mode=mode), rules, max_ticks=12,
                 check_invariants=True, idle_colors=IDLE, universe=u,
                 on_tick=on_tick)
             stopped = None
