@@ -10,10 +10,14 @@ filter runs and stops at the first maximal pair.  Random mode filters
 the whole list and draws a survivor seeded-uniform.  Runs to quiescence
 (no match) or a tick budget.
 
-A checked run walks the whole tangle once, before the first tick.  After
-that each tick pays only for what its rule can break, looked up in the
-rule set's effect table, and a tick that ends at an idle color adds the
-committed-value checks that mid-protocol ticks are exempt from.
+A checked run walks the whole tangle once, before the first tick, and
+keeps the value that walk decoded for each node.  After that each tick
+pays only for what its rule can break, looked up in the rule set's effect
+table, and a tick that ends at an idle color adds the committed-value
+checks that mid-protocol ticks are exempt from.  Those re-decode only the
+nodes the ticks since the last clean check touched, and what contains
+them; when that cannot certify the tangle clean, the full committed check
+runs and its verdict is the tick's (see run).
 """
 from __future__ import annotations
 
@@ -69,12 +73,17 @@ class StepStats:
     prefix before ':'.  matches counts the pairs the kernel returned
     over the run, kept or not; settled counts the deterministic ticks
     whose pair the plan index's final table chose without the
-    maximality filter."""
+    maximality filter.  In a checked run, idle_checks counts the
+    committed-value checks of idle ticks, and fallbacks those of them
+    that the memo could not certify clean, so that the full
+    tangle.committed_violations ran."""
 
     def __init__(self):
         self.total = 0
         self.matches = 0
         self.settled = 0
+        self.idle_checks = 0
+        self.fallbacks = 0
         self.rules = {}
 
     def count(self, rule_name):
@@ -91,7 +100,8 @@ class StepStats:
 
     def as_dict(self):
         return {"total": self.total, "matches": self.matches,
-                "settled": self.settled, "phases": self.phases,
+                "settled": self.settled, "idle_checks": self.idle_checks,
+                "fallbacks": self.fallbacks, "phases": self.phases,
                 "rules": dict(self.rules)}
 
     def format(self):
@@ -165,19 +175,60 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
 
     - before the first tick, tangle.check_invariants runs in full on the
       initial graph (a violation there reports the configuration's
-      starting tick);
+      starting tick); its walk seeds the memo below;
     - after every tick, only what the applied rule can have broken is
       checked, as the rule set's effect table (effects) records it: the
       node count did not fall, and, for a rule that has the effect, no
       created node is a second Criticals and no added containment edge
       closes a cycle;
     - after a tick that ends at an idle color (every tick when
-      idle_colors is None), tangle.committed_violations also runs: pair
-      shape and committed-value uniqueness, which mid-protocol marks are
-      exempt from.
+      idle_colors is None), the committed checks also run: pair shape
+      and committed-value uniqueness, which mid-protocol marks are
+      exempt from.  The verdict is always that of
+      tangle.committed_violations on the tick's graph; the memo only
+      saves walking the whole graph to reach it.
 
-    An invariant check that meets a value past the universe's limits
-    raises hfset.HFLimitError; run sets the error's `stats` to the run's
+    The memo maps each node the last clean committed check decoded to
+    its value: every node tangle.committed_violations' walk decodes (each
+    committed value node and what it contains, as far as the walk gets),
+    and perhaps nodes that walk no longer reaches.  A tick touches the
+    destination of each containment edge it adds or deletes, each cell
+    other than the focus it recolors (the focus is the Criticals node,
+    which holds no value) and each node it creates; the touches table
+    (effects) lists those cells per rule.  An idle check drops the
+    touched nodes and their forward closure along outgoing elem/fst/snd
+    edges (the sets and pairs that contain them) from the memo,
+    re-decodes the committed value nodes among them, and certifies the
+    tangle clean when no walk fails and no decoded value's uid is held by
+    another entry.  Otherwise it falls back: it calls
+    tangle.committed_violations, whose list (or HFLimitError) is the
+    tick's, and a clean fallback re-seeds the memo from that call's walk.
+    Why a certified tick's full check is clean, by induction over clean
+    checks:
+
+    - nodes are never removed and kinds never change, and a node's value
+      depends only on its containment ancestors (the nodes with a
+      containment path to it), which change only through an edge added
+      into or deleted from one of them: the node is then in the dropped
+      closure, so every kept entry holds the node's current value, and
+      its ancestors are kept too;
+    - the full walk from a committed node decodes the ancestors it meets
+      in member order up to the first that fails, so a committed node
+      outside the dropped closure (its color and ancestors unchanged)
+      decodes what it decoded at the last check, all of it kept, and one
+      inside is re-decoded down to kept entries: the memo covers every
+      node the full walk decodes, with the same values;
+    - a pair's components change only if the pair is touched, and a
+      touched committed pair is re-decoded, which checks its shape;
+    - the universe only grows, so the full walk's set_of and pair calls on
+      kept values find values the universe holds, and a held set never
+      raises;
+    - a kept entry the full walk no longer reaches can only add a false
+      duplicate, and so a false fallback, never hide a duplicate.
+
+    The committed checks meet a value past the universe's limits only on
+    a fallback; tangle.committed_violations then raises
+    hfset.HFLimitError, and run sets the error's `stats` to the run's
     stats before it passes the error on.
 
     Every check after the first extends the previous clean check, so
@@ -192,10 +243,12 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     stats = StepStats()
     try:
         if check_invariants:
-            violations = tg.check_invariants(cfg.tangle, universe)
+            values = {}
+            violations = tg.check_invariants(cfg.tangle, universe, values)
             if violations:
                 raise InvariantViolation(cfg.tick, violations, stats)
-            table = effects(rules)
+            tables = effects(rules)
+            committed = _CommittedCheck(universe, values, stats)
         prev_nodes = cfg.tangle.node_count()
         while True:
             applied = step(cfg, rules, stats)
@@ -205,8 +258,8 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             if on_tick is not None:
                 on_tick(cfg, applied)
             if check_invariants:
-                violations = _check(cfg.tangle, applied, prev_nodes, table,
-                                    idle_colors, universe)
+                violations = _check(cfg.tangle, applied, prev_nodes, tables,
+                                    idle_colors, committed)
                 if violations:
                     raise InvariantViolation(cfg.tick, violations, stats)
             prev_nodes = cfg.tangle.node_count()
@@ -218,41 +271,144 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
 
 
 def effects(rules):
-    """The rule set's effect table, built the first time a checked run
-    needs it and kept on the rule set.
+    """The rule set's effect tables, built the first time a checked run
+    needs them and kept on the rule set: (breaks, touches), each indexed
+    by rule index.
 
-    Indexed by rule index: None for a rule that can break no structural
-    invariant, else (criticals, containment), where criticals is whether
-    the rule creates a Criticals node and containment holds the (src,
-    dst) cells of its containment add edges.  Both are fixed for the
-    rule: pattern.apply creates nodes in creates order with those kinds
-    and adds exactly those edges.  Deleted edges and recolors cannot
+    breaks[i] is None for a rule that can break no structural invariant,
+    else (criticals, containment), where criticals is whether the rule
+    creates a Criticals node and containment holds the (src, dst) cells
+    of its containment add edges.  Deleted edges and recolors cannot
     break a structural invariant.
+
+    touches[i] is None for a rule that touches no node, else (cells,
+    creates): the pattern cells it touches (the destination of each
+    containment edge it adds or deletes, each cell other than the focus
+    it recolors) and whether it creates nodes, each of which is touched.
+
+    Both are fixed for the rule: pattern.apply creates nodes in creates
+    order with those kinds, adds and deletes exactly those edges and
+    recolors exactly those cells.
     """
     if rules.effects is None:
-        table = []
+        breaks = []
+        touches = []
         for rule in rules.rules:
             criticals = any(kind == tg.CRITICALS for _c, kind in rule.creates)
             containment = tuple([(a, d) for a, label, d in rule.add
                                  if label in tg.CONTAINMENT])
-            table.append((criticals, containment)
-                         if criticals or containment else None)
-        rules.effects = tuple(table)
+            breaks.append((criticals, containment)
+                          if criticals or containment else None)
+            pattern_cells = len(rule.colors)
+            cells = {d for _a, label, d in rule.add + rule.delete
+                     if label in tg.CONTAINMENT}
+            cells.update(c for c, _color in rule.recolor if c != rule.focus)
+            cells = tuple(sorted(c for c in cells if c < pattern_cells))
+            touches.append((cells, bool(rule.creates))
+                           if cells or rule.creates else None)
+        rules.effects = (tuple(breaks), tuple(touches))
     return rules.effects
 
 
-def _check(g, applied, prev_nodes, table, idle_colors, universe):
+def _check(g, applied, prev_nodes, tables, idle_colors, committed):
     """The violations of the tick just applied, in tangle.check_invariants
     order, with "node count decreased" first."""
-    effect = table[applied.rule_index]
+    breaks, touches = tables
+    effect = breaks[applied.rule_index]
     violations = ([] if effect is None
                   else _tick_violations(g, applied, prev_nodes, effect))
+    touch = touches[applied.rule_index]
+    if touch is not None:
+        committed.touch(g, applied.binding, prev_nodes, touch)
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
-        violations += tg.committed_violations(
-            g, universe, "containment cycle" in violations)
+        violations += committed.violations(
+            g, "containment cycle" in violations)
     if g.node_count() < prev_nodes:
         violations.insert(0, "node count decreased")
     return violations
+
+
+class _CommittedCheck:
+    """The committed checks of one checked run's idle ticks (see run).
+
+    values is the memo, node id -> value, and owner maps each of its
+    values' uids to the node; touched holds the nodes the ticks since the
+    last check touched.
+    """
+
+    __slots__ = ("universe", "stats", "values", "owner", "touched")
+
+    def __init__(self, universe, values, stats):
+        self.universe = universe
+        self.stats = stats
+        self.touched = set()
+        self._seed(values)
+
+    def _seed(self, values):
+        """Adopt the values a clean full walk decoded."""
+        self.values = values
+        self.owner = {v.uid: nid for nid, v in values.items()}
+        self.touched.clear()
+
+    def touch(self, g, binding, prev_nodes, touch):
+        """Record the nodes a tick touched, given its rule's touches
+        entry; the tick's created nodes are prev_nodes onwards."""
+        cells, creates = touch
+        touched = self.touched
+        for c in cells:
+            touched.add(binding[c])
+        if creates:
+            touched.update(range(prev_nodes, g.node_count()))
+
+    def violations(self, g, cyclic):
+        """tangle.committed_violations(g, universe, cyclic): [] when the
+        memo certifies the tangle clean, else that call's result."""
+        self.stats.idle_checks += 1
+        if not cyclic and self._clean(g):
+            self.touched.clear()
+            return []
+        self.stats.fallbacks += 1
+        values = {}
+        violations = tg.committed_violations(g, self.universe, cyclic, values)
+        if not violations:
+            self._seed(values)
+        return violations
+
+    def _clean(self, g):
+        """Re-decode what the touched nodes can have changed; True when
+        that certifies the tangle clean.  False leaves the memo spent:
+        the caller re-seeds it or the run ends."""
+        values, owner = self.values, self.owner
+        dirty = self.touched
+        stack = list(dirty)
+        out = g.out
+        while stack:
+            edges = out[stack.pop()]
+            for label in tg.CONTAINMENT:
+                for nxt in edges.get(label, ()):
+                    if nxt not in dirty:
+                        dirty.add(nxt)
+                        stack.append(nxt)
+        nodes = g.nodes
+        roots = []
+        for nid in dirty:
+            v = values.pop(nid, None)
+            if v is not None:
+                del owner[v.uid]
+            node = nodes[nid]
+            if node.kind in tg.VALUE_KINDS and node.color in tg.COMMITTED:
+                roots.append(nid)
+        if not roots:
+            return True
+        try:
+            decoded = tg._node_values(g, self.universe, roots=roots,
+                                      memo=values)
+        except (tg.TangleError, hfset.HFLimitError):
+            return False
+        for nid, v in decoded.items():
+            if owner.setdefault(v.uid, nid) != nid:
+                return False
+        return True
 
 
 def _tick_violations(g, applied, prev_nodes, effect):

@@ -55,6 +55,9 @@ COMMITTED = frozenset((PLAIN, EMPTY))
 
 CONTAINMENT = frozenset((ELEM, FST, SND))
 
+# the kinds of the nodes that hold values
+VALUE_KINDS = frozenset((ATOM, SET, PAIR))
+
 
 class TangleError(Exception):
     pass
@@ -278,7 +281,7 @@ def encode(terms, universe, locations=None, criticals_color=PLAIN,
     return g
 
 
-def _node_values(g, universe, strict=True, roots=None):
+def _node_values(g, universe, strict=True, roots=None, memo=None):
     """Map node id -> HFValue for every node walked from `roots` (by
     default every committed value node) along containment edges.
 
@@ -286,14 +289,21 @@ def _node_values(g, universe, strict=True, roots=None):
     without exactly one fst and one snd component, or a node that is not
     a value.  With strict=False, roots that fail to decode are skipped
     instead.
+
+    memo, if given, maps node ids to values decoded earlier that are
+    still current: the walk takes such an entry as it is, without
+    descending below it, and adds each node it decodes to memo too.  The
+    returned map then holds only the nodes this call decoded.
     """
     u = universe
     values = {}
+    known = values if memo is None else memo
     state = {}  # nid -> "visiting" | "done"
 
     def walk(nid):
-        if nid in values:
-            return values[nid]
+        v = known.get(nid)
+        if v is not None:
+            return v
         if state.get(nid) == "visiting":
             raise TangleError("containment cycle through node %d" % nid)
         node = g.nodes.get(nid)
@@ -319,12 +329,12 @@ def _node_values(g, universe, strict=True, roots=None):
                                   % (nid, node.kind))
         finally:
             state[nid] = "done"
-        values[nid] = v
+        values[nid] = known[nid] = v
         return v
 
     if roots is None:
         roots = [nid for nid in sorted(g.nodes)
-                 if g.nodes[nid].kind in (ATOM, SET, PAIR)
+                 if g.nodes[nid].kind in VALUE_KINDS
                  and g.nodes[nid].color in COMMITTED]
     for nid in roots:
         try:
@@ -411,17 +421,20 @@ def decode_locations(g, universe):
     return result
 
 
-def check_invariants(g, universe):
+def check_invariants(g, universe, memo=None):
     """List of structural violations; empty iff the tangle is well formed.
 
     Checks: exactly one Criticals node, active is Criticals, containment
     acyclicity, then committed_violations (pair shape and committed-value
-    uniqueness).  This walks the whole graph; automaton.run calls it once,
-    before the first tick.  After that a checked run relies on induction:
-    nodes are never removed, kinds and the active node never change, and
-    each added containment edge is tested for a cycle when it is added,
-    so an idle-ending tick needs only its own structural check and
-    committed_violations.
+    uniqueness), which fills `memo`, if given, with the values its walk
+    decoded.  This walks the whole graph; automaton.run calls it once,
+    before the first tick, and keeps that memo.  After that a checked run
+    relies on induction: nodes are never removed, kinds and the active
+    node never change, and each added containment edge is tested for a
+    cycle when it is added, so an idle-ending tick needs only its own
+    structural check and the committed checks, which re-decode only the
+    nodes the ticks since the last clean check can have changed (see
+    automaton.run).
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
@@ -437,17 +450,21 @@ def check_invariants(g, universe):
                                  for nid in g.nodes})
     if cyclic:
         violations.append("containment cycle")
-    violations += committed_violations(g, universe, cyclic)
+    violations += committed_violations(g, universe, cyclic, memo)
     return violations
 
 
-def committed_violations(g, universe, cyclic):
+def committed_violations(g, universe, cyclic, memo=None):
     """Violations among committed value nodes: a pair without exactly
     one fst and one snd component, then each duplicate committed value.
     Uniqueness is not checked when the containment is `cyclic`.
 
-    These are the checks mid-protocol ticks are exempt from, so
-    automaton.run runs them after every tick that ends at an idle color.
+    These are the checks mid-protocol ticks are exempt from.  This is
+    the full check: it walks every committed value node.  A checked
+    automaton.run certifies most idle ticks clean from its memo instead,
+    and calls this whenever it cannot: the verdict is then this
+    function's, unchanged.  memo, if given (empty), receives the value
+    of every node the uniqueness walk decoded.
     """
     violations = []
     for n in g.nodes.values():
@@ -461,7 +478,8 @@ def committed_violations(g, universe, cyclic):
 
     if not cyclic:
         seen = {}
-        for nid, v in _node_values(g, universe, strict=False).items():
+        for nid, v in _node_values(g, universe, strict=False,
+                                   memo=memo).items():
             if v.uid in seen:
                 violations.append(
                     "duplicate committed value at nodes %d and %d"

@@ -197,8 +197,8 @@ class TestRunLoop:
             stats.count(name)
         assert stats.rules == {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}
         assert stats.as_dict() == {
-            "total": 5, "matches": 0, "settled": 0,
-            "phases": {"a": 3, "b": 1, "plain": 1},
+            "total": 5, "matches": 0, "settled": 0, "idle_checks": 0,
+            "fallbacks": 0, "phases": {"a": 3, "b": 1, "plain": 1},
             "rules": {"b:z": 1, "a:y": 2, "a:x": 1, "plain": 1}}
         assert stats.format() == (
             "phase a 3\nphase b 1\nphase plain 1\ntotal 5\n")
@@ -369,12 +369,15 @@ class TestIncrementalChecks:
     def test_full_check_runs_once_per_run(self, monkeypatch):
         # guard against a full-graph walk after the first tick and a
         # structural check at a tick whose rule can break nothing: one
-        # full check before the first tick, one structural check per tick
-        # whose rule creates a Criticals node or adds a containment edge,
-        # and one committed check per tick that ends at an idle color
+        # full check before the first tick (its committed part is the
+        # only full committed walk of a clean run), one structural check
+        # per tick whose rule creates a Criticals node or adds a
+        # containment edge, and one incremental committed check per tick
+        # that ends at an idle color
         source, state_text = load_corpus_case("03-accumulate")
         u, _p, unit, _s, graph = compile_case(source, state_text)
-        calls = {"full": 0, "structural": 0, "committed": 0}
+        calls = {"full": 0, "structural": 0, "committed": 0,
+                 "incremental": 0}
 
         def counting(name, fn):
             def counted(*args):
@@ -384,7 +387,9 @@ class TestIncrementalChecks:
 
         for name, mod, attr in [("full", tangle, "check_invariants"),
                                 ("structural", automaton, "_tick_violations"),
-                                ("committed", tangle, "committed_violations")]:
+                                ("committed", tangle, "committed_violations"),
+                                ("incremental", automaton._CommittedCheck,
+                                 "_clean")]:
             monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
         idle_ticks = []
         effect_ticks = []
@@ -407,7 +412,8 @@ class TestIncrementalChecks:
         assert 0 < len(effect_ticks) < stats.total
         assert calls == {"full": 1, "structural": len(effect_ticks),
                          # the full check runs the committed part too
-                         "committed": 1 + len(idle_ticks)}
+                         "committed": 1, "incremental": len(idle_ticks)}
+        assert (stats.idle_checks, stats.fallbacks) == (len(idle_ticks), 0)
         # built once per rule set, not per run
         assert automaton.effects(unit.ruleset) is unit.ruleset.effects
 
@@ -453,6 +459,81 @@ class TestIdleTickChecks:
         assert self._violations(
             recolor=[("A", tangle.PLAIN), ("B", tangle.PLAIN)],
         ) == ["duplicate committed value at nodes 1 and 2"]
+
+    # Two rounds: tick 1 takes the focus from red to idle, and its idle
+    # check is clean, which leaves the run's memo warm; tick 2 edits the
+    # nodes the named terms hold and ends at the idle color done.
+    def _second_round(self, terms, u, setup=None, **rewrite):
+        g = tangle.encode({name: u.parse(text) for name, text in terms.items()},
+                          u, criticals_color="red")
+        if setup is not None:
+            setup(g)
+        cells = sorted(g.out[g.active])
+        rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "done")]
+        rules = RuleSet(
+            COLORS + ("idle", "done", tangle.EMPTY, tangle.MARKER),
+            tuple(cells) + tuple(tangle.CONTAINMENT),
+            [Rule("warm", [("C", "red")], [], recolor=[("C", "idle")]),
+             Rule("edit", [("C", "idle")] + [(c, None) for c in cells],
+                  [("C", c, c) for c in cells], **rewrite)], 3)
+        cfg = Configuration(g)
+        with pytest.raises((InvariantViolation, hfset.HFLimitError)) as exc:
+            run(cfg, rules, check_invariants=True, universe=u,
+                idle_colors=frozenset(("idle", "done")))
+        # the first idle check was certified from the memo, the second
+        # fell back to the full walk
+        stats = exc.value.stats
+        assert (stats.total, stats.idle_checks, stats.fallbacks) == (2, 2, 1)
+        return g, exc.value
+
+    @pytest.mark.parametrize("edit", ["add", "delete"])
+    def test_elem_edge_two_levels_below_a_committed_root(self, edit):
+        # r's set s2 gains or loses the member a, and then it and the set
+        # holding it duplicate t's member and t itself
+        u = hfset.Universe()
+        if edit == "add":
+            terms = {"r": "{{{b}}}", "s2": "{b}", "a": "a", "t": "{{a,b}}"}
+        else:
+            terms = {"r": "{{{a,b}}}", "s2": "{a,b}", "a": "a", "t": "{{b}}"}
+        g, exc = self._second_round(terms, u,
+                                    **{edit: [("a", tangle.ELEM, "s2")]})
+        assert exc.tick == 2
+        assert exc.violations == tangle.check_invariants(g, u)
+        assert len(exc.violations) == 2
+        assert all(v.startswith("duplicate committed value")
+                   for v in exc.violations)
+
+    def test_marked_node_recolored_plain_duplicates_an_old_value(self):
+        # m is a marked copy of r's member {a,b}, ignored until committed
+        def setup(g):
+            m = g.add_node(tangle.MARKER, tangle.SET)
+            for name in ("a", "b"):
+                g.add_edge(min(g.targets(g.active, name)), tangle.ELEM, m)
+            g.add_edge(g.active, "m", m)
+
+        u = hfset.Universe()
+        g, exc = self._second_round({"r": "{{a,b}}", "a": "a", "b": "b"}, u,
+                                    setup=setup,
+                                    recolor=[("m", tangle.PLAIN)])
+        assert exc.tick == 2
+        assert exc.violations == tangle.check_invariants(g, u)
+        assert exc.violations == [
+            "duplicate committed value at nodes %d and %d"
+            % (min(g.sources(min(g.targets(g.active, "r")), tangle.ELEM)),
+               min(g.targets(g.active, "m")))]
+
+    def test_value_past_the_depth_limit(self):
+        # r's set s2 gains the member d, which puts the set holding s2 one
+        # level past the limit
+        u = hfset.Universe(max_depth=3)
+        g, exc = self._second_round(
+            {"r": "{{{{}}}}", "s2": "{{}}", "d": "{{a}}"}, u,
+            add=[("d", tangle.ELEM, "s2")])
+        assert isinstance(exc, hfset.HFLimitError)
+        with pytest.raises(hfset.HFLimitError) as full:
+            tangle.check_invariants(g, u)
+        assert str(exc) == str(full.value) == (
+            "nesting depth 4 exceeds limit 3")
 
 
 FOCUS_COLORS = ("idle", "busy", "red")

@@ -104,7 +104,8 @@ class TestSimulate:
     def test_trace_file_keeps_invariant_checks(self, tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.setattr(tangle, "check_invariants",
-                            lambda g, universe=None: ["planted violation"])
+                            lambda g, universe=None, memo=None:
+                            ["planted violation"])
         prog, state = case("02-counter")
         code, _, err = run_main(
             ["simulate", prog, state, "--trace", str(tmp_path / "t"),
@@ -145,8 +146,8 @@ class TestSimulate:
             ["simulate", prog, state, "--stats-json", str(target)], capsys)
         assert code == 0
         stats = json.loads(target.read_text())
-        assert set(stats) == {"total", "matches", "settled", "phases",
-                              "rules"}
+        assert set(stats) == {"total", "matches", "settled", "idle_checks",
+                              "fallbacks", "phases", "rules"}
         assert "outcome terminal after %d ticks" % stats["total"] in out
         # every tick applies one of the pairs the kernel returned
         assert stats["matches"] >= stats["total"]
@@ -214,7 +215,11 @@ class TestSimulate:
 # each in three schedule and edge modes.  The stats JSON is hashed
 # without its "matches" and "settled" counts, which it gained after the
 # digest was recorded; they are pinned by SIMULATE_MATCHES and
-# SIMULATE_SETTLED (random schedules settle no tick).  All three were
+# SIMULATE_SETTLED (random schedules settle no tick).  Its later
+# "idle_checks" and "fallbacks" counts are left out the same way and
+# pinned by SIMULATE_IDLE_CHECKS (one per tick that ends at an idle
+# color) and SIMULATE_FALLBACKS (no idle check needs the full walk).  All
+# three were
 # re-recorded when the wind-down chain was folded into the cleanup chain,
 # which renamed rules in the traces but left stdout and tick counts as
 # they were.
@@ -226,12 +231,16 @@ SIMULATE_DIGEST = (
     "faecb34bd547b886ba25ccd4c9e6cd65fff89ea2e70e4d87cc225c5c45ad0eac")
 SIMULATE_MATCHES = [125, 125, 80, 57, 57, 57, 163, 163, 163, 92, 92, 93]
 SIMULATE_SETTLED = [69, 69, 0, 33, 33, 0, 105, 105, 0, 54, 55, 0]
+SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
+SIMULATE_FALLBACKS = [0] * 12
 
 
 def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     digest = hashlib.sha256()
     matches = []
     settled = []
+    idle_checks = []
+    fallbacks = []
     for name in SIMULATE_CASES:
         for mode in SIMULATE_MODES:
             run_dir = tmp_path / ("%s%d" % (name, len(mode)))
@@ -252,12 +261,16 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
                     stats = json.loads(data)
                     matches.append(stats.pop("matches"))
                     settled.append(stats.pop("settled"))
+                    idle_checks.append(stats.pop("idle_checks"))
+                    fallbacks.append(stats.pop("fallbacks"))
                     data = (json.dumps(stats, indent=2, sort_keys=True)
                             + "\n").encode()
                 digest.update(data)
     assert digest.hexdigest() == SIMULATE_DIGEST
     assert matches == SIMULATE_MATCHES
     assert settled == SIMULATE_SETTLED
+    assert idle_checks == SIMULATE_IDLE_CHECKS
+    assert fallbacks == SIMULATE_FALLBACKS
 
 
 class TestDifftest:

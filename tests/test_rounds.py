@@ -11,13 +11,16 @@ frozen generated ones (read only here).  Three properties are checked:
   or cleanup rule has exactly one maximal pair, so whether the automaton
   starts another round or halts never rests on a tie-break;
 - clean halts: a run that ends terminal leaves no scratch (`$`-labelled)
-  edge on the Criticals node.
+  edge on the Criticals node;
+- the incremental committed check: at every idle tick of a checked run,
+  what the run's memo-based check returns equals
+  `tangle.committed_violations` on the same graph.
 """
 import pathlib
 
 import pytest
 
-from tangleca import automaton, bench, interpreter, pattern
+from tangleca import automaton, bench, interpreter, pattern, tangle
 
 from conftest import MODES, compile_case, corpus_names, load_corpus_case
 
@@ -145,3 +148,46 @@ def test_terminal_runs_halt_clean(branch_runs):
     counts, _ties, leftovers = branch_runs
     assert leftovers == []
     assert counts == BRANCH_RUNS
+
+
+# (idle checks, fallbacks to the full committed walk) over the workload's
+# 80 programs in both edge modes, deterministic and random seeds 1 and 2:
+# the runs of one `perfbench` `difftest` pass
+IDLE_CHECKS = (1470, 0)
+
+
+def test_incremental_committed_check_agrees_with_the_full_one():
+    real = automaton._CommittedCheck.violations
+    current = {}
+    disagreements = []
+
+    def compared(self, g, cyclic):
+        got = real(self, g, cyclic)
+        want = tangle.committed_violations(g, self.universe, cyclic)
+        if got != want:
+            disagreements.append((current["label"], g.node_count(), got,
+                                  want))
+        return got
+
+    idle_checks = fallbacks = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automaton._CommittedCheck, "violations", compared)
+        for negative_edges in MODES:
+            for name, source, state_text in workload_cases():
+                universe, _p, unit, state, graph = compile_case(
+                    source, state_text, negative_edges=negative_edges)
+                for mode, seed in ((automaton.DETERMINISTIC, 0),
+                                   (automaton.RANDOM, 1),
+                                   (automaton.RANDOM, 2)):
+                    current["label"] = "%s[%s/%s/%d]" % (
+                        name, negative_edges, mode, seed)
+                    cfg = automaton.Configuration(
+                        graph.copy(), seed=seed, mode=mode)
+                    _cfg, stats, outcome = automaton.run(
+                        cfg, unit.ruleset, check_invariants=True,
+                        idle_colors=unit.idle_colors, universe=universe)
+                    assert outcome == automaton.QUIESCENT, current["label"]
+                    idle_checks += stats.idle_checks
+                    fallbacks += stats.fallbacks
+    assert disagreements == []
+    assert (idle_checks, fallbacks) == IDLE_CHECKS
