@@ -194,7 +194,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     and perhaps nodes that walk no longer reaches.  A tick touches the
     destination of each containment edge it adds or deletes, each cell
     other than the focus it recolors (the focus is the Criticals node,
-    which holds no value) and each node it creates; the touches table
+    which holds no value) and each node it creates; the effect table
     (effects) lists those cells per rule.  An idle check drops the
     touched nodes and their forward closure along outgoing elem/fst/snd
     edges (the sets and pairs that contain them) from the memo,
@@ -247,7 +247,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             violations = tg.check_invariants(cfg.tangle, universe, values)
             if violations:
                 raise InvariantViolation(cfg.tick, violations, stats)
-            tables = effects(rules)
+            table = effects(rules)
             committed = _CommittedCheck(universe, values, stats)
         prev_nodes = cfg.tangle.node_count()
         while True:
@@ -258,7 +258,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             if on_tick is not None:
                 on_tick(cfg, applied)
             if check_invariants:
-                violations = _check(cfg.tangle, applied, prev_nodes, tables,
+                violations = _check(cfg.tangle, applied, prev_nodes, table,
                                     idle_colors, committed)
                 if violations:
                     raise InvariantViolation(cfg.tick, violations, stats)
@@ -271,17 +271,19 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
 
 
 def effects(rules):
-    """The rule set's effect tables, built the first time a checked run
-    needs them and kept on the rule set: (breaks, touches), each indexed
-    by rule index.
+    """The rule set's effect table, built the first time a checked run
+    needs it and kept on the rule set.
 
-    breaks[i] is None for a rule that can break no structural invariant,
+    Indexed by rule index: None for a rule that can break no structural
+    invariant and touches no node, else (breaks, touches).
+
+    breaks is None for a rule that can break no structural invariant,
     else (criticals, containment), where criticals is whether the rule
     creates a Criticals node and containment holds the (src, dst) cells
     of its containment add edges.  Deleted edges and recolors cannot
     break a structural invariant.
 
-    touches[i] is None for a rule that touches no node, else (cells,
+    touches is None for a rule that touches no node, else (cells,
     creates): the pattern cells it touches (the destination of each
     containment edge it adds or deletes, each cell other than the focus
     it recolors) and whether it creates nodes, each of which is touched.
@@ -291,35 +293,37 @@ def effects(rules):
     recolors exactly those cells.
     """
     if rules.effects is None:
-        breaks = []
-        touches = []
+        table = []
         for rule in rules.rules:
             criticals = any(kind == tg.CRITICALS for _c, kind in rule.creates)
             containment = tuple([(a, d) for a, label, d in rule.add
                                  if label in tg.CONTAINMENT])
-            breaks.append((criticals, containment)
-                          if criticals or containment else None)
+            breaks = ((criticals, containment)
+                      if criticals or containment else None)
             pattern_cells = len(rule.colors)
             cells = {d for _a, label, d in rule.add + rule.delete
                      if label in tg.CONTAINMENT}
             cells.update(c for c, _color in rule.recolor if c != rule.focus)
             cells = tuple(sorted(c for c in cells if c < pattern_cells))
-            touches.append((cells, bool(rule.creates))
-                           if cells or rule.creates else None)
-        rules.effects = (tuple(breaks), tuple(touches))
+            touches = ((cells, bool(rule.creates))
+                       if cells or rule.creates else None)
+            table.append((breaks, touches)
+                         if breaks or touches else None)
+        rules.effects = tuple(table)
     return rules.effects
 
 
-def _check(g, applied, prev_nodes, tables, idle_colors, committed):
+def _check(g, applied, prev_nodes, table, idle_colors, committed):
     """The violations of the tick just applied, in tangle.check_invariants
     order, with "node count decreased" first."""
-    breaks, touches = tables
-    effect = breaks[applied.rule_index]
-    violations = ([] if effect is None
-                  else _tick_violations(g, applied, prev_nodes, effect))
-    touch = touches[applied.rule_index]
-    if touch is not None:
-        committed.touch(g, applied.binding, prev_nodes, touch)
+    violations = []
+    effect = table[applied.rule_index]
+    if effect is not None:
+        breaks, touches = effect
+        if breaks is not None:
+            violations = _tick_violations(g, applied, prev_nodes, breaks)
+        if touches is not None:
+            committed.touch(g, applied.binding, prev_nodes, touches)
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
         violations += committed.violations(
             g, "containment cycle" in violations)
@@ -411,9 +415,9 @@ class _CommittedCheck:
         return True
 
 
-def _tick_violations(g, applied, prev_nodes, effect):
+def _tick_violations(g, applied, prev_nodes, breaks):
     """Structural violations the applied rewrite has introduced, given
-    the rule's entry in the effect table.
+    the breaks part of the rule's entry in the effect table.
 
     The previous check found one Criticals node and acyclic containment,
     so a created Criticals node is a second one, and a new cycle runs
@@ -421,7 +425,7 @@ def _tick_violations(g, applied, prev_nodes, effect):
     consecutive ids in the rule's creates order and never removes one,
     so created cell i of the rule is node prev_nodes + i.
     """
-    criticals, containment = effect
+    criticals, containment = breaks
     violations = ["multiple criticals"] if criticals else []
     node_of = applied.binding + tuple(range(prev_nodes, g.node_count()))
     for a, d in containment:
