@@ -182,44 +182,44 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       created node is a second Criticals and no added containment edge
       closes a cycle;
     - after a tick that ends at an idle color (every tick when
-      idle_colors is None), the committed checks also run: pair shape
-      and committed-value uniqueness, which mid-protocol marks are
-      exempt from.  The verdict is always that of
+      idle_colors is None), the committed checks also run: every
+      committed value node decodes, and no two hold one value, which
+      mid-protocol marks are exempt from.  The verdict is always that of
       tangle.committed_violations on the tick's graph; the memo only
       saves walking the whole graph to reach it.
 
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each
-    committed value node and what it contains, as far as the walk gets),
-    and perhaps nodes that walk no longer reaches.  A tick touches the
-    destination of each containment edge it adds or deletes, each cell
-    other than the focus it recolors (the focus is the Criticals node,
-    which holds no value) and each node it creates; the effect table
-    (effects) lists those cells per rule.  An idle check drops the
-    touched nodes and their forward closure along outgoing elem/fst/snd
-    edges (the sets and pairs that contain them) from the memo,
-    re-decodes the committed value nodes among them, and certifies the
-    tangle clean when no walk fails and no decoded value's uid is held by
-    another entry.  Otherwise it falls back: it calls
-    tangle.committed_violations, whose list (or HFLimitError) is the
-    tick's, and a clean fallback re-seeds the memo from that call's walk.
-    Why a certified tick's full check is clean, by induction over clean
-    checks:
+    committed value node and all it contains), and perhaps nodes that
+    walk no longer reaches.  A tick touches the destination of each
+    containment edge it adds or deletes, each cell other than the focus
+    it recolors (the focus is the Criticals node, which holds no value)
+    and each node it creates; the effect table (effects) lists those
+    cells per rule.  An idle check drops the touched nodes and their
+    forward closure along outgoing elem/fst/snd edges (the sets and
+    pairs that contain them) from the memo, re-decodes the committed
+    value nodes among them, and certifies the tangle clean when no walk
+    fails and no decoded value's uid is held by another entry.
+    Otherwise it falls back: it calls tangle.committed_violations, whose
+    list (or HFLimitError) is the tick's, and a clean fallback re-seeds
+    the memo from that call's walk.  Why a certified tick's full check
+    is clean, by induction over clean checks:
 
-    - nodes are never removed and kinds never change, and a node's value
-      depends only on its containment ancestors (the nodes with a
-      containment path to it), which change only through an edge added
-      into or deleted from one of them: the node is then in the dropped
-      closure, so every kept entry holds the node's current value, and
-      its ancestors are kept too;
-    - the full walk from a committed node decodes the ancestors it meets
-      in member order up to the first that fails, so a committed node
-      outside the dropped closure (its color and ancestors unchanged)
-      decodes what it decoded at the last check, all of it kept, and one
-      inside is re-decoded down to kept entries: the memo covers every
-      node the full walk decodes, with the same values;
-    - a pair's components change only if the pair is touched, and a
-      touched committed pair is re-decoded, which checks its shape;
+    - nodes are never removed and kinds never change, and a node's walk,
+      its value or its failure (a pair's shape included), depends only
+      on its containment ancestors (the nodes with a containment path to
+      it) and the edges into them, which change only through an edge
+      added into or deleted from one of them: the node is then in the
+      dropped closure, so every kept entry holds the node's current
+      value, and its ancestors are kept too;
+    - a clean check has no failing walk, so it decoded every committed
+      value node and all it contains: a committed node outside the
+      dropped closure (its color and ancestors unchanged) decodes what
+      it decoded then, all of it kept, and one inside is re-decoded down
+      to kept entries.  A failing walk is a violation, so a failing
+      re-decode falls back, and the full check would find it too.  The
+      memo covers every node the full walk decodes, with the same
+      values;
     - the universe only grows, so the full walk's set_of and pair calls on
       kept values find values the universe holds, and a held set never
       raises;
@@ -405,9 +405,11 @@ class _CommittedCheck:
         if not roots:
             return True
         try:
-            decoded = tg._node_values(g, self.universe, roots=roots,
-                                      memo=values)
-        except (tg.TangleError, hfset.HFLimitError):
+            decoded, failures = tg._node_values(g, self.universe,
+                                                roots=roots, memo=values)
+        except hfset.HFLimitError:
+            return False
+        if failures:
             return False
         for nid, v in decoded.items():
             if owner.setdefault(v.uid, nid) != nid:

@@ -309,9 +309,12 @@ def build_parser():
                     help="write a full per-tick trace")
     sp.add_argument("--stats-json", metavar="PATH",
                     help="write tick counts (total, per phase, per rule), "
-                         "the number of matches found and the number of "
+                         "the number of matches found, the number of "
                          "deterministic ticks settled without the "
-                         "maximality filter as JSON")
+                         "maximality filter, and the idle-tick committed "
+                         "checks of --check-invariants (idle_checks) and "
+                         "how many fell back to the full check "
+                         "(fallbacks) as JSON")
     sp.add_argument("--dot-every", type=_positive_int, metavar="K",
                     help="write a graphviz snapshot every K ticks")
     sp.add_argument("--dot-prefix", default="tangle",

@@ -281,14 +281,16 @@ def encode(terms, universe, locations=None, criticals_color=PLAIN,
     return g
 
 
-def _node_values(g, universe, strict=True, roots=None, memo=None):
-    """Map node id -> HFValue for every node walked from `roots` (by
+def _node_values(g, universe, roots=None, memo=None):
+    """(values, failures) for a walk from every node of `roots` (by
     default every committed value node) along containment edges.
 
-    Raises TangleError on a dangling edge, a containment cycle, a pair
-    without exactly one fst and one snd component, or a node that is not
-    a value.  With strict=False, roots that fail to decode are skipped
-    instead.
+    values maps node id -> HFValue for each node the walk decoded.
+    failures holds the TangleError message of each root whose walk
+    failed, in root order, without repeats: a dangling edge, a
+    containment cycle, a pair without exactly one fst and one snd
+    component, or a node that is not a value.  HFLimitError propagates.
+    Each caller decides what a failure means.
 
     memo, if given, maps node ids to values decoded earlier that are
     still current: the walk takes such an entry as it is, without
@@ -336,21 +338,23 @@ def _node_values(g, universe, strict=True, roots=None, memo=None):
         roots = [nid for nid in sorted(g.nodes)
                  if g.nodes[nid].kind in VALUE_KINDS
                  and g.nodes[nid].color in COMMITTED]
+    failures = []
     for nid in roots:
         try:
             walk(nid)
-        except TangleError:
-            if strict:
-                raise
-    return values
+        except TangleError as exc:
+            if str(exc) not in failures:
+                failures.append(str(exc))
+    return values, failures
 
 
 def decode(g, universe):
     """Critical-term mapping back out of a tangle.
 
-    Skips internal ($/#) edges and function-location tuples; raises
-    TangleError on malformed structure (dangling critical edge,
-    containment cycle, duplicate committed values).
+    Skips internal ($/#) edges and function-location tuples.  Raises
+    TangleError on a dangling critical edge, on the first violation
+    committed_violations reports, and on a term that does not decode;
+    the terms are read through that check's walk.
     """
     c = g.criticals()
     terms = {}
@@ -366,25 +370,22 @@ def decode(g, universe):
             if label in terms:
                 raise TangleError("critical term %s has multiple edges" % label)
             terms[label] = dst
-    values = _node_values(g, universe, roots=terms.values())
-    result = {label: values[nid] for label, nid in terms.items()}
-
-    # duplicate committed values anywhere in the graph are malformed
-    seen = {}
-    for nid, v in _node_values(g, universe, strict=False).items():
-        prev = seen.get(v.uid)
-        if prev is not None:
-            raise TangleError(
-                "nodes %d and %d both decode to committed value %r"
-                % (prev, nid, v))
-        seen[v.uid] = nid
-    return result
+    values = {}
+    violations = committed_violations(g, universe, False, values)
+    if not violations:
+        violations = _node_values(g, universe, roots=terms.values(),
+                                  memo=values)[1]
+    if violations:
+        raise TangleError(violations[0])
+    return {label: values[nid] for label, nid in terms.items()}
 
 
 def decode_locations(g, universe):
     """Function-location mapping (f, args) -> value out of a tangle."""
     c = g.criticals()
-    values = _node_values(g, universe, strict=True)
+    values, failures = _node_values(g, universe)
+    if failures:
+        raise TangleError(failures[0])
 
     def value_at(nid, what):
         if nid not in values:
@@ -425,16 +426,19 @@ def check_invariants(g, universe, memo=None):
     """List of structural violations; empty iff the tangle is well formed.
 
     Checks: exactly one Criticals node, active is Criticals, containment
-    acyclicity, then committed_violations (pair shape and committed-value
-    uniqueness), which fills `memo`, if given, with the values its walk
-    decoded.  This walks the whole graph; automaton.run calls it once,
-    before the first tick, and keeps that memo.  After that a checked run
-    relies on induction: nodes are never removed, kinds and the active
-    node never change, and each added containment edge is tested for a
-    cycle when it is added, so an idle-ending tick needs only its own
-    structural check and the committed checks, which re-decode only the
-    nodes the ticks since the last clean check can have changed (see
-    automaton.run).
+    acyclicity, then committed_violations (each committed value node
+    decodes, and no two hold one value), which fills `memo`, if given,
+    with the values its walk decoded.  Once containment is cyclic only
+    the cycle is reported.  When this reports nothing, decode and
+    decode_locations fail only on what the edges out of Criticals name,
+    which are not checked here.  This walks the whole graph;
+    automaton.run calls it once, before the first tick, and keeps that
+    memo.  After that a checked run relies on induction: nodes are never
+    removed, kinds and the active node never change, and each added
+    containment edge is tested for a cycle when it is added, so an
+    idle-ending tick needs only its own structural check and the
+    committed checks, which re-decode only the nodes the ticks since the
+    last clean check can have changed (see automaton.run).
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
@@ -455,35 +459,27 @@ def check_invariants(g, universe, memo=None):
 
 
 def committed_violations(g, universe, cyclic, memo=None):
-    """Violations among committed value nodes: a pair without exactly
-    one fst and one snd component, then each duplicate committed value.
-    Uniqueness is not checked when the containment is `cyclic`.
+    """Violations among committed value nodes: the failure of each one
+    whose walk fails (a pair without exactly one fst and one snd
+    component, a member that is not a value or is missing), then each
+    duplicate committed value.  Nothing is walked when the containment
+    is `cyclic`.
 
     These are the checks mid-protocol ticks are exempt from.  This is
     the full check: it walks every committed value node.  A checked
     automaton.run certifies most idle ticks clean from its memo instead,
     and calls this whenever it cannot: the verdict is then this
-    function's, unchanged.  memo, if given (empty), receives the value
-    of every node the uniqueness walk decoded.
+    function's, unchanged.  decode raises the first of these violations.
+    memo, if given (empty), receives the value of every node the walk
+    decoded.
     """
-    violations = []
-    for n in g.nodes.values():
-        if n.kind == PAIR and n.color in COMMITTED:
-            fsts = len(g.sources(n.id, FST))
-            snds = len(g.sources(n.id, SND))
-            if fsts != 1 or snds != 1:
-                violations.append(
-                    "pair node %d has %d fst / %d snd components"
-                    % (n.id, fsts, snds))
-
-    if not cyclic:
-        seen = {}
-        for nid, v in _node_values(g, universe, strict=False,
-                                   memo=memo).items():
-            if v.uid in seen:
-                violations.append(
-                    "duplicate committed value at nodes %d and %d"
-                    % (seen[v.uid], nid))
-            else:
-                seen[v.uid] = nid
+    if cyclic:
+        return []
+    values, violations = _node_values(g, universe, memo=memo)
+    seen = {}
+    for nid, v in values.items():
+        first = seen.setdefault(v.uid, nid)
+        if first != nid:
+            violations.append("duplicate committed value at nodes %d and %d"
+                              % (first, nid))
     return violations

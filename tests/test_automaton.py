@@ -460,6 +460,13 @@ class TestIdleTickChecks:
             recolor=[("A", tangle.PLAIN), ("B", tangle.PLAIN)],
         ) == ["duplicate committed value at nodes 1 and 2"]
 
+    def test_committed_set_with_a_member_that_is_not_a_value(self):
+        assert self._violations(
+            creates=[("T", tangle.PLAIN, tangle.TUPLE)],
+            add=[("T", tangle.ELEM, "A")],
+            recolor=[("A", tangle.PLAIN)],
+        ) == ["node 3 of kind tuple is not a value"]
+
     # Two rounds: tick 1 takes the focus from red to idle, and its idle
     # check is clean, which leaves the run's memo warm; tick 2 edits the
     # nodes the named terms hold and ends at the idle color done.
@@ -548,11 +555,29 @@ VALUE_TEXT = st.sampled_from(("{}", "{{}}", "{a}", "{b}", "{a,b}", "{{a}}",
 
 @st.composite
 def random_rules(draw):
-    """Rules over C -x-> A, C -x-> B that create nodes, add and delete
-    containment edges among pattern and created cells, recolor the focus,
-    and recolor other cells into and out of the committed colors."""
-    rules = []
-    for i in range(draw(st.integers(1, 3))):
+    """Rules over C -x-> A, C -x-> B, in the order deterministic
+    selection tries them:
+
+    - edit fires at the idle color when A is inside B and B is an
+      element of R: A leaves B, B may be marked, and the focus moves on,
+      so an edit two levels below R follows an idle check, often a clean
+      one that left the memo warm;
+    - one to three rules at a drawn focus color create nodes, add and
+      delete containment edges among pattern and created cells, and
+      recolor other cells into and out of the committed colors;
+    - r0 matches at any focus color and any two x-targets, may recolor
+      A or B, and moves the focus to the idle color, so every run takes
+      a tick and reaches an idle check."""
+    cells = [("C", None), ("A", None), ("B", None)]
+    pattern = [("C", "x", "A"), ("C", "x", "B")]
+    link = ("A", draw(st.sampled_from(CONTAINMENT_EDGES)), "B")
+    recolor = [("C", draw(st.sampled_from(FOCUS_COLORS)))]
+    if draw(st.booleans()):
+        recolor.append(("B", tangle.MARKER))
+    rules = [Rule("edit", [("C", "idle")] + cells[1:] + [("R", None)],
+                  pattern + [link, ("B", tangle.ELEM, "R")],
+                  recolor=recolor, delete=[link])]
+    for i in range(1, draw(st.integers(2, 4))):
         creates = [("N%d" % j, draw(st.sampled_from(VALUE_COLORS)),
                     draw(st.sampled_from((tangle.SET, tangle.PAIR,
                                           tangle.CRITICALS))))
@@ -564,27 +589,19 @@ def random_rules(draw):
         add_edges = draw(st.lists(edge, max_size=3))
         add_edges += [("C", "x", name) for name, _c, _k in creates]
         delete = draw(st.lists(edge, max_size=2))
-        # r0 matches at any focus color and any two x-targets, so every
-        # run takes a tick; a later rule may also need A inside B, and
-        # then may delete that edge
-        pattern = [("C", "x", "A"), ("C", "x", "B")]
-        focus = None
-        if i:
-            focus = draw(st.sampled_from(FOCUS_COLORS))
-            link = draw(st.none() | st.tuples(
-                st.just("A"), st.sampled_from(CONTAINMENT_EDGES),
-                st.just("B")))
-            if link is not None:
-                pattern.append(link)
-                if draw(st.booleans()):
-                    delete.append(link)
         recolor = draw(st.lists(
             st.tuples(st.sampled_from(names), st.sampled_from(VALUE_COLORS)),
             max_size=2, unique_by=lambda cell: cell[0]))
         recolor.append(("C", draw(st.sampled_from(FOCUS_COLORS))))
-        rules.append(Rule("r%d" % i, [("C", focus), ("A", None), ("B", None)],
-                          pattern, recolor=recolor, add=add_edges,
-                          delete=delete, creates=creates))
+        rules.append(Rule("r%d" % i,
+                          [("C", draw(st.sampled_from(FOCUS_COLORS)))]
+                          + cells[1:], pattern, recolor=recolor,
+                          add=add_edges, delete=delete, creates=creates))
+    recolor = draw(st.lists(st.tuples(st.sampled_from("AB"),
+                                      st.sampled_from(VALUE_COLORS)),
+                            max_size=1))
+    rules.append(Rule("r0", cells, pattern,
+                      recolor=recolor + [("C", "idle")]))
     return RuleSet(FOCUS_COLORS + VALUE_COLORS,
                    ("x",) + tuple(tangle.CONTAINMENT), rules, 3)
 
@@ -592,19 +609,21 @@ def random_rules(draw):
 @st.composite
 def random_graph(draw):
     """Criticals with x-edges to every value node: committed, nested,
-    maximally shared values as tangle.encode builds them, some of them
-    marked, and a few marked value nodes with acyclic containment edges
-    into them, plus at most one arbitrary edge (which may close a cycle
-    or break a committed value before the first tick)."""
+    maximally shared values as tangle.encode builds them, one node
+    inside them marked, and a few marked value nodes with acyclic
+    containment edges into them, plus at most one arbitrary edge (which
+    may close a cycle or break a committed value before the first
+    tick)."""
     u = hfset.Universe()
     terms = {"t%d" % i: u.parse(text)
              for i, text in enumerate(draw(st.lists(VALUE_TEXT, max_size=4)))}
     g = tangle.encode(terms, u,
                       criticals_color=draw(st.sampled_from(FOCUS_COLORS)))
     c = g.active
-    for nid in draw(st.lists(st.sampled_from(sorted(g.nodes)[1:]),
-                             max_size=1)):
-        g.set_color(nid, tangle.MARKER)   # a mark inside a committed value
+    inner = [nid for nid in sorted(g.nodes)
+             if any(g.out[nid].get(label) for label in tangle.CONTAINMENT)]
+    if inner:
+        g.set_color(draw(st.sampled_from(inner)), tangle.MARKER)
     marked = [g.add_node(tangle.MARKER,
                          draw(st.sampled_from((tangle.SET, tangle.PAIR))))
               for _ in range(draw(st.integers(2, 4)))]

@@ -574,17 +574,6 @@ class TestApply:
         assert g.has_edge(a, "y", c)
         assert g.has_edge(a, "z", w)
 
-    def test_stale_match_raises(self):
-        g, rule = self._simple()
-        c, a = binding = self._only_binding(g, rule)
-        g.set_color(a, "blue")
-        with pytest.raises(RuleError):
-            apply(g, rule, binding)
-        g.set_color(a, "green")
-        g.remove_edge(c, "x", a)
-        with pytest.raises(RuleError):
-            apply(g, rule, binding)
-
     def test_binding_of_another_size_raises(self):
         g, rule = self._simple()
         with pytest.raises(RuleError):

@@ -1,6 +1,6 @@
 """Tangle graphs and the value encoding: sharing, roundtrips, invariants."""
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tangleca import automaton, bench, hfset, tangle
 from tangleca.hfset import Universe
@@ -33,6 +33,16 @@ def mixed_graphs(draw):
                            unique=True)):
         g.add_edge(*e)
     return g
+
+
+def tuple_in_committed_set(u):
+    """encode({x: {a}}), then a plain tuple node t with an elem edge into
+    x's set: a committed set that does not decode.  Returns (g, t)."""
+    g = encode({"x": u.parse("{a}")}, universe=u)
+    (x,) = g.targets(g.criticals(), "x")
+    t = g.add_node(tangle.PLAIN, tangle.TUPLE)
+    g.add_edge(t, tangle.ELEM, x)
+    return g, t
 
 
 def has_containment_cycle(g):
@@ -301,6 +311,32 @@ class TestInvariants:
             decode(g, u)
         assert check_invariants(g, u) == [
             "pair node %d has 2 fst / 1 snd components" % p]
+
+    def test_committed_set_with_a_member_that_is_not_a_value(self):
+        u = Universe()
+        g, t = tuple_in_committed_set(u)
+        message = "node %d of kind tuple is not a value" % t
+        assert check_invariants(g, u) == [message]
+        with pytest.raises(TangleError) as exc:
+            decode(g, u)
+        assert str(exc.value) == message
+
+    @given(g=mixed_graphs())
+    @example(g=tuple_in_committed_set(Universe())[0])
+    @settings(max_examples=300, deadline=None)
+    def test_clean_check_means_decode_succeeds(self, g):
+        # the edges out of Criticals (critical terms and locations) are
+        # not checked, so they are dropped before decoding
+        u = Universe()
+        if check_invariants(g, u):
+            return
+        g = g.copy()
+        c = g.criticals()
+        for label, targets in list(g.out[c].items()):
+            for dst in list(targets):
+                g.remove_edge(c, label, dst)
+        assert decode(g, u) == {}
+        assert decode_locations(g, u) == {}
 
     def test_pair_under_construction_is_not_flagged(self):
         # a marked (not committed) pair may lack components mid-protocol
