@@ -69,21 +69,38 @@ def fit_slope(points):
 
 def run_ticks(source, state_text, negative_edges=False):
     """Compile, run to quiescence in deterministic mode, and return
-    per-phase tick counts."""
+    (per-phase tick counts, peak round ratio).
+
+    A round starts each time the focus enters the unit's first colour
+    and runs to the next such entry or to the end of the run.  The peak
+    round ratio is the largest ratio of a round's ticks to the square of
+    the node count at its start: the paper's quadratic step overhead,
+    measured per ASM step."""
     universe = hfset.Universe(max_depth=64)
     program = asmlang.parse(source)
     unit = compiler.compile_program(program, negative_edges=negative_edges)
     state = interpreter.parse_state(state_text, program, universe)
     graph = unit.initial_graph(state, universe)
+    rounds = []   # [ticks, node count at the round's start]
+
+    def on_tick(cfg, _applied):
+        g = cfg.tangle
+        if rounds:
+            rounds[-1][0] += 1
+        if g.color_of(g.active) == unit.first_color:
+            rounds.append([0, g.node_count()])
+
     cfg, stats, outcome = automaton.run(automaton.Configuration(graph),
                                         unit.ruleset,
-                                        max_ticks=BENCH_MAX_TICKS)
+                                        max_ticks=BENCH_MAX_TICKS,
+                                        on_tick=on_tick)
     if outcome != automaton.QUIESCENT:
         raise RuntimeError("benchmark run did not quiesce: " + outcome)
     color = cfg.tangle.color_of(cfg.tangle.active)
     if color != unit.done_color:
         raise RuntimeError("benchmark run halted in color " + color)
-    return stats
+    peak = max((ticks / nodes ** 2 for ticks, nodes in rounds), default=0.0)
+    return stats, peak
 
 
 def _atom_list(n):
@@ -113,7 +130,7 @@ def bench_union(negative_edges=False):
     """
     points = []
     for n in UNION_SIZES:
-        stats = run_ticks(*union_case(n), negative_edges)
+        stats, _peak = run_ticks(*union_case(n), negative_edges)
         points.append((n, stats.phases.get("union-check", 0)
                        + stats.phases.get("union-build", 0)))
     slope = fit_slope(points)
@@ -130,7 +147,7 @@ def bench_singleton(negative_edges=False):
                   "if r = {} then r := {s}\n" % ", ".join(xs))
         decoys = ", ".join("{m, %s}" % x for x in xs)
         state = "term s = m\nterm w = {%s}\n" % decoys
-        stats = run_ticks(source, state, negative_edges)
+        stats, _peak = run_ticks(source, state, negative_edges)
         points.append((n, stats.phases.get("singleton", 0)))
     slope = fit_slope(points)
     ok = SINGLETON_WINDOW[0] <= slope <= SINGLETON_WINDOW[1]
@@ -143,7 +160,7 @@ def _const_family(name, source_fmt, state_fmt, phase, negative_edges):
         xs = _atom_list(n)
         source = source_fmt % ", ".join(xs)
         state = state_fmt % ", ".join(xs)
-        stats = run_ticks(source, state, negative_edges)
+        stats, _peak = run_ticks(source, state, negative_edges)
         points.append((n, stats.phases.get(phase, 0)))
     ticks = {t for _n, t in points}
     ok = len(ticks) == 1 and points[0][1] > 0
@@ -201,14 +218,17 @@ def bench_overhead(negative_edges=False):
     accumulator, so both the state and the per-round work grow with T.
     """
     points = []
+    peak = 0.0
     for t in OVERHEAD_SIZES:
-        stats = run_ticks(*overhead_case(t), negative_edges)
+        stats, round_peak = run_ticks(*overhead_case(t), negative_edges)
         points.append((t, stats.total))
+        peak = max(peak, round_peak)
     slope = fit_slope(points)
     ok = slope <= OVERHEAD_MAX_EXPONENT
     return BenchResult("overhead", points, slope,
                        (0.0, OVERHEAD_MAX_EXPONENT), ok,
-                       detail="(upper bound)")
+                       detail="(upper bound; round ticks/nodes^2 <= %.3f)"
+                       % peak)
 
 
 FAMILIES = {

@@ -1051,21 +1051,45 @@ class _Lowerer:
             raise CompileError("cannot lower statement %r" % (s,))
 
 
+def _continues_run(stages, i):
+    """Whether stage i is guarded together with stage i-1: both share a
+    path condition (same support and rows) that is not trivially true."""
+    condition = stages[i][1]
+    if i == 0 or condition.is_true():
+        return False
+    prev = stages[i - 1][1]
+    return (prev.support, prev.rows) == (condition.support, condition.rows)
+
+
 def _emit_stages(ctx, prefix, stages, after):
     """Emit a chain of stages, the one place colours and guards are set.
 
     Stage i enters at colour prefix+i and hands over to the next stage,
-    the last one to `after`.  A stage whose path condition is not
-    trivially true runs behind a guard stage (compile_lock_wrapping)
-    that skips to the next stage when the condition fails.
+    the last one to `after`.  Each maximal run of consecutive stages
+    whose path conditions are equal and not trivially true runs behind
+    one guard stage (compile_lock_wrapping) at the run's first entry,
+    carrying that stage's phase: it enters the first stage at entry+".r"
+    and, when the condition fails, skips to the first stage after the
+    run (or `after`).  Later stages of a run enter at their own colour.
+
+    This skips exactly the stages that a guard per stage would.  Bits
+    are written only by conditional stages, whose condition is _TRUE, so
+    they are never guarded and always end a run: no stage of a run
+    writes a bit, and the run's condition has the same value at each of
+    its stages as at the guard.  When it holds, each per-stage guard
+    would have run its stage; when it fails, each would have skipped.
     """
     for i, (phase, condition, emitter, args) in enumerate(stages):
         entry = "%s%d" % (prefix, i)
         nxt = "%s%d" % (prefix, i + 1) if i + 1 < len(stages) else after
         run = entry
-        if not condition.is_true():
+        if not condition.is_true() and not _continues_run(stages, i):
+            end = i + 1
+            while end < len(stages) and _continues_run(stages, end):
+                end += 1
+            skip = "%s%d" % (prefix, end) if end < len(stages) else after
             run = entry + ".r"
-            compile_lock_wrapping(ctx, entry, run, nxt, condition, phase)
+            compile_lock_wrapping(ctx, entry, run, skip, condition, phase)
         emitter(ctx, run, nxt, *args)
 
 
@@ -1124,8 +1148,11 @@ def compile_program(program, negative_edges=False):
     registers = ["$r%d" % i for i in range(lo.nreg)]
     bits = ["$b%d" % i for i in range(lo.nbit)]
     first = "s0" if lo.steps else "d0"
+    # a later commit of a run is reached only through the run's first,
+    # whose decide stage fires whenever that one's would: it needs none
     decide = [("decide", _TRUE, compile_decide, (condition, "m%d" % i))
-              for i, (_p, condition, _e, _a) in enumerate(lo.commits)]
+              for i, (_p, condition, _e, _a) in enumerate(lo.commits)
+              if not _continues_run(lo.commits, i)]
     # cleanup strips bits, then registers: every commit reads a register,
     # so the last stage drops one, and it branches
     cleanup = [("cleanup", _TRUE, compile_cleanup,

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import pathlib
+import re
 
 import pytest
 
@@ -135,6 +136,80 @@ class TestCompileStructure:
         assert unit.classify(g) == interpreter.EMPTY_CHOICE
         g.set_color(g.criticals(), "s0")
         assert unit.classify(g).startswith("stuck:")
+
+
+def guard_targets(rules, chain):
+    """{guard entry: (sat target, skip target)} of the guard rules of a
+    chain ("s", "m", ...); a guard has one satisfying and one falsifying
+    row here."""
+    targets = {}
+    for rule in rules:
+        m = re.fullmatch(r"[^:]+:(%s\d+):(sat|skip)\d+" % chain, rule.name)
+        if m:
+            [(_cell, color)] = rule.recolor
+            targets.setdefault(m.group(1), {})[m.group(2)] = color
+    return {e: (t["sat"], t["skip"]) for e, t in targets.items()}
+
+
+class TestStageRuns:
+    """One guard per maximal run of stages under one path condition, and
+    one decide stage per run of commits."""
+
+    def test_one_guard_per_run(self):
+        f = Formula.of_bit(0)
+        g = Formula.of_bit(0).negate()   # same support, other rows
+        entered = []
+
+        def stage(ctx, entry, nxt):
+            entered.append((entry, nxt))
+
+        conditions = [f, Formula.of_bit(0), compiler._TRUE, f, g, g]
+        stages = [("eval", c, stage, ()) for c in conditions]
+        ctx = compiler.EmitContext()
+        compiler._emit_stages(ctx, "p", stages, "after")
+        assert guard_targets(ctx.rules, "p") == {
+            "p0": ("p0.r", "p2"), "p3": ("p3.r", "p4"),
+            "p4": ("p4.r", "after")}
+        assert entered == [("p0.r", "p1"), ("p1", "p2"), ("p2", "p3"),
+                           ("p3.r", "p4"), ("p4.r", "p5"), ("p5", "after")]
+
+    SRC = ("atoms a; criticals c, x, y, b, d;\n"
+           "if c = {} then (x := {a} par y := b U d)\n")
+
+    def test_an_assignment_block_under_one_if_has_one_guard(self):
+        unit = compile_program(asmlang.parse(self.SRC))
+        rules = unit.ruleset.rules
+        # c, {} and the bit run unguarded; a, {a}, b, d and b U d form
+        # one run behind the guard at s3
+        assert guard_targets(rules, "s") == {"s3": ("s3.r", "d0")}
+        assert guard_targets(rules, "m") == {"m0": ("m0.r", "k0")}
+
+    def test_commits_under_one_condition_get_one_decide_stage(self):
+        def decide_entries(source):
+            unit = compile_program(asmlang.parse(source))
+            return {r.name.split(":")[1] for r in unit.ruleset.rules
+                    if r.name.startswith("decide:")}
+
+        assert decide_entries(self.SRC) == {"d0"}
+        assert decide_entries(self.SRC.replace(" par ", ") else (")) == {
+            "d0", "d1"}
+
+    def test_bits_are_written_only_by_unguarded_stages(self):
+        # _emit_stages' soundness argument: no stage of a guarded run
+        # writes a bit, so its condition cannot change along the run
+        src = ("atoms a; criticals c, x, y;\n"
+               "if c = {} then (if not (x = c or a in y) then x := y"
+               " else (if x != y then y := {a}))\n")
+        lo = compiler._Lowerer(["c", "x", "y"])
+        lo.stmt(asmlang.parse(src).body, {}, compiler._TRUE)
+        writers = [(emitter, cond) for _p, cond, emitter, args in lo.steps
+                   if args and str(args[-1]).startswith("$b")]
+        assert len(writers) == 4
+        for emitter, cond in writers:
+            assert emitter is compiler.compile_conditional
+            assert cond is compiler._TRUE
+        # the operands of the nested tests are evaluated under c = {}
+        assert any(not cond.is_true() for _p, cond, _e, _a in lo.steps)
 
 
 FROZEN_DIR = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
