@@ -218,19 +218,21 @@ class TestSimulate:
 # SIMULATE_SETTLED (random schedules settle no tick).  Its later
 # "idle_checks" and "fallbacks" counts are left out the same way and
 # pinned by SIMULATE_IDLE_CHECKS (one per tick that ends at an idle
-# color) and SIMULATE_FALLBACKS (no idle check needs the full walk).  All
-# three were
-# re-recorded when the wind-down chain was folded into the cleanup chain,
-# which renamed rules in the traces but left stdout and tick counts as
-# they were.
+# color) and SIMULATE_FALLBACKS (no idle check needs the full walk).  The
+# digest, matches and settled counts were re-recorded when the wind-down
+# chain was folded into the cleanup chain, which renamed rules in the
+# traces but left stdout and tick counts as they were, and again when
+# each run of same-condition stages got one guard and each run of
+# commits one decide stage, which removed guard and decide ticks from
+# the traces and stats; the idle checks did not change.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
                   ["--random", "--seed", "3", "--negative-edges"])
 SIMULATE_DIGEST = (
-    "faecb34bd547b886ba25ccd4c9e6cd65fff89ea2e70e4d87cc225c5c45ad0eac")
-SIMULATE_MATCHES = [125, 125, 80, 57, 57, 57, 163, 163, 163, 92, 92, 93]
-SIMULATE_SETTLED = [69, 69, 0, 33, 33, 0, 105, 105, 0, 54, 55, 0]
+    "b84e9fc93510003a3fdb0715c76350fbf33ff2211aa07c8a127b9e9e834d928a")
+SIMULATE_MATCHES = [121, 121, 76, 53, 53, 53, 133, 133, 133, 84, 84, 85]
+SIMULATE_SETTLED = [67, 67, 0, 31, 31, 0, 91, 91, 0, 50, 51, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
 

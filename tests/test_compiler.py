@@ -243,12 +243,13 @@ class TestGoldenRuleSets:
     generated `perfbench/cases/gen-*.asml` programs (read only here),
     which use locations and choice more than the corpus does.  Both
     were re-recorded when the wind-down chain was folded into the
-    cleanup chain.
+    cleanup chain, and when each run of same-condition stages got one
+    guard and each run of commits one decide stage.
     """
 
-    DIGEST = "8fc2d70168910228dd310451923d67407763e6c06368cd6250f29def7ac2b8ee"
-    FROZEN_DIGEST = ("7ea2c2d10418259beda27f17558877c284ecc7d875e4747d"
-                     "dfe54ff1e8ebd4f0")
+    DIGEST = "1fcc638bb1fd0367849995c2ae31c98cc14f016f0d4adfcd6a4273e9684275b4"
+    FROZEN_DIGEST = ("b625bbd37606f650b7f048df797f0985e9fe2e4f99572f6a"
+                     "74808637befb4be4")
 
     def test_corpus_rule_sets_unchanged(self):
         assert rule_set_digest(

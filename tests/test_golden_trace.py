@@ -15,7 +15,10 @@ into binding-tuple order, before its join order became the match order
 (rule order, then the nodes bound at the plan's steps, in step order).
 Every digest and count here was re-recorded when the wind-down chain
 was folded into the cleanup chain, which renumbered and renamed rules
-but changed no tick, outcome or final state.
+but changed no tick, outcome or final state, and again when each run of
+same-condition stages got one guard and each run of commits one decide
+stage, which removed guard and decide ticks but changed no outcome or
+final state.
 Any change to matching, maximality filtering or selection that alters a
 single applied match shows up here.  The number of pairs the kernel
 returns over a deterministic union run is pinned too.  On every
@@ -34,17 +37,17 @@ from conftest import compile_case, corpus_names, load_corpus_case
 
 GOLDEN = {
     (False, automaton.DETERMINISTIC, 0):
-        "5016582f5870f59c7b1d61aab692ffa212e773b3392082d8ec46b6caa9a99897",
+        "6100a7f403053482731fe548365e37b4139f46f0f230b134f34f703e1409db73",
     (False, automaton.RANDOM, 1):
-        "51348e1216ef8cada275c5c811b2a8d050f1e20aa5f0e3f4f5c9f3fbdf91d711",
+        "a196f6a842601b9485f01180de6d12c36d7a5f8d80ea9e19424adfa650c05b8e",
     (False, automaton.RANDOM, 2):
-        "fb32048d49c792a22c4a7652e47851e0e9863266aa77ebb981ea5d17371d7f5e",
+        "566a4be07ea1bcaf86f8dad4bdda9cb71b69a405621cc53ddb3d337b672b86c2",
     (True, automaton.DETERMINISTIC, 0):
-        "fde9c9683ccb0498a33209d111ca8b757b2ac1344c2d7e2649133a5ffcfc4801",
+        "ec4d219392fb51ff54e92b5d3b8f181b9a6381c292dea118a3079f0d87997016",
     (True, automaton.RANDOM, 1):
-        "db99a39cac25cbf38d9cd4575c951311388fd75b2d016dd3ab32336d8888c660",
+        "5601feb9457ba7a2145af72783c6160750d4255b235b53f122ed646e1b257962",
     (True, automaton.RANDOM, 2):
-        "c562b5deb2e8d976788709e1daa9ba857c596ea16e9006072ab4ce6c2187da70",
+        "20589fe29419e06baa555de26d1c7c4cb4cee8444d218c556e82e51d46eda478",
 }
 
 BENCH_CASES = {
@@ -55,29 +58,29 @@ BENCH_CASES = {
 
 BENCH_GOLDEN = {
     ("overhead-8", False, automaton.DETERMINISTIC, 0):
-        "a61e2f4ec4a0625f14c66c8df3e2115312ee31dbd4e25d1920b9ae4e6ca9cebc",
+        "82daa5da3d9caf3824ce52ad13b586e4f706cd08c2d8b88747b7c5fbddff6134",
     ("overhead-8", False, automaton.RANDOM, 1):
-        "6fed4c6cb737ddf1a2d74c2bb4d803b4d7b26bf35ba8ab9bc31b0e294c4f9156",
+        "ee0963863abbac258cb2725fea4f6af6736068cb4904566d725305c77a3f1799",
     ("overhead-8", True, automaton.DETERMINISTIC, 0):
-        "d0ff0d676646fa3d5edb244e3f076a8bf30eef87b5534891ce04a2b51900f8c9",
+        "be53a2a48e1ef32beca9688c7439e8e585cd7166598c4bb5e2019e30c758737c",
     ("overhead-8", True, automaton.RANDOM, 1):
-        "c60c03e9b540588c49be73ff73886d824c7452452c1edd5faa61e6b4b854f2e9",
+        "3dd5c2538d3511eafc573960636d45a2ac692b950ebcc2d7f05a985a13867320",
     ("union-16", False, automaton.DETERMINISTIC, 0):
-        "82554b8d835f67ab5746f59255e6736aa4845613a246ec301a876140eeb32651",
+        "1206f41f6673f7a9f47b722f3731cffa86db9c3d68c4f70ec1e320c43b1d4b98",
     ("union-16", False, automaton.RANDOM, 1):
-        "e4aecb2e4c1bd3bd4dcb35696a3408d1bd9966c4672cc65f49485a88c95d4aa5",
+        "a54fc614fe479fcd8e050dca38c88df666f7077b9868f4a61d94252886418535",
     ("union-16", True, automaton.DETERMINISTIC, 0):
-        "2514c29f5b419176e4b67625739e2b04020bec4ad033e4ac5e05f2f88e083b69",
+        "06bf1786f2e6ee25c279ae06fd91ea4d57c67110ff9529718969f7831ccecee8",
     ("union-16", True, automaton.RANDOM, 1):
-        "22199499375083c61fb8092f54767cc6a4017e88b0821ac9a17d4576a6fce124",
+        "53ae4d695ae70b2f105de67b0d77fef7e0fd26fd5e1c1bd992059d3a9fd0fbe1",
     ("union-32", False, automaton.DETERMINISTIC, 0):
-        "15b66b8a111da91b6676d9e05993a8fc3234acd6fcc604154583411ec367a4a1",
+        "98cb6974e2b91858211f67c327c53dd91a8d1730224496698c7b8d565eeca5f9",
     ("union-32", False, automaton.RANDOM, 1):
-        "8e9370a80c4c6fc7b7d99540a8d32beaafca54e91f26d7fec527b11b4d2fe9f6",
+        "1ad411661e4a5dab2b57d17375d1511411eb4f1e6ea6bb624413b5bb63947742",
     ("union-32", True, automaton.DETERMINISTIC, 0):
-        "bb460fef5072fbc0c044d5d19e1a10f48c26a97963e07235c09d91750e8874a5",
+        "6e19b8a5f68d61bdb6b428e84f4e73d41a439a1b0948ab954f276f71878a2c4e",
     ("union-32", True, automaton.RANDOM, 1):
-        "0b0a6314fe9fee6124e755fa71c9bb476bb783d1bceed07a66d12b645cf0e660",
+        "9f6b37f95b3d7b4faa3d6f29898e28425245e5983357192278b86f408589bb41",
 }
 
 # perfbench's 60 frozen generated programs, read only: their focus steps
@@ -86,18 +89,18 @@ FROZEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cases"
 
 FROZEN_GOLDEN = {
     (False, automaton.DETERMINISTIC, 0):
-        "9f137b724c579fa146564060b3ef168873cbd0ed16bd1b868851e5b4d386e550",
+        "222e4ada6745c5e6f0096d469a62491344747e9586a99c4f8798d7956754144a",
     (False, automaton.RANDOM, 1):
-        "289ed9dd63f0aa5fb17354111a8f37419b82ed98a99c0b2e81747d74f7a36370",
+        "a1c3a4f85b6951f8fc44dffa2d1a857e1c81b12c34c6d29e49e93acaf73ac19e",
     (True, automaton.DETERMINISTIC, 0):
-        "a411bcce5be7ecc173c4ef0504f5082d4f73ff1517a842eeaf994d8830230bba",
+        "1d6a177634e24f73354b30006a3fae4726d76ef11444207958d77e1b169388da",
     (True, automaton.RANDOM, 1):
-        "c22897610d979e5fec104a8c869b6f77349cd73e1b034e5e63730c1aed06e71a",
+        "caa76691bc2e2ed7344ee4181fa2293ef6dfa8c0c7c8d031453cc9edd3fc9087",
 }
 
 # (pairs the kernel returned, ticks) over a deterministic run; union-64
 # is perfbench's `union` workload, whose traced kernel.matches agrees
-UNION_PAIRS = {16: (6218, 791), 32: (39978, 2535), 64: (288746, 9095)}
+UNION_PAIRS = {16: (6214, 787), 32: (39974, 2531), 64: (288742, 9091)}
 
 
 def trace_digest(cases, negative_edges, mode, seed):
@@ -154,7 +157,7 @@ def test_union_kernel_pairs_per_run(n):
 
 # (ticks settled by the plan index's final table, deterministic ticks)
 # over the 20 corpus and 60 frozen programs, union-16 and overhead-8
-SETTLED = {False: (6187, 7192), True: (6189, 7192)}
+SETTLED = {False: (5758, 6350), True: (5760, 6350)}
 
 
 @pytest.mark.parametrize("negative_edges", sorted(SETTLED))
