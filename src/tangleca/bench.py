@@ -12,9 +12,15 @@ intended asymptotics:
 * singleton lookup cost is linear (decoy parents are dismissed in a
   bounded number of ticks each),
 * pairing, choice, and condition tests take a constant number of
-  ticks regardless of how much committed structure sits nearby,
+  ticks regardless of how much committed structure sits nearby (the
+  guard of a run of stages under one path condition counts under the
+  run's first stage's phase, so the pair and choice families, whose
+  stage sits behind an eval stage's guard, count their one tick),
 * total ticks for a run of T transitions stay polynomial in T with a
-  small exponent even while the state accumulates.
+  small exponent even while the state accumulates; the overhead family
+  also reports the largest ratio of one round's ticks to the square of
+  the node count at its start (see run_ticks), the paper's quadratic
+  step overhead made visible per step, as a report and not a gate.
 """
 from __future__ import annotations
 

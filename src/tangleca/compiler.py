@@ -3,20 +3,23 @@
 The compiled automaton realizes one interpreter transition as a fixed
 cycle of focus-node colors acting as a program counter:
 
-    boot -> s0 .. s{n-1} -> d0 .. d{m-1} -> m0 .. m{m-1} -> k0 .. -> s0
+    boot -> s0 .. s{n-1} -> d0 .. d{r-1} -> m0 .. m{m-1} -> k0 .. -> s0
                                \\-> k0 .. -> done (no assignment enabled)
 
 * boot (once): create the shared true/false marker nodes.
 * s{i} (eval): materialize one value into a scratch register edge
   ($r<j>) or one condition outcome into a bit edge ($b<j>, pointing at
-  the true or false marker).  Register steps are wrapped in a guard
-  stage when their path condition is non-trivial; bit steps always run.
-* d{i} (decide): find the first assignment whose path condition holds,
+  the true or false marker).  Each run of consecutive register steps
+  under one non-trivial path condition is wrapped in one guard stage;
+  bit steps always run.
+* d{i} (decide): one stage per run of commits under one path condition
+  (r runs of the m commits): find the first run whose condition holds,
   mark the round with a $go edge from the focus to the false marker,
-  and jump to its commit stage; if none holds, go to cleanup unmarked.
+  and jump to the run's first commit stage; if none holds, go to
+  cleanup unmarked.
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers only, so parallel assignments all read the
-  pre-transition state.
+  pre-transition state; commits are guarded by runs like eval steps.
 * k{i} (cleanup): drop bit, then register edges; the last stage drops
   the $go mark too and loops to s0, or halts in "done" if there is none.
 
@@ -24,7 +27,8 @@ Lowering turns the program body into stage lists; a stage is
 (phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
 *args) emits its rules.  _emit_stages is the one place that gives each
 stage its colour (chain prefix plus index), links it to the next, and
-wraps a stage whose path condition is not trivially true in a guard.
+wraps each maximal run of stages under one path condition that is not
+trivially true in a single guard.
 
 Value nodes are never deleted and committed values are never
 duplicated: every constructor first scans for an existing node
@@ -433,9 +437,11 @@ def _row_pattern(entry, row):
 
 
 def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
-    """Guard stage: one rule per complete truth-table row, jumping to
-    `run` on satisfying rows and `skip` on falsifying ones.  Rows are
-    mutually exclusive, so exactly one rule fires."""
+    """Guard stage of a run of stages under one path condition: one rule
+    per complete truth-table row, jumping to `run` (the run's first
+    stage) on satisfying rows and to `skip` (the first stage after the
+    run) on falsifying ones.  Rows are mutually exclusive, so exactly
+    one rule fires.  Its rules carry `phase`, the run's first stage's."""
     for i, (row, sat) in enumerate(formula.assignments()):
         cells, edges = _row_pattern(entry, row)
         ctx.emit("%s:%s:%s%d" % (phase, entry, "sat" if sat else "skip", i),
@@ -443,10 +449,12 @@ def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
 
 
 def compile_decide(ctx, entry, nxt, formula, commit):
-    """Decide stage: on a row satisfying its path condition, add the $go
-    mark from the focus to the false marker (the row's pad cell) and
-    jump to `commit`; the pass rule, a strict subset of every row rule,
-    hands over to `nxt` when none does."""
+    """Decide stage of a run of commits under one path condition: on a
+    row satisfying it, add the $go mark from the focus to the false
+    marker (the row's pad cell) and jump to `commit`, the run's first
+    commit stage; the pass rule, a strict subset of every row rule,
+    hands over to `nxt` when none does.  A later commit of the run needs
+    no decide stage of its own: it could only pass after this one did."""
     for i, (row, sat) in enumerate(formula.assignments()):
         if sat:
             cells, edges = _row_pattern(entry, row)
@@ -1072,8 +1080,9 @@ def _emit_stages(ctx, prefix, stages, after):
     and, when the condition fails, skips to the first stage after the
     run (or `after`).  Later stages of a run enter at their own colour.
 
-    This skips exactly the stages that a guard per stage would.  Bits
-    are written only by conditional stages, whose condition is _TRUE, so
+    This skips exactly the stages that a guard per stage would.  A guard
+    reads only bit edges, and bits are written only by conditional
+    stages (dropped only by cleanup), whose condition is _TRUE, so
     they are never guarded and always end a run: no stage of a run
     writes a bit, and the run's condition has the same value at each of
     its stages as at the guard.  When it holds, each per-stage guard

@@ -363,6 +363,12 @@ class TestBench:
         assert "pair" in out and "ok" in out
         assert "kernel: python" in out.splitlines()
 
+    def test_overhead_family_reports_the_peak_round_ratio(self, capsys):
+        code, out, _ = run_main(["bench", "overhead"], capsys)
+        assert code == 0
+        m = re.search(r"round ticks/nodes\^2 <= (\d+\.\d+)\)", out)
+        assert m and float(m.group(1)) > 0
+
     def test_unknown_family(self, capsys):
         code, _, err = run_main(["bench", "nosuch"], capsys)
         assert code == 2
