@@ -1157,8 +1157,8 @@ def compile_program(program, negative_edges=False):
     registers = ["$r%d" % i for i in range(lo.nreg)]
     bits = ["$b%d" % i for i in range(lo.nbit)]
     first = "s0" if lo.steps else "d0"
-    # a later commit of a run is reached only through the run's first,
-    # whose decide stage fires whenever that one's would: it needs none
+    # a later commit of a run shares the run's condition, so its decide
+    # stage could only pass after the run's first one passed: it gets none
     decide = [("decide", _TRUE, compile_decide, (condition, "m%d" % i))
               for i, (_p, condition, _e, _a) in enumerate(lo.commits)
               if not _continues_run(lo.commits, i)]
