@@ -15,8 +15,8 @@ cycle of focus-node colors acting as a program counter:
 * d{i} (decide): one stage per run of commits under one path condition
   (r runs of the m commits): find the first run whose condition holds,
   mark the round with a $go edge from the focus to the false marker,
-  and jump to the run's first commit stage; if none holds, go to
-  cleanup unmarked.
+  and jump to the run's first commit stage, past its guard; if none
+  holds, go to cleanup unmarked.
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers only, so parallel assignments all read the
   pre-transition state; commits are guarded by runs like eval steps.
@@ -173,8 +173,7 @@ class Formula:
 
 _BASE_LABELS = (tangle.ELEM, tangle.FST, tangle.SND, tangle.VAL,
                 tangle.EMPTY_EDGE, tangle.TRUE_EDGE, tangle.FALSE_EDGE)
-_NODE_COLORS = (tangle.PLAIN, tangle.EMPTY, tangle.MARKER,
-                tangle.JUNK) + _MARK_COLORS
+_NODE_COLORS = (tangle.PLAIN, tangle.MARKER, tangle.JUNK) + _MARK_COLORS
 
 
 class EmitContext:
@@ -385,7 +384,7 @@ def compile_atom(ctx, entry, nxt, name, dst):
 def compile_empty(ctx, entry, nxt, dst):
     """Read the empty set into a register.  One tick."""
     ctx.emit("eval:%s:empty" % entry,
-             [("C", entry), ("E", tangle.EMPTY)],
+             [("C", entry), ("E", tangle.PLAIN)],
              [("C", tangle.EMPTY_EDGE, "E")],
              add=[("C", dst, "E")], recolor=[("C", nxt)])
 
@@ -454,7 +453,11 @@ def compile_decide(ctx, entry, nxt, formula, commit):
     marker (the row's pad cell) and jump to `commit`, the run's first
     commit stage; the pass rule, a strict subset of every row rule,
     hands over to `nxt` when none does.  A later commit of the run needs
-    no decide stage of its own: it could only pass after this one did."""
+    no decide stage of its own: it could only pass after this one did.
+
+    `commit` is the entry past the run's guard (m<i>.r) when the run is
+    guarded: the guard would only test again the condition this stage
+    has just found true, and no stage runs in between to write a bit."""
     for i, (row, sat) in enumerate(formula.assignments()):
         if sat:
             cells, edges = _row_pattern(entry, row)
@@ -534,7 +537,7 @@ def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
     alias_pool = ["A%d" % i for i in range(1, k + 1)]
 
     cells = [("C", entry)] + arg_cells + [
-        ("T", None), ("V", None), ("E", tangle.EMPTY)]
+        ("T", None), ("V", None), ("E", tangle.PLAIN)]
     edges = list(arg_edges) + [("C", fname, "T")]
     edges += [("T", tangle.arg_label(i), "A%d" % i) for i in range(1, k + 1)]
     edges += [("T", tangle.VAL, "V"), ("C", tangle.EMPTY_EDGE, "E")]
@@ -545,7 +548,7 @@ def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
              add=[("C", dst, "V")], recolor=[("C", nxt)],
              aliases=hit_aliases)
 
-    cells = [("C", entry)] + arg_cells + [("E", tangle.EMPTY)]
+    cells = [("C", entry)] + arg_cells + [("E", tangle.PLAIN)]
     edges = list(arg_edges) + [("C", tangle.EMPTY_EDGE, "E")]
     miss_aliases = [p for p in itertools.combinations(alias_pool + ["E"], 2)]
     ctx.emit("eval:%s:miss" % entry, cells, edges,
@@ -686,9 +689,10 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     that might equal the union must contain the witness, so scanning
     the witness's parents is exhaustive.  Each candidate is checked by
     marking its members that occur in an operand, then testing the
-    three inclusions; the empty set, which marking by recolor cannot
-    touch, gets its own one-tick membership stages where absence is
-    detected by strictly larger presence rules staying unmatched.
+    three inclusions.  The empty set is marked and copied like any other
+    member: every protocol restores its marks before it hands over, so
+    the rules that find it plain by its #empty edge, which run only
+    between protocols, always find it.
 
     Without negative edges, rejected candidates are recolored, and a
     rejected candidate may itself be a member of an operand or of a
@@ -700,11 +704,8 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     seed = entry + ".s"
     pick = entry + ".p"
     mark = entry + ".k1"
-    sube = entry + ".k2e"   # empty-set member of U must be in an operand
     sub = entry + ".k2"     # U subset of union of operands
-    supae = entry + ".k3e"  # empty set in first operand must be in U
     supa = entry + ".k3"    # first operand subset of U
-    supbe = entry + ".k4e"
     supb = entry + ".k4"
     acc = entry + ".k5"
     unmark_a = entry + ".g"
@@ -712,9 +713,7 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     rej_done = entry + ".j2"
     prebuild = entry + ".tb"
     build = entry + ".w"
-    cpea = entry + ".wa0"
     cpa = entry + ".wa"
-    cpeb = entry + ".wb0"
     cpb = entry + ".wb"
     unmark_b = entry + ".wu"
     restore = entry + ".t"
@@ -729,12 +728,14 @@ def compile_union(ctx, entry, nxt, first, second, dst):
                         [("C", first, "X"), ("C", second, "X")])
     ctx.emit("union-check:%s:same" % entry, cells, edges,
              add=[("C", dst, "X")], recolor=[("C", nxt)])
-    cells, edges = _pad([("C", entry), ("E", tangle.EMPTY), ("Y", None)],
-                        [("C", first, "E"), ("C", second, "Y")])
+    cells, edges = _pad([("C", entry), ("E", tangle.PLAIN), ("Y", None)],
+                        [("C", first, "E"), ("C", second, "Y"),
+                         ("C", tangle.EMPTY_EDGE, "E")])
     ctx.emit("union-check:%s:left-empty" % entry, cells, edges,
              add=[("C", dst, "Y")], recolor=[("C", nxt)])
-    cells, edges = _pad([("C", entry), ("X", None), ("E", tangle.EMPTY)],
-                        [("C", first, "X"), ("C", second, "E")])
+    cells, edges = _pad([("C", entry), ("X", None), ("E", tangle.PLAIN)],
+                        [("C", first, "X"), ("C", second, "E"),
+                         ("C", tangle.EMPTY_EDGE, "E")])
     ctx.emit("union-check:%s:right-empty" % entry, cells, edges,
              add=[("C", dst, "X")], recolor=[("C", nxt)])
     ctx.emit("union-check:%s:general" % entry,
@@ -770,30 +771,6 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     ctx.emit("union-check:%s:mark-exit" % entry,
              [("C", mark), ("U", tangle.PLAIN)],
              [("C", CAND, "U")],
-             recolor=[("C", sube)])
-
-    # empty-set membership stages: a presence rule strictly contains
-    # the reject/continue fallbacks, so an unmatched presence rule
-    # means absence
-    for tag, reg in (("a", first), ("b", second)):
-        cells, edges = _pad(
-            [("C", sube), ("U", tangle.PLAIN), ("E", tangle.EMPTY),
-             ("S", None)],
-            [("C", CAND, "U"), ("C", tangle.EMPTY_EDGE, "E"),
-             ("E", tangle.ELEM, "U"), ("C", reg, "S"),
-             ("E", tangle.ELEM, "S")])
-        ctx.emit("union-check:%s:sub-empty-in-%s" % (entry, tag),
-                 cells, edges, recolor=[("C", sub)],
-                 aliases=[("S", "U")])
-    ctx.emit("union-check:%s:sub-empty-reject" % entry,
-             [("C", sube), ("U", tangle.PLAIN),
-              ("E", tangle.EMPTY)],
-             [("C", CAND, "U"), ("C", tangle.EMPTY_EDGE, "E"),
-              ("E", tangle.ELEM, "U")],
-             recolor=[("C", unmark_j)])
-    ctx.emit("union-check:%s:sub-empty-pass" % entry,
-             [("C", sube), ("U", tangle.PLAIN)],
-             [("C", CAND, "U")],
              recolor=[("C", sub)])
 
     # any unmarked member of the candidate is outside both operands
@@ -806,32 +783,12 @@ def compile_union(ctx, entry, nxt, first, second, dst):
     ctx.emit("union-check:%s:sub-pass" % entry,
              [("C", sub), ("U", tangle.PLAIN)],
              [("C", CAND, "U")],
-             recolor=[("C", supae)])
+             recolor=[("C", supa)])
 
-    # operand-inclusion stages: empty-set membership first, then the
-    # remaining members (marked iff they are also candidate members)
-    for ecolor, scolor, reg, tag in ((supae, supa, first, "a"),
-                                     (supbe, supb, second, "b")):
-        cells, edges = _pad(
-            [("C", ecolor), ("S", None), ("E", tangle.EMPTY),
-             ("U", tangle.PLAIN)],
-            [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
-             ("E", tangle.ELEM, "S"), ("C", CAND, "U"),
-             ("E", tangle.ELEM, "U")])
-        ctx.emit("union-check:%s:sup-%s-empty-in" % (entry, tag),
-                 cells, edges, recolor=[("C", scolor)],
-                 aliases=[("S", "U")])
-        ctx.emit("union-check:%s:sup-%s-empty-reject" % (entry, tag),
-                 [("C", ecolor), ("S", None),
-                  ("E", tangle.EMPTY)],
-                 [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
-                  ("E", tangle.ELEM, "S")],
-                 recolor=[("C", unmark_j)])
-        ctx.emit("union-check:%s:sup-%s-empty-pass" % (entry, tag),
-                 [("C", ecolor), ("S", None)],
-                 [("C", reg, "S")],
-                 recolor=[("C", scolor)])
-        nxt_color = supbe if tag == "a" else acc
+    # operand-inclusion stages: an operand member is marked iff it is
+    # also a candidate member
+    for scolor, reg, tag, nxt_color in ((supa, first, "a", supb),
+                                        (supb, second, "b", acc)):
         for scol, _mcol, stag in scans:
             cells, edges = _pad(
                 [("C", scolor), ("S", None), ("X", scol)],
@@ -894,22 +851,9 @@ def compile_union(ctx, entry, nxt, first, second, dst):
              [("C", build)], [],
              creates=[("W", UBUILD, tangle.SET)],
              add=[("C", BW, "W")],
-             recolor=[("C", cpea)])
-    for ecolor, ccolor, after, reg, tag in (
-            (cpea, cpa, cpeb, first, "a"),
-            (cpeb, cpb, unmark_b, second, "b")):
-        cells, edges = _pad(
-            [("C", ecolor), ("S", None), ("E", tangle.EMPTY),
-             ("W", UBUILD)],
-            [("C", reg, "S"), ("C", tangle.EMPTY_EDGE, "E"),
-             ("E", tangle.ELEM, "S"), ("C", BW, "W")])
-        ctx.emit("union-build:%s:copy-%s-empty" % (entry, tag),
-                 cells, edges,
-                 add=[("E", tangle.ELEM, "W")],
-                 recolor=[("C", ccolor)])
-        ctx.emit("union-build:%s:copy-%s-empty-skip" % (entry, tag),
-                 [("C", ecolor)], [],
-                 recolor=[("C", ccolor)])
+             recolor=[("C", cpa)])
+    for ccolor, after, reg, tag in ((cpa, cpb, first, "a"),
+                                    (cpb, unmark_b, second, "b")):
         cells, edges = _pad(
             [("C", ccolor), ("S", None), ("W", UBUILD),
              ("X", tangle.PLAIN)],
@@ -1158,8 +1102,10 @@ def compile_program(program, negative_edges=False):
     bits = ["$b%d" % i for i in range(lo.nbit)]
     first = "s0" if lo.steps else "d0"
     # a later commit of a run shares the run's condition, so its decide
-    # stage could only pass after the run's first one passed: it gets none
-    decide = [("decide", _TRUE, compile_decide, (condition, "m%d" % i))
+    # stage could only pass after the run's first one passed: it gets none;
+    # a fire enters a guarded run past its guard, at _emit_stages' ".r"
+    decide = [("decide", _TRUE, compile_decide,
+               (condition, "m%d%s" % (i, "" if condition.is_true() else ".r")))
               for i, (_p, condition, _e, _a) in enumerate(lo.commits)
               if not _continues_run(lo.commits, i)]
     # cleanup strips bits, then registers: every commit reads a register,

@@ -45,13 +45,12 @@ SCRATCH = "scratch"
 
 # colors with fixed meaning; compiled rule sets add their own
 PLAIN = "plain"
-EMPTY = "empty"
 MARKER = "marker"
 JUNK = "junk"
 
 # node colors under which a value node counts as committed (uniqueness
-# is asserted over these only; protocol marks are exempt)
-COMMITTED = frozenset((PLAIN, EMPTY))
+# is asserted over these only; protocol marks are exempt): plain alone
+COMMITTED = frozenset((PLAIN,))
 
 CONTAINMENT = frozenset((ELEM, FST, SND))
 
@@ -225,12 +224,12 @@ def encode(terms, universe, locations=None, criticals_color=PLAIN,
            atoms=()):
     """Build a tangle for a critical-term mapping (plus function locations).
 
-    One node per distinct value.  The empty set node is always present,
-    held by a permanent #empty edge from Criticals, so rule sets have a
-    guaranteed handle on the empty set.  Atom names passed via `atoms`
-    are likewise pre-created and held by #atom_<name> edges: created
-    nodes carry no atom identity, so every atom a rule set mentions must
-    exist up front.  `universe` is the one the values were built in:
+    One plain node per distinct value, the empty set's too.  The empty
+    set node is always present, held by a permanent #empty edge from
+    Criticals, so rule sets have a guaranteed handle on the empty set.
+    Atom names passed via `atoms` are likewise pre-created and held by
+    #atom_<name> edges: created nodes carry no atom identity, so every
+    atom a rule set mentions must exist up front.  `universe` is the one the values were built in:
     nodes are shared by value uid, which only that universe defines.
     """
     g = Tangle()
@@ -246,7 +245,7 @@ def encode(terms, universe, locations=None, criticals_color=PLAIN,
             nid = g.add_node(PLAIN, ATOM, payload=v.name)
         elif v.is_set():
             members = [value_node(m) for m in v.members]
-            nid = g.add_node(EMPTY if not members else PLAIN, SET)
+            nid = g.add_node(PLAIN, SET)
             for m in members:
                 g.add_edge(m, ELEM, nid)
         else:

@@ -242,11 +242,11 @@ class TestInvariantChecking:
         g = tangle.Tangle()
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
-        e1 = g.add_node(tangle.EMPTY, tangle.SET)
+        e1 = g.add_node(tangle.PLAIN, tangle.SET)
         g.add_edge(c, "x", e1)
         dup = Rule("dup", [("C", "red")], [], recolor=[("C", "green")],
-                   creates=[("E", tangle.EMPTY, tangle.SET)])
-        relax = RuleSet(COLORS + (tangle.EMPTY,), LABELS, [dup], 3)
+                   creates=[("E", tangle.PLAIN, tangle.SET)])
+        relax = RuleSet(COLORS, LABELS, [dup], 3)
         with pytest.raises(InvariantViolation):
             run(Configuration(g), relax, check_invariants=True,
                 universe=hfset.Universe(),
@@ -254,7 +254,7 @@ class TestInvariantChecking:
         g2 = tangle.Tangle()
         c2 = g2.add_node("red", tangle.CRITICALS)
         g2.active = c2
-        e2 = g2.add_node(tangle.EMPTY, tangle.SET)
+        e2 = g2.add_node(tangle.PLAIN, tangle.SET)
         g2.add_edge(c2, "x", e2)
         _, _, outcome = run(Configuration(g2), relax, check_invariants=True,
                             universe=hfset.Universe(),
@@ -478,7 +478,7 @@ class TestIdleTickChecks:
         cells = sorted(g.out[g.active])
         rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "done")]
         rules = RuleSet(
-            COLORS + ("idle", "done", tangle.EMPTY, tangle.MARKER),
+            COLORS + ("idle", "done", tangle.MARKER),
             tuple(cells) + tuple(tangle.CONTAINMENT),
             [Rule("warm", [("C", "red")], [], recolor=[("C", "idle")]),
              Rule("edit", [("C", "idle")] + [(c, None) for c in cells],
@@ -544,7 +544,7 @@ class TestIdleTickChecks:
 
 
 FOCUS_COLORS = ("idle", "busy", "red")
-VALUE_COLORS = (tangle.PLAIN, tangle.EMPTY, tangle.MARKER)
+VALUE_COLORS = (tangle.PLAIN, tangle.MARKER)
 CONTAINMENT_EDGES = sorted(tangle.CONTAINMENT)
 
 # committed, nested initial values: a small pool, so that one edit to a

@@ -194,6 +194,17 @@ class TestStageRuns:
         assert decide_entries(self.SRC.replace(" par ", ") else (")) == {
             "d0", "d1"}
 
+    def test_decide_enters_a_guarded_run_past_its_guard(self):
+        def fire_targets(source):
+            unit = compile_program(asmlang.parse(source))
+            return {r.recolor[0][1] for r in unit.ruleset.rules
+                    if re.fullmatch(r"decide:d\d+:fire\d+", r.name)}
+
+        assert fire_targets(self.SRC) == {"m0.r"}
+        assert fire_targets(self.SRC.replace(" par ", ") else (")) == {
+            "m0.r", "m1.r"}
+        assert fire_targets("criticals t;\nt := {}\n") == {"m0"}
+
     def test_bits_are_written_only_by_unguarded_stages(self):
         # _emit_stages' soundness argument: no stage of a guarded run
         # writes a bit, so its condition cannot change along the run
@@ -534,8 +545,8 @@ class TestCleanup:
         assert leftover == []
         # no mid-protocol mark colors survive anywhere
         final_colors = {g.color_of(n) for n in g.nodes}
-        assert final_colors <= {"done", tangle.PLAIN, tangle.EMPTY,
-                                tangle.MARKER, tangle.JUNK}
+        assert final_colors <= {"done", tangle.PLAIN, tangle.MARKER,
+                                tangle.JUNK}
         # the two guard markers persist
         assert len(g.targets(c, "#true")) == 1
         assert len(g.targets(c, "#false")) == 1
@@ -602,6 +613,37 @@ class TestUnionRegressions:
         state = ("term t = {m}\nterm p = {q}\nterm w = {{{}, m, q}}\n"
                  "term r = {}\n")
         assert_agrees(src, state, seeds=(0, 1, 2, 3, 7))
+
+    # the empty set is a plain member like any other: the general mark,
+    # reject, copy and unmark rules handle it, and restore it to plain
+    @pytest.mark.parametrize("state, want", [
+        # the result exists; the decoy {m, q} lacks p's member {}
+        ("term t = {m}\nterm p = {{}, q}\nterm w = {{{}, m, q}, {m, q}}\n",
+         "{{}, m, q}"),
+        # the decoy holds {} and neither operand does, so it is rejected
+        ("term t = {m}\nterm p = {q}\nterm w = {{{}, m, q}}\n", "{m, q}"),
+        # no candidate holds {}, so the build copies it
+        ("term t = {{}, m}\nterm p = {{}, q}\nterm w = {{m, q}}\n",
+         "{{}, m, q}"),
+    ], ids=["found", "rejected", "built"])
+    @pytest.mark.parametrize("neg", MODES)
+    @pytest.mark.parametrize("mode, seed", [(automaton.DETERMINISTIC, 0),
+                                            (automaton.RANDOM, 1),
+                                            (automaton.RANDOM, 2)])
+    def test_empty_set_as_a_union_member(self, state, want, neg, mode, seed):
+        src = ("atoms m, q; criticals t, p, w, r;\n"
+               "if r = {} then r := t U p\n")
+        u, _prog, oracle, _steps, outcome = oracle_state(src, state)
+        assert outcome == interpreter.TERMINAL
+        assert oracle.values["r"] is u.parse(want)
+        _unit, cfg, _stats, klass, got, _u = run_automaton(
+            src, state, negative_edges=neg, seed=seed, mode=mode,
+            check_invariants=True)
+        assert klass == interpreter.TERMINAL
+        assert interpreter.print_state(got) == interpreter.print_state(oracle)
+        g = cfg.tangle
+        marked = {g.color_of(n) for n in g.nodes} & set(compiler._MARK_COLORS)
+        assert marked == set()
 
 
 class TestPhaseAccounting:

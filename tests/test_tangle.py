@@ -12,7 +12,7 @@ from test_hfset import values
 
 
 KINDS = (tangle.ATOM, tangle.SET, tangle.PAIR, tangle.TUPLE, tangle.SCRATCH)
-NODE_COLORS = (tangle.PLAIN, tangle.EMPTY, tangle.MARKER, tangle.JUNK, "s3")
+NODE_COLORS = (tangle.PLAIN, tangle.MARKER, tangle.JUNK, "s3")
 EDGE_LABELS = (tangle.ELEM, tangle.FST, tangle.SND, tangle.VAL, "arg1", "t")
 
 
@@ -157,7 +157,7 @@ class TestEncode:
         c = g.criticals()
         (e,) = g.targets(c, tangle.EMPTY_EDGE)
         assert g.nodes[e].kind == tangle.SET
-        assert g.color_of(e) == tangle.EMPTY
+        assert g.color_of(e) == tangle.PLAIN
 
     def test_atoms_precreated_with_handles(self):
         u = Universe()
@@ -237,7 +237,7 @@ class TestDecode:
     def test_duplicate_committed_value_detected(self):
         u = Universe()
         g = encode({"t": u.empty()}, universe=u)
-        extra = g.add_node(tangle.EMPTY, tangle.SET)  # second committed {}
+        extra = g.add_node(tangle.PLAIN, tangle.SET)  # second committed {}
         g.add_edge(g.criticals(), "p", extra)
         with pytest.raises(TangleError):
             decode(g, u)
@@ -295,7 +295,7 @@ class TestInvariants:
     def test_duplicate_committed_value(self):
         u = Universe()
         g = encode({}, universe=u)
-        g.add_node(tangle.EMPTY, tangle.SET)
+        g.add_node(tangle.PLAIN, tangle.SET)
         assert any("duplicate committed value" in v
                    for v in check_invariants(g, u))
 
