@@ -224,15 +224,18 @@ class TestSimulate:
 # traces but left stdout and tick counts as they were, and again when
 # each run of same-condition stages got one guard and each run of
 # commits one decide stage, which removed guard and decide ticks from
-# the traces and stats; the idle checks did not change.
+# the traces and stats, and again when the empty set became a plain set
+# and a decide fire began to enter its commit run past the run's guard,
+# which removed empty-set stages and commit guard ticks; the idle checks
+# did not change.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
                   ["--random", "--seed", "3", "--negative-edges"])
 SIMULATE_DIGEST = (
-    "b84e9fc93510003a3fdb0715c76350fbf33ff2211aa07c8a127b9e9e834d928a")
-SIMULATE_MATCHES = [121, 121, 76, 53, 53, 53, 133, 133, 133, 84, 84, 85]
-SIMULATE_SETTLED = [67, 67, 0, 31, 31, 0, 91, 91, 0, 50, 51, 0]
+    "1b9a03ccfb40cfc2a9581dde5cb70607f28e68263bef34a3950784a67229aab4")
+SIMULATE_MATCHES = [112, 112, 72, 52, 52, 52, 131, 131, 131, 80, 80, 81]
+SIMULATE_SETTLED = [58, 58, 0, 30, 30, 0, 89, 89, 0, 46, 47, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
 

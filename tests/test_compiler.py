@@ -254,13 +254,15 @@ class TestGoldenRuleSets:
     generated `perfbench/cases/gen-*.asml` programs (read only here),
     which use locations and choice more than the corpus does.  Both
     were re-recorded when the wind-down chain was folded into the
-    cleanup chain, and when each run of same-condition stages got one
-    guard and each run of commits one decide stage.
+    cleanup chain, when each run of same-condition stages got one
+    guard and each run of commits one decide stage, and when the empty
+    set became a plain set and a decide fire began to enter its commit
+    run past the run's guard.
     """
 
-    DIGEST = "1fcc638bb1fd0367849995c2ae31c98cc14f016f0d4adfcd6a4273e9684275b4"
-    FROZEN_DIGEST = ("b625bbd37606f650b7f048df797f0985e9fe2e4f99572f6a"
-                     "74808637befb4be4")
+    DIGEST = "1f97d0d949d97573ffec1ec2c0d461dbb4fdbf13c4b11b12236f780c4c3a29a7"
+    FROZEN_DIGEST = ("685831f7d5edf31ad594009f3bfd0da15048372e8b91efa4"
+                     "97bfb619c5165070")
 
     def test_corpus_rule_sets_unchanged(self):
         assert rule_set_digest(
