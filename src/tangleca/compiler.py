@@ -3,8 +3,8 @@
 The compiled automaton realizes one interpreter transition as a fixed
 cycle of focus-node colors acting as a program counter:
 
-    boot -> s0 .. s{n-1} -> d0 .. d{r-1} -> m0 .. m{m-1} -> k0 .. -> s0
-                               \\-> k0 .. -> done (no assignment enabled)
+    boot -> s0 .. s{n-1} -> d0 .. d{r-1} -> m0 .. m{m-1} -> k0 .. k{c-1} -> s0
+                               \\-> k0 .. k{c-1} -> done (nothing enabled)
 
 * boot (once): create the shared true/false marker nodes.
 * s{i} (eval): materialize one value into a scratch register edge
@@ -20,8 +20,12 @@ cycle of focus-node colors acting as a program counter:
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers only, so parallel assignments all read the
   pre-transition state; commits are guarded by runs like eval steps.
-* k{i} (cleanup): drop bit, then register edges; the last stage drops
-  the $go mark too and loops to s0, or halts in "done" if there is none.
+* k{i} (cleanup): each of the c stages drops up to three register or
+  bit edges written under one path condition, in one tick; the first
+  stage of a condition's labels skips past all of them when they are
+  unset.  The labels written unconditionally come last, and the last
+  stage drops the $go mark too and loops to s0, or halts in "done" if
+  there is none.
 
 Lowering turns the program body into stage lists; a stage is
 (phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
@@ -59,6 +63,7 @@ from . import tangle
 from .pattern import Rule, RuleSet, has_directed_cycle, validate_ruleset
 
 RADIUS = 3
+CLEANUP_CHUNK = 3    # labels a cleanup stage drops in one tick, at most
 
 BOOT = "boot"
 DONE = "done"
@@ -417,7 +422,8 @@ def compile_conditional(ctx, entry, nxt, kind, left, right, bit):
 
 
 def _row_pattern(entry, row):
-    """Pattern cells/edges testing a complete assignment of bits.
+    """Pattern cells/edges testing a complete assignment of bits, given
+    as (bit label, value) pairs.
 
     All true bits share the true-marker cell, all false bits share the
     false-marker cell; the false marker is always bound, doubling as
@@ -430,9 +436,14 @@ def _row_pattern(entry, row):
         edges.append(("C", tangle.TRUE_EDGE, "T"))
     cells.append(("F", tangle.MARKER))
     edges.append(("C", tangle.FALSE_EDGE, "F"))
-    for bit, v in row:
-        edges.append(("C", "$b%d" % bit, "T" if v else "F"))
+    for label, v in row:
+        edges.append(("C", label, "T" if v else "F"))
     return cells, edges
+
+
+def _bit_row(row):
+    """A Formula row, ((bit, value), ...), with bits as edge labels."""
+    return [("$b%d" % bit, v) for bit, v in row]
 
 
 def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
@@ -442,7 +453,7 @@ def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
     run) on falsifying ones.  Rows are mutually exclusive, so exactly
     one rule fires.  Its rules carry `phase`, the run's first stage's."""
     for i, (row, sat) in enumerate(formula.assignments()):
-        cells, edges = _row_pattern(entry, row)
+        cells, edges = _row_pattern(entry, _bit_row(row))
         ctx.emit("%s:%s:%s%d" % (phase, entry, "sat" if sat else "skip", i),
                  cells, edges, recolor=[("C", run if sat else skip)])
 
@@ -460,35 +471,66 @@ def compile_decide(ctx, entry, nxt, formula, commit):
     has just found true, and no stage runs in between to write a bit."""
     for i, (row, sat) in enumerate(formula.assignments()):
         if sat:
-            cells, edges = _row_pattern(entry, row)
+            cells, edges = _row_pattern(entry, _bit_row(row))
             ctx.emit("decide:%s:fire%d" % (entry, i), cells, edges,
                      add=[("C", GO, "F")], recolor=[("C", commit)])
     ctx.emit("decide:%s:pass" % entry, [("C", entry)], [],
              recolor=[("C", nxt)])
 
 
-def compile_cleanup(ctx, entry, nxt, label, again):
-    """Drop a register or bit edge if it is set.  One tick.  A bit may
-    point at the false marker, which is also the pad.  The chain drops
-    bits, then registers, and its last stage, given `again`, branches: a
-    twin of each rule also binds the $go mark and the true marker, drops
-    the mark and goes to `again`.  No register points at a marker, so a
-    twin strictly contains its halting rule."""
-    drop = _pad([("C", entry), ("X", None)], [("C", label, "X")])
-    ctx.emit("cleanup:%s:drop" % entry, *drop,
-             delete=[("C", label, "X")], recolor=[("C", nxt)],
-             aliases=[("X", "F")] if label.startswith("$b") else ())
-    ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
-             recolor=[("C", nxt)])
-    if not again:
-        return
-    for kind, (cells, edges), delete in (
-            ("drop", drop, [("C", label, "X")]),
-            ("skip", _pad([("C", entry)], []), [])):
-        ctx.emit("cleanup:%s:%s-again" % (entry, kind),
-                 cells + [("T", tangle.MARKER)],
-                 edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
-                 delete=delete + [("C", GO, "F")], recolor=[("C", again)])
+def compile_cleanup(ctx, entry, nxt, labels, skip, again):
+    """Drop a chunk of register and bit labels that share one path
+    condition, all in one tick.  One tick for the chunk, or, given
+    `skip`, one tick past the chunk's whole group when it is unset.
+
+    The drop rule binds every label of the chunk and deletes its edges.
+    Registers holding one node are alias variants; bits get one variant
+    per row of true/false markers they point at.  The skip rule, the
+    bare focus, hands over to `skip`, the first stage after the group.
+
+    All or none: every eval stage that runs writes its label (an empty
+    choice halts the run before cleanup).  A bit is written by a
+    conditional stage, which runs unguarded, so every bit is set at
+    cleanup.  A register is written by exactly one eval stage, which
+    runs iff its path condition holds; that condition reads only bits,
+    and no stage rewrites a bit before cleanup.  So the labels of one
+    path condition are either all set or all unset, and a variant of
+    the drop rule matches exactly when they are set.  Each variant
+    strictly contains the skip rule, so the skip rule fires only when
+    the group is unset: a chunk never drops part of itself, and a skip
+    never passes over a set label.  Only a group's first chunk needs a
+    skip rule: once it was dropped, the rest of the group is set too.
+
+    The chain's last stage, given `again`, branches: a twin of each
+    drop rule also binds the $go mark and the true marker, drops the
+    mark and goes to `again`.  The last stage holds registers only, and
+    no register points at a marker, so each twin binds the true and the
+    false marker on top of its drop rule's nodes and strictly contains
+    it: with the mark set the twin is the one maximal match.
+    """
+    bits = [l for l in labels if l.startswith("$b")]
+    regs = [("X%d" % i, l) for i, l in enumerate(labels)
+            if not l.startswith("$b")]
+    aliases = list(itertools.combinations([x for x, _l in regs], 2))
+    rows = itertools.product((False, True), repeat=len(bits))
+    for i, row in enumerate(rows):
+        cells, edges = (_row_pattern(entry, list(zip(bits, row))) if bits
+                        else ([("C", entry)], []))
+        cells += [(x, None) for x, _l in regs]
+        edges += [("C", l, x) for x, l in regs]
+        delete = [e for e in edges if e[1] in labels]
+        name = "cleanup:%s:drop%s" % (entry, i if bits else "")
+        ctx.emit(name, cells, edges, delete=delete, recolor=[("C", nxt)],
+                 aliases=aliases)
+        if again:
+            ctx.emit(name + "-again",
+                     cells + [("T", tangle.MARKER), ("F", tangle.MARKER)],
+                     edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
+                     delete=delete + [("C", GO, "F")],
+                     recolor=[("C", again)], aliases=aliases)
+    if skip:
+        ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
+                 recolor=[("C", skip)])
 
 
 def compile_choice(ctx, entry, nxt, source, dst):
@@ -910,7 +952,8 @@ _TRUE = Formula.true()
 class _Lowerer:
     """Lowers a program body to two stage lists: `steps` (eval) and
     `commits`.  A stage is (phase, path condition, emitter, args), and
-    emitter(ctx, entry, nxt, *args) emits its rules."""
+    emitter(ctx, entry, nxt, *args) emits its rules.  An eval step's
+    last argument is the fresh register or bit it writes."""
 
     def __init__(self, criticals):
         self.criticals = set(criticals)
@@ -1046,6 +1089,47 @@ def _emit_stages(ctx, prefix, stages, after):
         emitter(ctx, run, nxt, *args)
 
 
+def _cleanup_stages(steps, prefix, again):
+    """The cleanup chain's stages, for _emit_stages at `prefix`.
+
+    Every eval step writes one label, its last argument.  The labels are
+    grouped by the step's path condition (same support and rows), and
+    each group is cut into chunks of at most CLEANUP_CHUNK labels, one
+    stage each (compile_cleanup).  The first chunk of a group whose
+    condition is not trivially true skips to the next group's first
+    stage.  The unconditional group comes last, bits before registers,
+    and its last chunk holds registers only, so that compile_cleanup
+    can branch there: the program's first term is evaluated
+    unconditionally, so that group always has a register.
+    """
+    groups = {}
+    for _phase, condition, _emitter, args in steps:
+        key = (condition.support, condition.rows)
+        groups.setdefault(key, []).append(args[-1])
+    plain = groups.pop((_TRUE.support, _TRUE.rows), [])
+    bits = [l for l in plain if l.startswith("$b")]
+    regs = [l for l in plain if not l.startswith("$b")]
+    if not regs:
+        raise CompileError("no register is written unconditionally")
+
+    def cut(labels):
+        return [tuple(labels[i:i + CLEANUP_CHUNK])
+                for i in range(0, len(labels), CLEANUP_CHUNK)]
+
+    stages = []
+    for labels in groups.values():
+        chunks = cut(labels)
+        skip = "%s%d" % (prefix, len(stages) + len(chunks))
+        for i, chunk in enumerate(chunks):
+            stages.append(("cleanup", _TRUE, compile_cleanup,
+                           (chunk, None if i else skip, None)))
+    chunks = cut(bits + regs[:-CLEANUP_CHUNK]) + cut(regs[-CLEANUP_CHUNK:])
+    for i, chunk in enumerate(chunks):
+        stages.append(("cleanup", _TRUE, compile_cleanup,
+                       (chunk, None, again if i == len(chunks) - 1 else None)))
+    return stages
+
+
 class CompilationUnit:
     """A compiled program: the rule set plus everything needed to run
     it against encoded states and read answers back out."""
@@ -1108,11 +1192,7 @@ def compile_program(program, negative_edges=False):
                (condition, "m%d%s" % (i, "" if condition.is_true() else ".r")))
               for i, (_p, condition, _e, _a) in enumerate(lo.commits)
               if not _continues_run(lo.commits, i)]
-    # cleanup strips bits, then registers: every commit reads a register,
-    # so the last stage drops one, and it branches
-    cleanup = [("cleanup", _TRUE, compile_cleanup,
-                (label, first if label == registers[-1] else None))
-               for label in bits + registers]
+    cleanup = _cleanup_stages(lo.steps, "k", first)
 
     ctx = EmitContext(negative_edges)
     # boot: create the shared true/false markers, then start evaluating

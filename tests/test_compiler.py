@@ -568,6 +568,98 @@ class TestCleanup:
                 assert not label.startswith("$"), label
 
 
+SCHEDULES = ((automaton.DETERMINISTIC, 0), (automaton.RANDOM, 1),
+             (automaton.RANDOM, 2))
+
+
+def cleanup_rounds(source, state_text):
+    """Per edge mode and schedule, the cleanup rules each round applied,
+    as [[rule, ...] per round]; a round starts each time the focus
+    enters the unit's first colour.  Every run must halt terminal."""
+    runs = {}
+    for neg in MODES:
+        for mode, seed in SCHEDULES:
+            _u, _p, unit, _s, graph = compile_case(
+                source, state_text, negative_edges=neg)
+            rounds = []
+
+            def on_tick(cfg, applied):
+                if applied.rule.name.startswith("cleanup:"):
+                    rounds[-1].append(applied.rule)
+                g = cfg.tangle
+                if g.color_of(g.active) == unit.first_color:
+                    rounds.append([])
+
+            cfg, _stats, outcome = automaton.run(
+                automaton.Configuration(graph, seed=seed, mode=mode),
+                unit.ruleset, on_tick=on_tick)
+            assert outcome == automaton.QUIESCENT
+            assert unit.classify(cfg.tangle) == interpreter.TERMINAL
+            runs[(neg, mode, seed)] = rounds
+    return runs
+
+
+def stages(rules):
+    """(entry, rule kind) of each cleanup rule, alias suffix dropped."""
+    return [tuple(r.name.split("~")[0].split(":")[1:]) for r in rules]
+
+
+class TestGroupedCleanup:
+    """Cleanup drops the labels of one path condition up to three a
+    tick, and passes over an unset condition's labels in one tick."""
+
+    # seven registers under r = {}: a, b, <a, b>, b, a, <b, a> and the
+    # outer pair, at k0..k2; the bit, then r and {}, run unconditionally
+    # and come last, at k3 and k4
+    GUARDED = ("atoms a, b; criticals r;\n"
+               "if r = {} then r := <<a, b>, <b, a>>\n")
+    UNSET = [("k0", "skip"), ("k3", "drop0"), ("k4", "drop")]
+
+    def test_unset_group_costs_one_tick(self):
+        state = "term r = {a}\n"
+        assert_agrees(self.GUARDED, state, seeds=(1, 2))
+        for run, rounds in cleanup_rounds(self.GUARDED, state).items():
+            assert [stages(r) for r in rounds] == [self.UNSET], run
+
+    def test_set_group_costs_a_tick_per_three_labels(self):
+        state = "term r = {}\n"
+        assert_agrees(self.GUARDED, state, seeds=(1, 2))
+        # round one drops the seven guarded registers in three ticks,
+        # and r and {} share the empty set's node
+        first = [("k0", "drop"), ("k1", "drop"), ("k2", "drop"),
+                 ("k3", "drop1"), ("k4", "drop-again")]
+        for run, rounds in cleanup_rounds(self.GUARDED, state).items():
+            assert [stages(r) for r in rounds] == [first, self.UNSET], run
+            assert rounds[0][-1].name == "cleanup:k4:drop-again~X0=X1"
+
+    def test_registers_holding_one_node_drop_together(self):
+        # t is read twice under r = {}: two registers on one node, in the
+        # chunk with <t, t>
+        source = "criticals t, r;\nif r = {} then r := <t, t>\n"
+        state = "term t = {{}}\nterm r = {}\n"
+        assert_agrees(source, state, seeds=(1, 2))
+        for run, rounds in cleanup_rounds(source, state).items():
+            assert rounds[0][0].name == "cleanup:k0:drop~X0=X1", run
+            assert stages(rounds[1])[0] == ("k0", "skip"), run
+
+    def test_bits_on_both_markers_drop_together(self):
+        # r = {} holds and t = {} does not in round one; neither in two
+        source = "criticals t, r;\nif r = {} and t != {} then r := t\n"
+        state = "term t = {{}}\nterm r = {}\n"
+        assert_agrees(source, state, seeds=(1, 2))
+
+        def bit_targets(rule):
+            return sorted((label, rule.names[dst])
+                          for _src, label, dst in rule.edges
+                          if label.startswith("$b"))
+
+        for run, rounds in cleanup_rounds(source, state).items():
+            assert [stages(r)[1][0] for r in rounds] == ["k1", "k1"], run
+            assert [bit_targets(r[1]) for r in rounds] == [
+                [("$b0", "T"), ("$b1", "F")],
+                [("$b0", "F"), ("$b1", "F")]], run
+
+
 class TestUnionRegressions:
     def test_rejected_candidate_inside_operand(self):
         # the decoy {m, q} is rejected as the union result, yet is itself

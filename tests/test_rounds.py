@@ -5,7 +5,8 @@ frozen generated ones (read only here).  Three properties are checked:
 
 - step alignment: each time the focus enters the unit's first colour,
   the decoded tangle equals the interpreter's state after as many
-  steps; the interpreter is stepped along by `interpreter.fire`, not
+  steps, and the Criticals node carries no scratch (`$`-labelled)
+  edge; the interpreter is stepped along by `interpreter.fire`, not
   re-run from the start;
 - no ties where a round ends: every tick whose pairs include a decide
   or cleanup rule has exactly one maximal pair, so whether the automaton
@@ -34,6 +35,12 @@ def workload_cases():
               for p in sorted(FROZEN_DIR.glob("gen-*.asml"))]
     assert len(cases) == 80
     return cases
+
+
+def scratch_labels(g):
+    """The $-labelled edges the Criticals node still carries."""
+    return sorted(l for l, targets in g.out[g.active].items()
+                  if l.startswith("$") and targets)
 
 
 # round boundaries per edge mode: the boot tick's entry plus one per
@@ -65,6 +72,8 @@ def test_every_step_agrees_with_the_interpreter(negative_edges):
                 assert want is not None, (name, entries)
             entries += 1
             assert unit.final_state(g, universe) == want, (name, entries)
+            # cleanup left no register, bit or $go mark behind
+            assert scratch_labels(g) == [], (name, entries)
 
         cfg, _stats, outcome = automaton.run(
             automaton.Configuration(graph), unit.ruleset, on_tick=on_tick)
@@ -130,8 +139,7 @@ def branch_runs():
                     if unit.classify(g) != interpreter.TERMINAL:
                         continue
                     terminal += 1
-                    scratch = sorted(l for l, targets in g.out[g.active].items()
-                                     if l.startswith("$") and targets)
+                    scratch = scratch_labels(g)
                     if scratch:
                         leftovers.append((label, scratch))
     counts = (runs, quiescent, terminal, ticks["cleanup"], ticks["decide"])
