@@ -226,16 +226,17 @@ class TestSimulate:
 # commits one decide stage, which removed guard and decide ticks from
 # the traces and stats, and again when the empty set became a plain set
 # and a decide fire began to enter its commit run past the run's guard,
-# which removed empty-set stages and commit guard ticks; the idle checks
-# did not change.
+# which removed empty-set stages and commit guard ticks, and again when
+# cleanup began to drop a path condition's registers and bits in grouped
+# ticks, which removed cleanup ticks; the idle checks did not change.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
                   ["--random", "--seed", "3", "--negative-edges"])
 SIMULATE_DIGEST = (
-    "1b9a03ccfb40cfc2a9581dde5cb70607f28e68263bef34a3950784a67229aab4")
-SIMULATE_MATCHES = [112, 112, 72, 52, 52, 52, 131, 131, 131, 80, 80, 81]
-SIMULATE_SETTLED = [58, 58, 0, 30, 30, 0, 89, 89, 0, 46, 47, 0]
+    "1b5fd68c2d3ae768d226dda0e88592ab29cfae12e403ef4ed0d085c291bf0ab2")
+SIMULATE_MATCHES = [97, 97, 57, 37, 37, 37, 77, 77, 77, 60, 60, 61]
+SIMULATE_SETTLED = [51, 51, 0, 23, 23, 0, 57, 57, 0, 36, 37, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
 
@@ -462,7 +463,7 @@ class TestLimitsAndPaths:
             capsys)
         assert code == cli.EXHAUSTED
         assert out == ""
-        assert err == ("error: tick 73: nesting depth 9 exceeds limit 8 "
+        assert err == ("error: tick 64: nesting depth 9 exceeds limit 8 "
                        "(--max-depth 8)\n")
 
     def test_stats_json_on_value_deeper_than_max_depth(self, tmp_path,
@@ -475,10 +476,10 @@ class TestLimitsAndPaths:
              "--stats-json", str(target)], capsys)
         assert code == cli.EXHAUSTED
         assert out == ""
-        assert err.startswith("error: tick 73: nesting depth 9")
+        assert err.startswith("error: tick 64: nesting depth 9")
         stats = json.loads(target.read_text())
-        assert stats["total"] == 73
-        assert sum(stats["rules"].values()) == 73
+        assert stats["total"] == 64
+        assert sum(stats["rules"].values()) == 64
 
     def test_depth_no_generated_case_fits_exits_3(self, capsys):
         code, out, err = run_main(

@@ -257,12 +257,13 @@ class TestGoldenRuleSets:
     cleanup chain, when each run of same-condition stages got one
     guard and each run of commits one decide stage, and when the empty
     set became a plain set and a decide fire began to enter its commit
-    run past the run's guard.
+    run past the run's guard, and when cleanup began to drop one path
+    condition's labels up to three a tick.
     """
 
-    DIGEST = "1f97d0d949d97573ffec1ec2c0d461dbb4fdbf13c4b11b12236f780c4c3a29a7"
-    FROZEN_DIGEST = ("685831f7d5edf31ad594009f3bfd0da15048372e8b91efa4"
-                     "97bfb619c5165070")
+    DIGEST = "ca3c294eb937030c58999e4bc31a28123903d515c31e3678853869a15e09d92a"
+    FROZEN_DIGEST = ("da9528a0e5e3485b9786e89445720cf6e77c8f118d019b34"
+                     "218f3e7cc7564148")
 
     def test_corpus_rule_sets_unchanged(self):
         assert rule_set_digest(
