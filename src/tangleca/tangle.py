@@ -347,30 +347,44 @@ def _node_values(g, universe, roots=None, memo=None):
     return values, failures
 
 
-def decode(g, universe):
-    """Critical-term mapping back out of a tangle.
-
-    Skips internal ($/#) edges and function-location tuples.  Raises
-    TangleError on a dangling critical edge, on the first violation
-    committed_violations reports, and on a term that does not decode;
-    the terms are read through that check's walk.
-    """
-    c = g.criticals()
+def _critical_terms(g, c):
+    """(terms, violations) of the edges out of Criticals node c: terms
+    maps each critical term's label to its node, and violations lists
+    each dangling edge and each term with more than one edge.  Internal
+    ($/#) edges and function-location tuples are skipped."""
     terms = {}
+    violations = []
     for label in sorted(g.out[c]):
         if is_internal_label(label):
             continue
         for dst in sorted(g.targets(c, label)):
             node = g.nodes.get(dst)
             if node is None:
-                raise TangleError("dangling critical edge %s" % label)
-            if node.kind == TUPLE:
+                violations.append("dangling critical edge %s" % label)
+            elif node.kind == TUPLE:
                 continue  # function location, not a critical term
-            if label in terms:
-                raise TangleError("critical term %s has multiple edges" % label)
-            terms[label] = dst
+            elif label not in terms:
+                terms[label] = dst
+            else:
+                message = "critical term %s has multiple edges" % label
+                if message not in violations:
+                    violations.append(message)
+    return terms, violations
+
+
+def decode(g, universe):
+    """Critical-term mapping back out of a tangle.
+
+    Skips internal ($/#) edges and function-location tuples.  Raises
+    TangleError on a dangling critical edge or a term with several
+    edges, on the first violation committed_violations reports, and on
+    a term that does not decode; the terms are read through that
+    check's walk.
+    """
+    terms, violations = _critical_terms(g, g.criticals())
     values = {}
-    violations = committed_violations(g, universe, False, values)
+    if not violations:
+        violations = committed_violations(g, universe, False, values)
     if not violations:
         violations = _node_values(g, universe, roots=terms.values(),
                                   memo=values)[1]
@@ -427,17 +441,20 @@ def check_invariants(g, universe, memo=None):
     Checks: exactly one Criticals node, active is Criticals, containment
     acyclicity, then committed_violations (each committed value node
     decodes, and no two hold one value), which fills `memo`, if given,
-    with the values its walk decoded.  Once containment is cyclic only
-    the cycle is reported.  When this reports nothing, decode and
-    decode_locations fail only on what the edges out of Criticals name,
-    which are not checked here.  This walks the whole graph;
-    automaton.run calls it once, before the first tick, and keeps that
-    memo.  After that a checked run relies on induction: nodes are never
-    removed, kinds and the active node never change, and each added
-    containment edge is tested for a cycle when it is added, so an
-    idle-ending tick needs only its own structural check and the
-    committed checks, which re-decode only the nodes the ticks since the
-    last clean check can have changed (see automaton.run).
+    with the values its walk decoded, then the critical terms: no
+    dangling edge, one edge per term, and each term's node decodes.
+    Once containment is cyclic only the cycle and the term edges are
+    reported.  When this reports nothing, decode succeeds, and
+    decode_locations fails only on what the function-location edges out
+    of Criticals name, which are not checked here.  This walks the
+    whole graph; automaton.run calls it once, before the first tick,
+    and keeps that memo.  After that a checked run relies on induction:
+    nodes are never removed, kinds and the active node never change,
+    and each added containment edge is tested for a cycle when it is
+    added, so an idle-ending tick needs only its own structural check
+    and the committed checks, which re-decode only the nodes the ticks
+    since the last clean check can have changed (see automaton.run).
+    The critical terms are checked here only.
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
@@ -453,7 +470,15 @@ def check_invariants(g, universe, memo=None):
                                  for nid in g.nodes})
     if cyclic:
         violations.append("containment cycle")
-    violations += committed_violations(g, universe, cyclic, memo)
+    values = {} if memo is None else memo
+    violations += committed_violations(g, universe, cyclic, values)
+    if len(crit) == 1:
+        terms, term_violations = _critical_terms(g, crit[0])
+        if not cyclic:
+            # a copy: the memo holds committed nodes only
+            term_violations += _node_values(g, universe, roots=terms.values(),
+                                            memo=dict(values))[1]
+        violations += [v for v in term_violations if v not in violations]
     return violations
 
 

@@ -12,6 +12,9 @@ from conftest import compile_case, load_corpus_case
 
 COLORS = ("red", "green", "blue", "plain")
 LABELS = ("x", "y")
+# a scratch label, so the Criticals node may hold it to several nodes;
+# an "x" term with two edges is itself an invariant violation
+HANDLE = "$x"
 
 
 def overlap_setup():
@@ -281,23 +284,23 @@ STRUCTURAL = frozenset(("multiple criticals", "no criticals",
 
 
 def two_set_graph():
-    """Criticals (color red) with x-edges to two empty marked sets."""
+    """Criticals (color red) with $x edges to two empty marked sets."""
     g = tangle.Tangle()
     c = g.add_node("red", tangle.CRITICALS)
     g.active = c
     for _ in range(2):
-        g.add_edge(c, "x", g.add_node(tangle.MARKER, tangle.SET))
+        g.add_edge(c, HANDLE, g.add_node(tangle.MARKER, tangle.SET))
     return g
 
 
 def two_set_rules(*rewrites, colors=("red",)):
-    """Rule i fires at focus color colors[i] on any two x-targets and
+    """Rule i fires at focus color colors[i] on any two $x targets and
     applies rewrites[i], a dict of Rule's rewrite keywords."""
     rules = [Rule("r%d" % i, [("C", color), ("A", None), ("B", None)],
-                  [("C", "x", "A"), ("C", "x", "B")], **rewrite)
+                  [("C", HANDLE, "A"), ("C", HANDLE, "B")], **rewrite)
              for i, (color, rewrite) in enumerate(zip(colors, rewrites))]
-    return RuleSet(COLORS + ("idle",), LABELS + tuple(tangle.CONTAINMENT),
-                   rules, 3)
+    return RuleSet(COLORS + ("idle",),
+                   LABELS + (HANDLE,) + tuple(tangle.CONTAINMENT), rules, 3)
 
 
 class TestIncrementalChecks:
@@ -351,7 +354,7 @@ class TestIncrementalChecks:
     @pytest.mark.parametrize("malformed", ["cycle", "criticals"])
     def test_malformed_initial_graph_raises_at_tick_zero(self, malformed):
         g = two_set_graph()
-        a, b = sorted(g.targets(g.active, "x"))
+        a, b = sorted(g.targets(g.active, HANDLE))
         if malformed == "cycle":
             g.add_edge(a, tangle.ELEM, b)
             g.add_edge(b, tangle.ELEM, a)
@@ -565,11 +568,11 @@ def random_rules(draw):
     - one to three rules at a drawn focus color create nodes, add and
       delete containment edges among pattern and created cells, and
       recolor other cells into and out of the committed colors;
-    - r0 matches at any focus color and any two x-targets, may recolor
+    - r0 matches at any focus color and any two $x targets, may recolor
       A or B, and moves the focus to the idle color, so every run takes
       a tick and reaches an idle check."""
     cells = [("C", None), ("A", None), ("B", None)]
-    pattern = [("C", "x", "A"), ("C", "x", "B")]
+    pattern = [("C", HANDLE, "A"), ("C", HANDLE, "B")]
     link = ("A", draw(st.sampled_from(CONTAINMENT_EDGES)), "B")
     recolor = [("C", draw(st.sampled_from(FOCUS_COLORS)))]
     if draw(st.booleans()):
@@ -587,7 +590,7 @@ def random_rules(draw):
                          st.sampled_from(CONTAINMENT_EDGES),
                          st.sampled_from(names))
         add_edges = draw(st.lists(edge, max_size=3))
-        add_edges += [("C", "x", name) for name, _c, _k in creates]
+        add_edges += [("C", HANDLE, name) for name, _c, _k in creates]
         delete = draw(st.lists(edge, max_size=2))
         recolor = draw(st.lists(
             st.tuples(st.sampled_from(names), st.sampled_from(VALUE_COLORS)),
@@ -603,12 +606,12 @@ def random_rules(draw):
     rules.append(Rule("r0", cells, pattern,
                       recolor=recolor + [("C", "idle")]))
     return RuleSet(FOCUS_COLORS + VALUE_COLORS,
-                   ("x",) + tuple(tangle.CONTAINMENT), rules, 3)
+                   (HANDLE,) + tuple(tangle.CONTAINMENT), rules, 3)
 
 
 @st.composite
 def random_graph(draw):
-    """Criticals with x-edges to every value node: committed, nested,
+    """Criticals with $x edges to every value node: committed, nested,
     maximally shared values as tangle.encode builds them, one node
     inside them marked, and a few marked value nodes with acyclic
     containment edges into them, plus at most one arbitrary edge (which
@@ -629,7 +632,7 @@ def random_graph(draw):
               for _ in range(draw(st.integers(2, 4)))]
     nodes = [nid for nid in sorted(g.nodes) if nid != c]
     for n in nodes:
-        g.add_edge(c, "x", n)
+        g.add_edge(c, HANDLE, n)
     into_marked = st.tuples(st.sampled_from(nodes),
                             st.sampled_from(CONTAINMENT_EDGES),
                             st.sampled_from(marked))

@@ -45,6 +45,15 @@ def tuple_in_committed_set(u):
     return g, t
 
 
+def scratch_term(u):
+    """encode({t: {}}), then a marker scratch node named by a critical
+    edge t2: a term that does not decode.  Returns (g, node)."""
+    g = encode({"t": u.empty()}, universe=u)
+    n = g.add_node(tangle.MARKER, tangle.SCRATCH)
+    g.add_edge(g.criticals(), "t2", n)
+    return g, n
+
+
 def has_containment_cycle(g):
     """Brute force: some node reaches itself along elem/fst/snd edges."""
     for start in g.nodes:
@@ -321,21 +330,54 @@ class TestInvariants:
             decode(g, u)
         assert str(exc.value) == message
 
+    def test_critical_term_that_is_not_a_value(self):
+        u = Universe()
+        g, n = scratch_term(u)
+        message = "node %d of kind scratch is not a value" % n
+        assert check_invariants(g, u) == [message]
+        with pytest.raises(TangleError) as exc:
+            decode(g, u)
+        assert str(exc.value) == message
+
+    def test_critical_term_with_two_edges(self):
+        u = Universe()
+        g = encode({"t": u.empty(), "p": u.parse("{{}}")}, universe=u)
+        c = g.criticals()
+        (p,) = g.targets(c, "p")
+        g.add_edge(c, "t", p)
+        message = "critical term t has multiple edges"
+        assert check_invariants(g, u) == [message]
+        with pytest.raises(TangleError, match=message):
+            decode(g, u)
+
+    def test_dangling_critical_edge(self):
+        u = Universe()
+        g = encode({"t": u.empty()}, universe=u)
+        g.out[g.criticals()]["t2"] = {99}
+        assert check_invariants(g, u) == ["dangling critical edge t2"]
+        with pytest.raises(TangleError, match="dangling critical edge t2"):
+            decode(g, u)
+
     @given(g=mixed_graphs())
     @example(g=tuple_in_committed_set(Universe())[0])
+    @example(g=scratch_term(Universe())[0])
     @settings(max_examples=300, deadline=None)
     def test_clean_check_means_decode_succeeds(self, g):
-        # the edges out of Criticals (critical terms and locations) are
-        # not checked, so they are dropped before decoding
+        # the critical terms are checked and kept; the function-location
+        # edges are not checked, so they are dropped before decoding
         u = Universe()
         if check_invariants(g, u):
             return
         g = g.copy()
         c = g.criticals()
+        terms = set()
         for label, targets in list(g.out[c].items()):
             for dst in list(targets):
-                g.remove_edge(c, label, dst)
-        assert decode(g, u) == {}
+                if g.nodes[dst].kind == tangle.TUPLE:
+                    g.remove_edge(c, label, dst)
+                elif not tangle.is_internal_label(label):
+                    terms.add(label)
+        assert set(decode(g, u)) == terms
         assert decode_locations(g, u) == {}
 
     def test_pair_under_construction_is_not_flagged(self):
