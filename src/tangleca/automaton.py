@@ -111,6 +111,29 @@ class StepStats:
         return "\n".join(lines) + "\n"
 
 
+class RoundCounter:
+    """An on_tick hook that splits a run into rounds.  A round starts
+    each time the focus enters `first` and runs to the next such entry
+    or to the end of the run; for a compiled unit whose `first_color`
+    it is, a round is one ASM step.  rounds holds [ticks, node count at
+    the round's start] per round."""
+
+    def __init__(self, first):
+        self.first = first
+        self.rounds = []
+
+    def __call__(self, cfg, _applied):
+        g = cfg.tangle
+        if self.rounds:
+            self.rounds[-1][0] += 1
+        if g.color_of(g.active) == self.first:
+            self.rounds.append([0, g.node_count()])
+
+    def max_ticks(self):
+        """The most ticks one round took (0 before any round)."""
+        return max((ticks for ticks, _nodes in self.rounds), default=0)
+
+
 def select_match(pairs, cfg, final, stats=None):
     """One maximal pair of a non-empty list of (rule_index, binding)
     pairs.

@@ -77,9 +77,9 @@ def run_ticks(source, state_text, negative_edges=False):
     """Compile, run to quiescence in deterministic mode, and return
     (per-phase tick counts, peak round ratio).
 
-    A round starts each time the focus enters the unit's first colour
-    and runs to the next such entry or to the end of the run.  The peak
-    round ratio is the largest ratio of a round's ticks to the square of
+    Rounds are counted by automaton.RoundCounter at the unit's first
+    colour, as `simulate --stats-json` counts them.  The peak round
+    ratio is the largest ratio of a round's ticks to the square of
     the node count at its start: the paper's quadratic step overhead,
     measured per ASM step."""
     universe = hfset.Universe(max_depth=64)
@@ -87,25 +87,18 @@ def run_ticks(source, state_text, negative_edges=False):
     unit = compiler.compile_program(program, negative_edges=negative_edges)
     state = interpreter.parse_state(state_text, program, universe)
     graph = unit.initial_graph(state, universe)
-    rounds = []   # [ticks, node count at the round's start]
-
-    def on_tick(cfg, _applied):
-        g = cfg.tangle
-        if rounds:
-            rounds[-1][0] += 1
-        if g.color_of(g.active) == unit.first_color:
-            rounds.append([0, g.node_count()])
-
+    rounds = automaton.RoundCounter(unit.first_color)
     cfg, stats, outcome = automaton.run(automaton.Configuration(graph),
                                         unit.ruleset,
                                         max_ticks=BENCH_MAX_TICKS,
-                                        on_tick=on_tick)
+                                        on_tick=rounds)
     if outcome != automaton.QUIESCENT:
         raise RuntimeError("benchmark run did not quiesce: " + outcome)
     color = cfg.tangle.color_of(cfg.tangle.active)
     if color != unit.done_color:
         raise RuntimeError("benchmark run halted in color " + color)
-    peak = max((ticks / nodes ** 2 for ticks, nodes in rounds), default=0.0)
+    peak = max((ticks / nodes ** 2 for ticks, nodes in rounds.rounds),
+               default=0.0)
     return stats, peak
 
 

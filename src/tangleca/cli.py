@@ -159,7 +159,10 @@ def cmd_simulate(args):
             if args.stats_json:
                 stats_json = files.enter_context(_open(args.stats_json))
 
+            rounds = automaton.RoundCounter(unit.first_color)
+
             def on_tick(c, applied):
+                rounds(c, applied)
                 if trace is not None:
                     trace.write(_trace_entry(c, applied))
                 if args.dot_every and c.tick % args.dot_every == 0:
@@ -177,7 +180,9 @@ def cmd_simulate(args):
             except hfset.HFLimitError as exc:
                 limit, stats = exc, exc.stats
             if stats_json is not None:
-                stats_json.write(json.dumps(stats.as_dict(), indent=2,
+                report = dict(stats.as_dict(), rounds=len(rounds.rounds),
+                              max_round_ticks=rounds.max_ticks())
+                stats_json.write(json.dumps(report, indent=2,
                                             sort_keys=True) + "\n")
     except OSError as exc:
         # only the open --trace and --stats-json files are written here
@@ -314,7 +319,11 @@ def build_parser():
                          "maximality filter, and the idle-tick committed "
                          "checks of --check-invariants (idle_checks) and "
                          "how many fell back to the full check "
-                         "(fallbacks) as JSON")
+                         "(fallbacks), the rounds (one per entry into "
+                         "the program's first cycle colour: one per ASM "
+                         "step, then a last one that fires nothing) and "
+                         "the most ticks one round took (max_round_ticks) "
+                         "as JSON")
     sp.add_argument("--dot-every", type=_positive_int, metavar="K",
                     help="write a graphviz snapshot every K ticks")
     sp.add_argument("--dot-prefix", default="tangle",

@@ -147,8 +147,14 @@ class TestSimulate:
         assert code == 0
         stats = json.loads(target.read_text())
         assert set(stats) == {"total", "matches", "settled", "idle_checks",
-                              "fallbacks", "phases", "rules"}
+                              "fallbacks", "phases", "rules", "rounds",
+                              "max_round_ticks"}
         assert "outcome terminal after %d ticks" % stats["total"] in out
+        # a round per interpreter step, then one that fires nothing
+        _code, interpreted, _ = run_main(["interpret", prog, state], capsys)
+        steps = int(re.search(r"after (\d+) steps", interpreted).group(1))
+        assert stats["rounds"] == steps + 1
+        assert 0 < stats["max_round_ticks"] < stats["total"]
         # every tick applies one of the pairs the kernel returned
         assert stats["matches"] >= stats["total"]
         assert sum(stats["rules"].values()) == stats["total"]
@@ -211,24 +217,27 @@ class TestSimulate:
 
 # sha256 over every output of `simulate --check-invariants --trace
 # --dot-every 25 --stats-json` (stdout, exit code, trace, .dot files and
-# stats JSON) on a union, a singleton, a location-write and a choice case,
-# each in three schedule and edge modes.  The stats JSON is hashed
+# stats JSON) on a union, a singleton, a location-write and a choice
+# case, each in three schedule and edge modes.  The stats JSON is hashed
 # without its "matches" and "settled" counts, which it gained after the
 # digest was recorded; they are pinned by SIMULATE_MATCHES and
 # SIMULATE_SETTLED (random schedules settle no tick).  Its later
 # "idle_checks" and "fallbacks" counts are left out the same way and
 # pinned by SIMULATE_IDLE_CHECKS (one per tick that ends at an idle
-# color) and SIMULATE_FALLBACKS (no idle check needs the full walk).  The
-# digest, matches and settled counts were re-recorded when the wind-down
-# chain was folded into the cleanup chain, which renamed rules in the
-# traces but left stdout and tick counts as they were, and again when
-# each run of same-condition stages got one guard and each run of
-# commits one decide stage, which removed guard and decide ticks from
-# the traces and stats, and again when the empty set became a plain set
-# and a decide fire began to enter its commit run past the run's guard,
-# which removed empty-set stages and commit guard ticks, and again when
-# cleanup began to drop a path condition's registers and bits in grouped
-# ticks, which removed cleanup ticks; the idle checks did not change.
+# color) and SIMULATE_FALLBACKS (no idle check needs the full walk), and
+# its "rounds" and "max_round_ticks" by SIMULATE_ROUNDS and
+# SIMULATE_MAX_ROUND_TICKS (a round per ASM step, then a last round that
+# fires nothing).  The digest, matches and settled counts were
+# re-recorded when the wind-down chain was folded into the cleanup
+# chain, which renamed rules in the traces but left stdout and tick
+# counts as they were, and again when each run of same-condition stages
+# got one guard and each run of commits one decide stage, which removed
+# guard and decide ticks from the traces and stats, and again when the
+# empty set became a plain set and a decide fire began to enter its
+# commit run past the run's guard, which removed empty-set stages and
+# commit guard ticks, and again when cleanup began to drop a path
+# condition's registers and bits in grouped ticks, which removed cleanup
+# ticks; the idle checks did not change.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
@@ -239,6 +248,8 @@ SIMULATE_MATCHES = [97, 97, 57, 37, 37, 37, 77, 77, 77, 60, 60, 61]
 SIMULATE_SETTLED = [51, 51, 0, 23, 23, 0, 57, 57, 0, 36, 37, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
+SIMULATE_ROUNDS = [2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2]
+SIMULATE_MAX_ROUND_TICKS = [48, 48, 27, 20, 20, 20, 29, 29, 29, 33, 33, 33]
 
 
 def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
@@ -247,6 +258,8 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     settled = []
     idle_checks = []
     fallbacks = []
+    rounds = []
+    max_round_ticks = []
     for name in SIMULATE_CASES:
         for mode in SIMULATE_MODES:
             run_dir = tmp_path / ("%s%d" % (name, len(mode)))
@@ -269,6 +282,8 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
                     settled.append(stats.pop("settled"))
                     idle_checks.append(stats.pop("idle_checks"))
                     fallbacks.append(stats.pop("fallbacks"))
+                    rounds.append(stats.pop("rounds"))
+                    max_round_ticks.append(stats.pop("max_round_ticks"))
                     data = (json.dumps(stats, indent=2, sort_keys=True)
                             + "\n").encode()
                 digest.update(data)
@@ -277,6 +292,8 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     assert settled == SIMULATE_SETTLED
     assert idle_checks == SIMULATE_IDLE_CHECKS
     assert fallbacks == SIMULATE_FALLBACKS
+    assert rounds == SIMULATE_ROUNDS
+    assert max_round_ticks == SIMULATE_MAX_ROUND_TICKS
 
 
 class TestDifftest:
