@@ -292,18 +292,22 @@ def _variants(cells, edges, aliases):
     gains a directed cycle (well-founded values never match those).
     Without aliases the only variant is the template itself, with an
     empty mapping; its acyclicity is left to validate_ruleset, which
-    checks every generated rule.
+    checks every generated rule.  A merge can close a cycle only through
+    an edge out of a merged cell, so without such an edge that is left
+    to validate_ruleset too.
     """
     if not aliases:
         return [({}, cells, _dedupe(edges), "")]
     names = [n for n, _c in cells]
     color = dict(cells)
     allowed = {frozenset(p) for p in aliases}
-    pairs = sorted(allowed, key=sorted)
+    pairs = [sorted(p) for p in sorted(allowed, key=sorted)]
+    aliased = {n for p in pairs for n in p}
+    check_cycles = any(a in aliased for a, _l, _b in edges)
     seen = set()
     results = []
     for mask in range(1 << len(pairs)):
-        parent = {n: n for n in names}
+        parent = {n: n for n in aliased}
 
         def find(x):
             while parent[x] != x:
@@ -311,48 +315,44 @@ def _variants(cells, edges, aliases):
                 x = parent[x]
             return x
 
-        for i, pr in enumerate(pairs):
+        for i, (a, b) in enumerate(pairs):
             if mask >> i & 1:
-                a, b = sorted(pr)
                 parent[find(b)] = find(a)
         blocks = {}
         for n in names:
-            blocks.setdefault(find(n), []).append(n)
-        key = frozenset(frozenset(b) for b in blocks.values())
+            blocks.setdefault(find(n) if n in aliased else n, []).append(n)
+        key = frozenset(frozenset(b) for b in blocks.values() if len(b) > 1)
         if key in seen:
             continue
         seen.add(key)
         # every pair inside a block must be individually allowed
         ok = all(frozenset((x, y)) in allowed
-                 for blk in key if len(blk) > 1
+                 for blk in key
                  for x, y in itertools.combinations(sorted(blk), 2))
         if not ok:
             continue
         mapping = {}
         qcells = []
         feasible = True
-        for n in names:
-            rep = find(n)
-            block = blocks[rep]
-            lead = min(block, key=names.index)
-            mapping[n] = lead
-            if n == lead:
-                block_colors = {color[x] for x in block
-                                if color[x] is not None}
-                if len(block_colors) > 1:
-                    feasible = False
-                    break
-                qcells.append((lead, block_colors.pop()
-                               if block_colors else None))
+        for block in blocks.values():
+            lead = block[0]  # blocks list their cells in cell order
+            for n in block:
+                mapping[n] = lead
+            block_colors = {color[x] for x in block if color[x] is not None}
+            if len(block_colors) > 1:
+                feasible = False
+                break
+            qcells.append((lead, block_colors.pop() if block_colors else None))
         if not feasible:
             continue
         qedges = _dedupe((mapping[a], l, mapping[b]) for a, l, b in edges)
-        out = {n: [] for n, _c in qcells}
-        for a, _l, b in qedges:
-            out[a].append(b)
-        if has_directed_cycle(out):
-            continue
-        merged = sorted("=".join(sorted(b)) for b in key if len(b) > 1)
+        if check_cycles:
+            out = {n: [] for n, _c in qcells}
+            for a, _l, b in qedges:
+                out[a].append(b)
+            if has_directed_cycle(out):
+                continue
+        merged = sorted("=".join(sorted(b)) for b in key)
         suffix = "".join("~" + m for m in merged)
         results.append((mapping, qcells, qedges, suffix))
     return results
