@@ -496,7 +496,8 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     and no stage rewrites a bit before cleanup.  So the labels of one
     path condition are either all set or all unset, and a variant of
     the drop rule matches exactly when they are set.  Each variant
-    strictly contains the skip rule, so the skip rule fires only when
+    binds a marker or a register's node besides the focus, so it
+    strictly contains the skip rule, and the skip rule fires only when
     the group is unset: a chunk never drops part of itself, and a skip
     never passes over a set label.  Only a group's first chunk needs a
     skip rule: once it was dropped, the rest of the group is set too.
