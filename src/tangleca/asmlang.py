@@ -400,6 +400,25 @@ def parse_statement(source):
 
 # -- validation ---------------------------------------------------------
 
+def assigned_criticals(s):
+    """The critical terms that some assignment in statement s writes."""
+    if isinstance(s, Assign):
+        return {s.lhs.id} if isinstance(s.lhs, Name) else set()
+    if isinstance(s, If):
+        out = assigned_criticals(s.then)
+        if s.els is not None:
+            out |= assigned_criticals(s.els)
+        return out
+    if isinstance(s, Let):
+        return assigned_criticals(s.body)
+    if isinstance(s, Par):
+        out = set()
+        for item in s.items:
+            out |= assigned_criticals(item)
+        return out
+    return set()
+
+
 def validate(program):
     """Static violations; empty list iff the program is well formed.
 
@@ -463,23 +482,6 @@ def validate(program):
             cond(c.item, env)
         else:
             v.append("unknown condition %r" % (c,))
-
-    def assigned_criticals(s):
-        if isinstance(s, Assign):
-            return {s.lhs.id} if isinstance(s.lhs, Name) else set()
-        if isinstance(s, If):
-            out = assigned_criticals(s.then)
-            if s.els is not None:
-                out |= assigned_criticals(s.els)
-            return out
-        if isinstance(s, Let):
-            return assigned_criticals(s.body)
-        if isinstance(s, Par):
-            out = set()
-            for item in s.items:
-                out |= assigned_criticals(item)
-            return out
-        return set()
 
     def stmt(s, env):
         if isinstance(s, Assign):

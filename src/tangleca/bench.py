@@ -14,8 +14,11 @@ intended asymptotics:
 * pairing, choice, and condition tests take a constant number of
   ticks regardless of how much committed structure sits nearby (the
   guard of a run of stages under one path condition counts under the
-  run's first stage's phase, so the pair and choice families, whose
-  stage sits behind an eval stage's guard, count their one tick),
+  run's first stage's phase; the operands of the pair and choice
+  families are critical terms, read with no stage of their own, so
+  each family's stage heads its run and counts the guard's sat tick,
+  its own tick and the next round's guard skip, three in all, and the
+  singleton and union families count those two guard ticks too),
 * total ticks for a run of T transitions stay polynomial in T with a
   small exponent even while the state accumulates; the overhead family
   also reports the largest ratio of one round's ticks to the square of

@@ -7,25 +7,29 @@ cycle of focus-node colors acting as a program counter:
                                \\-> k0 .. k{c-1} -> done (nothing enabled)
 
 * boot (once): create the shared true/false marker nodes.
-* s{i} (eval): materialize one value into a scratch register edge
-  ($r<j>) or one condition outcome into a bit edge ($b<j>, pointing at
-  the true or false marker).  Each run of consecutive register steps
-  under one non-trivial path condition is wrapped in one guard stage;
-  bit steps always run.
+* s{i} (eval): materialize one compound value into a scratch register
+  edge ($r<j>) or one condition outcome into a bit edge ($b<j>, pointing
+  at the true or false marker).  Critical terms, atoms and {} take no
+  step: rules read them where they sit, on the Criticals node's term,
+  #atom_<name> and #empty edges; only a commit operand that names a
+  critical term some commit writes is copied into a register.  Each run
+  of consecutive register steps under one non-trivial path condition
+  is wrapped in one guard stage; bit steps always run.
 * d{i} (decide): one stage per run of commits under one path condition
   (r runs of the m commits): find the first run whose condition holds,
   mark the round with a $go edge from the focus to the false marker,
   and jump to the run's first commit stage, past its guard; if none
   holds, go to cleanup unmarked.
 * m{i} (commit): rewrite one critical-term edge or one function
-  location from registers only, so parallel assignments all read the
-  pre-transition state; commits are guarded by runs like eval steps.
+  location from registers and from edges no commit writes, so parallel
+  assignments all read the pre-transition state; commits are guarded
+  by runs like eval steps.
 * k{i} (cleanup): each of the c stages drops up to three register or
   bit edges written under one path condition, in one tick; the first
   stage of a condition's labels skips past all of them when they are
   unset.  The labels written unconditionally come last, and the last
-  stage drops the $go mark too and loops to s0, or halts in "done" if
-  there is none.
+  stage, which may drop no label at all, drops the $go mark too and
+  loops to s0, or halts in "done" if there is none.
 
 Lowering turns the program body into stage lists; a stage is
 (phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
@@ -368,37 +372,23 @@ def _pad(cells, edges):
 # -- construct emitters ----------------------------------------------------
 #
 # Each emitter takes the entry color, the color to hand over to, and
-# register labels; every cell list names the focus "C" carrying the
-# entry color of the tick the rule fires in.
+# operand labels (registers, or the edges leaf terms sit on; see
+# _Lowerer); every cell list names the focus "C" carrying the entry
+# color of the tick the rule fires in.
 
 def compile_copy(ctx, entry, nxt, name, dst):
-    """Read a critical term into a register.  One tick."""
+    """Read a critical term into a register, for a commit operand that
+    another commit of the round may rewrite first.  One tick."""
     ctx.emit("eval:%s:copy" % entry,
              [("C", entry), ("X", None)], [("C", name, "X")],
              add=[("C", dst, "X")], recolor=[("C", nxt)])
-
-
-def compile_atom(ctx, entry, nxt, name, dst):
-    """Read a declared atom into a register.  One tick."""
-    ctx.emit("eval:%s:atom" % entry,
-             [("C", entry), ("X", None)],
-             [("C", tangle.atom_edge(name), "X")],
-             add=[("C", dst, "X")], recolor=[("C", nxt)])
-
-
-def compile_empty(ctx, entry, nxt, dst):
-    """Read the empty set into a register.  One tick."""
-    ctx.emit("eval:%s:empty" % entry,
-             [("C", entry), ("E", tangle.PLAIN)],
-             [("C", tangle.EMPTY_EDGE, "E")],
-             add=[("C", dst, "E")], recolor=[("C", nxt)])
 
 
 def compile_conditional(ctx, entry, nxt, kind, left, right, bit):
     """Bit test: point `bit` at the true/false marker.  One tick.
 
     kind "member" holds iff left's value is an element of right's;
-    kind "eq" holds iff both registers share a node.  The false rule is
+    kind "eq" holds iff both operands share a node.  The false rule is
     a fallback that also absorbs unset operand registers.
     """
     if kind == "member":
@@ -507,7 +497,15 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     mark and goes to `again`.  The last stage holds registers only, and
     no register points at a marker, so each twin binds the true and the
     false marker on top of its drop rule's nodes and strictly contains
-    it: with the mark set the twin is the one maximal match.
+    it: with the mark set the twin is the one maximal match.  When no
+    register is written unconditionally the last stage holds no label:
+    its drop rule is the bare focus, and its twin binds the focus and
+    both markers, so it still strictly contains it.
+
+    Only registers and bits are dropped here.  Leaf operands are read on
+    edges no eval stage writes (_Lowerer), so there is nothing to drop
+    for them, and a commit operand copied into a register is dropped
+    like any other register.
     """
     bits = [l for l in labels if l.startswith("$b")]
     regs = [("X%d" % i, l) for i, l in enumerate(labels)
@@ -535,7 +533,7 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
 
 
 def compile_choice(ctx, entry, nxt, source, dst):
-    """Pick any element of the source register's set.  One tick.
+    """Pick any element of the source operand's set.  One tick.
 
     Every element is a maximal match, so the random scheduler realizes
     the nondeterministic choice; the empty-set fallback halts the
@@ -642,7 +640,8 @@ def compile_apply_write(ctx, entry, nxt, fname, argregs, src):
 
 
 def compile_term_commit(ctx, entry, nxt, name, src):
-    """Swing one critical-term edge to the register's node.  One tick."""
+    """Swing one critical-term edge to the source operand's node.  One
+    tick."""
     ctx.emit("commit:%s:term" % entry,
              [("C", entry), ("X", None), ("Y", None)],
              [("C", name, "X"), ("C", src, "Y")],
@@ -954,10 +953,31 @@ class _Lowerer:
     """Lowers a program body to two stage lists: `steps` (eval) and
     `commits`.  A stage is (phase, path condition, emitter, args), and
     emitter(ctx, entry, nxt, *args) emits its rules.  An eval step's
-    last argument is the fresh register or bit it writes."""
+    last argument is the fresh register or bit it writes.
 
-    def __init__(self, criticals):
+    Operands are labels of edges out of the focus (term): a register, or
+    for a leaf term the edge where its value already sits, a critical
+    term's own label, an atom's #atom_<name> or #empty.  `written` holds
+    the critical terms some commit writes.  Reading a leaf there gives
+    what a register copy of it would hold:
+
+    - only commits write critical-term edges, and they run after every
+      eval stage of the round; nothing writes an atom or #empty edge.
+      So an eval stage reads the pre-transition value, and so does a
+      commit, unless the term is in `written` (operand copies those);
+    - no eval emitter adds or deletes an edge that carries an operand
+      label: they add only fresh registers, bits and protocol scratch
+      ($sw, $cand, ...), so a label holds one value through the eval
+      stages;
+    - each such label has exactly one target, as a register does.  Two
+      operands that share a label bind one node exactly when two
+      register copies would, so the alias variants, and which match of
+      a stage is maximal, are those the copies gave.
+    """
+
+    def __init__(self, criticals, written):
         self.criticals = set(criticals)
+        self.written = set(written)
         self.steps = []
         self.commits = []
         self.nreg = 0
@@ -971,14 +991,20 @@ class _Lowerer:
         return dst
 
     def term(self, t, env, ctx):
-        """Lower a term to the register holding its value."""
+        """Lower a term to the label of the edge out of the focus that
+        holds its value.  A let variable, a critical term (its own
+        label), an atom (tangle.atom_edge) and {} (tangle.EMPTY_EDGE)
+        take no stage; the class docstring says why reading them there
+        is sound.  A compound term gets the fresh register of the eval
+        stage appended for it."""
         if isinstance(t, ast.Name):
             if t.id in env:
                 return env[t.id]
-            emitter = compile_copy if t.id in self.criticals else compile_atom
-            return self.value(ctx, "eval", emitter, t.id)
+            if t.id in self.criticals:
+                return t.id
+            return tangle.atom_edge(t.id)
         if isinstance(t, ast.EmptySet):
-            return self.value(ctx, "eval", compile_empty)
+            return tangle.EMPTY_EDGE
         if isinstance(t, ast.Singleton):
             return self.value(ctx, "singleton", compile_singleton,
                               self.term(t.item, env, ctx))
@@ -994,6 +1020,15 @@ class _Lowerer:
             return self.value(ctx, "eval", compile_apply_read, t.func,
                               tuple(self.term(a, env, ctx) for a in t.args))
         raise CompileError("cannot lower term %r" % (t,))
+
+    def operand(self, t, env, ctx):
+        """Lower a commit operand as term does, except that a critical
+        term some commit writes is copied into a register, so that no
+        commit reads a value another one wrote in the same round."""
+        label = self.term(t, env, ctx)
+        if label in self.written:
+            return self.value(ctx, "eval", compile_copy, label)
+        return label
 
     def cond(self, c, env, ctx):
         """Lower a condition to a formula over bits; bit-producing
@@ -1022,12 +1057,13 @@ class _Lowerer:
     def stmt(self, s, env, ctx):
         if isinstance(s, ast.Assign):
             if isinstance(s.lhs, ast.Name):
-                src = self.term(s.rhs, env, ctx)
+                src = self.operand(s.rhs, env, ctx)
                 self.commits.append(("commit", ctx, compile_term_commit,
                                      (s.lhs.id, src)))
             else:
-                argregs = tuple(self.term(a, env, ctx) for a in s.lhs.args)
-                src = self.term(s.rhs, env, ctx)
+                argregs = tuple(self.operand(a, env, ctx)
+                                for a in s.lhs.args)
+                src = self.operand(s.rhs, env, ctx)
                 self.commits.append(("commit", ctx, compile_apply_write,
                                      (s.lhs.func, argregs, src)))
         elif isinstance(s, ast.If):
@@ -1100,8 +1136,9 @@ def _cleanup_stages(steps, prefix, again):
     condition is not trivially true skips to the next group's first
     stage.  The unconditional group comes last, bits before registers,
     and its last chunk holds registers only, so that compile_cleanup
-    can branch there: the program's first term is evaluated
-    unconditionally, so that group always has a register.
+    can branch there.  Leaf terms take no register, so that group may
+    have none: its last chunk is then empty, a stage that only drops
+    the $go mark or halts, and costs one tick a round.
     """
     groups = {}
     for _phase, condition, _emitter, args in steps:
@@ -1110,9 +1147,6 @@ def _cleanup_stages(steps, prefix, again):
     plain = groups.pop((_TRUE.support, _TRUE.rows), [])
     bits = [l for l in plain if l.startswith("$b")]
     regs = [l for l in plain if not l.startswith("$b")]
-    if not regs:
-        raise CompileError("no register is written unconditionally")
-
     def cut(labels):
         return [tuple(labels[i:i + CLEANUP_CHUNK])
                 for i in range(0, len(labels), CLEANUP_CHUNK)]
@@ -1124,7 +1158,8 @@ def _cleanup_stages(steps, prefix, again):
         for i, chunk in enumerate(chunks):
             stages.append(("cleanup", _TRUE, compile_cleanup,
                            (chunk, None if i else skip, None)))
-    chunks = cut(bits + regs[:-CLEANUP_CHUNK]) + cut(regs[-CLEANUP_CHUNK:])
+    chunks = (cut(bits + regs[:-CLEANUP_CHUNK])
+              + (cut(regs[-CLEANUP_CHUNK:]) or [()]))
     for i, chunk in enumerate(chunks):
         stages.append(("cleanup", _TRUE, compile_cleanup,
                        (chunk, None, again if i == len(chunks) - 1 else None)))
@@ -1179,7 +1214,7 @@ def compile_program(program, negative_edges=False):
     violations = ast.validate(program)
     if violations:
         raise CompileError("; ".join(violations))
-    lo = _Lowerer(program.criticals)
+    lo = _Lowerer(program.criticals, ast.assigned_criticals(program.body))
     lo.stmt(program.body, {}, _TRUE)
     if not lo.commits:
         raise CompileError("program has no assignment")

@@ -179,9 +179,9 @@ class TestStageRuns:
     def test_an_assignment_block_under_one_if_has_one_guard(self):
         unit = compile_program(asmlang.parse(self.SRC))
         rules = unit.ruleset.rules
-        # c, {} and the bit run unguarded; a, {a}, b, d and b U d form
-        # one run behind the guard at s3
-        assert guard_targets(rules, "s") == {"s3": ("s3.r", "d0")}
+        # the bit runs unguarded, and its operands c and {} need no stage;
+        # {a} and b U d form one run behind the guard at s1
+        assert guard_targets(rules, "s") == {"s1": ("s1.r", "d0")}
         assert guard_targets(rules, "m") == {"m0": ("m0.r", "k0")}
 
     def test_commits_under_one_condition_get_one_decide_stage(self):
@@ -211,15 +211,17 @@ class TestStageRuns:
         src = ("atoms a; criticals c, x, y;\n"
                "if c = {} then (if not (x = c or a in y) then x := y"
                " else (if x != y then y := {a}))\n")
-        lo = compiler._Lowerer(["c", "x", "y"])
-        lo.stmt(asmlang.parse(src).body, {}, compiler._TRUE)
+        body = asmlang.parse(src).body
+        lo = compiler._Lowerer(["c", "x", "y"],
+                               asmlang.assigned_criticals(body))
+        lo.stmt(body, {}, compiler._TRUE)
         writers = [(emitter, cond) for _p, cond, emitter, args in lo.steps
                    if args and str(args[-1]).startswith("$b")]
         assert len(writers) == 4
         for emitter, cond in writers:
             assert emitter is compiler.compile_conditional
             assert cond is compiler._TRUE
-        # the operands of the nested tests are evaluated under c = {}
+        # the commits' operands, y's copy and {a}, are evaluated under c = {}
         assert any(not cond.is_true() for _p, cond, _e, _a in lo.steps)
 
 
@@ -609,11 +611,12 @@ class TestGroupedCleanup:
     """Cleanup drops the labels of one path condition up to three a
     tick, and passes over an unset condition's labels in one tick."""
 
-    # seven registers under r = {}: a, b, <a, b>, b, a, <b, a> and the
-    # outer pair, at k0..k2; the bit, then r and {}, run unconditionally
-    # and come last, at k3 and k4
+    # seven registers under r = {}: {a}, {b}, <{a}, {b}>, {b}, {a},
+    # <{b}, {a}> and the outer pair, at k0..k2; the bit runs
+    # unconditionally and comes last, at k3, and the last stage, at k4,
+    # is empty, since r and {} are read where they sit
     GUARDED = ("atoms a, b; criticals r;\n"
-               "if r = {} then r := <<a, b>, <b, a>>\n")
+               "if r = {} then r := <<{a}, {b}>, <{b}, {a}>>\n")
     UNSET = [("k0", "skip"), ("k3", "drop0"), ("k4", "drop")]
 
     def test_unset_group_costs_one_tick(self):
@@ -625,18 +628,18 @@ class TestGroupedCleanup:
     def test_set_group_costs_a_tick_per_three_labels(self):
         state = "term r = {}\n"
         assert_agrees(self.GUARDED, state, seeds=(1, 2))
-        # round one drops the seven guarded registers in three ticks,
-        # and r and {} share the empty set's node
+        # round one drops the seven guarded registers in three ticks, and
+        # the empty last stage drops the $go mark
         first = [("k0", "drop"), ("k1", "drop"), ("k2", "drop"),
                  ("k3", "drop1"), ("k4", "drop-again")]
         for run, rounds in cleanup_rounds(self.GUARDED, state).items():
             assert [stages(r) for r in rounds] == [first, self.UNSET], run
-            assert rounds[0][-1].name == "cleanup:k4:drop-again~X0=X1"
+            assert rounds[0][-1].name == "cleanup:k4:drop-again"
 
     def test_registers_holding_one_node_drop_together(self):
-        # t is read twice under r = {}: two registers on one node, in the
-        # chunk with <t, t>
-        source = "criticals t, r;\nif r = {} then r := <t, t>\n"
+        # {t} is built twice under r = {}: two registers on one node, in
+        # the chunk with <{t}, {t}>
+        source = "criticals t, r;\nif r = {} then r := <{t}, {t}>\n"
         state = "term t = {{}}\nterm r = {}\n"
         assert_agrees(source, state, seeds=(1, 2))
         for run, rounds in cleanup_rounds(source, state).items():
@@ -645,7 +648,7 @@ class TestGroupedCleanup:
 
     def test_bits_on_both_markers_drop_together(self):
         # r = {} holds and t = {} does not in round one; neither in two
-        source = "criticals t, r;\nif r = {} and t != {} then r := t\n"
+        source = "criticals t, r;\nif r = {} and t != {} then r := {t}\n"
         state = "term t = {{}}\nterm r = {}\n"
         assert_agrees(source, state, seeds=(1, 2))
 
@@ -659,6 +662,85 @@ class TestGroupedCleanup:
             assert [bit_targets(r[1]) for r in rounds] == [
                 [("$b0", "T"), ("$b1", "F")],
                 [("$b0", "F"), ("$b1", "F")]], run
+
+
+def applied_rules(source, state_text):
+    """Per edge mode and schedule, the rules each run applied, in order."""
+    runs = {}
+    for neg in MODES:
+        for mode, seed in SCHEDULES:
+            _u, _p, unit, _s, graph = compile_case(
+                source, state_text, negative_edges=neg)
+            applied = []
+            automaton.run(
+                automaton.Configuration(graph, seed=seed, mode=mode),
+                unit.ruleset, on_tick=lambda _c, m: applied.append(m.rule))
+            runs[(neg, mode, seed)] = applied
+    return runs
+
+
+def copy_reads(source):
+    """The labels the eval:*:copy rules of a compiled program read."""
+    unit = compile_program(asmlang.parse(source))
+    return sorted(label for r in unit.ruleset.rules
+                  if re.fullmatch(r"eval:[^:]+:copy", r.name)
+                  for _a, label, _b in r.edges)
+
+
+class TestLeafForwarding:
+    """Critical terms, atoms and {} are read on their own edge of the
+    Criticals node, with no stage; only a commit operand that a commit
+    of the program writes is copied into a register first."""
+
+    def test_leaf_operands_take_no_copy(self):
+        source = "atoms m, q; criticals t, p, r;\nif r = {} then r := t U p\n"
+        assert_agrees(source, "term t = {m}\nterm p = {q}\nterm r = {}\n",
+                      seeds=(1, 2))
+        assert copy_reads(source) == []
+
+    @pytest.mark.parametrize("source, reads", [
+        ("criticals x, y;\nif x != y and y != {} then (x := y par y := x)\n",
+         ["x", "y"]),
+        ("criticals x, y;\nif x != {} then (x := {} par y := x)\n", ["x"]),
+    ], ids=["swap", "empty-then-read"])
+    def test_commit_operands_written_by_a_commit_keep_their_copy(
+            self, source, reads):
+        # without the copy, y's commit would read x's new value
+        assert_agrees(source, "term x = {{}}\nterm y = {}\n", seeds=(1, 2))
+        assert_agrees(source, "term x = {}\nterm y = {{}}\n", seeds=(1, 2))
+        assert copy_reads(source) == reads
+
+    def test_leaf_commits_halt_through_the_empty_last_stage(self):
+        source = "atoms a; criticals x, y;\nif x = {} then (x := a par y := {})\n"
+        state = "term x = {}\nterm y = {{}}\n"
+        assert_agrees(source, state, seeds=(1, 2))
+        unit = compile_program(asmlang.parse(source))
+        assert not any(r.name.startswith("eval:") for r in unit.ruleset.rules)
+        assert unit.registers == []
+        # the bit's chunk at k0, then the empty last stage: the bare focus,
+        # and its $go twin in the round that commits
+        for run, rounds in cleanup_rounds(source, state).items():
+            assert [stages(r) for r in rounds] == [
+                [("k0", "drop1"), ("k1", "drop-again")],
+                [("k0", "drop0"), ("k1", "drop")]], run
+            assert rounds[-1][-1].names == ("C",), run
+
+    @pytest.mark.parametrize("source, kind", [
+        ("criticals t, r;\nif r = {} then r := t U t\n",
+         "union-check:s1.r:same"),
+        ("criticals t, r;\nif t = t and r = {} then r := {t}\n",
+         "conditional:s0:true"),
+        ("criticals t, r;\nif r = {} then r := <t, t>\n", "pairing:s1.r:"),
+    ], ids=["union", "eq", "pair"])
+    def test_one_label_serves_two_operands(self, source, kind):
+        state = "term t = {{}}\nterm r = {}\n"
+        assert_agrees(source, state, seeds=(1, 2))
+        for run, applied in applied_rules(source, state).items():
+            fired = [r for r in applied if r.name.startswith(kind)]
+            assert fired, run
+            # both operands bind one cell through the one t edge
+            for rule in fired:
+                assert [l for _a, l, _b in rule.edges].count("t") == 1, run
 
 
 class TestUnionRegressions:
@@ -743,10 +825,10 @@ class TestUnionRegressions:
 
 class TestPhaseAccounting:
     def test_phases_cover_protocol_steps(self):
+        # g(a) is the eval tick: leaf operands take no tick of their own
         src = ("atoms a, b; functions g/1; criticals t, r;\n"
                "if a in t and r = {} then"
-               " let x = choose(t) in r := {x} U <a, b>\n"
-               .replace("<a, b>", "{<a, b>}"))
+               " let x = choose(t) in r := {x} U {<b, g(a)>}\n")
         state = "term t = {a}\nterm r = {}\n"
         _unit, _cfg, stats, klass, _final, _u = run_automaton(src, state)
         assert klass == interpreter.TERMINAL
@@ -805,13 +887,13 @@ class TestNonTerminating:
 # probe is expected to fail its comparison; a fix turns it into an XPASS,
 # which strict mode reports as a failure until the mark comes off.
 ERROR_PROBES = {
-    # automaton: stuck:s5.r.s after 10 ticks
+    # automaton: stuck:s1.r.s after 4 ticks
     "union-of-atoms": ("atoms a, b; criticals t;\nif t = {} then t := a U b\n",
                        "term t = {}\n", interpreter.TYPE_ERROR),
     # automaton: terminal (an atom has no members)
     "member-of-atom": ("atoms a, b; criticals t;\nif a in b then t := {}\n",
                        "term t = {}\n", interpreter.TYPE_ERROR),
-    # automaton: terminal after 66 ticks, the last write wins
+    # automaton: terminal after 26 ticks, the last write wins
     "clashing-location-writes": (
         "atoms a; functions f/1; criticals x, y, t;\n"
         "if t = {} then (f(x) := {a} par f(y) := {} par t := {{}})\n",
