@@ -209,7 +209,14 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       committed value node decodes, and no two hold one value, which
       mid-protocol marks are exempt from.  The verdict is always that of
       tangle.committed_violations on the tick's graph; the memo only
-      saves walking the whole graph to reach it.
+      saves walking the whole graph to reach it.  Then the critical-term
+      checks run, with tangle.check_invariants' verdict: each term has
+      one edge, and each term's node decodes.  The terms, label -> node,
+      change only through an edge added to or deleted from the Criticals
+      node, which the focus binds, so they are read again only after a
+      tick whose rule has that effect; a term node the committed check
+      decoded (its memo, or a fallback's walk) decodes, and every other
+      term node is walked.
 
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each
@@ -271,7 +278,7 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
             if violations:
                 raise InvariantViolation(cfg.tick, violations, stats)
             table = effects(rules)
-            committed = _CommittedCheck(universe, values, stats)
+            committed = _CommittedCheck(cfg.tangle, universe, values, stats)
         prev_nodes = cfg.tangle.node_count()
         while True:
             applied = step(cfg, rules, stats)
@@ -298,7 +305,8 @@ def effects(rules):
     needs it and kept on the rule set.
 
     Indexed by rule index: None for a rule that can break no structural
-    invariant and touches no node, else (breaks, touches).
+    invariant, touches no node and moves no critical edge, else (breaks,
+    touches, terms).
 
     breaks is None for a rule that can break no structural invariant,
     else (criticals, containment), where criticals is whether the rule
@@ -311,9 +319,13 @@ def effects(rules):
     containment edge it adds or deletes, each cell other than the focus
     it recolors) and whether it creates nodes, each of which is touched.
 
-    Both are fixed for the rule: pattern.apply creates nodes in creates
-    order with those kinds, adds and deletes exactly those edges and
-    recolors exactly those cells.
+    terms is whether the rule adds or deletes an edge out of the focus
+    whose label is not internal: a critical-term or function-location
+    edge of the Criticals node, which the focus binds.
+
+    All three are fixed for the rule: pattern.apply creates nodes in
+    creates order with those kinds, adds and deletes exactly those edges
+    and recolors exactly those cells.
     """
     if rules.effects is None:
         table = []
@@ -330,8 +342,10 @@ def effects(rules):
             cells = tuple(sorted(c for c in cells if c < pattern_cells))
             touches = ((cells, bool(rule.creates))
                        if cells or rule.creates else None)
-            table.append((breaks, touches)
-                         if breaks or touches else None)
+            terms = any(a == rule.focus and not tg.is_internal_label(label)
+                        for a, label, _d in rule.add + rule.delete)
+            table.append((breaks, touches, terms)
+                         if breaks or touches or terms else None)
         rules.effects = tuple(table)
     return rules.effects
 
@@ -342,11 +356,13 @@ def _check(g, applied, prev_nodes, table, idle_colors, committed):
     violations = []
     effect = table[applied.rule_index]
     if effect is not None:
-        breaks, touches = effect
+        breaks, touches, terms = effect
         if breaks is not None:
             violations = _tick_violations(g, applied, prev_nodes, breaks)
         if touches is not None:
             committed.touch(g, applied.binding, prev_nodes, touches)
+        if terms:
+            committed.moved = True
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
         violations += committed.violations(
             g, "containment cycle" in violations)
@@ -356,19 +372,26 @@ def _check(g, applied, prev_nodes, table, idle_colors, committed):
 
 
 class _CommittedCheck:
-    """The committed checks of one checked run's idle ticks (see run).
+    """The committed and critical-term checks of one checked run's idle
+    ticks (see run).
 
     values is the memo, node id -> value, and owner maps each of its
     values' uids to the node; touched holds the nodes the ticks since the
-    last check touched.
+    last check touched.  terms maps each critical term's label to its
+    node, as tangle._critical_terms finds them; moved says that a tick
+    since the last check added or deleted an edge out of the focus that
+    is not internal, so terms may be stale.
     """
 
-    __slots__ = ("universe", "stats", "values", "owner", "touched")
+    __slots__ = ("universe", "stats", "values", "owner", "touched",
+                 "terms", "moved")
 
-    def __init__(self, universe, values, stats):
+    def __init__(self, g, universe, values, stats):
         self.universe = universe
         self.stats = stats
         self.touched = set()
+        self.terms = tg._critical_terms(g, g.active)[0]
+        self.moved = False
         self._seed(values)
 
     def _seed(self, values):
@@ -388,17 +411,44 @@ class _CommittedCheck:
             touched.update(range(prev_nodes, g.node_count()))
 
     def violations(self, g, cyclic):
-        """tangle.committed_violations(g, universe, cyclic): [] when the
-        memo certifies the tangle clean, else that call's result."""
+        """tangle.committed_violations(g, universe, cyclic) followed by
+        the critical-term violations tangle.check_invariants adds to it:
+        the committed part is [] when the memo certifies the tangle
+        clean, else that call's result."""
         self.stats.idle_checks += 1
         if not cyclic and self._clean(g):
             self.touched.clear()
-            return []
-        self.stats.fallbacks += 1
-        values = {}
-        violations = tg.committed_violations(g, self.universe, cyclic, values)
-        if not violations:
-            self._seed(values)
+            values = self.values
+            violations = []
+        else:
+            self.stats.fallbacks += 1
+            values = {}
+            violations = tg.committed_violations(g, self.universe, cyclic,
+                                                 values)
+            if not violations:
+                self._seed(values)
+        violations += [v for v in self._term_violations(g, cyclic, values)
+                       if v not in violations]
+        return violations
+
+    def _term_violations(self, g, cyclic, values):
+        """The critical-term part of tangle.check_invariants, given the
+        values the committed check decoded: when moved, the edge checks
+        of tangle._critical_terms, which also refresh terms; then, unless
+        containment is cyclic, the walk failure of each term node that
+        values lacks, in label order.  After a clean committed check
+        values holds every committed value node, so a term node it lacks
+        is one that is not committed, or not a value."""
+        violations = []
+        if self.moved:
+            self.terms, violations = tg._critical_terms(g, g.active)
+            self.moved = False
+        if not cyclic:
+            rest = [nid for nid in self.terms.values() if nid not in values]
+            if rest:
+                # a copy: the memo holds what committed walks decoded only
+                violations += tg._node_values(g, self.universe, roots=rest,
+                                              memo=dict(values))[1]
         return violations
 
     def _clean(self, g):

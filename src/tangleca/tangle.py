@@ -454,7 +454,9 @@ def check_invariants(g, universe, memo=None):
     added, so an idle-ending tick needs only its own structural check
     and the committed checks, which re-decode only the nodes the ticks
     since the last clean check can have changed (see automaton.run).
-    The critical terms are checked here only.
+    A checked run checks the critical terms again at each idle tick:
+    their edges after a tick that edited the Criticals node's edges, and
+    each term node the committed check did not decode.
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]

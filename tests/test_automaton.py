@@ -470,6 +470,46 @@ class TestIdleTickChecks:
             recolor=[("A", tangle.PLAIN)],
         ) == ["node 3 of kind tuple is not a value"]
 
+    # One tick on {t: {}} (node 1) from red to the idle colour: the
+    # critical-term checks run at the idle check too, not only before the
+    # first tick.
+    def _term_violations(self, **rewrite):
+        u = hfset.Universe()
+        g = tangle.encode({"t": u.empty()}, u, criticals_color="red")
+        rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "idle")]
+        rules = RuleSet(COLORS + ("idle", tangle.MARKER),
+                        ("t", "t2") + tuple(tangle.CONTAINMENT),
+                        [Rule("r", [("C", "red"), ("A", None)],
+                              [("C", "t", "A")], **rewrite)], 3)
+        with pytest.raises(InvariantViolation) as exc:
+            run(Configuration(g), rules, max_ticks=10, check_invariants=True,
+                idle_colors=IDLE, universe=u)
+        assert exc.value.tick == 1
+        assert exc.value.violations == tangle.check_invariants(g, u)
+        return exc.value.violations
+
+    def test_critical_term_added_to_a_node_that_is_not_a_value(self):
+        assert self._term_violations(
+            creates=[("N", tangle.MARKER, tangle.SCRATCH)],
+            add=[("C", "t2", "N")],
+        ) == ["node 2 of kind scratch is not a value"]
+
+    def test_critical_term_given_a_second_edge(self):
+        assert self._term_violations(
+            creates=[("N", tangle.PLAIN, tangle.SET)],
+            add=[("C", "t", "N")],
+        ) == ["duplicate committed value at nodes 1 and 2",
+              "critical term t has multiple edges"]
+
+    def test_term_node_recolored_out_of_committed_then_broken(self):
+        # t's node is no longer committed, so only the term check walks
+        # it, and its new member is a pair without components
+        assert self._term_violations(
+            creates=[("P", tangle.MARKER, tangle.PAIR)],
+            add=[("P", tangle.ELEM, "A")],
+            recolor=[("A", tangle.MARKER)],
+        ) == ["pair node 2 has 0 fst / 0 snd components"]
+
     # Two rounds: tick 1 takes the focus from red to idle, and its idle
     # check is clean, which leaves the run's memo warm; tick 2 edits the
     # nodes the named terms hold and ends at the idle color done.
