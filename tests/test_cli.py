@@ -237,19 +237,22 @@ class TestSimulate:
 # commit run past the run's guard, which removed empty-set stages and
 # commit guard ticks, and again when cleanup began to drop a path
 # condition's registers and bits in grouped ticks, which removed cleanup
-# ticks; the idle checks did not change.
+# ticks, and again (with SIMULATE_MAX_ROUND_TICKS) when critical terms,
+# atoms and {} began to be read where they sit instead of copied into
+# registers, which removed those copy ticks; the idle checks and rounds
+# did not change.
 SIMULATE_CASES = ("04-union-reuse", "06-singleton-nest", "08-location-table",
                   "11-choice-collapse")
 SIMULATE_MODES = ([], ["--negative-edges"],
                   ["--random", "--seed", "3", "--negative-edges"])
 SIMULATE_DIGEST = (
-    "1b5fd68c2d3ae768d226dda0e88592ab29cfae12e403ef4ed0d085c291bf0ab2")
-SIMULATE_MATCHES = [97, 97, 57, 37, 37, 37, 77, 77, 77, 60, 60, 61]
-SIMULATE_SETTLED = [51, 51, 0, 23, 23, 0, 57, 57, 0, 36, 37, 0]
+    "5a225f1b5908ad09b22b6292f4d07268e5c7eca776e63e64d8fb2c1843f876ce")
+SIMULATE_MATCHES = [91, 91, 51, 32, 32, 32, 51, 51, 51, 53, 53, 54]
+SIMULATE_SETTLED = [45, 45, 0, 18, 18, 0, 34, 34, 0, 29, 30, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
 SIMULATE_ROUNDS = [2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2]
-SIMULATE_MAX_ROUND_TICKS = [48, 48, 27, 20, 20, 20, 29, 29, 29, 33, 33, 33]
+SIMULATE_MAX_ROUND_TICKS = [44, 44, 23, 17, 17, 17, 18, 18, 18, 28, 28, 28]
 
 
 def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
@@ -480,7 +483,7 @@ class TestLimitsAndPaths:
             capsys)
         assert code == cli.EXHAUSTED
         assert out == ""
-        assert err == ("error: tick 64: nesting depth 9 exceeds limit 8 "
+        assert err == ("error: tick 55: nesting depth 9 exceeds limit 8 "
                        "(--max-depth 8)\n")
 
     def test_stats_json_on_value_deeper_than_max_depth(self, tmp_path,
@@ -493,10 +496,10 @@ class TestLimitsAndPaths:
              "--stats-json", str(target)], capsys)
         assert code == cli.EXHAUSTED
         assert out == ""
-        assert err.startswith("error: tick 64: nesting depth 9")
+        assert err.startswith("error: tick 55: nesting depth 9")
         stats = json.loads(target.read_text())
-        assert stats["total"] == 64
-        assert sum(stats["rules"].values()) == 64
+        assert stats["total"] == 55
+        assert sum(stats["rules"].values()) == 55
 
     def test_depth_no_generated_case_fits_exits_3(self, capsys):
         code, out, err = run_main(

@@ -259,13 +259,15 @@ class TestGoldenRuleSets:
     cleanup chain, when each run of same-condition stages got one
     guard and each run of commits one decide stage, and when the empty
     set became a plain set and a decide fire began to enter its commit
-    run past the run's guard, and when cleanup began to drop one path
-    condition's labels up to three a tick.
+    run past the run's guard, when cleanup began to drop one path
+    condition's labels up to three a tick, and when critical terms,
+    atoms and {} began to be read where they sit instead of copied into
+    registers.
     """
 
-    DIGEST = "ca3c294eb937030c58999e4bc31a28123903d515c31e3678853869a15e09d92a"
-    FROZEN_DIGEST = ("da9528a0e5e3485b9786e89445720cf6e77c8f118d019b34"
-                     "218f3e7cc7564148")
+    DIGEST = "4da99ec4a6079778c15a3857b2c9ed0da070963836e3f604795c7bc3e7fa45fe"
+    FROZEN_DIGEST = ("de9ead00b0da44618bcf1a96edd16308ccee86665212701f"
+                     "8aac12be286d0f6b")
 
     def test_corpus_rule_sets_unchanged(self):
         assert rule_set_digest(
