@@ -213,10 +213,12 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       checks run, with tangle.check_invariants' verdict: each term has
       one edge, and each term's node decodes.  The terms, label -> node,
       change only through an edge added to or deleted from the Criticals
-      node, which the focus binds, so they are read again only after a
-      tick whose rule has that effect; a term node the committed check
-      decoded (its memo, or a fallback's walk) decodes, and every other
-      term node is walked.
+      node, which the focus binds, so the edges with such an edge's
+      label are read again right after the tick whose rule has that
+      effect, and what is wrong with them is reported at the next idle
+      check; there, a term node the committed check decoded (its memo,
+      or a fallback's walk) decodes, and every other term node is
+      walked.
 
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each
@@ -319,9 +321,9 @@ def effects(rules):
     containment edge it adds or deletes, each cell other than the focus
     it recolors) and whether it creates nodes, each of which is touched.
 
-    terms is whether the rule adds or deletes an edge out of the focus
-    whose label is not internal: a critical-term or function-location
-    edge of the Criticals node, which the focus binds.
+    terms holds the labels, not internal, of the edges out of the focus
+    the rule adds or deletes: critical-term or function-location edges
+    of the Criticals node, which the focus binds.
 
     All three are fixed for the rule: pattern.apply creates nodes in
     creates order with those kinds, adds and deletes exactly those edges
@@ -342,8 +344,9 @@ def effects(rules):
             cells = tuple(sorted(c for c in cells if c < pattern_cells))
             touches = ((cells, bool(rule.creates))
                        if cells or rule.creates else None)
-            terms = any(a == rule.focus and not tg.is_internal_label(label)
-                        for a, label, _d in rule.add + rule.delete)
+            terms = tuple(sorted({
+                label for a, label, _d in rule.add + rule.delete
+                if a == rule.focus and not tg.is_internal_label(label)}))
             table.append((breaks, touches, terms)
                          if breaks or touches or terms else None)
         rules.effects = tuple(table)
@@ -362,7 +365,7 @@ def _check(g, applied, prev_nodes, table, idle_colors, committed):
         if touches is not None:
             committed.touch(g, applied.binding, prev_nodes, touches)
         if terms:
-            committed.moved = True
+            committed.move(g, terms)
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
         violations += committed.violations(
             g, "containment cycle" in violations)
@@ -378,20 +381,23 @@ class _CommittedCheck:
     values is the memo, node id -> value, and owner maps each of its
     values' uids to the node; touched holds the nodes the ticks since the
     last check touched.  terms maps each critical term's label to its
-    node, as tangle._critical_terms finds them; moved says that a tick
-    since the last check added or deleted an edge out of the focus that
-    is not internal, so terms may be stale.
+    node, as tangle._critical_terms finds them, and nodes holds those
+    nodes; pending holds, per label, the violations found on that
+    label's edges since the last check, and stale says that a term was
+    pointed at a node that is not a committed value since then.
     """
 
     __slots__ = ("universe", "stats", "values", "owner", "touched",
-                 "terms", "moved")
+                 "terms", "nodes", "pending", "stale")
 
     def __init__(self, g, universe, values, stats):
         self.universe = universe
         self.stats = stats
         self.touched = set()
         self.terms = tg._critical_terms(g, g.active)[0]
-        self.moved = False
+        self.nodes = set(self.terms.values())
+        self.pending = {}
+        self.stale = False
         self._seed(values)
 
     def _seed(self, values):
@@ -410,45 +416,76 @@ class _CommittedCheck:
         if creates:
             touched.update(range(prev_nodes, g.node_count()))
 
+    def move(self, g, labels):
+        """Read the critical-term edges with the given labels again, right
+        after a tick that added or deleted edges with them.  What is
+        wrong with them waits in pending for the next idle check, and a
+        term now on a node that is not a committed value sets stale."""
+        terms, pending, nodes = self.terms, self.pending, g.nodes
+        for label in labels:
+            found, violations = tg._critical_terms(g, g.active, (label,))
+            terms.pop(label, None)
+            terms.update(found)
+            if violations:
+                pending[label] = violations
+            else:
+                pending.pop(label, None)
+            for nid in found.values():
+                node = nodes[nid]
+                if (node.kind not in tg.VALUE_KINDS
+                        or node.color not in tg.COMMITTED):
+                    self.stale = True
+        self.nodes = set(terms.values())
+
     def violations(self, g, cyclic):
         """tangle.committed_violations(g, universe, cyclic) followed by
         the critical-term violations tangle.check_invariants adds to it:
         the committed part is [] when the memo certifies the tangle
-        clean, else that call's result."""
+        clean, else that call's result.  The term nodes are walked only
+        when stale, after a fallback, or when a term node the ticks can
+        have changed is not in the memo."""
         self.stats.idle_checks += 1
         if not cyclic and self._clean(g):
-            self.touched.clear()
             values = self.values
+            # _clean has grown touched into what the ticks can have changed
+            changed = self.nodes & self.touched
+            stale = self.stale or not changed <= values.keys()
+            self.touched.clear()
             violations = []
         else:
+            stale = True
             self.stats.fallbacks += 1
             values = {}
             violations = tg.committed_violations(g, self.universe, cyclic,
                                                  values)
             if not violations:
                 self._seed(values)
-        violations += [v for v in self._term_violations(g, cyclic, values)
-                       if v not in violations]
+        self.stale = False
+        if stale or self.pending:
+            violations += [v for v in self._term_violations(g, cyclic, values)
+                           if v not in violations]
         return violations
 
     def _term_violations(self, g, cyclic, values):
         """The critical-term part of tangle.check_invariants, given the
-        values the committed check decoded: when moved, the edge checks
-        of tangle._critical_terms, which also refresh terms; then, unless
-        containment is cyclic, the walk failure of each term node that
-        values lacks, in label order.  After a clean committed check
-        values holds every committed value node, so a term node it lacks
-        is one that is not committed, or not a value."""
+        values the committed check decoded: the pending edge violations,
+        in label order; then, unless containment is cyclic, the walk
+        failure of each term node that values lacks, in label order.
+        After a clean committed check values holds every committed value
+        node, so a term node it lacks is one that is not committed, or
+        not a value."""
         violations = []
-        if self.moved:
-            self.terms, violations = tg._critical_terms(g, g.active)
-            self.moved = False
+        terms, pending = self.terms, self.pending
+        for label in sorted(pending):
+            violations += pending[label]
+        pending.clear()
         if not cyclic:
-            rest = [nid for nid in self.terms.values() if nid not in values]
+            rest = [label for label, nid in terms.items() if nid not in values]
             if rest:
                 # a copy: the memo holds what committed walks decoded only
-                violations += tg._node_values(g, self.universe, roots=rest,
-                                              memo=dict(values))[1]
+                violations += tg._node_values(
+                    g, self.universe, roots=[terms[l] for l in sorted(rest)],
+                    memo=dict(values))[1]
         return violations
 
     def _clean(self, g):

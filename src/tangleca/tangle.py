@@ -347,14 +347,15 @@ def _node_values(g, universe, roots=None, memo=None):
     return values, failures
 
 
-def _critical_terms(g, c):
+def _critical_terms(g, c, labels=None):
     """(terms, violations) of the edges out of Criticals node c: terms
     maps each critical term's label to its node, and violations lists
     each dangling edge and each term with more than one edge.  Internal
-    ($/#) edges and function-location tuples are skipped."""
+    ($/#) edges and function-location tuples are skipped.  Given
+    `labels`, only the edges with those labels are read."""
     terms = {}
     violations = []
-    for label in sorted(g.out[c]):
+    for label in sorted(g.out[c] if labels is None else labels):
         if is_internal_label(label):
             continue
         for dst in sorted(g.targets(c, label)):

@@ -472,15 +472,22 @@ class TestIdleTickChecks:
 
     # One tick on {t: {}} (node 1) from red to the idle colour: the
     # critical-term checks run at the idle check too, not only before the
-    # first tick.
-    def _term_violations(self, **rewrite):
+    # first tick.  With held_pair, the rule also binds P, node 2, a marker
+    # pair without components that only the scratch handle holds.
+    def _term_violations(self, held_pair=False, **rewrite):
         u = hfset.Universe()
         g = tangle.encode({"t": u.empty()}, u, criticals_color="red")
+        cells = [("C", "red"), ("A", None)]
+        edges = [("C", "t", "A")]
+        if held_pair:
+            g.add_edge(g.active, HANDLE,
+                       g.add_node(tangle.MARKER, tangle.PAIR))
+            cells.append(("P", None))
+            edges.append(("C", HANDLE, "P"))
         rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "idle")]
         rules = RuleSet(COLORS + ("idle", tangle.MARKER),
-                        ("t", "t2") + tuple(tangle.CONTAINMENT),
-                        [Rule("r", [("C", "red"), ("A", None)],
-                              [("C", "t", "A")], **rewrite)], 3)
+                        ("t", "t2", HANDLE) + tuple(tangle.CONTAINMENT),
+                        [Rule("r", cells, edges, **rewrite)], 3)
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10, check_invariants=True,
                 idle_colors=IDLE, universe=u)
@@ -500,6 +507,12 @@ class TestIdleTickChecks:
             add=[("C", "t", "N")],
         ) == ["duplicate committed value at nodes 1 and 2",
               "critical term t has multiple edges"]
+
+    def test_critical_term_moved_onto_an_untouched_broken_node(self):
+        # no tick touches the pair, so only the term check walks it
+        assert self._term_violations(
+            held_pair=True, add=[("C", "t2", "P")],
+        ) == ["pair node 2 has 0 fst / 0 snd components"]
 
     def test_term_node_recolored_out_of_committed_then_broken(self):
         # t's node is no longer committed, so only the term check walks
