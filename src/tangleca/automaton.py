@@ -215,10 +215,13 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       change only through an edge added to or deleted from the Criticals
       node, which the focus binds, so the edges with such an edge's
       label are read again right after the tick whose rule has that
-      effect, and what is wrong with them is reported at the next idle
-      check; there, a term node the committed check decoded (its memo,
-      or a fallback's walk) decodes, and every other term node is
-      walked.
+      effect (effects), and what is wrong with them is reported at the
+      next idle check.  There a term node the committed check decoded
+      (its memo, or a fallback's walk) decodes.  The others are walked
+      after a fallback, after a term was pointed at a node that is not
+      a committed value, or when one of them is among the nodes the
+      ticks can have changed (the dropped closure below); otherwise each
+      walks as it did at the last check.
 
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each

@@ -1147,6 +1147,7 @@ def _cleanup_stages(steps, prefix, again):
     plain = groups.pop((_TRUE.support, _TRUE.rows), [])
     bits = [l for l in plain if l.startswith("$b")]
     regs = [l for l in plain if not l.startswith("$b")]
+
     def cut(labels):
         return [tuple(labels[i:i + CLEANUP_CHUNK])
                 for i in range(0, len(labels), CLEANUP_CHUNK)]

@@ -456,8 +456,9 @@ def check_invariants(g, universe, memo=None):
     and the committed checks, which re-decode only the nodes the ticks
     since the last clean check can have changed (see automaton.run).
     A checked run checks the critical terms again at each idle tick:
-    their edges after a tick that edited the Criticals node's edges, and
-    each term node the committed check did not decode.
+    the edges with each label a tick edited since the last check, and
+    the term nodes the committed check did not decode that those ticks
+    can have changed.
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]

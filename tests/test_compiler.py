@@ -713,7 +713,8 @@ class TestLeafForwarding:
         assert copy_reads(source) == reads
 
     def test_leaf_commits_halt_through_the_empty_last_stage(self):
-        source = "atoms a; criticals x, y;\nif x = {} then (x := a par y := {})\n"
+        source = ("atoms a; criticals x, y;\n"
+                  "if x = {} then (x := a par y := {})\n")
         state = "term x = {}\nterm y = {{}}\n"
         assert_agrees(source, state, seeds=(1, 2))
         unit = compile_program(asmlang.parse(source))
