@@ -483,11 +483,12 @@ class _CommittedCheck:
             violations += pending[label]
         pending.clear()
         if not cyclic:
-            rest = [label for label, nid in terms.items() if nid not in values]
+            rest = sorted(label for label, nid in terms.items()
+                          if nid not in values)
             if rest:
                 # a copy: the memo holds what committed walks decoded only
                 violations += tg._node_values(
-                    g, self.universe, roots=[terms[l] for l in sorted(rest)],
+                    g, self.universe, roots=[terms[l] for l in rest],
                     memo=dict(values))[1]
         return violations
 
