@@ -217,11 +217,9 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       label are read again right after the tick whose rule has that
       effect (effects), and what is wrong with them is reported at the
       next idle check.  There a term node the committed check decoded
-      (its memo, or a fallback's walk) decodes.  The others are walked
-      after a fallback, after a term was pointed at a node that is not
-      a committed value, or when one of them is among the nodes the
-      ticks can have changed (the dropped closure below); otherwise each
-      walks as it did at the last check.
+      (its memo, or a fallback's walk) decodes to that value, and each
+      other term node is walked at every idle check, through the
+      committed check's values, as tangle.check_invariants walks it.
 
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each
@@ -384,23 +382,20 @@ class _CommittedCheck:
     values is the memo, node id -> value, and owner maps each of its
     values' uids to the node; touched holds the nodes the ticks since the
     last check touched.  terms maps each critical term's label to its
-    node, as tangle._critical_terms finds them, and nodes holds those
-    nodes; pending holds, per label, the violations found on that
-    label's edges since the last check, and stale says that a term was
-    pointed at a node that is not a committed value since then.
+    node, as tangle._critical_terms finds them, and pending holds, per
+    label, the violations found on that label's edges since the last
+    check.
     """
 
     __slots__ = ("universe", "stats", "values", "owner", "touched",
-                 "terms", "nodes", "pending", "stale")
+                 "terms", "pending")
 
     def __init__(self, g, universe, values, stats):
         self.universe = universe
         self.stats = stats
         self.touched = set()
         self.terms = tg._critical_terms(g, g.active)[0]
-        self.nodes = set(self.terms.values())
         self.pending = {}
-        self.stale = False
         self._seed(values)
 
     def _seed(self, values):
@@ -422,9 +417,8 @@ class _CommittedCheck:
     def move(self, g, labels):
         """Read the critical-term edges with the given labels again, right
         after a tick that added or deleted edges with them.  What is
-        wrong with them waits in pending for the next idle check, and a
-        term now on a node that is not a committed value sets stale."""
-        terms, pending, nodes = self.terms, self.pending, g.nodes
+        wrong with them waits in pending for the next idle check."""
+        terms, pending = self.terms, self.pending
         for label in labels:
             found, violations = tg._critical_terms(g, g.active, (label,))
             terms.pop(label, None)
@@ -433,63 +427,35 @@ class _CommittedCheck:
                 pending[label] = violations
             else:
                 pending.pop(label, None)
-            for nid in found.values():
-                node = nodes[nid]
-                if (node.kind not in tg.VALUE_KINDS
-                        or node.color not in tg.COMMITTED):
-                    self.stale = True
-        self.nodes = set(terms.values())
 
     def violations(self, g, cyclic):
-        """tangle.committed_violations(g, universe, cyclic) followed by
-        the critical-term violations tangle.check_invariants adds to it:
-        the committed part is [] when the memo certifies the tangle
-        clean, else that call's result.  The term nodes are walked only
-        when stale, after a fallback, or when a term node the ticks can
-        have changed is not in the memo."""
+        """tangle.check_invariants' violations past its structural ones:
+        tangle.committed_violations(g, universe, cyclic), which is []
+        when the memo certifies the tangle clean, else that call's
+        result; then the pending edge violations, in label order, and,
+        unless containment is cyclic, the walk failure of each term node
+        the committed check did not decode."""
         self.stats.idle_checks += 1
         if not cyclic and self._clean(g):
             values = self.values
-            # _clean has grown touched into what the ticks can have changed
-            changed = self.nodes & self.touched
-            stale = self.stale or not changed <= values.keys()
             self.touched.clear()
             violations = []
         else:
-            stale = True
             self.stats.fallbacks += 1
             values = {}
             violations = tg.committed_violations(g, self.universe, cyclic,
                                                  values)
             if not violations:
                 self._seed(values)
-        self.stale = False
-        if stale or self.pending:
-            violations += [v for v in self._term_violations(g, cyclic, values)
-                           if v not in violations]
-        return violations
-
-    def _term_violations(self, g, cyclic, values):
-        """The critical-term part of tangle.check_invariants, given the
-        values the committed check decoded: the pending edge violations,
-        in label order; then, unless containment is cyclic, the walk
-        failure of each term node that values lacks, in label order.
-        After a clean committed check values holds every committed value
-        node, so a term node it lacks is one that is not committed, or
-        not a value."""
-        violations = []
-        terms, pending = self.terms, self.pending
-        for label in sorted(pending):
-            violations += pending[label]
-        pending.clear()
-        if not cyclic:
-            rest = sorted(label for label, nid in terms.items()
-                          if nid not in values)
-            if rest:
-                # a copy: the memo holds what committed walks decoded only
-                violations += tg._node_values(
-                    g, self.universe, roots=[terms[l] for l in rest],
-                    memo=dict(values))[1]
+        term_violations = [] if cyclic else tg._term_node_failures(
+            g, self.universe, self.terms, values)
+        pending = self.pending
+        if pending:
+            term_violations = [v for label in sorted(pending)
+                               for v in pending[label]] + term_violations
+            pending.clear()
+        if term_violations:
+            violations += [v for v in term_violations if v not in violations]
         return violations
 
     def _clean(self, g):
@@ -497,16 +463,7 @@ class _CommittedCheck:
         that certifies the tangle clean.  False leaves the memo spent:
         the caller re-seeds it or the run ends."""
         values, owner = self.values, self.owner
-        dirty = self.touched
-        stack = list(dirty)
-        out = g.out
-        while stack:
-            edges = out[stack.pop()]
-            for label in tg.CONTAINMENT:
-                for nxt in edges.get(label, ()):
-                    if nxt not in dirty:
-                        dirty.add(nxt)
-                        stack.append(nxt)
+        dirty = _closure(g, self.touched)
         nodes = g.nodes
         roots = []
         for nid in dirty:
@@ -552,16 +509,24 @@ def _tick_violations(g, applied, prev_nodes, breaks):
 
 
 def _reaches(g, start, goal):
-    """True when goal is reachable from start along containment edges."""
-    seen = {start}
-    stack = [start]
+    """True when goal is start or is reachable from it along containment
+    edges.  start == goal cannot give a false cycle: bindings are
+    injective, so an added edge's two ends are one node only when the
+    rule adds a self-loop, which has already closed a cycle."""
+    return goal in _closure(g, {start})
+
+
+def _closure(g, nodes):
+    """Grow the set nodes, in place, into its forward closure along
+    outgoing elem/fst/snd edges (the sets and pairs that contain them),
+    and return it."""
+    stack = list(nodes)
+    out = g.out
     while stack:
-        out = g.out[stack.pop()]
+        edges = out[stack.pop()]
         for label in tg.CONTAINMENT:
-            for nxt in out.get(label, ()):
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in edges.get(label, ()):
+                if nxt not in nodes:
+                    nodes.add(nxt)
                     stack.append(nxt)
-    return False
+    return nodes

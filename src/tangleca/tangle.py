@@ -373,6 +373,21 @@ def _critical_terms(g, c, labels=None):
     return terms, violations
 
 
+def _term_node_failures(g, universe, terms, values):
+    """The walk failures of the critical terms' nodes (terms maps each
+    label to its node), given the values a committed walk decoded: each
+    term node values lacks is walked, in label order, on a copy of
+    values (the memo holds what committed walks decoded only).  A term
+    node in values decodes to that value, so when every term node is
+    there nothing is walked or copied.  check_invariants and a checked
+    automaton.run's idle checks both call this."""
+    if all(map(values.__contains__, terms.values())):
+        return []
+    roots = [terms[label] for label in sorted(terms)
+             if terms[label] not in values]
+    return _node_values(g, universe, roots=roots, memo=dict(values))[1]
+
+
 def decode(g, universe):
     """Critical-term mapping back out of a tangle.
 
@@ -457,8 +472,7 @@ def check_invariants(g, universe, memo=None):
     since the last clean check can have changed (see automaton.run).
     A checked run checks the critical terms again at each idle tick:
     the edges with each label a tick edited since the last check, and
-    the term nodes the committed check did not decode that those ticks
-    can have changed.
+    each term node the committed check did not decode.
     """
     violations = []
     crit = [n.id for n in g.nodes.values() if n.kind == CRITICALS]
@@ -479,9 +493,7 @@ def check_invariants(g, universe, memo=None):
     if len(crit) == 1:
         terms, term_violations = _critical_terms(g, crit[0])
         if not cyclic:
-            # a copy: the memo holds committed nodes only
-            term_violations += _node_values(g, universe, roots=terms.values(),
-                                            memo=dict(values))[1]
+            term_violations += _term_node_failures(g, universe, terms, values)
         violations += [v for v in term_violations if v not in violations]
     return violations
 

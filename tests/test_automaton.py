@@ -376,7 +376,8 @@ class TestIncrementalChecks:
         # only full committed walk of a clean run), one structural check
         # per tick whose rule creates a Criticals node or adds a
         # containment edge, and one incremental committed check per tick
-        # that ends at an idle color
+        # that ends at an idle color; every term node is committed at
+        # idle ticks, so no term node is walked after the first tick
         source, state_text = load_corpus_case("03-accumulate")
         u, _p, unit, _s, graph = compile_case(source, state_text)
         calls = {"full": 0, "structural": 0, "committed": 0,
@@ -394,6 +395,23 @@ class TestIncrementalChecks:
                                 ("incremental", automaton._CommittedCheck,
                                  "_clean")]:
             monkeypatch.setattr(mod, attr, counting(name, getattr(mod, attr)))
+        node_walks = [0]
+        term_walks = []     # per term-node check, its _node_values calls
+        node_values = tangle._node_values
+        term_node_failures = tangle._term_node_failures
+
+        def counted_walk(*args, **kwargs):
+            node_walks[0] += 1
+            return node_values(*args, **kwargs)
+
+        def counted_terms(*args):
+            before = node_walks[0]
+            failures = term_node_failures(*args)
+            term_walks.append(node_walks[0] - before)
+            return failures
+
+        monkeypatch.setattr(tangle, "_node_values", counted_walk)
+        monkeypatch.setattr(tangle, "_term_node_failures", counted_terms)
         idle_ticks = []
         effect_ticks = []
         assert unit.ruleset.effects is None     # not built by the compiler
@@ -417,6 +435,7 @@ class TestIncrementalChecks:
                          # the full check runs the committed part too
                          "committed": 1, "incremental": len(idle_ticks)}
         assert (stats.idle_checks, stats.fallbacks) == (len(idle_ticks), 0)
+        assert term_walks[1:] == [0] * len(idle_ticks)
         # built once per rule set, not per run
         assert automaton.effects(unit.ruleset) is unit.ruleset.effects
 
@@ -525,8 +544,9 @@ class TestIdleTickChecks:
 
     # Two rounds: tick 1 takes the focus from red to idle, and its idle
     # check is clean, which leaves the run's memo warm; tick 2 edits the
-    # nodes the named terms hold and ends at the idle color done.
-    def _second_round(self, terms, u, setup=None, **rewrite):
+    # nodes the named terms hold and ends at the idle color done.  Unless
+    # fallbacks is 0, the committed check of tick 2 falls back.
+    def _second_round(self, terms, u, setup=None, fallbacks=1, **rewrite):
         g = tangle.encode({name: u.parse(text) for name, text in terms.items()},
                           u, criticals_color="red")
         if setup is not None:
@@ -543,10 +563,10 @@ class TestIdleTickChecks:
         with pytest.raises((InvariantViolation, hfset.HFLimitError)) as exc:
             run(cfg, rules, check_invariants=True, universe=u,
                 idle_colors=frozenset(("idle", "done")))
-        # the first idle check was certified from the memo, the second
-        # fell back to the full walk
+        # the first idle check was certified from the memo
         stats = exc.value.stats
-        assert (stats.total, stats.idle_checks, stats.fallbacks) == (2, 2, 1)
+        assert (stats.total, stats.idle_checks, stats.fallbacks) == (
+            2, 2, fallbacks)
         return g, exc.value
 
     @pytest.mark.parametrize("edit", ["add", "delete"])
@@ -565,6 +585,29 @@ class TestIdleTickChecks:
         assert len(exc.violations) == 2
         assert all(v.startswith("duplicate committed value")
                    for v in exc.violations)
+
+    def test_unmoved_term_on_a_set_broken_two_levels_below(self):
+        # t holds the marked set {{<a,b>}}, which decodes but is not
+        # committed; below it sit the marked set {<a,b>} and the marked
+        # pair <a,b>, which no committed node contains.  Tick 2 gives the
+        # pair a second fst edge and moves no term.
+        def setup(g):
+            s = min(g.targets(g.active, "t"))
+            (x,) = g.sources(s, tangle.ELEM)
+            (p,) = g.sources(x, tangle.ELEM)
+            for nid in (s, x, p):
+                g.set_color(nid, tangle.MARKER)
+            g.add_edge(g.active, "$p", p)
+
+        u = hfset.Universe()
+        g, exc = self._second_round({"t": "{{<a,b>}}", "b": "b"}, u,
+                                    setup=setup, fallbacks=0,
+                                    add=[("b", tangle.FST, "$p")])
+        assert exc.tick == 2
+        assert exc.violations == tangle.check_invariants(g, u)
+        assert exc.violations == [
+            "pair node %d has 2 fst / 1 snd components"
+            % min(g.targets(g.active, "$p"))]
 
     def test_marked_node_recolored_plain_duplicates_an_old_value(self):
         # m is a marked copy of r's member {a,b}, ignored until committed

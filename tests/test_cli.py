@@ -555,8 +555,12 @@ class TestLimitsAndPaths:
 
 def test_module_invocation_subprocess():
     prog, state = case("02-counter")
+    # the child imports the package these tests imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tangleca.cli", "interpret", prog, state],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "outcome terminal" in proc.stdout

@@ -14,8 +14,9 @@ frozen generated ones (read only here).  Three properties are checked:
 - clean halts: a run that ends terminal leaves no scratch (`$`-labelled)
   edge on the Criticals node;
 - the incremental committed check: at every idle tick of a checked run,
-  what the run's memo-based check returns equals
-  `tangle.committed_violations` on the same graph.
+  what the run's memo-based committed and critical-term check returns
+  equals `tangle.check_invariants` on the same graph, which has no
+  structural violation in these clean runs.
 """
 import pathlib
 
@@ -171,7 +172,7 @@ def test_incremental_committed_check_agrees_with_the_full_one():
 
     def compared(self, g, cyclic):
         got = real(self, g, cyclic)
-        want = tangle.committed_violations(g, self.universe, cyclic)
+        want = tangle.check_invariants(g, self.universe)
         if got != want:
             disagreements.append((current["label"], g.node_count(), got,
                                   want))
