@@ -368,8 +368,7 @@ def _check(g, applied, prev_nodes, table, idle_colors, committed):
         if terms:
             committed.move(g, terms)
     if idle_colors is None or g.nodes[g.active].color in idle_colors:
-        violations += committed.violations(
-            g, "containment cycle" in violations)
+        violations += committed.violations(g, violations)
     if g.node_count() < prev_nodes:
         violations.insert(0, "node count decreased")
     return violations
@@ -428,13 +427,15 @@ class _CommittedCheck:
             else:
                 pending.pop(label, None)
 
-    def violations(self, g, cyclic):
-        """tangle.check_invariants' violations past its structural ones:
-        tangle.committed_violations(g, universe, cyclic), which is []
-        when the memo certifies the tangle clean, else that call's
-        result; then the pending edge violations, in label order, and,
-        unless containment is cyclic, the walk failure of each term node
-        the committed check did not decode."""
+    def violations(self, g, structural):
+        """tangle.check_invariants' violations past the structural ones
+        the tick reported: tangle.committed_violations(g, universe,
+        cyclic), which is [] when the memo certifies the tangle clean,
+        else that call's result; then, unless there are multiple
+        Criticals nodes, the pending edge violations, in label order,
+        and, unless containment is cyclic, the walk failure of each term
+        node the committed check did not decode."""
+        cyclic = "containment cycle" in structural
         self.stats.idle_checks += 1
         if not cyclic and self._clean(g):
             values = self.values
@@ -447,6 +448,9 @@ class _CommittedCheck:
                                                  values)
             if not violations:
                 self._seed(values)
+        if "multiple criticals" in structural:
+            # check_invariants checks no term then; the run ends here
+            return violations
         term_violations = [] if cyclic else tg._term_node_failures(
             g, self.universe, self.terms, values)
         pending = self.pending

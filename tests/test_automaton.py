@@ -520,6 +520,14 @@ class TestIdleTickChecks:
             add=[("C", "t2", "N")],
         ) == ["node 2 of kind scratch is not a value"]
 
+    def test_critical_term_on_a_second_criticals_node(self):
+        # with two Criticals nodes the full check checks no term, so the
+        # run's term checks report nothing either
+        assert self._term_violations(
+            creates=[("D", tangle.PLAIN, tangle.CRITICALS)],
+            add=[("C", "t2", "D")],
+        ) == ["multiple criticals"]
+
     def test_critical_term_given_a_second_edge(self):
         assert self._term_violations(
             creates=[("N", tangle.PLAIN, tangle.SET)],

@@ -170,8 +170,8 @@ def test_incremental_committed_check_agrees_with_the_full_one():
     current = {}
     disagreements = []
 
-    def compared(self, g, cyclic):
-        got = real(self, g, cyclic)
+    def compared(self, g, structural):
+        got = real(self, g, structural)
         want = tangle.check_invariants(g, self.universe)
         if got != want:
             disagreements.append((current["label"], g.node_count(), got,
