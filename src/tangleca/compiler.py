@@ -186,12 +186,7 @@ _NODE_COLORS = (tangle.PLAIN, tangle.MARKER, tangle.JUNK) + _MARK_COLORS
 
 
 class EmitContext:
-    """Accumulates rules plus the palette/label alphabet they use.
-
-    It also keeps the alias quotients of the templates it has expanded,
-    so that a template structure met again (the same emitter at another
-    entry colour or register) skips the quotient search.
-    """
+    """Accumulates rules plus the palette/label alphabet they use."""
 
     def __init__(self, negative_edges=False):
         self.negative_edges = negative_edges
@@ -199,7 +194,6 @@ class EmitContext:
         self.labels = set(_BASE_LABELS)
         self.colors = {BOOT, DONE, CHOICE_ERROR}
         self.colors.update(_NODE_COLORS)
-        self._quotients = {}
 
     def emit(self, name, cells, edges, recolor=(), add=(), delete=(),
              creates=(), aliases=(), negs=()):
@@ -209,8 +203,8 @@ class EmitContext:
         aliases: cell-name pairs that may legitimately bind one node.
         """
         before = len(self.rules)
-        for mapping, qcells, qedges, suffix in self._variants(cells, edges,
-                                                              aliases):
+        for mapping, qcells, qedges, suffix in _variants(cells, edges,
+                                                         aliases):
             rc = _dedupe(((mapping.get(n, n), c) for n, c in recolor)
                          if mapping else recolor)
             targets = {}
@@ -241,38 +235,6 @@ class EmitContext:
     def ruleset(self):
         return RuleSet(sorted(self.colors), sorted(self.labels),
                        self.rules, RADIUS)
-
-    def _variants(self, cells, edges, aliases):
-        """_variants(cells, edges, aliases), memoized for aliased templates.
-
-        _variants compares colours and labels only for equality, so it
-        runs on the template with each colour and label replaced by the
-        index of its first occurrence (None stays None), and the result
-        is memoized under that template.  The actual colours and labels
-        are then put back; the mappings are shared, and emit only reads
-        them.
-        """
-        if not aliases:
-            return _variants(cells, edges, aliases)
-        colors = {}
-        labels = {}
-        key_cells = tuple((n, None if c is None
-                           else colors.setdefault(c, len(colors)))
-                          for n, c in cells)
-        key_edges = tuple((a, labels.setdefault(l, len(labels)), b)
-                          for a, l, b in edges)
-        key = (key_cells, key_edges, tuple(aliases))
-        found = self._quotients.get(key)
-        if found is None:
-            found = self._quotients[key] = _variants(key_cells, key_edges,
-                                                     aliases)
-        colors = list(colors)
-        labels = list(labels)
-        return [(mapping,
-                 [(n, None if c is None else colors[c]) for n, c in qcells],
-                 [(a, labels[l], b) for a, l, b in qedges],
-                 suffix)
-                for mapping, qcells, qedges, suffix in found]
 
 
 def _dedupe(items):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import automaton
 from . import compiler
+from . import hfset
 from . import interpreter
 
 DEFAULT_MAX_TICKS = 500000
@@ -36,7 +37,8 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
     carry it.  Runs the deterministic schedule once and a random schedule
     per seed.  Returns a CaseResult listing every disagreement; with
     check_invariants on, a schedule that leaves the tangle malformed is
-    one, and the next schedule still runs.
+    one, and so is a schedule whose checks meet a value past the
+    universe's limits (hfset.HFLimitError); the next schedule still runs.
     """
     oracle_state, _steps, oracle_outcome = interpreter.run_to_termination(
         program, state, universe, seed=0)
@@ -61,30 +63,29 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
             disagreements.append("%s: invariant violation at tick %d: %s"
                                  % (tag, exc.tick, "; ".join(exc.violations)))
             continue
+        except hfset.HFLimitError as exc:
+            total_ticks += exc.stats.total
+            disagreements.append("%s: limit exceeded at tick %d: %s"
+                                 % (tag, cfg.tick, exc))
+            continue
         total_ticks += stats.total
         if outcome != automaton.QUIESCENT:
             disagreements.append("%s: automaton %s" % (tag, outcome))
             continue
         automaton_outcome = unit.classify(cfg.tangle)
-        if oracle_outcome == interpreter.TERMINAL:
-            if automaton_outcome != interpreter.TERMINAL:
-                disagreements.append(
-                    "%s: interpreter terminal, automaton %s"
-                    % (tag, automaton_outcome))
-                continue
+        if oracle_outcome not in (interpreter.TERMINAL,
+                                  interpreter.EMPTY_CHOICE):
+            disagreements.append(
+                "%s: oracle outcome %s not comparable"
+                % (tag, oracle_outcome))
+        elif automaton_outcome != oracle_outcome:
+            disagreements.append("%s: interpreter %s, automaton %s"
+                                 % (tag, oracle_outcome, automaton_outcome))
+        elif oracle_outcome == interpreter.TERMINAL:
             final = unit.final_state(cfg.tangle, universe)
             if final.items() != oracle_state.items():
                 disagreements.append(
                     "%s: state mismatch\n  automaton: %s\n  oracle:    %s"
                     % (tag, interpreter.print_state(final).strip(),
                        interpreter.print_state(oracle_state).strip()))
-        elif oracle_outcome == interpreter.EMPTY_CHOICE:
-            if automaton_outcome != interpreter.EMPTY_CHOICE:
-                disagreements.append(
-                    "%s: interpreter empty-choice, automaton %s"
-                    % (tag, automaton_outcome))
-        else:
-            disagreements.append(
-                "%s: oracle outcome %s not comparable"
-                % (tag, oracle_outcome))
     return CaseResult(label, disagreements, total_ticks)

@@ -88,26 +88,13 @@ def _final_table(plans, by_color, wildcard):
     """PlanIndex.final, as a tuple indexed by rule index.
 
     A plan with its group's largest cell count is final untested, and a
-    plan is tested only against later plans with more cells.  The
-    non-focus colours of a plan are counted once, when a test first
-    needs them: B can take A's cells iff the cells of each colour A has
-    beyond B's cells of that colour fit, all together, into B's wildcard
-    cells (B has more cells in all, so A's wildcard cells then fit into
-    what is left).
+    plan is tested only against later plans with more cells, by the
+    colours of their non-focus cells: B can take A's cells iff the cells
+    of each colour A has beyond B's cells of that colour fit, all
+    together, into B's wildcard cells (B has more cells in all, so A's
+    wildcard cells then fit into what is left).
     """
     final = [True] * (1 + max([p.rule_index for p in plans], default=-1))
-    counts = {}
-
-    def count(p):
-        found = counts.get(p)
-        if found is None:
-            tally = {}
-            for cell, c in enumerate(p.colors):
-                if cell != p.focus:
-                    tally[c] = tally.get(c, 0) + 1
-            found = counts[p] = (tally, tally.pop(None, 0))
-        return found
-
     groups = [(group, False) for group in by_color.values()]
     if wildcard:
         # a wildcard-focus rule meets every later plan
@@ -117,10 +104,10 @@ def _final_table(plans, by_color, wildcard):
         for k, a in enumerate(group):
             if a.n == largest or (a.colors[a.focus] is None) != wild:
                 continue
-            need = count(a)[0]
+            need = _count(a)[0]
             for b in group[k + 1:]:
                 if b.n > a.n:
-                    have, spare = count(b)
+                    have, spare = _count(b)
                     for c, m in need.items():
                         m -= have.get(c, 0)
                         if m > 0:
@@ -131,6 +118,15 @@ def _final_table(plans, by_color, wildcard):
                         final[a.rule_index] = False
                         break
     return tuple(final)
+
+
+def _count(plan):
+    """({colour: cells}, wildcard cells) over the plan's non-focus cells."""
+    tally = {}
+    for cell, c in enumerate(plan.colors):
+        if cell != plan.focus:
+            tally[c] = tally.get(c, 0) + 1
+    return tally, tally.pop(None, 0)
 
 
 def enumerate_matches(index, g, active):

@@ -658,6 +658,9 @@ CONTAINMENT_EDGES = sorted(tangle.CONTAINMENT)
 # value often makes it equal another
 VALUE_TEXT = st.sampled_from(("{}", "{{}}", "{a}", "{b}", "{a,b}", "{{a}}",
                               "{{a},b}", "{{a,b}}", "<a,b>", "{<a,b>}"))
+# the labels of the rules' term edits: random_graph's values hold t0 to
+# t3, its marked sets may hold u and v, and no term holds w at first
+TERM_LABELS = ("t0", "u", "v", "w")
 
 
 @st.composite
@@ -670,8 +673,9 @@ def random_rules(draw):
       so an edit two levels below R follows an idle check, often a clean
       one that left the memo warm;
     - one to three rules at a drawn focus color create nodes, add and
-      delete containment edges among pattern and created cells, and
-      recolor other cells into and out of the committed colors;
+      delete containment edges among pattern and created cells, may add
+      or delete a critical-term edge out of the focus, and recolor other
+      cells into and out of the committed colors;
     - r0 matches at any focus color and any two $x targets, may recolor
       A or B, and moves the focus to the idle color, so every run takes
       a tick and reaches an idle check."""
@@ -696,6 +700,12 @@ def random_rules(draw):
         add_edges = draw(st.lists(edge, max_size=3))
         add_edges += [("C", HANDLE, name) for name, _c, _k in creates]
         delete = draw(st.lists(edge, max_size=2))
+        term = draw(st.none() | st.tuples(st.booleans(),
+                                          st.sampled_from(TERM_LABELS),
+                                          st.sampled_from(names)))
+        if term is not None:
+            added, label, name = term
+            (add_edges if added else delete).append(("C", label, name))
         recolor = draw(st.lists(
             st.tuples(st.sampled_from(names), st.sampled_from(VALUE_COLORS)),
             max_size=2, unique_by=lambda cell: cell[0]))
@@ -710,17 +720,18 @@ def random_rules(draw):
     rules.append(Rule("r0", cells, pattern,
                       recolor=recolor + [("C", "idle")]))
     return RuleSet(FOCUS_COLORS + VALUE_COLORS,
-                   (HANDLE,) + tuple(tangle.CONTAINMENT), rules, 3)
+                   (HANDLE,) + tuple(tangle.CONTAINMENT) + TERM_LABELS,
+                   rules, 3)
 
 
 @st.composite
 def random_graph(draw):
     """Criticals with $x edges to every value node: committed, nested,
-    maximally shared values as tangle.encode builds them, one node
-    inside them marked, and a few marked value nodes with acyclic
-    containment edges into them, plus at most one arbitrary edge (which
-    may close a cycle or break a committed value before the first
-    tick)."""
+    maximally shared values as tangle.encode builds them, each held by
+    its term label, one node inside them marked, and a few marked value
+    nodes with acyclic containment edges into them, whose sets may hold
+    the terms u and v, plus at most one arbitrary edge (which may close
+    a cycle or break a committed value before the first tick)."""
     u = hfset.Universe()
     terms = {"t%d" % i: u.parse(text)
              for i, text in enumerate(draw(st.lists(VALUE_TEXT, max_size=4)))}
@@ -734,6 +745,10 @@ def random_graph(draw):
     marked = [g.add_node(tangle.MARKER,
                          draw(st.sampled_from((tangle.SET, tangle.PAIR))))
               for _ in range(draw(st.integers(2, 4)))]
+    sets = [n for n in marked if g.nodes[n].kind == tangle.SET]
+    if sets:
+        for label in draw(st.lists(st.sampled_from(("u", "v")), unique=True)):
+            g.add_edge(c, label, draw(st.sampled_from(sets)))
     nodes = [nid for nid in sorted(g.nodes) if nid != c]
     for n in nodes:
         g.add_edge(c, HANDLE, n)

@@ -388,6 +388,80 @@ class TestInvariants:
         assert check_invariants(g, u) == []
 
 
+class TestErrorBranches:
+    def locations(self, u):
+        """encode f(a) = {} and f(b) = {a}; returns (g, the tuple of f(a))."""
+        a, b = u.atom("a"), u.atom("b")
+        g = encode({}, locations={("f", (a,)): u.empty(),
+                                  ("f", (b,)): u.singleton(a)},
+                   universe=u, atoms=("a", "b"))
+        fa = min(g.targets(g.criticals(), "f"))
+        return g, fa
+
+    def test_no_criticals(self):
+        g = Tangle()
+        g.add_node(tangle.PLAIN, tangle.SET)
+        assert check_invariants(g, Universe()) == ["no criticals"]
+        with pytest.raises(TangleError, match=(
+                "^expected exactly one criticals node, found 0$")):
+            g.criticals()
+
+    def test_two_criticals_node_lookup(self):
+        g = encode({}, universe=Universe())
+        g.add_node(tangle.PLAIN, tangle.CRITICALS)
+        with pytest.raises(TangleError, match=(
+                "^expected exactly one criticals node, found 2$")):
+            g.criticals()
+
+    def test_active_is_not_the_criticals_node(self):
+        u = Universe()
+        g = encode({"t": u.empty()}, universe=u)
+        (g.active,) = g.targets(g.criticals(), "t")
+        assert check_invariants(g, u) == ["active is not the criticals node"]
+
+    def test_tuple_with_two_arg_edges(self):
+        u = Universe()
+        g, fa = self.locations(u)
+        (b,) = g.targets(g.criticals(), tangle.atom_edge("b"))
+        g.add_edge(fa, tangle.arg_label(1), b)
+        with pytest.raises(TangleError,
+                           match="^tuple %d has 2 arg1 edges$" % fa):
+            decode_locations(g, u)
+
+    def test_tuple_with_two_val_edges(self):
+        u = Universe()
+        g, fa = self.locations(u)
+        (b,) = g.targets(g.criticals(), tangle.atom_edge("b"))
+        g.add_edge(fa, tangle.VAL, b)
+        with pytest.raises(TangleError,
+                           match="^tuple %d has 2 val edges$" % fa):
+            decode_locations(g, u)
+
+    def test_duplicate_location(self):
+        u = Universe()
+        g, fa = self.locations(u)
+        again = g.add_node(tangle.PLAIN, tangle.TUPLE)
+        for label in (tangle.arg_label(1), tangle.VAL):
+            g.add_edge(again, label, min(g.targets(fa, label)))
+        g.add_edge(g.criticals(), "f", again)
+        with pytest.raises(TangleError) as exc:
+            decode_locations(g, u)
+        assert str(exc.value) == "duplicate location ('f', (a,))"
+
+    @pytest.mark.parametrize("label, what", [
+        (tangle.arg_label(1), "tuple arg"), (tangle.VAL, "tuple val")])
+    def test_location_reaches_an_undecodable_node(self, label, what):
+        # a marked set is not committed, so the walk does not decode it
+        u = Universe()
+        g, fa = self.locations(u)
+        g.remove_edge(fa, label, min(g.targets(fa, label)))
+        m = g.add_node(tangle.MARKER, tangle.SET)
+        g.add_edge(fa, label, m)
+        with pytest.raises(TangleError) as exc:
+            decode_locations(g, u)
+        assert str(exc.value) == "%s reaches undecodable node %d" % (what, m)
+
+
 class TestUniverseIsRequired:
     """Encoding, decoding and checking run in the values' own universe;
     there is no fallback to a fresh one."""
