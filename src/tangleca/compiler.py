@@ -66,7 +66,6 @@ from . import interpreter
 from . import tangle
 from .pattern import Rule, RuleSet, has_directed_cycle, validate_ruleset
 
-RADIUS = 3
 CLEANUP_CHUNK = 3    # labels a cleanup stage drops in one tick, at most
 
 BOOT = "boot"
@@ -81,8 +80,6 @@ MKUR = "mkur"        # union: rejected-candidate member found in an operand
 UREJ = "urej"        # union: candidate already rejected
 MKB = "mkb"          # union build: member already copied
 UBUILD = "ubuild"    # union result under construction
-
-_MARK_COLORS = (SUGG, TESTED, MKU, MKUR, UREJ, MKB, UBUILD)
 
 # scratch edge labels shared by all protocol instances (never live
 # across protocol boundaries)
@@ -180,20 +177,14 @@ class Formula:
 
 # -- rule emission -------------------------------------------------------
 
-_BASE_LABELS = (tangle.ELEM, tangle.FST, tangle.SND, tangle.VAL,
-                tangle.EMPTY_EDGE, tangle.TRUE_EDGE, tangle.FALSE_EDGE)
-_NODE_COLORS = (tangle.PLAIN, tangle.MARKER, tangle.JUNK) + _MARK_COLORS
-
-
 class EmitContext:
-    """Accumulates rules plus the palette/label alphabet they use."""
+    """Accumulates the rules of one compilation in emission order.
+    negative_edges makes the emitters mark rejected candidates with
+    scratch edges that negative edges test (see compile_singleton)."""
 
     def __init__(self, negative_edges=False):
         self.negative_edges = negative_edges
         self.rules = []
-        self.labels = set(_BASE_LABELS)
-        self.colors = {BOOT, DONE, CHOICE_ERROR}
-        self.colors.update(_NODE_COLORS)
 
     def emit(self, name, cells, edges, recolor=(), add=(), delete=(),
              creates=(), aliases=(), negs=()):
@@ -220,21 +211,11 @@ class EmitContext:
             rule = Rule(name + suffix, qcells, qedges, recolor=rc, add=qadd,
                         delete=qdel, creates=creates, negs=qneg)
             self.rules.append(rule)
-            for _n, c in qcells:
-                if c is not None:
-                    self.colors.add(c)
-            for n, c in rc:
-                self.colors.add(c)
-            for _n, c, _k in creates:
-                self.colors.add(c)
-            for a, l, b in list(qedges) + qadd + qdel + qneg:
-                self.labels.add(l)
         if len(self.rules) == before:
             raise CompileError("template %s has no feasible variant" % name)
 
     def ruleset(self):
-        return RuleSet(sorted(self.colors), sorted(self.labels),
-                       self.rules, RADIUS)
+        return RuleSet(self.rules)
 
 
 def _dedupe(items):
@@ -1130,15 +1111,15 @@ def _cleanup_stages(steps, prefix, again):
 
 
 class CompilationUnit:
-    """A compiled program: the rule set plus everything needed to run
-    it against encoded states and read answers back out."""
+    """A compiled program: its rule set; the focus colour after boot
+    (first_color), on halting (done_color), and wherever no transition
+    is under way, so that a checked run also checks the committed values
+    there (idle_colors); and the program, to encode states and read
+    answers back out."""
 
-    def __init__(self, program, ruleset, registers, bits, first_color,
-                 idle_colors):
+    def __init__(self, program, ruleset, first_color, idle_colors):
         self.program = program
         self.ruleset = ruleset
-        self.registers = registers
-        self.bits = bits
         self.first_color = first_color
         self.done_color = DONE
         self.idle_colors = idle_colors
@@ -1181,8 +1162,6 @@ def compile_program(program, negative_edges=False):
     lo.stmt(program.body, {}, _TRUE)
     if not lo.commits:
         raise CompileError("program has no assignment")
-    registers = ["$r%d" % i for i in range(lo.nreg)]
-    bits = ["$b%d" % i for i in range(lo.nbit)]
     first = "s0" if lo.steps else "d0"
     # a later commit of a run shares the run's condition, so its decide
     # stage could only pass after the run's first one passed: it gets none;
@@ -1209,19 +1188,10 @@ def compile_program(program, negative_edges=False):
     _emit_stages(ctx, "m", lo.commits, "k0")
     _emit_stages(ctx, "k", cleanup, DONE)
 
-    for name in program.atoms:
-        ctx.labels.add(tangle.atom_edge(name))
-    for name in program.criticals:
-        ctx.labels.add(name)
-    for fname, arity in program.functions:
-        ctx.labels.add(fname)
-        for i in range(1, arity + 1):
-            ctx.labels.add(tangle.arg_label(i))
-
     ruleset = ctx.ruleset()
-    problems = validate_ruleset(ruleset, negative_edges=negative_edges)
+    problems = validate_ruleset(ruleset)
     if problems:
         raise CompileError("generated rule set is invalid: "
                            + "; ".join(problems[:5]))
     idle = frozenset((BOOT, first, DONE, CHOICE_ERROR))
-    return CompilationUnit(program, ruleset, registers, bits, first, idle)
+    return CompilationUnit(program, ruleset, first, idle)

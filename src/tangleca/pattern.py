@@ -33,10 +33,17 @@ candidate set (see make_plan).
 Matches come out of the kernel in join order: rule order, then the
 nodes bound at the plan's first step, its second, and so on (see
 make_plan).
+
+A rule set is its rules and nothing else: no declared palette or label
+alphabet, since each colour and label it uses is one its rules name.
+Every pattern's radius stays within RADIUS, which validate_ruleset
+checks.
 """
 from __future__ import annotations
 
 from . import kernel
+
+RADIUS = 3   # max hops from the focus to any pattern cell
 
 
 class RuleError(Exception):
@@ -156,14 +163,11 @@ def has_directed_cycle(out):
 
 
 class RuleSet:
-    """Palette, alphabet, rules and radius.  The rules are a tuple: the
-    plan index and the effect table are built from them once."""
+    """The rules, as a tuple: the plan index and the effect table are
+    built from them once."""
 
-    def __init__(self, palette, labels, rules, radius):
-        self.palette = set(palette)
-        self.labels = set(labels)
+    def __init__(self, rules):
         self.rules = tuple(rules)
-        self.radius = radius
         self._plans = None
         self.effects = None  # automaton.effects builds it on first need
 
@@ -318,19 +322,17 @@ def apply(g, rule, binding):
     return created
 
 
-def validate_ruleset(ruleset, negative_edges=False):
-    """Palette, alphabet (the labels of edges, negative edges and
-    edits), shape, duplicate-rule-name and extension-flag violations
-    across all rules; empty list iff valid.  A fault in a
-    rule's own cell names cannot reach here: Rule raises it when the
-    rule is built.  Every pattern make_plan refuses is reported: a
-    disconnected one, and an edge or negative edge from a cell to itself
-    ("pattern loop", "negative edge loop").
+def validate_ruleset(ruleset):
+    """Duplicate-rule-name and shape violations across all rules; empty
+    list iff valid.  Shape: a radius over RADIUS, and every pattern
+    make_plan refuses: a disconnected one, and an edge or negative edge
+    from a cell to itself ("pattern loop", "negative edge loop").  A
+    fault in a rule's own cell names cannot reach here: Rule raises it
+    when the rule is built.
 
     A pattern's shape depends only on its cell count, focus and edge
     endpoints, so it is computed once per such key within one call.
     """
-    palette, labels = ruleset.palette, ruleset.labels
     violations = []
     seen_names = set()
     shapes = {}
@@ -339,16 +341,6 @@ def validate_ruleset(ruleset, negative_edges=False):
         if rule.name in seen_names:
             violations.append(ctx + "duplicate rule name")
         seen_names.add(rule.name)
-        for color in rule.colors:
-            if color is not None and color not in palette:
-                violations.append(ctx + "color %s not in palette" % color)
-        for _a, l, _b in rule.edges:
-            if l not in labels:
-                violations.append(ctx + "label %s not in alphabet" % l)
-        for _a, l, _b in rule.negs:
-            if l not in labels:
-                violations.append(ctx + "negative label %s not in alphabet"
-                                  % l)
         key = (len(rule.colors), rule.focus,
                tuple([(a, b) for a, _l, b in rule.edges]))
         found = shapes.get(key)
@@ -357,25 +349,13 @@ def validate_ruleset(ruleset, negative_edges=False):
         r, cyclic = found
         if r is None:
             violations.append(ctx + "pattern is disconnected")
-        elif r > ruleset.radius:
+        elif r > RADIUS:
             violations.append(ctx + "radius %d exceeds bound %d"
-                              % (r, ruleset.radius))
+                              % (r, RADIUS))
         if cyclic:
             violations.append(ctx + "pattern loop")
-        if rule.negs and not negative_edges:
-            violations.append(ctx + "negative edges without the extension flag")
         if any(a == b for a, _l, b in rule.negs):
             violations.append(ctx + "negative edge loop")
-        for color, _kind in rule.creates:
-            if color not in palette:
-                violations.append(ctx + "created color %s not in palette"
-                                  % color)
-        for _i, color in rule.recolor:
-            if color not in palette:
-                violations.append(ctx + "recolor to %s not in palette" % color)
-        for _a, l, _b in rule.add + rule.delete:
-            if l not in labels:
-                violations.append(ctx + "edit label %s not in alphabet" % l)
     return violations
 
 
@@ -384,10 +364,7 @@ def validate_ruleset(ruleset, negative_edges=False):
 def serialize_ruleset(ruleset):
     """The rule set as text, cells by name.  The format is an output
     only: nothing reads it back."""
-    lines = ["ruleset"]
-    lines.append("palette " + " ".join(sorted(ruleset.palette)))
-    lines.append("labels " + " ".join(sorted(ruleset.labels)))
-    lines.append("radius %d" % ruleset.radius)
+    lines = ["ruleset", "radius %d" % RADIUS]
     for rule in ruleset.rules:
         names = rule.names
         lines.append("rule %s" % rule.name)

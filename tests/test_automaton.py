@@ -10,8 +10,6 @@ from tangleca.pattern import Rule, RuleSet
 
 from conftest import compile_case, load_corpus_case
 
-COLORS = ("red", "green", "blue", "plain")
-LABELS = ("x", "y")
 # a scratch label, so the Criticals node may hold it to several nodes;
 # an "x" term with two edges is itself an invariant violation
 HANDLE = "$x"
@@ -31,7 +29,7 @@ def overlap_setup():
     large = Rule("large", [("C", "red"), ("A", None), ("B", None)],
                  [("C", "x", "A"), ("A", "y", "B")],
                  recolor=[("C", "blue")])
-    return g, RuleSet(COLORS, LABELS, [small, large], 3)
+    return g, RuleSet([small, large])
 
 
 class TestPrecedence:
@@ -64,7 +62,7 @@ class TestScheduling:
         g.active = c
         rule = Rule("pick", [("C", "red"), ("A", None)], [("C", "x", "A")],
                     recolor=[("C", "green")], delete=[("C", "x", "A")])
-        return g, RuleSet(COLORS, LABELS, [rule], 3)
+        return g, RuleSet([rule])
 
     def test_deterministic_takes_least_binding(self):
         g, rules = self._tie_setup()
@@ -138,7 +136,7 @@ class TestJoinOrder:
         rule = Rule("late", [("C", "red"), ("A", None), ("B", None)],
                     [("C", "x", "B"), ("B", "y", "A")],
                     recolor=[("C", "green")])
-        return g, RuleSet(COLORS, LABELS, [rule], 3)
+        return g, RuleSet([rule])
 
     def test_out_of_order_plan_applies_its_first_join(self):
         g, rules = self._setup()
@@ -156,7 +154,7 @@ class TestRunLoop:
         g.active = c
         rule = Rule("r", [("C", "red")], [], recolor=[("C", "green")])
         cfg, stats, outcome = run(Configuration(g),
-                                  RuleSet(COLORS, LABELS, [rule], 3))
+                                  RuleSet([rule]))
         assert outcome == QUIESCENT
         assert stats.total == 0 and cfg.tick == 0
 
@@ -166,7 +164,7 @@ class TestRunLoop:
         g.active = c
         ping = Rule("t:ping", [("C", "red")], [], recolor=[("C", "green")])
         pong = Rule("t:pong", [("C", "green")], [], recolor=[("C", "red")])
-        return g, RuleSet(COLORS, LABELS, [ping, pong], 3)
+        return g, RuleSet([ping, pong])
 
     def test_budget_exhaustion(self):
         g, rules = self._pingpong()
@@ -220,9 +218,9 @@ class TestInvariantChecking:
         g = tangle.Tangle()
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
-        rules = RuleSet(COLORS, LABELS, [
+        rules = RuleSet([
             Rule("bad", [("C", "red")], [], recolor=[("C", "blue")],
-                 creates=[("D", "plain", tangle.CRITICALS)])], 3)
+                 creates=[("D", "plain", tangle.CRITICALS)])])
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, check_invariants=True,
                 universe=hfset.Universe())
@@ -233,8 +231,8 @@ class TestInvariantChecking:
         g = tangle.Tangle()
         c = g.add_node("red", tangle.CRITICALS)
         g.active = c
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("ok", [("C", "red")], [], recolor=[("C", "blue")])], 3)
+        rules = RuleSet([
+            Rule("ok", [("C", "red")], [], recolor=[("C", "blue")])])
         _, _, outcome = run(Configuration(g), rules, check_invariants=True,
                             universe=hfset.Universe())
         assert outcome == QUIESCENT
@@ -249,7 +247,7 @@ class TestInvariantChecking:
         g.add_edge(c, "x", e1)
         dup = Rule("dup", [("C", "red")], [], recolor=[("C", "green")],
                    creates=[("E", tangle.PLAIN, tangle.SET)])
-        relax = RuleSet(COLORS, LABELS, [dup], 3)
+        relax = RuleSet([dup])
         with pytest.raises(InvariantViolation):
             run(Configuration(g), relax, check_invariants=True,
                 universe=hfset.Universe(),
@@ -299,8 +297,7 @@ def two_set_rules(*rewrites, colors=("red",)):
     rules = [Rule("r%d" % i, [("C", color), ("A", None), ("B", None)],
                   [("C", HANDLE, "A"), ("C", HANDLE, "B")], **rewrite)
              for i, (color, rewrite) in enumerate(zip(colors, rewrites))]
-    return RuleSet(COLORS + ("idle",),
-                   LABELS + (HANDLE,) + tuple(tangle.CONTAINMENT), rules, 3)
+    return RuleSet(rules)
 
 
 class TestIncrementalChecks:
@@ -504,9 +501,7 @@ class TestIdleTickChecks:
             cells.append(("P", None))
             edges.append(("C", HANDLE, "P"))
         rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "idle")]
-        rules = RuleSet(COLORS + ("idle", tangle.MARKER),
-                        ("t", "t2", HANDLE) + tuple(tangle.CONTAINMENT),
-                        [Rule("r", cells, edges, **rewrite)], 3)
+        rules = RuleSet([Rule("r", cells, edges, **rewrite)])
         with pytest.raises(InvariantViolation) as exc:
             run(Configuration(g), rules, max_ticks=10, check_invariants=True,
                 idle_colors=IDLE, universe=u)
@@ -561,12 +556,10 @@ class TestIdleTickChecks:
             setup(g)
         cells = sorted(g.out[g.active])
         rewrite["recolor"] = rewrite.get("recolor", []) + [("C", "done")]
-        rules = RuleSet(
-            COLORS + ("idle", "done", tangle.MARKER),
-            tuple(cells) + tuple(tangle.CONTAINMENT),
-            [Rule("warm", [("C", "red")], [], recolor=[("C", "idle")]),
-             Rule("edit", [("C", "idle")] + [(c, None) for c in cells],
-                  [("C", c, c) for c in cells], **rewrite)], 3)
+        rules = RuleSet([
+            Rule("warm", [("C", "red")], [], recolor=[("C", "idle")]),
+            Rule("edit", [("C", "idle")] + [(c, None) for c in cells],
+                 [("C", c, c) for c in cells], **rewrite)])
         cfg = Configuration(g)
         with pytest.raises((InvariantViolation, hfset.HFLimitError)) as exc:
             run(cfg, rules, check_invariants=True, universe=u,
@@ -719,9 +712,7 @@ def random_rules(draw):
                             max_size=1))
     rules.append(Rule("r0", cells, pattern,
                       recolor=recolor + [("C", "idle")]))
-    return RuleSet(FOCUS_COLORS + VALUE_COLORS,
-                   (HANDLE,) + tuple(tangle.CONTAINMENT) + TERM_LABELS,
-                   rules, 3)
+    return RuleSet(rules)
 
 
 @st.composite

@@ -95,7 +95,7 @@ class TestCompileStructure:
     @pytest.mark.parametrize("neg", MODES)
     def test_ruleset_validates_cleanly(self, neg):
         unit = compile_program(asmlang.parse(self.SRC), negative_edges=neg)
-        assert validate_ruleset(unit.ruleset, negative_edges=neg) == []
+        assert validate_ruleset(unit.ruleset) == []
 
     def test_rule_names_unique_and_phase_tagged(self):
         unit = compile_program(asmlang.parse(self.SRC))
@@ -112,7 +112,12 @@ class TestCompileStructure:
         assert unit.done_color == "done"
         assert compiler.CHOICE_ERROR == "choice-error"
         assert {"boot", "done", "choice-error"} <= set(unit.idle_colors)
-        assert set(unit.idle_colors) <= set(unit.ruleset.palette)
+        # each idle colour is one some rule tests or sets at the focus
+        named = set()
+        for rule in unit.ruleset.rules:
+            named.add(rule.colors[rule.focus])
+            named.update(c for i, c in rule.recolor if i == rule.focus)
+        assert set(unit.idle_colors) <= named
 
     def test_compilation_is_deterministic(self):
         a = serialize_ruleset(compile_program(asmlang.parse(self.SRC)).ruleset)
@@ -233,9 +238,7 @@ def rule_set_digest(sources):
     """SHA-256 over the compiled rule sets of named programs, both modes.
 
     Covers rule names, rule order, cells, edges, rewrites, negative
-    edges and the radius line, plus the first color and idle set.  The
-    serialization's palette and labels lines are left out: they list
-    only what the rules name.
+    edges and the radius line, plus the first color and idle set.
     """
     digest = hashlib.sha256()
     for name, source in sources:
@@ -243,9 +246,7 @@ def rule_set_digest(sources):
         for neg in MODES:
             unit = compile_program(program, negative_edges=neg)
             digest.update(("%s %s\n" % (name, neg)).encode())
-            for line in serialize_ruleset(unit.ruleset).splitlines(True):
-                if not line.startswith(("palette ", "labels ")):
-                    digest.update(line.encode())
+            digest.update(serialize_ruleset(unit.ruleset).encode())
             digest.update(("%r %r\n" % (
                 unit.first_color, sorted(unit.idle_colors))).encode())
     return digest.hexdigest()
@@ -266,7 +267,8 @@ class TestGoldenRuleSets:
     condition's labels up to three a tick, and when critical terms,
     atoms and {} began to be read where they sit instead of copied into
     registers, and when the digest stopped reading the palette and
-    labels lines and the register and bit lists.
+    labels lines and the register and bit lists (which rule sets and
+    units then lost).
     """
 
     DIGEST = "0cfc2f996d9e86e2c974dbaad6bdecf9d9a03a6aa46391d36b05de8f37fcf3f0"
@@ -321,7 +323,6 @@ class TestVariants:
         assert rule.recolor == ((0, "s1"),)
         assert rule.add == ((0, "$r1", 1),)
         assert rule.delete == ((0, "$r0", 1),)
-        assert {"$r0", "$r1"} <= ctx.labels and "s1" in ctx.colors
 
     def test_apply_read_variants_keep_their_order(self):
         ctx = compiler.EmitContext()
@@ -698,7 +699,9 @@ class TestLeafForwarding:
         assert_agrees(source, state, seeds=(1, 2))
         unit = compile_program(asmlang.parse(source))
         assert not any(r.name.startswith("eval:") for r in unit.ruleset.rules)
-        assert unit.registers == []
+        assert not any(l.startswith("$r")
+                       for r in unit.ruleset.rules
+                       for _a, l, _b in r.edges + r.add + r.delete)
         # the bit's chunk at k0, then the empty last stage: the bare focus,
         # and its $go twin in the round that commits
         for run, rounds in cleanup_rounds(source, state).items():
@@ -801,8 +804,9 @@ class TestUnionRegressions:
         assert klass == interpreter.TERMINAL
         assert interpreter.print_state(got) == interpreter.print_state(oracle)
         g = cfg.tangle
-        marked = {g.color_of(n) for n in g.nodes} & set(compiler._MARK_COLORS)
-        assert marked == set()
+        marks = {compiler.SUGG, compiler.TESTED, compiler.MKU, compiler.MKUR,
+                 compiler.UREJ, compiler.MKB, compiler.UBUILD}
+        assert not {g.color_of(n) for n in g.nodes} & marks
 
 
 class TestPhaseAccounting:

@@ -82,7 +82,7 @@ def probe_rules():
         [("C", "z", "A"), ("A", "x", "B")], "C",
         negs=[("C", "y", "B"), ("B", "z", "A")])
     # ^ negative edges whose later endpoint B is bound at a fan-out step
-    return RuleSet(COLORS, LABELS, rules, radius=3)
+    return RuleSet(rules)
 
 
 @st.composite
@@ -226,8 +226,8 @@ class TestMatching:
         c = g.add_node("red", tangle.SET)
         g.active = c
         g.add_edge(c, "x", c)  # self loop: C and A cannot both bind c
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("two", [("C", None), ("A", None)], [("C", "x", "A")])], 3)
+        rules = RuleSet([
+            Rule("two", [("C", None), ("A", None)], [("C", "x", "A")])])
         assert match_all(g, rules) == []
 
     def test_anchoring_at_active_only(self):
@@ -235,8 +235,8 @@ class TestMatching:
         a = g.add_node("red", tangle.SET)
         b = g.add_node("red", tangle.SET)
         g.add_edge(a, "x", b)
-        rules = RuleSet(COLORS, LABELS, [
-            Rule("out", [("C", "red"), ("A", None)], [("C", "x", "A")])], 3)
+        rules = RuleSet([
+            Rule("out", [("C", "red"), ("A", None)], [("C", "x", "A")])])
         g.active = a
         assert len(match_all(g, rules)) == 1
         g.active = b
@@ -302,7 +302,7 @@ class TestPlans:
                         [("C", "x", "B"), ("B", "y", "A")])
         late = Rule("late", [("C", "green"), ("A", None), ("B", None)],
                     [("C", "x", "B"), ("B", "y", "A")])
-        return g, RuleSet(COLORS, LABELS, [in_order, late], 3)
+        return g, RuleSet([in_order, late])
 
     def test_out_of_order_runs_stay_in_join_order(self, monkeypatch):
         g, rules = self._mixed()
@@ -328,7 +328,7 @@ class TestPlans:
         wild = Rule("wild", [("C", None), ("A", None), ("B", None)],
                     [("C", "x", "B"), ("B", "y", "A")])
         in_order = rules.rules[0]
-        rules = RuleSet(COLORS, LABELS, [in_order, wild], 3)
+        rules = RuleSet([in_order, wild])
         index = rules.plans()
         assert [p.rule_index for p in index.candidates("red")] == [0, 1]
         assert [p.rule_index for p in index.candidates("blue")] == [1]
@@ -336,7 +336,7 @@ class TestPlans:
         assert got == [(0, (0, 1, 4)), (0, (0, 2, 3)),
                        (1, (0, 4, 1)), (1, (0, 3, 2))]
         # a wildcard plan ahead of a coloured one keeps its rule order
-        rules = RuleSet(COLORS, LABELS, [wild, in_order], 3)
+        rules = RuleSet([wild, in_order])
         assert match_all(g, rules) == [(0, (0, 4, 1)), (0, (0, 3, 2)),
                                        (1, (0, 1, 4)), (1, (0, 2, 3))]
 
@@ -430,12 +430,12 @@ class TestFinalTable:
          star("red", "green", None, "blue", "blue"), False),
     ])
     def test_colour_only_cover_test(self, earlier, later, final):
-        rules = RuleSet(COLORS, LABELS, [earlier, later], 3)
+        rules = RuleSet([earlier, later])
         # the last rule has no later rule to cover it
         assert rules.plans().final == (final, True)
 
     def test_one_entry_per_rule(self):
-        assert RuleSet(COLORS, LABELS, [], 3).plans().final == ()
+        assert RuleSet([]).plans().final == ()
         rules = probe_rules()
         assert len(rules.plans().final) == len(rules.rules)
 
@@ -446,7 +446,7 @@ class TestFinalTable:
         g = tangle.Tangle()
         g.active = g.add_node("red", tangle.CRITICALS)
         red = Rule("red", [("C", "red")], [], recolor=[("C", "blue")])
-        rules = RuleSet(COLORS, LABELS, [red], 3)
+        rules = RuleSet([red])
         _cfg, stats, outcome = automaton.run(automaton.Configuration(g),
                                              rules)
         assert (stats.total, outcome) == (1, automaton.QUIESCENT)
@@ -467,7 +467,7 @@ class TestFinalTable:
         # the probe rules in any order: deterministic selection may take
         # the first pair unfiltered whenever the table calls its rule final
         probes = probe_rules().rules
-        rules = RuleSet(COLORS, LABELS, [probes[i] for i in order], 3)
+        rules = RuleSet([probes[i] for i in order])
         pairs = match_all(g, rules)
         if pairs and rules.plans().final[pairs[0][0]]:
             assert pairs[0] in maximality_filter(pairs)
@@ -499,7 +499,7 @@ class TestPatternStructure:
     def test_plan_rejects_disconnected_pattern(self):
         r = Rule("d", [("A", None), ("B", None)], [], "A")
         with pytest.raises(RuleError):
-            RuleSet(COLORS, LABELS, [r], 3).plans()
+            RuleSet([r]).plans()
 
 
 class TestRuleCells:
@@ -559,7 +559,7 @@ class TestApply:
         return g, rule
 
     def _only_binding(self, g, rule):
-        (pair,) = match_all(g, RuleSet(COLORS, LABELS, [rule], 3))
+        (pair,) = match_all(g, RuleSet([rule]))
         return pair[1]
 
     def test_rewrite_effects(self):
@@ -586,12 +586,10 @@ class TestValidate:
                     recolor=[("C", "green")])
 
     def test_clean(self):
-        rs = RuleSet(COLORS, LABELS, [self._ok_rule()], 3)
+        rs = RuleSet([self._ok_rule()])
         assert validate_ruleset(rs) == []
 
     def test_violations(self):
-        bad_color = Rule("bc", [("C", "purple")], [])
-        bad_label = Rule("bl", [("C", None), ("A", None)], [("C", "w", "A")])
         too_far = Rule(
             "tf",
             [("A", None), ("B", None), ("C", None), ("D", None), ("E", None)],
@@ -603,22 +601,15 @@ class TestValidate:
                    negs=[("C", "y", "A")])
         dup1 = self._ok_rule("dup")
         dup2 = self._ok_rule("dup")
-        rs = RuleSet(COLORS, LABELS,
-                     [bad_color, bad_label, too_far, loop, neg, dup1, dup2],
-                     3)
-        v = validate_ruleset(rs, negative_edges=False)
-        assert any("not in palette" in s for s in v)
-        assert any("not in alphabet" in s for s in v)
+        v = validate_ruleset(RuleSet([too_far, loop, neg, dup1, dup2]))
         assert any("radius" in s for s in v)
         assert any("loop" in s for s in v)
-        assert any("negative edges" in s for s in v)
         assert any("duplicate rule name" in s for s in v)
         # a name fault is caught when the rule is built
         with pytest.raises(RuleError, match="unknown cell"):
             Rule("br", [("C", None)], [], recolor=[("Z", "red")])
-        # the same set is clean once the extension flag admits negatives
-        ok = RuleSet(COLORS, LABELS, [neg], 3)
-        assert validate_ruleset(ok, negative_edges=True) == []
+        # a rule's negative edges need no flag to validate
+        assert validate_ruleset(RuleSet([neg])) == []
 
 
     def test_violation_list_is_exact(self):
@@ -635,36 +626,31 @@ class TestValidate:
                  [("C", "x", "A"), ("A", "y", "B"), ("B", "z", "A")]),
             Rule("self", [("C", None)], [("C", "x", "C")]),
             Rule("discloop", [("C", None), ("A", None)], [("A", "x", "A")]),
-            Rule("paint", [("C", "purple"), ("A", "red")], [("C", "w", "A")],
-                 recolor=[("A", "mauve")], add=[("C", "v", "A")],
-                 creates=[("N", "teal", "set")]),
         ]
-        assert validate_ruleset(RuleSet(COLORS, LABELS, rules, 3)) == [
+        assert validate_ruleset(RuleSet(rules)) == [
             "rule disc: pattern is disconnected",
             "rule far: radius 4 exceeds bound 3",
             "rule loop: pattern loop",
             "rule self: pattern loop",
             "rule discloop: pattern is disconnected",
             "rule discloop: pattern loop",
-            "rule paint: color purple not in palette",
-            "rule paint: label w not in alphabet",
-            "rule paint: created color teal not in palette",
-            "rule paint: recolor to mauve not in palette",
-            "rule paint: edit label v not in alphabet",
         ]
 
     def test_shared_cell_names_keep_their_own_shape(self):
         # one cell list; edges differ in direction (cyclic and acyclic
         # share their undirected edges), in labels only, or the focus moves
-        cells = [("C", None), ("A", None), ("B", None), ("D", None)]
-        chain = [("C", "x", "A"), ("A", "x", "B"), ("B", "x", "D")]
-        relabelled = [("C", "y", "A"), ("A", "z", "B"), ("B", "y", "D")]
-        flipped = [("C", "x", "A"), ("B", "x", "A"), ("B", "x", "D")]
+        cells = [("C", None), ("A", None), ("B", None), ("D", None),
+                 ("G", None)]
+        tail = [("D", "x", "G")]
+        chain = [("C", "x", "A"), ("A", "x", "B"), ("B", "x", "D")] + tail
+        relabelled = [("C", "y", "A"), ("A", "z", "B"), ("B", "y", "D"),
+                      ("D", "z", "G")]
+        flipped = [("C", "x", "A"), ("B", "x", "A"), ("B", "x", "D")] + tail
         cyclic = [("C", "x", "A"), ("A", "x", "B"), ("B", "x", "C"),
-                  ("B", "x", "D")]
+                  ("B", "x", "D")] + tail
         acyclic = [("C", "x", "A"), ("A", "x", "B"), ("C", "x", "B"),
-                   ("B", "x", "D")]
-        split = [("C", "x", "A"), ("B", "x", "D")]
+                   ("B", "x", "D")] + tail
+        split = [("C", "x", "A"), ("B", "x", "D")] + tail
         rules = [Rule("%s@%s" % (name, focus), cells, edges, focus)
                  for focus in ("C", "A", "D")
                  for name, edges in [("chain", chain),
@@ -680,16 +666,16 @@ class TestValidate:
             if r is None:
                 expected.append("rule %s: pattern is disconnected"
                                 % rule.name)
-            elif r > 2:
-                expected.append("rule %s: radius %d exceeds bound 2"
+            elif r > pattern.RADIUS:
+                expected.append("rule %s: radius %d exceeds bound 3"
                                 % (rule.name, r))
             if loop:
                 expected.append("rule %s: pattern loop" % rule.name)
-        found = validate_ruleset(RuleSet(COLORS, LABELS, rules, 2))
+        found = validate_ruleset(RuleSet(rules))
         assert found == expected
         assert found == [v for rule in rules for v in validate_ruleset(
-            RuleSet(COLORS, LABELS, [rule], 2))]
-        assert "rule chain@C: radius 3 exceeds bound 2" in found
+            RuleSet([rule]))]
+        assert "rule chain@C: radius 4 exceeds bound 3" in found
         assert not any(v.startswith("rule chain@A:") for v in found)
         assert "rule cyclic@D: pattern loop" in found
         assert "rule acyclic@D: pattern loop" not in found
@@ -699,19 +685,10 @@ class TestValidate:
         # make_plan refuses it at the first tick, so it must not validate
         rule = Rule("nl", [("C", None), ("A", None)], [("C", "x", "A")],
                     negs=[("C", "y", "C")])
-        rules = RuleSet(COLORS, LABELS, [rule], 3)
-        assert validate_ruleset(rules, negative_edges=True) == [
-            "rule nl: negative edge loop"]
+        rules = RuleSet([rule])
+        assert validate_ruleset(rules) == ["rule nl: negative edge loop"]
         with pytest.raises(RuleError, match="self-loop"):
             rules.plans()
-
-    def test_negative_label_outside_the_alphabet_is_reported(self):
-        # such an edge can never be present, so it would forbid nothing
-        rule = Rule("n", [("C", None), ("A", None)], [("C", "x", "A")],
-                    negs=[("C", "w", "A")])
-        rules = RuleSet(COLORS, ["x"], [rule], 3)
-        assert validate_ruleset(rules, negative_edges=True) == [
-            "rule n: negative label w not in alphabet"]
 
     def test_unknown_edge_endpoint_is_reported(self):
         with pytest.raises(RuleError) as exc:
@@ -727,10 +704,8 @@ class TestSerialization:
                   creates=[("W", "green", tangle.SET)])
         r2 = Rule("edit:two", [("A", None), ("C", None)], [("C", "z", "A")],
                   "C", negs=[("A", "z", "C")])
-        assert serialize_ruleset(RuleSet(COLORS, LABELS, [r1, r2], 3)) == (
+        assert serialize_ruleset(RuleSet([r1, r2])) == (
             "ruleset\n"
-            "palette blue green red\n"
-            "labels x y z\n"
             "radius 3\n"
             "rule edit:one\n"
             "  cell C red focus\n"
