@@ -17,10 +17,11 @@ difftest always checks invariants; a violation is reported as that
 schedule's disagreement.
 
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
-2 bad input; 3 step/tick budget exhausted, simulate's invariant check
-met a value nested deeper than --max-depth, or difftest's case generator
-found no acceptable case within its attempts (and no case run so far
-disagreed); 4 invariant violation.
+2 bad input; 3 step/tick budget exhausted, simulate met a value nested
+deeper than --max-depth (in its invariant check, or reading the final
+state back), or difftest's case generator found no acceptable case
+within its attempts (and no case run so far disagreed); 4 invariant
+violation.
 """
 from __future__ import annotations
 
@@ -73,11 +74,16 @@ class SystemExit2(Exception):
     """Input problem: message printed to stderr, exit code 2."""
 
 
-def _load_case(args, universe):
-    program = asmlang.parse(_read(args.program))
+def _load_program(path):
+    program = asmlang.parse(_read(path))
     violations = asmlang.validate(program)
     if violations:
         raise SystemExit2("invalid program:\n  " + "\n  ".join(violations))
+    return program
+
+
+def _load_case(args, universe):
+    program = _load_program(args.program)
     try:
         if args.state:
             state = interpreter.parse_state(_read(args.state), program,
@@ -105,10 +111,7 @@ def cmd_interpret(args):
 
 
 def cmd_compile(args):
-    program = asmlang.parse(_read(args.program))
-    violations = asmlang.validate(program)
-    if violations:
-        raise SystemExit2("invalid program:\n  " + "\n  ".join(violations))
+    program = _load_program(args.program)
     try:
         unit = compiler.compile_program(
             program, negative_edges=args.negative_edges)
@@ -131,6 +134,12 @@ def _trace_entry(cfg, applied):
     return "tick %d rule %s %s\n%s\n\n" % (
         cfg.tick, applied.rule.name, binds,
         cfg.tangle.snapshot().rstrip("\n"))
+
+
+def _too_deep(cfg, exc, args):
+    print("error: tick %d: %s (--max-depth %d)"
+          % (cfg.tick, exc, args.max_depth), file=sys.stderr)
+    return EXHAUSTED
 
 
 def cmd_simulate(args):
@@ -191,15 +200,16 @@ def cmd_simulate(args):
         print("invariant violation: %s" % violation, file=sys.stderr)
         return INVARIANT
     if limit is not None:
-        print("error: tick %d: %s (--max-depth %d)"
-              % (cfg.tick, limit, args.max_depth), file=sys.stderr)
-        return EXHAUSTED
+        return _too_deep(cfg, limit, args)
     if outcome != automaton.QUIESCENT:
         print("outcome %s after %d ticks" % (outcome, stats.total))
         return EXHAUSTED
     classification = unit.classify(cfg.tangle)
     if classification == interpreter.TERMINAL:
-        final = unit.final_state(cfg.tangle, universe)
+        try:
+            final = unit.final_state(cfg.tangle, universe)
+        except hfset.HFLimitError as exc:
+            return _too_deep(cfg, exc, args)
         sys.stdout.write(interpreter.print_state(final))
     print("outcome %s after %d ticks" % (classification, stats.total))
     sys.stdout.write(stats.format())

@@ -486,6 +486,20 @@ class TestLimitsAndPaths:
         assert err == ("error: tick 55: nesting depth 9 exceeds limit 8 "
                        "(--max-depth 8)\n")
 
+    def test_final_state_deeper_than_max_depth_exits_3(self, tmp_path,
+                                                       capsys):
+        # the unchecked run halts cleanly; reading c = {{{{c}}}} back is
+        # what passes the limit, after the last tick
+        prog = tmp_path / "deep.asml"
+        prog.write_text("criticals c, n;\n"
+                        "if n = {} then (c := {{{{c}}}} par n := {n})\n")
+        code, out, err = run_main(
+            ["simulate", str(prog), "--max-depth", "2"], capsys)
+        assert code == cli.EXHAUSTED
+        assert out == ""
+        assert err == ("error: tick 32: nesting depth 3 exceeds limit 2 "
+                       "(--max-depth 2)\n")
+
     def test_stats_json_on_value_deeper_than_max_depth(self, tmp_path,
                                                        capsys):
         prog = tmp_path / "deepen.asml"
