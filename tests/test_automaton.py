@@ -671,7 +671,10 @@ def random_rules(draw):
       cells into and out of the committed colors;
     - r0 matches at any focus color and any two $x targets, may recolor
       A or B, and moves the focus to the idle color, so every run takes
-      a tick and reaches an idle check."""
+      a tick and reaches an idle check.  Half the time it also points a
+      critical-term label at A, which it then binds to a marked node
+      only: often one of random_graph's pairs without components, whose
+      walk failure only the idle check's term walk reports."""
     cells = [("C", None), ("A", None), ("B", None)]
     pattern = [("C", HANDLE, "A"), ("C", HANDLE, "B")]
     link = ("A", draw(st.sampled_from(CONTAINMENT_EDGES)), "B")
@@ -710,8 +713,13 @@ def random_rules(draw):
     recolor = draw(st.lists(st.tuples(st.sampled_from("AB"),
                                       st.sampled_from(VALUE_COLORS)),
                             max_size=1))
+    add = []
+    if draw(st.booleans()):
+        cells = [("C", None), ("A", tangle.MARKER), ("B", None)]
+        add = [("C", draw(st.sampled_from(TERM_LABELS)), "A")]
+        recolor = [(n, c) for n, c in recolor if n != "A"]
     rules.append(Rule("r0", cells, pattern,
-                      recolor=recolor + [("C", "idle")]))
+                      recolor=recolor + [("C", "idle")], add=add))
     return RuleSet(rules)
 
 
