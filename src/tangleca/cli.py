@@ -18,10 +18,9 @@ schedule's disagreement.
 
 Exit codes: 0 success; 1 disagreement or failed benchmark window;
 2 bad input; 3 step/tick budget exhausted, simulate met a value nested
-deeper than --max-depth (in its invariant check, or reading the final
-state back), or difftest's case generator found no acceptable case
-within its attempts (and no case run so far disagreed); 4 invariant
-violation.
+deeper than --max-depth (checking or decoding), or difftest's case
+generator found no acceptable case within its attempts (and no case run
+so far disagreed); 4 invariant violation.
 """
 from __future__ import annotations
 

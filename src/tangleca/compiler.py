@@ -178,9 +178,8 @@ class Formula:
 # -- rule emission -------------------------------------------------------
 
 class EmitContext:
-    """Accumulates the rules of one compilation in emission order.
-    negative_edges makes the emitters mark rejected candidates with
-    scratch edges that negative edges test (see compile_singleton)."""
+    """Accumulates one compilation's rules in emission order, emitted in
+    the edge mode negative_edges picks."""
 
     def __init__(self, negative_edges=False):
         self.negative_edges = negative_edges
@@ -213,9 +212,6 @@ class EmitContext:
             self.rules.append(rule)
         if len(self.rules) == before:
             raise CompileError("template %s has no feasible variant" % name)
-
-    def ruleset(self):
-        return RuleSet(self.rules)
 
 
 def _dedupe(items):
@@ -1111,11 +1107,9 @@ def _cleanup_stages(steps, prefix, again):
 
 
 class CompilationUnit:
-    """A compiled program: its rule set; the focus colour after boot
-    (first_color), on halting (done_color), and wherever no transition
-    is under way, so that a checked run also checks the committed values
-    there (idle_colors); and the program, to encode states and read
-    answers back out."""
+    """A compiled program: its rule set, the focus colours a run starts
+    from, halts in and checks committed values at (first_color,
+    done_color, idle_colors), and the program, to encode and decode."""
 
     def __init__(self, program, ruleset, first_color, idle_colors):
         self.program = program
@@ -1188,7 +1182,7 @@ def compile_program(program, negative_edges=False):
     _emit_stages(ctx, "m", lo.commits, "k0")
     _emit_stages(ctx, "k", cleanup, DONE)
 
-    ruleset = ctx.ruleset()
+    ruleset = RuleSet(ctx.rules)
     problems = validate_ruleset(ruleset)
     if problems:
         raise CompileError("generated rule set is invalid: "

@@ -34,10 +34,8 @@ Matches come out of the kernel in join order: rule order, then the
 nodes bound at the plan's first step, its second, and so on (see
 make_plan).
 
-A rule set is its rules and nothing else: no declared palette or label
-alphabet, since each colour and label it uses is one its rules name.
-Every pattern's radius stays within RADIUS, which validate_ruleset
-checks.
+A rule set is its rules alone; validate_ruleset bounds each pattern's
+radius by RADIUS.
 """
 from __future__ import annotations
 
