@@ -191,24 +191,30 @@ class EmitContext:
 
         cells: [(name, color-or-None)] with the focus named "C";
         aliases: cell-name pairs that may legitimately bind one node.
+        Each variant's edge, edit and recolor lists are deduplicated
+        once.  A template without aliases is its own one variant, built
+        without the quotient search or a renaming pass.
         """
+        if not aliases:
+            recolor = _dedupe(recolor)
+            if len({n for n, _c in recolor}) < len(recolor):
+                raise CompileError("template %s has no feasible variant"
+                                   % name)
+            self.rules.append(Rule(name, cells, _dedupe(edges),
+                                   recolor=recolor, add=_dedupe(add),
+                                   delete=_dedupe(delete), creates=creates,
+                                   negs=_dedupe(negs)))
+            return
         before = len(self.rules)
         for mapping, qcells, qedges, suffix in _variants(cells, edges,
                                                          aliases):
-            rc = _dedupe(((mapping.get(n, n), c) for n, c in recolor)
-                         if mapping else recolor)
-            targets = {}
-            bad = False
-            for n, c in rc:
-                if targets.setdefault(n, c) != c:
-                    bad = True  # variant recolors one node two ways
-            if bad:
-                continue
-            qadd = _remap(mapping, add)
-            qdel = _remap(mapping, delete)
-            qneg = _remap(mapping, negs)
-            rule = Rule(name + suffix, qcells, qedges, recolor=rc, add=qadd,
-                        delete=qdel, creates=creates, negs=qneg)
+            rc = _dedupe((mapping.get(n, n), c) for n, c in recolor)
+            if len({n for n, _c in rc}) < len(rc):
+                continue  # the variant recolors one node two ways
+            rule = Rule(name + suffix, qcells, qedges, recolor=rc,
+                        add=_remap(mapping, add),
+                        delete=_remap(mapping, delete), creates=creates,
+                        negs=_remap(mapping, negs))
             self.rules.append(rule)
         if len(self.rules) == before:
             raise CompileError("template %s has no feasible variant" % name)
@@ -220,9 +226,7 @@ def _dedupe(items):
 
 
 def _remap(mapping, edges):
-    """Edges renamed through a variant's mapping (empty: unchanged)."""
-    if not mapping:
-        return _dedupe(edges)
+    """Edges renamed through a variant's mapping, duplicates dropped."""
     return _dedupe((mapping.get(a, a), l, mapping.get(b, b))
                    for a, l, b in edges)
 
@@ -250,42 +254,43 @@ def _variants(cells, edges, aliases):
     seen = set()
     results = []
     for mask in range(1 << len(pairs)):
-        parent = {n: n for n in aliased}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # each aliased cell's block label; merging relabels a whole block
+        lead = {n: n for n in aliased}
         for i, (a, b) in enumerate(pairs):
             if mask >> i & 1:
-                parent[find(b)] = find(a)
+                old, new = lead[b], lead[a]
+                if old != new:
+                    for n, label in lead.items():
+                        if label == old:
+                            lead[n] = new
         blocks = {}
         for n in names:
-            blocks.setdefault(find(n) if n in aliased else n, []).append(n)
-        key = frozenset(frozenset(b) for b in blocks.values() if len(b) > 1)
+            blocks.setdefault(lead.get(n, n), []).append(n)
+        # blocks list their cells in cell order and come in the order of
+        # their first cells, so this tuple names the partition
+        key = tuple([tuple(b) for b in blocks.values() if len(b) > 1])
         if key in seen:
             continue
         seen.add(key)
         # every pair inside a block must be individually allowed
         ok = all(frozenset((x, y)) in allowed
                  for blk in key
-                 for x, y in itertools.combinations(sorted(blk), 2))
+                 for x, y in itertools.combinations(blk, 2))
         if not ok:
             continue
         mapping = {}
         qcells = []
         feasible = True
         for block in blocks.values():
-            lead = block[0]  # blocks list their cells in cell order
+            lead_cell = block[0]
             for n in block:
-                mapping[n] = lead
+                mapping[n] = lead_cell
             block_colors = {color[x] for x in block if color[x] is not None}
             if len(block_colors) > 1:
                 feasible = False
                 break
-            qcells.append((lead, block_colors.pop() if block_colors else None))
+            qcells.append((lead_cell,
+                           block_colors.pop() if block_colors else None))
         if not feasible:
             continue
         qedges = _dedupe((mapping[a], l, mapping[b]) for a, l, b in edges)

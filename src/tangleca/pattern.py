@@ -72,34 +72,40 @@ class Rule:
         triples; edges, negs, add, delete: (name, label, name) triples;
         recolor: (name, color) pairs.  A name fault raises RuleError.
         """
-        fault = "rule %s: " % name
         names = [n for n, _c in cells]
         index = {n: i for i, n in enumerate(names)}
         if len(index) != len(names):
-            raise RuleError(fault + "duplicate cell name")
+            raise RuleError("rule %s: duplicate cell name" % name)
         if focus not in index:
-            raise RuleError(fault + "focus %r is not a pattern cell" % focus)
+            raise RuleError("rule %s: focus %r is not a pattern cell"
+                            % (name, focus))
         self.name = name
         self.colors = tuple([c for _n, c in cells])
         self.focus = index[focus]
-        self.edges = _resolve(index, edges, fault + "edge endpoint not a cell")
-        self.negs = _resolve(index, negs,
-                             fault + "negative edge endpoint unbound")
-        for n, _c, _k in creates:
-            if n in index:
-                raise RuleError(fault + "created cell %s shadows a cell" % n)
-            index[n] = len(names)
-            names.append(n)
+        # `fault` names the list being resolved; a missing name in it
+        # raises KeyError, which becomes the RuleError below
+        fault = "edge endpoint not a cell"
+        try:
+            self.edges = tuple([(index[a], l, index[b]) for a, l, b in edges])
+            fault = "negative edge endpoint unbound"
+            self.negs = tuple([(index[a], l, index[b]) for a, l, b in negs])
+            for n, _c, _k in creates:
+                if n in index:
+                    raise RuleError("rule %s: created cell %s shadows a cell"
+                                    % (name, n))
+                index[n] = len(names)
+                names.append(n)
+            fault = "recolor of unknown cell {}"
+            self.recolor = tuple([(index[n], c) for n, c in recolor])
+            fault = "uncovered cell in edge edit"
+            self.add = tuple([(index[a], l, index[b]) for a, l, b in add])
+            self.delete = tuple([(index[a], l, index[b])
+                                 for a, l, b in delete])
+        except KeyError as exc:
+            raise RuleError("rule %s: %s" % (name, fault.format(exc.args[0]))
+                            ) from None
         self.names = tuple(names)
         self.creates = tuple([(c, k) for _n, c, k in creates])
-        try:
-            self.recolor = tuple([(index[n], c) for n, c in recolor])
-        except KeyError as exc:
-            raise RuleError(fault + "recolor of unknown cell %s"
-                            % exc.args[0]) from None
-        fault += "uncovered cell in edge edit"
-        self.add = _resolve(index, add, fault)
-        self.delete = _resolve(index, delete, fault)
 
     def shape(self):
         """(radius, cyclic) from one adjacency build.
@@ -131,14 +137,6 @@ class Rule:
         if len(reached) != n:
             radius = None
         return radius, has_directed_cycle(out)
-
-
-def _resolve(index, edges, fault):
-    """(name, label, name) triples as cell-number triples."""
-    try:
-        return tuple([(index[a], l, index[b]) for a, l, b in edges])
-    except KeyError:
-        raise RuleError(fault) from None
 
 
 def has_directed_cycle(out):

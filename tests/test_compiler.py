@@ -1,4 +1,5 @@
 """Lowering ASM programs to transition rules: units, end-to-end, regressions."""
+import collections
 import hashlib
 import itertools
 import pathlib
@@ -234,22 +235,34 @@ FROZEN_DIR = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
               / "cases")
 
 
-def rule_set_digest(sources):
-    """SHA-256 over the compiled rule sets of named programs, both modes.
+def compiled_units(sources):
+    """(name, negative_edges, unit) for named programs, both modes."""
+    for name, source in sources:
+        program = asmlang.parse(source)
+        for neg in MODES:
+            yield name, neg, compile_program(program, negative_edges=neg)
+
+
+def rule_set_digest(units):
+    """SHA-256 over the rule sets of compiled_units.
 
     Covers rule names, rule order, cells, edges, rewrites, negative
     edges and the radius line, plus the first color and idle set.
     """
     digest = hashlib.sha256()
-    for name, source in sources:
-        program = asmlang.parse(source)
-        for neg in MODES:
-            unit = compile_program(program, negative_edges=neg)
-            digest.update(("%s %s\n" % (name, neg)).encode())
-            digest.update(serialize_ruleset(unit.ruleset).encode())
-            digest.update(("%r %r\n" % (
-                unit.first_color, sorted(unit.idle_colors))).encode())
+    for name, neg, unit in units:
+        digest.update(("%s %s\n" % (name, neg)).encode())
+        digest.update(serialize_ruleset(unit.ruleset).encode())
+        digest.update(("%r %r\n" % (
+            unit.first_color, sorted(unit.idle_colors))).encode())
     return digest.hexdigest()
+
+
+def phase_counts(units):
+    """Rules per phase, the first field of a rule name, over the units."""
+    return dict(collections.Counter(
+        rule.name.split(":", 1)[0]
+        for _name, _neg, unit in units for rule in unit.ruleset.rules))
 
 
 class TestGoldenRuleSets:
@@ -269,22 +282,38 @@ class TestGoldenRuleSets:
     registers, and when the digest stopped reading the palette and
     labels lines and the register and bit lists (which rule sets and
     units then lost).
+
+    Beside each digest sit its units' rule counts per phase (a guard's
+    rules carry the phase of its run's first stage).  They are compared
+    first, so a digest change names the phases whose rules moved.
     """
 
     DIGEST = "0cfc2f996d9e86e2c974dbaad6bdecf9d9a03a6aa46391d36b05de8f37fcf3f0"
+    PHASES = {"boot": 40, "choice": 16, "cleanup": 398, "commit": 260,
+              "conditional": 104, "decide": 92, "eval": 92, "pairing": 88,
+              "singleton": 442, "union-build": 168, "union-check": 788}
     FROZEN_DIGEST = ("bdcde56aa21a3740a8e5392229edad3a6fdb9890974b6c5b"
                      "295dfc803cf84e21")
+    FROZEN_PHASES = {"boot": 120, "choice": 72, "cleanup": 1328,
+                     "commit": 1404, "conditional": 448, "decide": 420,
+                     "eval": 520, "pairing": 436, "singleton": 1762,
+                     "union-build": 532, "union-check": 2726}
+
+    @staticmethod
+    def check(sources, phases, digest):
+        units = list(compiled_units(sources))
+        assert phase_counts(units) == phases
+        assert rule_set_digest(units) == digest
 
     def test_corpus_rule_sets_unchanged(self):
-        assert rule_set_digest(
-            (name, load_corpus_case(name)[0])
-            for name in corpus_names()) == self.DIGEST
+        self.check(((name, load_corpus_case(name)[0])
+                    for name in corpus_names()), self.PHASES, self.DIGEST)
 
     def test_frozen_case_rule_sets_unchanged(self):
         paths = sorted(FROZEN_DIR.glob("gen-*.asml"))
         assert len(paths) == 60
-        assert rule_set_digest(
-            (p.stem, p.read_text()) for p in paths) == self.FROZEN_DIGEST
+        self.check(((p.stem, p.read_text()) for p in paths),
+                   self.FROZEN_PHASES, self.FROZEN_DIGEST)
 
 
 @pytest.mark.parametrize("name", corpus_names())
