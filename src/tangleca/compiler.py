@@ -19,7 +19,9 @@ cycle of focus-node colors acting as a program counter:
   (r runs of the m commits): find the first run whose condition holds,
   mark the round with a $go edge from the focus to the false marker,
   and jump to the run's first commit stage, past its guard; if none
-  holds, go to cleanup unmarked.
+  holds, go to cleanup unmarked.  A guard is a decide stage without
+  the mark: both are row stages (_emit_rows), one rule per row that
+  satisfies the condition and one bare-focus rule for the rest.
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers and from edges no commit writes, so parallel
   assignments all read the pre-transition state; commits are guarded
@@ -380,36 +382,52 @@ def _bit_row(row):
     return [("$b%d" % bit, v) for bit, v in row]
 
 
-def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
-    """Guard stage of a run of stages under one path condition: one rule
-    per complete truth-table row, jumping to `run` (the run's first
-    stage) on satisfying rows and to `skip` (the first stage after the
-    run) on falsifying ones.  Rows are mutually exclusive, so exactly
-    one rule fires.  Its rules carry `phase`, the run's first stage's."""
+def _emit_rows(ctx, entry, formula, fire, target, rest, rest_target,
+               add=()):
+    """A row stage: one rule per truth-table row satisfying `formula`,
+    named `fire` plus the row's index, adding `add` and jumping to
+    `target`; then `rest`, the bare focus, jumping to `rest_target`.
+
+    Sound whenever every bit in the formula's support is set when the
+    stage runs.  Each row rule binds the false marker as its pad, so it
+    strictly contains `rest`.  The rows are mutually exclusive, so on a
+    satisfying row its rule is the one maximal match, and otherwise
+    only `rest` matches.  One tick either way."""
     for i, (row, sat) in enumerate(formula.assignments()):
-        cells, edges = _row_pattern(entry, _bit_row(row))
-        ctx.emit("%s:%s:%s%d" % (phase, entry, "sat" if sat else "skip", i),
-                 cells, edges, recolor=[("C", run if sat else skip)])
+        if sat:
+            cells, edges = _row_pattern(entry, _bit_row(row))
+            ctx.emit("%s%d" % (fire, i), cells, edges, add=add,
+                     recolor=[("C", target)])
+    ctx.emit(rest, [("C", entry)], [], recolor=[("C", rest_target)])
+
+
+def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
+    """Guard stage of a run of stages under one path condition: a decide
+    stage without the $go mark.  A rule per satisfying row jumps to
+    `run`, the run's first stage, and the skip rule, the bare focus,
+    jumps to `skip`, the first stage after the run, when no row rule
+    matches (_emit_rows).  Its rules carry `phase`, the run's first
+    stage's.  Every bit the guard reads is set when it runs
+    (_emit_stages says why)."""
+    _emit_rows(ctx, entry, formula, "%s:%s:sat" % (phase, entry), run,
+               "%s:%s:skip" % (phase, entry), skip)
 
 
 def compile_decide(ctx, entry, nxt, formula, commit):
     """Decide stage of a run of commits under one path condition: on a
     row satisfying it, add the $go mark from the focus to the false
     marker (the row's pad cell) and jump to `commit`, the run's first
-    commit stage; the pass rule, a strict subset of every row rule,
-    hands over to `nxt` when none does.  A later commit of the run needs
-    no decide stage of its own: it could only pass after this one did.
+    commit stage; the pass rule, the bare focus, hands over to `nxt`
+    when no row rule matches (_emit_rows).  Every bit is set by then:
+    all conditional stages run in the eval chain, unguarded.  A later
+    commit of the run needs no decide stage of its own: it could only
+    pass after this one did.
 
     `commit` is the entry past the run's guard (m<i>.r) when the run is
     guarded: the guard would only test again the condition this stage
     has just found true, and no stage runs in between to write a bit."""
-    for i, (row, sat) in enumerate(formula.assignments()):
-        if sat:
-            cells, edges = _row_pattern(entry, _bit_row(row))
-            ctx.emit("decide:%s:fire%d" % (entry, i), cells, edges,
-                     add=[("C", GO, "F")], recolor=[("C", commit)])
-    ctx.emit("decide:%s:pass" % entry, [("C", entry)], [],
-             recolor=[("C", nxt)])
+    _emit_rows(ctx, entry, formula, "decide:%s:fire" % entry, commit,
+               "decide:%s:pass" % entry, nxt, add=[("C", GO, "F")])
 
 
 def compile_cleanup(ctx, entry, nxt, labels, skip, again):
@@ -1055,6 +1073,14 @@ def _emit_stages(ctx, prefix, stages, after):
     writes a bit, and the run's condition has the same value at each of
     its stages as at the guard.  When it holds, each per-stage guard
     would have run its stage; when it fails, each would have skipped.
+
+    The guard needs a rule only for the rows that satisfy the condition,
+    and its bare-focus skip rule takes every other tick (_emit_rows).
+    That needs each bit of the condition set when the guard runs, and it
+    is: a path condition is built from the bits of enclosing `if`
+    conditions, whose conditional stages _Lowerer appends to the eval
+    chain before the stages of their branches, and those stages always
+    run; the commit chain runs after the whole eval chain.
     """
     for i, (phase, condition, emitter, args) in enumerate(stages):
         entry = "%s%d" % (prefix, i)

@@ -10,7 +10,7 @@ import pytest
 from tangleca import (asmlang, automaton, compiler, difftest, hfset,
                       interpreter, tangle)
 from tangleca.compiler import CompileError, Formula, compile_program
-from tangleca.pattern import serialize_ruleset, validate_ruleset
+from tangleca.pattern import RuleSet, serialize_ruleset, validate_ruleset
 
 from conftest import (MODES, compile_case, corpus_names, load_corpus_case,
                       oracle_state, run_automaton)
@@ -146,11 +146,11 @@ class TestCompileStructure:
 
 def guard_targets(rules, chain):
     """{guard entry: (sat target, skip target)} of the guard rules of a
-    chain ("s", "m", ...); a guard has one satisfying and one falsifying
-    row here."""
+    chain ("s", "m", ...); a guard has one satisfying row here, and its
+    skip rule is unindexed."""
     targets = {}
     for rule in rules:
-        m = re.fullmatch(r"[^:]+:(%s\d+):(sat|skip)\d+" % chain, rule.name)
+        m = re.fullmatch(r"[^:]+:(%s\d+):(sat|skip)\d*" % chain, rule.name)
         if m:
             [(_cell, color)] = rule.recolor
             targets.setdefault(m.group(1), {})[m.group(2)] = color
@@ -229,6 +229,69 @@ class TestStageRuns:
             assert cond is compiler._TRUE
         # the commits' operands, y's copy and {a}, are evaluated under c = {}
         assert any(not cond.is_true() for _p, cond, _e, _a in lo.steps)
+
+
+B0, B1, B2 = (Formula.of_bit(i) for i in range(3))
+
+# formulas a row stage is tested on; the unsatisfiable one is left
+# unminimized, so that its rows still set two bits
+ROW_FORMULAS = {
+    "b0": B0,
+    "not b0": B0.negate(),
+    "b0 and b1": B0.conj(B1),
+    "b0 or (b1 and b2)": B0.disj(B1.conj(B2)),
+    "never": Formula((0, 1), ()),
+}
+
+# a row stage at entry "e": its rules go to ("satisfied", "otherwise")
+ROW_STAGES = {
+    "guard": lambda ctx, f: compiler.compile_lock_wrapping(
+        ctx, "e", "run", "skip", f, "eval"),
+    "decide": lambda ctx, f: compiler.compile_decide(
+        ctx, "e", "next", f, "commit"),
+}
+
+
+def row_tick(stage, formula, row, mode, seed):
+    """Emit one row stage and run one tick of it on a tangle holding the
+    focus, both markers and the bits of `row`; returns (the stage's
+    rules, the focus colour after the tick, whether $go is set)."""
+    ctx = compiler.EmitContext()
+    ROW_STAGES[stage](ctx, formula)
+    g = tangle.Tangle()
+    focus = g.add_node("e", tangle.CRITICALS)
+    true = g.add_node(tangle.MARKER, tangle.SCRATCH)
+    false = g.add_node(tangle.MARKER, tangle.SCRATCH)
+    g.add_edge(focus, tangle.TRUE_EDGE, true)
+    g.add_edge(focus, tangle.FALSE_EDGE, false)
+    for bit, value in row:
+        g.add_edge(focus, "$b%d" % bit, true if value else false)
+    g.active = focus
+    cfg = automaton.Configuration(g, seed=seed, mode=mode)
+    assert automaton.step(cfg, RuleSet(ctx.rules)) is not None
+    return ctx.rules, g.color_of(focus), g.has_edge(focus, compiler.GO,
+                                                    false)
+
+
+class TestRowStages:
+    """Guard and decide stages: a rule per satisfying row, and one
+    bare-focus rule that takes every other row."""
+
+    @pytest.mark.parametrize("mode,seed", [(automaton.DETERMINISTIC, 0),
+                                           (automaton.RANDOM, 1),
+                                           (automaton.RANDOM, 2)])
+    @pytest.mark.parametrize("stage", sorted(ROW_STAGES))
+    @pytest.mark.parametrize("name", sorted(ROW_FORMULAS))
+    def test_every_row_takes_its_branch(self, name, stage, mode, seed):
+        formula = ROW_FORMULAS[name]
+        want = {("guard", True): ("run", False),
+                ("guard", False): ("skip", False),
+                ("decide", True): ("commit", True),
+                ("decide", False): ("next", False)}
+        for row, sat in formula.assignments():
+            rules, color, go = row_tick(stage, formula, row, mode, seed)
+            assert len(rules) == len(formula.rows) + 1
+            assert (color, go) == want[(stage, sat)], row
 
 
 FROZEN_DIR = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
