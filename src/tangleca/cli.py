@@ -109,13 +109,17 @@ def cmd_interpret(args):
     return OK
 
 
-def cmd_compile(args):
-    program = _load_program(args.program)
+def _compile(program, args):
+    """The program compiled in the edge mode --negative-edges picks."""
     try:
-        unit = compiler.compile_program(
+        return compiler.compile_program(
             program, negative_edges=args.negative_edges)
     except compiler.CompileError as exc:
         raise SystemExit2("compile error: %s" % exc)
+
+
+def cmd_compile(args):
+    unit = _compile(_load_program(args.program), args)
     text = pattern.serialize_ruleset(unit.ruleset)
     if args.output:
         _write(args.output, text)
@@ -144,11 +148,7 @@ def _too_deep(cfg, exc, args):
 def cmd_simulate(args):
     universe = hfset.Universe(max_depth=args.max_depth)
     program, state = _load_case(args, universe)
-    try:
-        unit = compiler.compile_program(
-            program, negative_edges=args.negative_edges)
-    except compiler.CompileError as exc:
-        raise SystemExit2("compile error: %s" % exc)
+    unit = _compile(program, args)
     graph = unit.initial_graph(state, universe)
     mode = automaton.RANDOM if args.random else automaton.DETERMINISTIC
     cfg = automaton.Configuration(graph, seed=args.seed, mode=mode)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from tangleca import automaton, cli, corpusgen, difftest, tangle
+from tangleca import automaton, cli, compiler, corpusgen, difftest, tangle
 
 from conftest import CORPUS_DIR
 
@@ -422,6 +422,19 @@ class TestBadInput:
         assert code == 2
         assert "invalid program" in err
 
+    @pytest.mark.parametrize("argv", [["compile", case("02-counter")[0]],
+                                      ["simulate", *case("02-counter")]])
+    def test_compile_error_exits_2(self, argv, capsys, monkeypatch):
+        def refuse(_program, negative_edges=False):
+            raise compiler.CompileError("refused, negative_edges=%s"
+                                        % negative_edges)
+
+        monkeypatch.setattr(compiler, "compile_program", refuse)
+        code, out, err = run_main(argv + ["--negative-edges"], capsys)
+        assert code == cli.BADINPUT
+        assert out == ""
+        assert err.strip().endswith("compile error: refused, "
+                                    "negative_edges=True")
 
     def test_duplicate_location_exits_2(self, tmp_path, capsys):
         prog = tmp_path / "loc.asml"
