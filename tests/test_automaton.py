@@ -729,8 +729,9 @@ def random_graph(draw):
     maximally shared values as tangle.encode builds them, each held by
     its term label, one node inside them marked, and a few marked value
     nodes with acyclic containment edges into them, whose sets may hold
-    the terms u and v, plus at most one arbitrary edge (which may close
-    a cycle or break a committed value before the first tick)."""
+    the terms u and v, plus at most one arbitrary edge between two
+    nodes (which may close a cycle or break a committed value before
+    the first tick)."""
     u = hfset.Universe()
     terms = {"t%d" % i: u.parse(text)
              for i, text in enumerate(draw(st.lists(VALUE_TEXT, max_size=4)))}
@@ -757,11 +758,12 @@ def random_graph(draw):
     for a, label, d in draw(st.lists(into_marked, max_size=3)):
         if a < d:
             g.add_edge(a, label, d)
-    extra = draw(st.none() | st.tuples(st.sampled_from(nodes),
-                                       st.sampled_from(CONTAINMENT_EDGES),
-                                       st.sampled_from(nodes)))
-    if extra is not None:
-        g.add_edge(*extra)
+    # one draw in four adds the arbitrary edge, never as a self-loop, so
+    # that most examples reach a tick (the tick-0 check has its own tests)
+    if draw(st.integers(0, 3)) == 0:
+        a = draw(st.sampled_from(nodes))
+        g.add_edge(a, draw(st.sampled_from(CONTAINMENT_EDGES)),
+                   draw(st.sampled_from([n for n in nodes if n != a])))
     return g
 
 
