@@ -236,75 +236,76 @@ def _remap(mapping, edges):
 def _variants(cells, edges, aliases):
     """All feasible quotients of a pattern under the allowed aliases.
 
-    Yields (mapping, cells, edges, name-suffix).  A quotient is dropped
-    when merged cells demand different colors or the merged edge graph
-    gains a directed cycle (well-founded values never match those).
-    Without aliases the only variant is the template itself, with an
-    empty mapping; its acyclicity is left to validate_ruleset, which
-    checks every generated rule.  A merge can close a cycle only through
-    an edge out of a merged cell, so without such an edge that is left
-    to validate_ruleset too.
+    Yields (mapping, cells, edges, name-suffix); the mapping takes each
+    aliased cell to its block's lead, the block's first cell.  A
+    quotient is dropped when merged cells demand different colors or
+    the merged edge graph gains a directed cycle (well-founded values
+    never match those).  Without aliases the only variant is the
+    template itself, with an empty mapping; its acyclicity is left to
+    validate_ruleset, which checks every generated rule.  A merge can
+    close a cycle only through an edge out of a merged cell, so without
+    such an edge that is left to validate_ruleset too.
     """
     if not aliases:
         return [({}, cells, _dedupe(edges), "")]
-    names = [n for n, _c in cells]
-    color = dict(cells)
-    allowed = {frozenset(p) for p in aliases}
-    pairs = [sorted(p) for p in sorted(allowed, key=sorted)]
+    pairs = sorted({tuple(sorted(p)) for p in aliases})
+    allowed = set(pairs)
     aliased = {n for p in pairs for n in p}
+    rank = {n: i for i, (n, _c) in enumerate(cells)}
+    color = dict(cells)
     check_cycles = any(a in aliased for a, _l, _b in edges)
+    # leads[mask] merges the mask's pairs: the mask's highest pair joins
+    # two blocks of the mask without it, relabelled to the earlier lead
+    leads = [{n: n for n, _c in cells if n in aliased}]
     seen = set()
     results = []
     for mask in range(1 << len(pairs)):
-        # each aliased cell's block label; merging relabels a whole block
-        lead = {n: n for n in aliased}
-        for i, (a, b) in enumerate(pairs):
-            if mask >> i & 1:
-                old, new = lead[b], lead[a]
-                if old != new:
-                    for n, label in lead.items():
-                        if label == old:
-                            lead[n] = new
-        blocks = {}
-        for n in names:
-            blocks.setdefault(lead.get(n, n), []).append(n)
-        # blocks list their cells in cell order and come in the order of
-        # their first cells, so this tuple names the partition
-        key = tuple([tuple(b) for b in blocks.values() if len(b) > 1])
+        if mask:
+            top = mask.bit_length() - 1
+            lead = dict(leads[mask ^ (1 << top)])
+            a, b = pairs[top]
+            keep, drop = sorted((lead[a], lead[b]), key=rank.get)
+            if keep != drop:
+                for n, label in lead.items():
+                    if label == drop:
+                        lead[n] = keep
+            leads.append(lead)
+        else:
+            lead = leads[0]
+        key = tuple(lead.values())   # the partition, in cell order
         if key in seen:
             continue
         seen.add(key)
-        # every pair inside a block must be individually allowed
-        ok = all(frozenset((x, y)) in allowed
-                 for blk in key
-                 for x, y in itertools.combinations(blk, 2))
-        if not ok:
+        blocks = {}                  # lead -> its block, in cell order
+        for n, label in lead.items():
+            if n != label:
+                blocks.setdefault(label, [label]).append(n)
+        # every pair inside a block must be individually allowed; a
+        # two-cell block is one merged pair
+        if not all(p in allowed for block in blocks.values()
+                   if len(block) > 2
+                   for p in itertools.combinations(sorted(block), 2)):
             continue
-        mapping = {}
-        qcells = []
-        feasible = True
-        for block in blocks.values():
-            lead_cell = block[0]
-            for n in block:
-                mapping[n] = lead_cell
-            block_colors = {color[x] for x in block if color[x] is not None}
+        merged_color = {}
+        for label, block in blocks.items():
+            block_colors = {color[x] for x in block} - {None}
             if len(block_colors) > 1:
-                feasible = False
                 break
-            qcells.append((lead_cell,
-                           block_colors.pop() if block_colors else None))
-        if not feasible:
-            continue
-        qedges = _dedupe((mapping[a], l, mapping[b]) for a, l, b in edges)
-        if check_cycles:
-            out = {n: [] for n, _c in qcells}
-            for a, _l, b in qedges:
-                out[a].append(b)
-            if has_directed_cycle(out):
-                continue
-        merged = sorted("=".join(sorted(b)) for b in key)
-        suffix = "".join("~" + m for m in merged)
-        results.append((mapping, qcells, qedges, suffix))
+            merged_color[label] = block_colors.pop() if block_colors else None
+        else:
+            qcells = [(n, merged_color.get(n, c)) for n, c in cells
+                      if lead.get(n, n) == n]
+            qedges = _dedupe((lead.get(a, a), l, lead.get(b, b))
+                             for a, l, b in edges)
+            if check_cycles:
+                out = {n: [] for n, _c in qcells}
+                for a, _l, b in qedges:
+                    out[a].append(b)
+                if has_directed_cycle(out):
+                    continue
+            merged = sorted("=".join(sorted(b)) for b in blocks.values())
+            results.append((lead, qcells, qedges,
+                            "".join("~" + m for m in merged)))
     return results
 
 

@@ -447,6 +447,31 @@ class TestVariants:
             ("C", "$r0", "X"), ("C", "$r1", "Z"), ("C", "$r2", "W"),
             ("X", tangle.ELEM, "W"), ("Z", tangle.ELEM, "X")]
 
+    CELLS = [("C", "s0"), ("X", None), ("Y", None), ("Z", None)]
+    EDGES = [("C", "$r0", "X"), ("C", "$r1", "Y"), ("C", "$r2", "Z")]
+
+    def test_block_needs_each_of_its_pairs_allowed(self):
+        # X=Y and Y=Z are allowed but X=Z is not, so X=Y=Z is dropped
+        variants = compiler._variants(self.CELLS, self.EDGES,
+                                      [("Y", "Z"), ("X", "Y")])
+        assert [v[3] for v in variants] == ["", "~X=Y", "~Y=Z"]
+        mapping, qcells, qedges, _suffix = variants[1]
+        assert {n: mapping.get(n, n) for n in "XYZ"} == {
+            "X": "X", "Y": "X", "Z": "Z"}
+        assert qcells == [("C", "s0"), ("X", None), ("Z", None)]
+        assert qedges == [("C", "$r0", "X"), ("C", "$r1", "X"),
+                          ("C", "$r2", "Z")]
+
+    def test_merged_cells_take_their_one_color(self):
+        cells = [("C", "s0"), ("X", None), ("Y", "plain"), ("Z", "marker")]
+        variants = compiler._variants(cells, self.EDGES,
+                                      itertools.combinations("XYZ", 2))
+        # Y and Z demand different colours, so no block holds both
+        assert [(v[3], v[1]) for v in variants] == [
+            ("", cells),
+            ("~X=Y", [("C", "s0"), ("X", "plain"), ("Z", "marker")]),
+            ("~X=Z", [("C", "s0"), ("X", "marker"), ("Y", "plain")])]
+
     def test_union_rules_match_a_fresh_context(self):
         def rules(ctx, entry, first, second):
             start = len(ctx.rules)
