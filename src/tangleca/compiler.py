@@ -246,8 +246,6 @@ def _variants(cells, edges, aliases):
     close a cycle only through an edge out of a merged cell, so without
     such an edge that is left to validate_ruleset too.
     """
-    if not aliases:
-        return [({}, cells, _dedupe(edges), "")]
     pairs = sorted({tuple(sorted(p)) for p in aliases})
     allowed = set(pairs)
     aliased = {n for p in pairs for n in p}
