@@ -243,7 +243,8 @@ ROW_FORMULAS = {
     "never": Formula((0, 1), ()),
 }
 
-# a row stage at entry "e": its rules go to ("satisfied", "otherwise")
+# a row stage at entry "e": a guard goes to "run" on a satisfying row
+# and to "skip" otherwise, a decide stage to "commit" or "next"
 ROW_STAGES = {
     "guard": lambda ctx, f: compiler.compile_lock_wrapping(
         ctx, "e", "run", "skip", f, "eval"),
