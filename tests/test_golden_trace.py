@@ -47,19 +47,27 @@ from tangleca import automaton, bench, pattern
 
 from conftest import compile_case, corpus_names, load_corpus_case
 
+# each case: (digest keyed by rule index, digest keyed by rule name), as
+# trace_digest returns them
 GOLDEN = {
-    (False, automaton.DETERMINISTIC, 0):
+    (False, automaton.DETERMINISTIC, 0): (
         "857ed26550e0775eb2e9aef33d47620d54337bb01186b096e8a3d27cea248322",
-    (False, automaton.RANDOM, 1):
+        "128a05da3b161ae859db3c85a2f87497bc5f30350f856b2995c643ae7978133c"),
+    (False, automaton.RANDOM, 1): (
         "64dedb74c0c066c39b5a5e28dadc6a1ec3f7f872cd187798738f4dce4267f990",
-    (False, automaton.RANDOM, 2):
+        "39067a1c19ab511511dbd66b1359b998a7a7d9247778f8fe5df8fda1fd5c55fa"),
+    (False, automaton.RANDOM, 2): (
         "8375a47b219e8adc70592eebcf43e99f8a789e155a7c2f299015e275225ac98c",
-    (True, automaton.DETERMINISTIC, 0):
+        "268bb55590b3286214d137b5f97f538f55c2a171618654b98302bb75318d7823"),
+    (True, automaton.DETERMINISTIC, 0): (
         "a96239e118ea28ac6245c5900383c223f4e905c096ccf23cb284beeb181eb960",
-    (True, automaton.RANDOM, 1):
+        "19c4f2fc9f4cad8708d0b35a19684ce0658b12521705fee8b4151ac683319010"),
+    (True, automaton.RANDOM, 1): (
         "f3a5bd70cdb983178444c59f31863a593b34beb7cc3a04dd085bb0dddc23fd4f",
-    (True, automaton.RANDOM, 2):
+        "7fcf6f0a219abc66138b39f4692d4f3b475712e2551bb9acccad7a29f94afe49"),
+    (True, automaton.RANDOM, 2): (
         "2b1879836a0c9f550125387cd636ba7d425ca7ffb7006be580072551cdd10535",
+        "ad5e4211e04232b37b52559b3c6b0083e1a5228f0abaaaedb02afcd83b4d6e57"),
 }
 
 BENCH_CASES = {
@@ -69,30 +77,42 @@ BENCH_CASES = {
 }
 
 BENCH_GOLDEN = {
-    ("overhead-8", False, automaton.DETERMINISTIC, 0):
+    ("overhead-8", False, automaton.DETERMINISTIC, 0): (
         "e1417efcad4b4673a7244eb3c0b9a2195d0a8dd4797a27d753ccae8d1fee9cd2",
-    ("overhead-8", False, automaton.RANDOM, 1):
+        "cd89ab38c19652f86eb71bd6029399c9bb19d30f8c8a85b07db0be4545a395b6"),
+    ("overhead-8", False, automaton.RANDOM, 1): (
         "cbdba87fdfc5d9b256f6bb62727868a916f42bfaeb78a27909bdf89f2d44484a",
-    ("overhead-8", True, automaton.DETERMINISTIC, 0):
+        "a47af047106813e3dc20c0940a528192e1a8635bdecea40d0fef594d8803797a"),
+    ("overhead-8", True, automaton.DETERMINISTIC, 0): (
         "33a48c1f936ab3d112291b8e89de4db5d88b20631bfb1c40cb8e17000de8cb3d",
-    ("overhead-8", True, automaton.RANDOM, 1):
+        "1902d1fd0025ed797af5b9059c0f89c63737f12526e11be866df14d110923f67"),
+    ("overhead-8", True, automaton.RANDOM, 1): (
         "3a9bb76f4c7ea7ffc0ca2ee473a20837b2064f85afcba8812d2fcd90dedc20ef",
-    ("union-16", False, automaton.DETERMINISTIC, 0):
+        "b2b27955ed9bb82d6e59aaada5fc3ca167a435f170c3ef26ad0e391d5e3e9b2d"),
+    ("union-16", False, automaton.DETERMINISTIC, 0): (
         "cb09eb3c940de8a00361957ea41a0b8c35e908e7b740ddcf7a963e91bceca672",
-    ("union-16", False, automaton.RANDOM, 1):
+        "439ea261dbefee275967cec1bfdac7364ca299765d2b077b2e9b1aeab9d5bc3a"),
+    ("union-16", False, automaton.RANDOM, 1): (
         "0ba80c3c4c14b122e53d680c0f5c8091d7dc66603e7f5d309c70539d49bae7f7",
-    ("union-16", True, automaton.DETERMINISTIC, 0):
+        "1d3975b8199166e31bd02869f4e425cf316756d98b60c43ea8e63bb7b4b6676a"),
+    ("union-16", True, automaton.DETERMINISTIC, 0): (
         "784e6d078a921c944b1018b29e74584bbb83044212645ee90bb1596658cd1a46",
-    ("union-16", True, automaton.RANDOM, 1):
+        "bcd5da84a7fd46c2e30eaf8db28377bbdec58baca083778ed7886e2cd2f79154"),
+    ("union-16", True, automaton.RANDOM, 1): (
         "8280c1c63014a685d1cd32f702c7a831c6e60c8d03c891b2067dac2b70f1400c",
-    ("union-32", False, automaton.DETERMINISTIC, 0):
+        "93ec4938370f75f0cdc42196fce1361689cef25907c42f6fb23deeb183da725e"),
+    ("union-32", False, automaton.DETERMINISTIC, 0): (
         "f24d54202b0c152210ac576379883cafb8224810fb633c0700c8ea69961b5583",
-    ("union-32", False, automaton.RANDOM, 1):
+        "6bfbf95b9fbc7d55c8fe118d57cb7c518f12f1f552da369e94f6c471f9e5bf4d"),
+    ("union-32", False, automaton.RANDOM, 1): (
         "1573f2602bc8c49f1c91977ee72d86c74d456f06169719897150e9840797ab77",
-    ("union-32", True, automaton.DETERMINISTIC, 0):
+        "a201667158f4c82570f78b5c9ec41280dcdac095e7a60e4ae9074112795b8c32"),
+    ("union-32", True, automaton.DETERMINISTIC, 0): (
         "9e5df48a0ae79f6456cace7ebc29be1d1f2758751db44ae2cf9954ce3ad906db",
-    ("union-32", True, automaton.RANDOM, 1):
+        "3078d3322bd913e925ec633a3d750f4b269463d060caa18287285d6b09a571a8"),
+    ("union-32", True, automaton.RANDOM, 1): (
         "e425238176298a0cd73399629fe5c4657d908a3e981f0ca28ec9f3eb61ce33f3",
+        "f07f070d926fcffd7101494382324705918bc47243b8e594026c3c8d94d6afff"),
 }
 
 # perfbench's 60 frozen generated programs, read only: their focus steps
@@ -100,14 +120,18 @@ BENCH_GOLDEN = {
 FROZEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cases"
 
 FROZEN_GOLDEN = {
-    (False, automaton.DETERMINISTIC, 0):
+    (False, automaton.DETERMINISTIC, 0): (
         "760e236f4c42bc8be61dad8db0007391e9444af41814a887a711894df70c756b",
-    (False, automaton.RANDOM, 1):
+        "c513a7e4cd188c1e73b3b31bfab45c6264f0ac3796f5fa8d8bc6931d048ae2d3"),
+    (False, automaton.RANDOM, 1): (
         "83ec22038910a1152a251d0b29524bf49e5c8b3eb230756b9db409e33ebcb9c6",
-    (True, automaton.DETERMINISTIC, 0):
+        "054dc6cca7c77232a0486d1f2f3c8599d673bc79992b02449a673e5262cff2c4"),
+    (True, automaton.DETERMINISTIC, 0): (
         "a3acc33db8cc9865500c80b3cc5338406f16de4e1ecce35a5f408f68f23d50b5",
-    (True, automaton.RANDOM, 1):
+        "0de86dcc1a509948b3f13b51290ba117a9973e249fe504b7348ec8e4b989805c"),
+    (True, automaton.RANDOM, 1): (
         "0552976a35804c86e32159e5d6df5dcf8faf68a41c11a13b93170438f7ef6af9",
+        "ee829a9a8f98e822a740519093f19a1a20277bf8e639bfa4670ad30bb50aad96"),
 }
 
 # (pairs the kernel returned, ticks) over a deterministic run; union-64
@@ -116,13 +140,16 @@ UNION_PAIRS = {16: (6154, 735), 32: (39882, 2447), 64: (288586, 8943)}
 
 
 def trace_digest(cases, negative_edges, mode, seed):
-    """sha256 over the applied pairs, outcome and ticks of (name, source,
-    state_text) cases, run in the order given."""
-    digest = hashlib.sha256()
+    """Two sha256 digests over the applied pairs, outcome and ticks of
+    (name, source, state_text) cases, run in the order given: one keys
+    each pair by its rule index, the other by its rule name."""
+    by_index = hashlib.sha256()
+    by_name = hashlib.sha256()
 
     def on_tick(_cfg, m):
         binding = " ".join(map(str, m.binding))
-        digest.update(("%d %s\n" % (m.rule_index, binding)).encode())
+        by_index.update(("%d %s\n" % (m.rule_index, binding)).encode())
+        by_name.update(("%s %s\n" % (m.rule.name, binding)).encode())
 
     for name, source, state_text in cases:
         _u, _p, unit, _s, graph = compile_case(
@@ -130,8 +157,10 @@ def trace_digest(cases, negative_edges, mode, seed):
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
         _cfg, stats, outcome = automaton.run(
             cfg, unit.ruleset, max_ticks=200000, on_tick=on_tick)
-        digest.update(("%s %s %d\n" % (name, outcome, stats.total)).encode())
-    return digest.hexdigest()
+        line = ("%s %s %d\n" % (name, outcome, stats.total)).encode()
+        by_index.update(line)
+        by_name.update(line)
+    return by_index.hexdigest(), by_name.hexdigest()
 
 
 @pytest.mark.parametrize("negative_edges,mode,seed", sorted(GOLDEN))
