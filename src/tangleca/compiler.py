@@ -51,13 +51,13 @@ the false marker as a pad cell, so its matched node set is strictly
 larger even when value cells coincide; and loop rules recolor the nodes
 they have handled so a loop can never re-fire on the same node.
 
-Patterns bind cells injectively, so any template whose cells may
+Patterns bind cells injectively, so a template whose cells may
 legitimately coincide (two operands holding the same value, an operand
-that is the empty set, ...) is expanded into alias variants, one per
-feasible identification of cells, quotients that would create a
-containment cycle being dropped.  A template without aliases yields
-exactly one variant, itself; validate_ruleset checks its shape along
-with every other generated rule.
+that is the empty set, ...) names them as its pool and is expanded into
+alias variants, one per set partition of the pool whose merged cells
+agree on their colour and close no containment cycle.  A template
+without a pool is its own one variant; validate_ruleset checks its
+shape along with every other generated rule.
 """
 from __future__ import annotations
 
@@ -188,16 +188,17 @@ class EmitContext:
         self.rules = []
 
     def emit(self, name, cells, edges, recolor=(), add=(), delete=(),
-             creates=(), aliases=(), negs=()):
+             creates=(), pool=(), negs=()):
         """Emit a rule template, expanded into its alias variants.
 
         cells: [(name, color-or-None)] with the focus named "C";
-        aliases: cell-name pairs that may legitimately bind one node.
-        Each variant's edge, edit and recolor lists are deduplicated
-        once.  A template without aliases is its own one variant, built
-        without the quotient search or a renaming pass.
+        pool: the cells any of which may legitimately bind one node,
+        one variant per way to merge them (_variants).  Each variant's
+        edge, edit and recolor lists are deduplicated once.  A template
+        whose pool holds fewer than two cells is its own one variant,
+        built without the quotient search or a renaming pass.
         """
-        if not aliases:
+        if len(pool) < 2:
             recolor = _dedupe(recolor)
             if len({n for n, _c in recolor}) < len(recolor):
                 raise CompileError("template %s has no feasible variant"
@@ -208,8 +209,7 @@ class EmitContext:
                                    negs=_dedupe(negs)))
             return
         before = len(self.rules)
-        for mapping, qcells, qedges, suffix in _variants(cells, edges,
-                                                         aliases):
+        for mapping, qcells, qedges, suffix in _variants(cells, edges, pool):
             rc = _dedupe((mapping.get(n, n), c) for n, c in recolor)
             if len({n for n, _c in rc}) < len(rc):
                 continue  # the variant recolors one node two ways
@@ -233,63 +233,48 @@ def _remap(mapping, edges):
                    for a, l, b in edges)
 
 
-def _variants(cells, edges, aliases):
-    """All feasible quotients of a pattern under the allowed aliases.
+def _partitions(items):
+    """Every set partition of items, as lists of blocks, each block in
+    item order; the partition into singletons comes first (Knuth,
+    TAOCP 4A, 7.2.1.5)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _partitions(rest):
+        yield [[first]] + blocks
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [[first] + block] + blocks[i + 1:]
+
+
+def _variants(cells, edges, pool):
+    """All feasible quotients of a pattern, one per set partition of the
+    pool: the cells any of which may bind one node.
 
     Yields (mapping, cells, edges, name-suffix); the mapping takes each
-    aliased cell to its block's lead, the block's first cell.  A
-    quotient is dropped when merged cells demand different colors or
-    the merged edge graph gains a directed cycle (well-founded values
-    never match those).  Without aliases the only variant is the
-    template itself, with an empty mapping; its acyclicity is left to
-    validate_ruleset, which checks every generated rule.  A merge can
-    close a cycle only through an edge out of a merged cell, so without
-    such an edge that is left to validate_ruleset too.
+    pool cell to its block's lead, the block's first cell.  The template
+    itself comes first, then the other quotients by non-increasing cell
+    count, so no variant is followed by a larger sibling that could
+    cover it (kernel.PlanIndex.final).  A quotient is dropped when
+    merged cells demand different colors or the merged edge graph gains
+    a directed cycle (well-founded values never match those).  A merge
+    can close a cycle only through an edge out of a merged cell, so
+    without such an edge that is left to validate_ruleset, which checks
+    every generated rule.
     """
-    pairs = sorted({tuple(sorted(p)) for p in aliases})
-    allowed = set(pairs)
-    aliased = {n for p in pairs for n in p}
-    rank = {n: i for i, (n, _c) in enumerate(cells)}
     color = dict(cells)
-    check_cycles = any(a in aliased for a, _l, _b in edges)
-    # leads[mask] merges the mask's pairs: the mask's highest pair joins
-    # two blocks of the mask without it, relabelled to the earlier lead
-    leads = [{n: n for n, _c in cells if n in aliased}]
-    seen = set()
-    results = []
-    for mask in range(1 << len(pairs)):
-        if mask:
-            top = mask.bit_length() - 1
-            lead = dict(leads[mask ^ (1 << top)])
-            a, b = pairs[top]
-            keep, drop = sorted((lead[a], lead[b]), key=rank.get)
-            if keep != drop:
-                for n, label in lead.items():
-                    if label == drop:
-                        lead[n] = keep
-            leads.append(lead)
-        else:
-            lead = leads[0]
-        key = tuple(lead.values())   # the partition, in cell order
-        if key in seen:
-            continue
-        seen.add(key)
-        blocks = {}                  # lead -> its block, in cell order
-        for n, label in lead.items():
-            if n != label:
-                blocks.setdefault(label, [label]).append(n)
-        # every pair inside a block must be individually allowed; a
-        # two-cell block is one merged pair
-        if not all(p in allowed for block in blocks.values()
-                   if len(block) > 2
-                   for p in itertools.combinations(sorted(block), 2)):
-            continue
+    pool = [n for n, _c in cells if n in pool]     # in cell order
+    check_cycles = any(a in pool for a, _l, _b in edges)
+    for blocks in sorted(_partitions(pool), key=len, reverse=True):
+        lead = {n: block[0] for block in blocks for n in block}
+        merged = [block for block in blocks if len(block) > 1]
         merged_color = {}
-        for label, block in blocks.items():
+        for block in merged:
             block_colors = {color[x] for x in block} - {None}
             if len(block_colors) > 1:
                 break
-            merged_color[label] = block_colors.pop() if block_colors else None
+            merged_color[block[0]] = (block_colors.pop() if block_colors
+                                      else None)
         else:
             qcells = [(n, merged_color.get(n, c)) for n, c in cells
                       if lead.get(n, n) == n]
@@ -301,10 +286,9 @@ def _variants(cells, edges, aliases):
                     out[a].append(b)
                 if has_directed_cycle(out):
                     continue
-            merged = sorted("=".join(sorted(b)) for b in blocks.values())
-            results.append((lead, qcells, qedges,
-                            "".join("~" + m for m in merged)))
-    return results
+            yield (lead, qcells, qedges,
+                   "".join("~" + m for m in sorted(
+                       "=".join(sorted(b)) for b in merged)))
 
 
 def _pad(cells, edges):
@@ -435,8 +419,9 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     `skip`, one tick past the chunk's whole group when it is unset.
 
     The drop rule binds every label of the chunk and deletes its edges.
-    Registers holding one node are alias variants; bits get one variant
-    per row of true/false markers they point at.  The skip rule, the
+    The chunk's registers are its pool, so registers holding one node
+    bind one cell of a variant; bits get one rule per row of true/false
+    markers they point at.  The skip rule, the
     bare focus, hands over to `skip`, the first stage after the group.
 
     All or none: every eval stage that runs writes its label (an empty
@@ -471,7 +456,7 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     bits = [l for l in labels if l.startswith("$b")]
     regs = [("X%d" % i, l) for i, l in enumerate(labels)
             if not l.startswith("$b")]
-    aliases = list(itertools.combinations([x for x, _l in regs], 2))
+    pool = [x for x, _l in regs]
     rows = itertools.product((False, True), repeat=len(bits))
     for i, row in enumerate(rows):
         cells, edges = (_row_pattern(entry, list(zip(bits, row))) if bits
@@ -481,13 +466,13 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
         delete = [e for e in edges if e[1] in labels]
         name = "cleanup:%s:drop%s" % (entry, i if bits else "")
         ctx.emit(name, cells, edges, delete=delete, recolor=[("C", nxt)],
-                 aliases=aliases)
+                 pool=pool)
         if again:
             ctx.emit(name + "-again",
                      cells + [("T", tangle.MARKER), ("F", tangle.MARKER)],
                      edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
                      delete=delete + [("C", GO, "F")],
-                     recolor=[("C", again)], aliases=aliases)
+                     recolor=[("C", again)], pool=pool)
     if skip:
         ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
                  recolor=[("C", skip)])
@@ -517,16 +502,14 @@ def compile_pairing(ctx, entry, nxt, first, second, dst):
                         [("C", first, "X"), ("C", second, "Y"),
                          ("X", tangle.FST, "P"), ("Y", tangle.SND, "P")])
     ctx.emit("pairing:%s:reuse" % entry, cells, edges,
-             add=[("C", dst, "P")], recolor=[("C", nxt)],
-             aliases=[("X", "Y")])
+             add=[("C", dst, "P")], recolor=[("C", nxt)], pool=["X", "Y"])
     ctx.emit("pairing:%s:create" % entry,
              [("C", entry), ("X", None), ("Y", None)],
              [("C", first, "X"), ("C", second, "Y")],
              creates=[("P", tangle.PLAIN, tangle.PAIR)],
              add=[("X", tangle.FST, "P"), ("Y", tangle.SND, "P"),
                   ("C", dst, "P")],
-             recolor=[("C", nxt)],
-             aliases=[("X", "Y")])
+             recolor=[("C", nxt)], pool=["X", "Y"])
 
 
 def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
@@ -536,7 +519,7 @@ def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
     k = len(argregs)
     arg_cells = [("A%d" % i, None) for i in range(1, k + 1)]
     arg_edges = [("C", argregs[i - 1], "A%d" % i) for i in range(1, k + 1)]
-    alias_pool = ["A%d" % i for i in range(1, k + 1)]
+    pool = [c for c, _color in arg_cells]
 
     cells = [("C", entry)] + arg_cells + [
         ("T", None), ("V", None), ("E", tangle.PLAIN)]
@@ -544,18 +527,14 @@ def compile_apply_read(ctx, entry, nxt, fname, argregs, dst):
     edges += [("T", tangle.arg_label(i), "A%d" % i) for i in range(1, k + 1)]
     edges += [("T", tangle.VAL, "V"), ("C", tangle.EMPTY_EDGE, "E")]
     cells, edges = _pad(cells, edges)
-    hit_aliases = [p for p in itertools.combinations(
-        alias_pool + ["V", "E"], 2)]
     ctx.emit("eval:%s:hit" % entry, cells, edges,
              add=[("C", dst, "V")], recolor=[("C", nxt)],
-             aliases=hit_aliases)
+             pool=pool + ["V", "E"])
 
     cells = [("C", entry)] + arg_cells + [("E", tangle.PLAIN)]
     edges = list(arg_edges) + [("C", tangle.EMPTY_EDGE, "E")]
-    miss_aliases = [p for p in itertools.combinations(alias_pool + ["E"], 2)]
     ctx.emit("eval:%s:miss" % entry, cells, edges,
-             add=[("C", dst, "E")], recolor=[("C", nxt)],
-             aliases=miss_aliases)
+             add=[("C", dst, "E")], recolor=[("C", nxt)], pool=pool + ["E"])
 
 
 def compile_apply_write(ctx, entry, nxt, fname, argregs, src):
@@ -568,20 +547,17 @@ def compile_apply_write(ctx, entry, nxt, fname, argregs, src):
     arg_edges = [("C", argregs[i - 1], "A%d" % i) for i in range(1, k + 1)]
     tuple_edges = [("T", tangle.arg_label(i), "A%d" % i)
                    for i in range(1, k + 1)]
-    aliases = [p for p in itertools.combinations(
-        ["A%d" % i for i in range(1, k + 1)], 2)]
+    pool = [c for c, _color in arg_cells]
 
     cells, edges = _pad([("C", entry)] + arg_cells + [("T", None)],
                         arg_edges + [("C", fname, "T")] + tuple_edges)
     ctx.emit("commit:%s:resolve-hit" % entry, cells, edges,
-             add=[("C", LOC, "T")], recolor=[("C", unlink)],
-             aliases=aliases)
+             add=[("C", LOC, "T")], recolor=[("C", unlink)], pool=pool)
     ctx.emit("commit:%s:resolve-miss" % entry,
              [("C", entry)] + arg_cells, arg_edges,
              creates=[("T", tangle.PLAIN, tangle.TUPLE)],
              add=[("C", fname, "T")] + tuple_edges + [("C", LOC, "T")],
-             recolor=[("C", unlink)],
-             aliases=aliases)
+             recolor=[("C", unlink)], pool=pool)
 
     cells, edges = _pad([("C", unlink), ("T", None), ("V", None)],
                         [("C", LOC, "T"), ("T", tangle.VAL, "V")])
@@ -608,8 +584,7 @@ def compile_term_commit(ctx, entry, nxt, name, src):
              [("C", name, "X"), ("C", src, "Y")],
              delete=[("C", name, "X")],
              add=[("C", name, "Y")],
-             recolor=[("C", nxt)],
-             aliases=[("X", "Y")])
+             recolor=[("C", nxt)], pool=["X", "Y"])
 
 
 def compile_singleton(ctx, entry, nxt, source, dst):
@@ -769,8 +744,7 @@ def compile_union(ctx, entry, nxt, first, second, dst):
                 [("C", reg, "S"), ("C", CAND, "U"),
                  ("X", tangle.ELEM, "S"), ("X", tangle.ELEM, "U")])
             ctx.emit("union-check:%s:mark-%s%s" % (entry, tag, stag),
-                     cells, edges, recolor=[("X", mcol)],
-                     aliases=[("S", "U")])
+                     cells, edges, recolor=[("X", mcol)], pool=["S", "U"])
     ctx.emit("union-check:%s:mark-exit" % entry,
              [("C", mark), ("U", tangle.PLAIN)],
              [("C", CAND, "U")],
