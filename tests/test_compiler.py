@@ -354,12 +354,12 @@ class TestGoldenRuleSets:
     first, so a digest change names the phases whose rules moved.
     """
 
-    DIGEST = "491d218a062c8b84823a0a165ecbed80b4538b8b2d468d3da188aa88824f52c0"
+    DIGEST = "4d6350b3c7b3a1a2fc052f0f89da20f3ecc39bc3208330d8e39e5efe6e493330"
     PHASES = {"boot": 40, "choice": 16, "cleanup": 398, "commit": 232,
               "conditional": 104, "decide": 92, "eval": 84, "pairing": 84,
               "singleton": 426, "union-build": 168, "union-check": 788}
-    FROZEN_DIGEST = ("c868cd8ef060afb7b7d2737717f8da5c358060632066f4b1"
-                     "ba985b82fa15e757")
+    FROZEN_DIGEST = ("f5e0b977287a4c8a7e680f9b1fc4c4a0acedc0e4ae4536ec"
+                     "c4471f7942142aab")
     FROZEN_PHASES = {"boot": 120, "choice": 48, "cleanup": 1328,
                      "commit": 824, "conditional": 448, "decide": 420,
                      "eval": 428, "pairing": 348, "singleton": 1622,
