@@ -968,7 +968,12 @@ class _Lowerer:
     def cond(self, c, env, ctx):
         """Lower a condition to a formula over bits; bit-producing
         steps run unguarded (their false fallback absorbs operands
-        that a false outer guard left unset)."""
+        that a false guard left unset).  The right operand of `and` is
+        evaluated only where the left one holds, and that of `or` only
+        where it fails, as the interpreter short-circuits: the value of
+        `false and X` and `true or X` does not depend on X, so a right
+        operand skipped there cannot stick the run (jumping code, Aho,
+        Lam, Sethi & Ullman, Compilers, 2nd ed., 6.6)."""
         if isinstance(c, (ast.Member, ast.Eq, ast.Ne)):
             left = self.term(c.left, env, ctx)
             right = self.term(c.right, env, ctx)
@@ -980,11 +985,12 @@ class _Lowerer:
             f = Formula.of_bit(bit)
             return f.negate() if isinstance(c, ast.Ne) else f
         if isinstance(c, ast.And):
-            return self.cond(c.left, env, ctx).conj(
-                self.cond(c.right, env, ctx))
+            left = self.cond(c.left, env, ctx)
+            return left.conj(self.cond(c.right, env, ctx.conj(left)))
         if isinstance(c, ast.Or):
-            return self.cond(c.left, env, ctx).disj(
-                self.cond(c.right, env, ctx))
+            left = self.cond(c.left, env, ctx)
+            return left.disj(self.cond(c.right, env,
+                                       ctx.conj(left.negate())))
         if isinstance(c, ast.Not):
             return self.cond(c.item, env, ctx).negate()
         raise CompileError("cannot lower condition %r" % (c,))
@@ -1051,9 +1057,10 @@ def _emit_stages(ctx, prefix, stages, after):
     and its bare-focus skip rule takes every other tick (_emit_rows).
     That needs each bit of the condition set when the guard runs, and it
     is: a path condition is built from the bits of enclosing `if`
-    conditions, whose conditional stages _Lowerer appends to the eval
-    chain before the stages of their branches, and those stages always
-    run; the commit chain runs after the whole eval chain.
+    conditions and of the left operands of `and` and `or`, whose
+    conditional stages _Lowerer appends to the eval chain before the
+    stages of their branches and right operands, and those stages
+    always run; the commit chain runs after the whole eval chain.
     """
     for i, (phase, condition, emitter, args) in enumerate(stages):
         entry = "%s%d" % (prefix, i)

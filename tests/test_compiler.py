@@ -840,6 +840,48 @@ class TestLeafForwarding:
                 assert [l for _a, l, _b in rule.edges].count("t") == 1, run
 
 
+class TestShortCircuit:
+    """The right operand of `and` runs only where the left one holds, and
+    that of `or` only where it fails, as the interpreter evaluates them.
+    Where the interpreter skips a right operand here, it unions an atom
+    with a non-empty set, which would stick the run (the union protocol
+    finds no witness member in the atom) if it were evaluated."""
+
+    def test_or_right_operand_skipped_when_left_holds(self):
+        # `tangleca difftest --count 20 --seed 6247`, case001: t is an
+        # atom, so {p} in t U p cannot be evaluated, and p != {a} holds
+        assert_agrees(
+            "atoms a;\nfunctions g/1;\ncriticals t, p;\n"
+            "if {} != t then if p != {a} or {p} in t U p then "
+            "if p in p or {p} = p then p := {p} else t := {} "
+            "else t := <t, p U p>\n",
+            "term p = {{{}},{a,{}}}\nterm t = a\n", seeds=(1, 2))
+
+    AND = "atoms a;\ncriticals t, p;\nif t != a and p in t U p then t := a\n"
+
+    @pytest.mark.parametrize("state_text", [
+        # the left operand fails: the union is skipped
+        "term t = a\nterm p = {{}}\n",
+        # the right operand runs, false, then true (and t becomes a)
+        "term t = {a}\nterm p = {{}}\n",
+        "term t = {{{}}}\nterm p = {{}}\n"])
+    def test_and_right_operand_skipped_when_left_fails(self, state_text):
+        assert_agrees(self.AND, state_text, seeds=(1, 2))
+
+    NESTED = ("atoms a;\ncriticals t, p, r;\n"
+              "if r = {} or (t != a and r in t U p) then r := {a}\n")
+
+    @pytest.mark.parametrize("state_text", [
+        # the left operand holds, then t != a fails: the union never runs
+        "term r = {}\nterm t = a\nterm p = {{}}\n",
+        "term r = {{}}\nterm t = a\nterm p = {{}}\n",
+        # every operand runs, the union's test false, then true
+        "term r = {{}}\nterm t = {a}\nterm p = {{a}}\n",
+        "term r = {{}}\nterm t = {{{}}}\nterm p = {a}\n"])
+    def test_nested_or_of_and(self, state_text):
+        assert_agrees(self.NESTED, state_text, seeds=(1, 2))
+
+
 class TestUnionRegressions:
     def test_rejected_candidate_inside_operand(self):
         # the decoy {m, q} is rejected as the union result, yet is itself
