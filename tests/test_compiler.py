@@ -358,12 +358,12 @@ class TestGoldenRuleSets:
     PHASES = {"boot": 40, "choice": 16, "cleanup": 398, "commit": 232,
               "conditional": 104, "decide": 92, "eval": 84, "pairing": 84,
               "singleton": 426, "union-build": 168, "union-check": 788}
-    FROZEN_DIGEST = ("f5e0b977287a4c8a7e680f9b1fc4c4a0acedc0e4ae4536ec"
-                     "c4471f7942142aab")
-    FROZEN_PHASES = {"boot": 120, "choice": 48, "cleanup": 1328,
+    FROZEN_DIGEST = ("e27f21103797a546223b99433936036a960e794885f03f47"
+                     "b2440f2ab17057a3")
+    FROZEN_PHASES = {"boot": 120, "choice": 48, "cleanup": 1318,
                      "commit": 824, "conditional": 448, "decide": 420,
-                     "eval": 428, "pairing": 348, "singleton": 1622,
-                     "union-build": 532, "union-check": 2550}
+                     "eval": 428, "pairing": 348, "singleton": 1654,
+                     "union-build": 532, "union-check": 2558}
 
     @staticmethod
     def check(sources, phases, digest):

@@ -88,7 +88,7 @@ def test_every_step_agrees_with_the_interpreter(negative_edges):
 # (runs, quiescent runs, terminal runs, ticks whose pairs include a
 # cleanup rule, ticks whose pairs include a decide rule) over both edge
 # modes, deterministic and random seed 1
-BRANCH_RUNS = (328, 328, 324, 2340, 816)
+BRANCH_RUNS = (328, 328, 324, 2460, 816)
 
 
 @pytest.fixture(scope="module")
