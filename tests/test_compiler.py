@@ -6,6 +6,7 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tangleca import (asmlang, automaton, compiler, difftest, hfset,
                       interpreter, tangle)
@@ -399,6 +400,39 @@ def test_negative_edges_need_no_run_flag(name):
         assert unit.final_state(cfg.tangle, universe) == want
 
 
+def naive_variants(cells, edges, pool):
+    """The feasible partitions of the pool, from every map of its cells to
+    block labels: no block of two colours, no quotient with a cycle."""
+    colour = dict(cells)
+    found = set()
+    for labels in itertools.product(range(len(pool)), repeat=len(pool)):
+        blocks = collections.defaultdict(set)
+        for x, label in zip(pool, labels):
+            blocks[label].add(x)
+        partition = frozenset(frozenset(b) for b in blocks.values())
+        if any(len({colour[x] for x in b} - {None}) > 1 for b in partition):
+            continue
+        node = {x: min(b) for b in partition for x in b}
+        succ = collections.defaultdict(set)
+        for a, _l, b in edges:
+            succ[node.get(a, a)].add(node.get(b, b))
+
+        def reaches(start, goal):
+            todo, seen = list(succ[start]), set()
+            while todo:
+                m = todo.pop()
+                if m == goal:
+                    return True
+                if m not in seen:
+                    seen.add(m)
+                    todo.extend(succ[m])
+            return False
+
+        if not any(reaches(m, m) for m in list(succ)):
+            found.add(partition)
+    return found
+
+
 class TestVariants:
     def test_alias_free_template_is_its_only_variant(self):
         cells = [("C", "s0"), ("X", None)]
@@ -464,6 +498,36 @@ class TestVariants:
         assert mapping == {"X": "X", "Y": "X", "Z": "Z"}
         assert qedges == [("C", "$r0", "X"), ("C", "$r1", "X"),
                           ("C", "$r2", "Z")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_variant_per_feasible_partition(self, data):
+        # up to six value cells, elem edges only from earlier to later
+        # cells (the template is acyclic), and a pool of up to five
+        n = data.draw(st.integers(0, 6))
+        names = ["X%d" % i for i in range(n)]
+        colours = data.draw(st.lists(st.sampled_from(
+            [None, tangle.PLAIN, tangle.MARKER]), min_size=n, max_size=n))
+        cells = [("C", "s0")] + list(zip(names, colours))
+        edges = [("C", "$r%d" % i, x) for i, x in enumerate(names)]
+        if n > 1:
+            pairs = st.tuples(st.integers(0, n - 2), st.integers(1, n - 1))
+            edges += [(names[a], tangle.ELEM, names[b])
+                      for a, b in data.draw(st.lists(pairs, max_size=4))
+                      if a < b]
+        pool = data.draw(st.lists(st.sampled_from(names), unique=True,
+                                  max_size=5) if names else st.just([]))
+
+        variants = list(compiler._variants(cells, edges, pool))
+        got = [frozenset(frozenset(x for x in pool if mapping[x] == lead)
+                         for lead in set(mapping.values()))
+               for mapping, _qcells, _qedges, _suffix in variants]
+        assert len(got) == len(set(got))
+        assert set(got) == naive_variants(cells, edges, pool)
+        assert variants[0] == ({x: x for x in pool}, cells,
+                               list(dict.fromkeys(edges)), "")
+        sizes = [len(qcells) for _m, qcells, _e, _s in variants]
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_union_rules_match_a_fresh_context(self):
         def rules(ctx, entry, first, second):
