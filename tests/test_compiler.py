@@ -333,26 +333,14 @@ def phase_counts(units):
 class TestGoldenRuleSets:
     """The compiled rule sets stay byte-identical.
 
-    The corpus digest was recorded before alias-free templates stopped
-    running the quotient search; the frozen-case digest covers the 60
-    generated `perfbench/cases/gen-*.asml` programs (read only here),
-    which use locations and choice more than the corpus does.  Both
-    were re-recorded when the wind-down chain was folded into the
-    cleanup chain, when each run of same-condition stages got one
-    guard and each run of commits one decide stage, and when the empty
-    set became a plain set and a decide fire began to enter its commit
-    run past the run's guard, when cleanup began to drop one path
-    condition's labels up to three a tick, and when critical terms,
-    atoms and {} began to be read where they sit instead of copied into
-    registers, and when the digest stopped reading the palette and
-    labels lines and the register and bit lists (which rule sets and
-    units then lost), and when a guard began to emit a rule only for
-    each satisfying row, plus one skip rule, which took only guard rules
-    out: the phases of guarded stages fell.
-
-    Beside each digest sit its units' rule counts per phase (a guard's
-    rules carry the phase of its run's first stage).  They are compared
-    first, so a digest change names the phases whose rules moved.
+    One digest covers the 20 corpus programs, the other perfbench's 60
+    frozen generated programs (read only here), which use locations and
+    choice more than the corpus does, each compiled in both edge modes
+    (rule_set_digest says what is hashed).  Beside each digest sit its
+    units' rule counts per phase (a guard's rules carry the phase of its
+    run's first stage).  They are compared first, so a digest change
+    names the phases whose rules moved.  CHANGES.md lists each
+    re-record, with its old and new value and the reason.
     """
 
     DIGEST = "4d6350b3c7b3a1a2fc052f0f89da20f3ecc39bc3208330d8e39e5efe6e493330"

@@ -1,42 +1,25 @@
-"""Applied-match traces on the corpus and the bench cases stay byte-identical.
+"""Applied-match traces on the corpus, the bench cases and perfbench's 60
+frozen programs stay byte-identical.
 
 For each edge mode and schedule, every case runs to quiescence and the
-sequence of applied (rule_index, binding) pairs, plus each case's
-outcome and tick count, is hashed.  The corpus digests were recorded
-before match selection moved to raw kernel pairs; the bench digests
-(union-16, whose ticks each wade through many decoy matches, and
-overhead-8) before join plans bound the focus's out-edges first, and
-union-32's, whose unordered runs are longer, before the kernel stopped
-sorting runs it can prove sorted and deterministic selection stopped
-filtering past the first maximal pair.  The digests of perfbench's 60
-frozen generated programs, where focus steps fan out over location
-tuples, were recorded while the kernel still sorted each plan's run
-into binding-tuple order, before its join order became the match order
-(rule order, then the nodes bound at the plan's steps, in step order).
-Every digest and count here was re-recorded when the wind-down chain
-was folded into the cleanup chain, which renumbered and renamed rules
-but changed no tick, outcome or final state, and again when each run of
-same-condition stages got one guard and each run of commits one decide
-stage, which removed guard and decide ticks but changed no outcome or
-final state, and again when the empty set became a plain set and a
-decide fire began to enter its commit run past the run's guard, which
-removed the union protocol's empty-set stages and one commit guard tick
-per round that commits, and again when cleanup began to drop the
-registers and bits of one path condition up to three a tick and to
-skip an unset condition's in one, and again when critical terms, atoms
-and {} began to be read where they sit instead of copied into
-registers, which removed those copy ticks, and again when a guard began
-to emit only its satisfying rows plus one bare-focus skip rule, which
-renamed skip ticks and shifted rule indices but changed no tick, each
-time with outcomes and final states unchanged.  That last change also
-raised UNION_PAIRS by one a run (the skip rule matches on the one
-satisfying guard tick too) and SETTLED's settled ticks by 103.
-Any change to matching, maximality filtering or selection that alters a
-single applied match shows up here.  The number of pairs the kernel
-returns over a deterministic union run is pinned too.  On every
-deterministic tick of the corpus, the frozen programs, union-16 and
-overhead-8, the pair that selection takes (settled by the plan index's
-table or not) must be the maximality filter's first maximal pair.
+sequence of applied (rule, binding) pairs, plus each case's outcome and
+tick count, is hashed twice: once keyed by rule index, once by rule
+name.  Any change to matching, maximality filtering or selection that
+alters a single applied match moves both digests.  A change that only
+reorders rules moves the index-keyed digest and leaves the name-keyed
+one alone, which tells a renumbering from a change of behaviour.  The
+bench cases are union-16, whose ticks each wade through many decoy
+matches, union-32, whose unordered runs are longer, and overhead-8; the
+frozen programs' focus steps fan out over location tuples.
+
+The number of pairs the kernel returns over a deterministic union run
+is pinned too.  On every deterministic tick of the corpus, the frozen
+programs, union-16 and overhead-8, the pair that selection takes
+(settled by the plan index's table or not) must be the maximality
+filter's first maximal pair, and the number of settled ticks is pinned.
+
+CHANGES.md lists each re-record of these pins, with its old and new
+value and the reason.
 """
 import hashlib
 import pathlib
