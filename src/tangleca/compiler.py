@@ -421,8 +421,8 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     The drop rule binds every label of the chunk and deletes its edges.
     The chunk's registers are its pool, so registers holding one node
     bind one cell of a variant; bits get one rule per row of true/false
-    markers they point at.  The skip rule, the
-    bare focus, hands over to `skip`, the first stage after the group.
+    markers they point at.  The skip rule, the bare focus, hands over
+    to `skip`, the first stage after the group.
 
     All or none: every eval stage that runs writes its label (an empty
     choice halts the run before cleanup).  A bit is written by a
