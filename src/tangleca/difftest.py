@@ -35,10 +35,12 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
 
     negative_edges selects how the program is compiled; the rules then
     carry it.  Runs the deterministic schedule once and a random schedule
-    per seed.  Returns a CaseResult listing every disagreement; with
-    check_invariants on, a schedule that leaves the tangle malformed is
-    one, and so is a schedule whose checks meet a value past the
-    universe's limits (hfset.HFLimitError); the next schedule still runs.
+    per seed, unless the oracle ran out of steps: then no schedule runs,
+    and each reports the oracle outcome as not comparable.  Returns a
+    CaseResult listing every disagreement; with check_invariants on, a
+    schedule that leaves the tangle malformed is one, and so is a
+    schedule whose checks meet a value past the universe's limits
+    (hfset.HFLimitError); the next schedule still runs.
     """
     oracle_state, _steps, oracle_outcome = interpreter.run_to_termination(
         program, state, universe, seed=0)
@@ -50,6 +52,12 @@ def run_case(program, state, universe, seeds=(0, 1, 2),
     schedules += [(automaton.RANDOM, s) for s in seeds]
     for mode, seed in schedules:
         tag = "%s[%s/%d]" % (label, mode, seed)
+        if oracle_outcome == interpreter.BUDGET:
+            # the program may not terminate: a run would only spend its
+            # tick budget
+            disagreements.append("%s: oracle outcome %s not comparable"
+                                 % (tag, oracle_outcome))
+            continue
         graph = unit.initial_graph(state, universe)
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
         try:

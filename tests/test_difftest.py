@@ -50,6 +50,19 @@ def test_oracle_type_error_is_not_comparable():
         "oracle outcome type-error not comparable")
 
 
+def test_oracle_step_budget_runs_no_schedule():
+    # every step updates p in one branch or the other, so the program
+    # never halts and the interpreter stops at its step budget
+    source = ("atoms a;\ncriticals t, p;\n"
+              "if t != a and p in t U p then p := {} else p := {a}\n")
+    for negative_edges in (False, True):
+        result = run(source, "term t = a\nterm p = {{}}\n",
+                     negative_edges=negative_edges, check_invariants=True)
+        assert result.disagreements == each_schedule(
+            "oracle outcome step-budget-exhausted not comparable")
+        assert result.ticks == 0
+
+
 def test_interpreter_terminal_against_another_outcome(monkeypatch):
     monkeypatch.setattr(compiler.CompilationUnit, "classify",
                         lambda self, graph: "stuck:s9")
