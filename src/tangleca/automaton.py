@@ -76,7 +76,8 @@ class StepStats:
     maximality filter.  In a checked run, idle_checks counts the
     committed-value checks of idle ticks, and fallbacks those of them
     that the memo could not certify clean, so that the full
-    tangle.committed_violations ran."""
+    tangle.committed_violations ran, and redecoded the nodes the idle
+    checks decoded again from the memo, summed over the run."""
 
     def __init__(self):
         self.total = 0
@@ -84,6 +85,7 @@ class StepStats:
         self.settled = 0
         self.idle_checks = 0
         self.fallbacks = 0
+        self.redecoded = 0
         self.rules = {}
 
     def count(self, rule_name):
@@ -101,7 +103,8 @@ class StepStats:
     def as_dict(self):
         return {"total": self.total, "matches": self.matches,
                 "settled": self.settled, "idle_checks": self.idle_checks,
-                "fallbacks": self.fallbacks, "phases": self.phases,
+                "fallbacks": self.fallbacks, "redecoded": self.redecoded,
+                "phases": self.phases,
                 "rules": dict(self.rules)}
 
     def format(self):
@@ -484,6 +487,7 @@ class _CommittedCheck:
                                                 roots=roots, memo=values)
         except hfset.HFLimitError:
             return False
+        self.stats.redecoded += len(decoded)
         if failures:
             return False
         for nid, v in decoded.items():

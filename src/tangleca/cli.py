@@ -328,7 +328,8 @@ def build_parser():
                          "maximality filter, and the idle-tick committed "
                          "checks of --check-invariants (idle_checks) and "
                          "how many fell back to the full check "
-                         "(fallbacks), the rounds (one per entry into "
+                         "(fallbacks) and the nodes they decoded again "
+                         "(redecoded), the rounds (one per entry into "
                          "the program's first cycle colour: one per ASM "
                          "step, then a last one that fires nothing) and "
                          "the most ticks one round took (max_round_ticks) "

@@ -147,8 +147,8 @@ class TestSimulate:
         assert code == 0
         stats = json.loads(target.read_text())
         assert set(stats) == {"total", "matches", "settled", "idle_checks",
-                              "fallbacks", "phases", "rules", "rounds",
-                              "max_round_ticks"}
+                              "fallbacks", "redecoded", "phases", "rules",
+                              "rounds", "max_round_ticks"}
         assert "outcome terminal after %d ticks" % stats["total"] in out
         # a round per interpreter step, then one that fires nothing
         _code, interpreted, _ = run_main(["interpret", prog, state], capsys)
@@ -222,9 +222,10 @@ class TestSimulate:
 # without its "matches" and "settled" counts, which it gained after the
 # digest was recorded; they are pinned by SIMULATE_MATCHES and
 # SIMULATE_SETTLED (random schedules settle no tick).  Its later
-# "idle_checks" and "fallbacks" counts are left out the same way and
-# pinned by SIMULATE_IDLE_CHECKS (one per tick that ends at an idle
-# color) and SIMULATE_FALLBACKS (no idle check needs the full walk), and
+# "idle_checks", "fallbacks" and "redecoded" counts are left out the
+# same way and pinned by SIMULATE_IDLE_CHECKS (one per tick that ends at
+# an idle color), SIMULATE_FALLBACKS (no idle check needs the full walk)
+# and SIMULATE_REDECODED (the nodes the idle checks decode again), and
 # its "rounds" and "max_round_ticks" by SIMULATE_ROUNDS and
 # SIMULATE_MAX_ROUND_TICKS (a round per ASM step, then a last round that
 # fires nothing).  The digest, matches and settled counts were
@@ -254,6 +255,7 @@ SIMULATE_MATCHES = [92, 92, 52, 33, 33, 33, 53, 53, 53, 54, 54, 55]
 SIMULATE_SETTLED = [46, 46, 0, 19, 19, 0, 37, 37, 0, 30, 31, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
+SIMULATE_REDECODED = [6, 6, 6, 2, 1, 1, 2, 2, 2, 4, 4, 4]
 SIMULATE_ROUNDS = [2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2]
 SIMULATE_MAX_ROUND_TICKS = [44, 44, 23, 17, 17, 17, 18, 18, 18, 28, 28, 28]
 
@@ -264,6 +266,7 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     settled = []
     idle_checks = []
     fallbacks = []
+    redecoded = []
     rounds = []
     max_round_ticks = []
     for name in SIMULATE_CASES:
@@ -288,6 +291,7 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
                     settled.append(stats.pop("settled"))
                     idle_checks.append(stats.pop("idle_checks"))
                     fallbacks.append(stats.pop("fallbacks"))
+                    redecoded.append(stats.pop("redecoded"))
                     rounds.append(stats.pop("rounds"))
                     max_round_ticks.append(stats.pop("max_round_ticks"))
                     data = (json.dumps(stats, indent=2, sort_keys=True)
@@ -298,6 +302,7 @@ def test_simulate_outputs_pinned(tmp_path, capsys, monkeypatch):
     assert settled == SIMULATE_SETTLED
     assert idle_checks == SIMULATE_IDLE_CHECKS
     assert fallbacks == SIMULATE_FALLBACKS
+    assert redecoded == SIMULATE_REDECODED
     assert rounds == SIMULATE_ROUNDS
     assert max_round_ticks == SIMULATE_MAX_ROUND_TICKS
 
