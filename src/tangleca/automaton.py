@@ -15,9 +15,12 @@ keeps the value that walk decoded for each node.  After that each tick
 pays only for what its rule can break, looked up in the rule set's effect
 table, and a tick that ends at an idle color adds the committed-value
 checks that mid-protocol ticks are exempt from.  Those re-decode only the
-nodes the ticks since the last clean check touched, and what contains
-them; when that cannot certify the tangle clean, the full committed check
-runs and its verdict is the tick's (see run).
+nodes whose containment edges the ticks since the last clean check
+edited, the nodes they created, and what contains them; a node those
+ticks only recolored keeps its value, and is decoded only when it is
+newly committed and was never decoded.  When that cannot certify the
+tangle clean, the full committed check runs and its verdict is the
+tick's (see run).
 """
 from __future__ import annotations
 
@@ -227,19 +230,21 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
     The memo maps each node the last clean committed check decoded to
     its value: every node tangle.committed_violations' walk decodes (each
     committed value node and all it contains), and perhaps nodes that
-    walk no longer reaches.  A tick touches the destination of each
-    containment edge it adds or deletes, each cell other than the focus
-    it recolors (the focus is the Criticals node, which holds no value)
-    and each node it creates; the effect table (effects) lists those
-    cells per rule.  An idle check drops the touched nodes and their
-    forward closure along outgoing elem/fst/snd edges (the sets and
-    pairs that contain them) from the memo, re-decodes the committed
-    value nodes among them, and certifies the tangle clean when no walk
-    fails and no decoded value's uid is held by another entry.
-    Otherwise it falls back: it calls tangle.committed_violations, whose
-    list (or HFLimitError) is the tick's, and a clean fallback re-seeds
-    the memo from that call's walk.  Why a certified tick's full check
-    is clean, by induction over clean checks:
+    walk no longer reaches.  A tick's closure seeds are the destination
+    of each containment edge it adds or deletes and each node it
+    creates; its re-root nodes are the other cells it recolors, save the
+    focus (the Criticals node, which holds no value).  The effect table
+    (effects) lists both per rule.  An idle check drops the seeds and
+    their forward closure along outgoing elem/fst/snd edges (the sets
+    and pairs that contain them) from the memo and re-decodes the
+    committed value nodes among them; then it decodes each re-root node
+    outside that closure that is a committed value node and has no memo
+    entry.  It certifies the tangle clean when no walk fails and no
+    decoded value's uid is held by another entry.  Otherwise it falls
+    back: it calls tangle.committed_violations, whose list (or
+    HFLimitError) is the tick's, and a clean fallback re-seeds the memo
+    from that call's walk.  Why a certified tick's full check is clean,
+    by induction over clean checks:
 
     - nodes are never removed and kinds never change, and a node's walk,
       its value or its failure (a pair's shape included), depends only
@@ -250,12 +255,18 @@ def run(cfg, rules, max_ticks=DEFAULT_MAX_TICKS, check_invariants=False,
       value, and its ancestors are kept too;
     - a clean check has no failing walk, so it decoded every committed
       value node and all it contains: a committed node outside the
-      dropped closure (its color and ancestors unchanged) decodes what
-      it decoded then, all of it kept, and one inside is re-decoded down
-      to kept entries.  A failing walk is a violation, so a failing
-      re-decode falls back, and the full check would find it too.  The
-      memo covers every node the full walk decodes, with the same
-      values;
+      dropped closure whose color is unchanged decodes what it decoded
+      then, all of it kept, and one inside is re-decoded down to kept
+      entries.  A failing walk is a violation, so a failing re-decode
+      falls back, and the full check would find it too.  The memo
+      covers every node the full walk decodes, with the same values;
+    - a recolor changes the root set, not a value: a value does not
+      depend on colors.  A node newly committed outside the dropped
+      closure is a re-root node.  If it has a memo entry, that entry and
+      those of all it contains are current, and each holds a uid no
+      other entry holds, since the last clean check found none shared
+      and every entry decoded since was checked; if it has none, it is
+      decoded as a root.  A node newly uncommitted keeps its entry;
     - the universe only grows, so the full walk's set_of and pair calls on
       kept values find values the universe holds, and a held set never
       raises;
@@ -321,9 +332,11 @@ def effects(rules):
     break a structural invariant.
 
     touches is None for a rule that touches no node, else (cells,
-    creates): the pattern cells it touches (the destination of each
-    containment edge it adds or deletes, each cell other than the focus
-    it recolors) and whether it creates nodes, each of which is touched.
+    creates, recolors).  cells and creates give the closure seeds: the
+    pattern cells that are the destination of a containment edge the
+    rule adds or deletes, and whether it creates nodes, each of which is
+    a seed too.  recolors holds the re-root cells: the pattern cells
+    other than the focus that the rule recolors and that are no seed.
 
     terms holds the labels, not internal, of the edges out of the focus
     the rule adds or deletes: critical-term or function-location edges
@@ -342,12 +355,13 @@ def effects(rules):
             breaks = ((criticals, containment)
                       if criticals or containment else None)
             pattern_cells = len(rule.colors)
-            cells = {d for _a, label, d in rule.add + rule.delete
-                     if label in tg.CONTAINMENT}
-            cells.update(c for c, _color in rule.recolor if c != rule.focus)
-            cells = tuple(sorted(c for c in cells if c < pattern_cells))
-            touches = ((cells, bool(rule.creates))
-                       if cells or rule.creates else None)
+            seeds = {d for _a, label, d in rule.add + rule.delete
+                     if label in tg.CONTAINMENT and d < pattern_cells}
+            recolors = {c for c, _color in rule.recolor
+                        if c != rule.focus and c < pattern_cells}
+            recolors = tuple(sorted(recolors - seeds))
+            touches = ((tuple(sorted(seeds)), bool(rule.creates), recolors)
+                       if seeds or rule.creates or recolors else None)
             terms = tuple(sorted({
                 label for a, label, _d in rule.add + rule.delete
                 if a == rule.focus and not tg.is_internal_label(label)}))
@@ -382,20 +396,22 @@ class _CommittedCheck:
     ticks (see run).
 
     values is the memo, node id -> value, and owner maps each of its
-    values' uids to the node; touched holds the nodes the ticks since the
-    last check touched.  terms maps each critical term's label to its
-    node, as tangle._critical_terms finds them, and pending holds, per
-    label, the violations found on that label's edges since the last
+    values' uids to the node; touched holds the closure seeds of the
+    ticks since the last check, and recolored their re-root nodes, the
+    nodes they only recolored.  terms maps each critical term's label to
+    its node, as tangle._critical_terms finds them, and pending holds,
+    per label, the violations found on that label's edges since the last
     check.
     """
 
     __slots__ = ("universe", "stats", "values", "owner", "touched",
-                 "terms", "pending")
+                 "recolored", "terms", "pending")
 
     def __init__(self, g, universe, values, stats):
         self.universe = universe
         self.stats = stats
         self.touched = set()
+        self.recolored = set()
         self.terms = tg._critical_terms(g, g.active)[0]
         self.pending = {}
         self._seed(values)
@@ -405,16 +421,20 @@ class _CommittedCheck:
         self.values = values
         self.owner = {v.uid: nid for nid, v in values.items()}
         self.touched.clear()
+        self.recolored.clear()
 
     def touch(self, g, binding, prev_nodes, touch):
         """Record the nodes a tick touched, given its rule's touches
         entry; the tick's created nodes are prev_nodes onwards."""
-        cells, creates = touch
+        cells, creates, recolors = touch
         touched = self.touched
         for c in cells:
             touched.add(binding[c])
         if creates:
             touched.update(range(prev_nodes, g.node_count()))
+        recolored = self.recolored
+        for c in recolors:
+            recolored.add(binding[c])
 
     def move(self, g, labels):
         """Read the critical-term edges with the given labels again, right
@@ -443,6 +463,7 @@ class _CommittedCheck:
         if not cyclic and self._clean(g):
             values = self.values
             self.touched.clear()
+            self.recolored.clear()
             violations = []
         else:
             self.stats.fallbacks += 1
@@ -466,8 +487,9 @@ class _CommittedCheck:
         return violations
 
     def _clean(self, g):
-        """Re-decode what the touched nodes can have changed; True when
-        that certifies the tangle clean.  False leaves the memo spent:
+        """Re-decode what the closure seeds can have changed, and decode
+        each re-root node that is a committed value node the memo lacks;
+        True when that certifies the tangle clean.  False leaves the memo spent:
         the caller re-seeds it or the run ends."""
         values, owner = self.values, self.owner
         dirty = _closure(g, self.touched)
@@ -479,6 +501,12 @@ class _CommittedCheck:
                 del owner[v.uid]
             node = nodes[nid]
             if node.kind in tg.VALUE_KINDS and node.color in tg.COMMITTED:
+                roots.append(nid)
+        for nid in self.recolored:
+            node = nodes[nid]
+            if (nid not in values and nid not in dirty
+                    and node.kind in tg.VALUE_KINDS
+                    and node.color in tg.COMMITTED):
                 roots.append(nid)
         if not roots:
             return True

@@ -468,8 +468,10 @@ def check_invariants(g, universe, memo=None):
     nodes are never removed, kinds and the active node never change,
     and each added containment edge is tested for a cycle when it is
     added, so an idle-ending tick needs only its own structural check
-    and the committed checks, which re-decode only the nodes the ticks
-    since the last clean check can have changed (see automaton.run).
+    and the committed checks, which re-decode only the nodes whose value
+    the ticks since the last clean check can have changed, and decode a
+    node those ticks only recolored only when it is newly committed and
+    was never decoded (see automaton.run).
     A checked run checks the critical terms again at each idle tick:
     the edges with each label a tick edited since the last check, and
     each term node the committed check did not decode.

@@ -644,6 +644,87 @@ class TestIdleTickChecks:
             "nesting depth 4 exceeds limit 3")
 
 
+class TestRecolorReRoots:
+    """A recolor changes which nodes are committed, never a value: the
+    next idle check keeps the memo and decodes only a node that the
+    recolor commits and the memo lacks."""
+
+    # Two rounds on {r: {{a}}, s: {a}}, whose {a} is s's node and r's
+    # member: tick 1 takes the focus from red to idle, tick 2 applies
+    # recolor, which names term labels as cells, and ends at done.  Both
+    # idle checks are clean; returns, per check, the memo and the run's
+    # redecoded count after it.
+    def _two_rounds(self, monkeypatch, recolor, setup=None):
+        u = hfset.Universe()
+        g = tangle.encode({"r": u.parse("{{a}}"), "s": u.parse("{a}")}, u,
+                          criticals_color="red")
+        if setup is not None:
+            setup(g)
+        cells = sorted(g.out[g.active])
+        rules = RuleSet([
+            Rule("warm", [("C", "red")], [], recolor=[("C", "idle")]),
+            Rule("edit", [("C", "idle")] + [(c, None) for c in cells],
+                 [("C", c, c) for c in cells],
+                 recolor=recolor + [("C", "done")])])
+        checks = []
+        clean = automaton._CommittedCheck._clean
+
+        def spied(self, g):
+            certified = clean(self, g)
+            checks.append((dict(self.values), self.stats.redecoded))
+            return certified
+
+        monkeypatch.setattr(automaton._CommittedCheck, "_clean", spied)
+        _cfg, stats, outcome = run(
+            Configuration(g), rules, check_invariants=True, universe=u,
+            idle_colors=frozenset(("idle", "done")))
+        assert outcome == QUIESCENT
+        assert (stats.total, stats.idle_checks, stats.fallbacks) == (2, 2, 0)
+        assert tangle.check_invariants(g, u) == []
+        return g, checks
+
+    @staticmethod
+    def _term(g, label):
+        return min(g.targets(g.active, label))
+
+    def test_recolored_member_redecodes_nothing(self, monkeypatch):
+        g, (warm, edit) = self._two_rounds(monkeypatch,
+                                           [("s", tangle.MARKER)])
+        r = self._term(g, "r")
+        assert g.color_of(self._term(g, "s")) == tangle.MARKER
+        assert edit[0][r] is warm[0][r]
+        assert edit[1] == warm[1] == 0
+
+    def test_committing_a_node_in_the_memo_decodes_nothing(self,
+                                                            monkeypatch):
+        # {a} starts marked, inside the committed r, so the first walk
+        # decoded it; tick 2 commits it
+        def setup(g):
+            g.set_color(self._term(g, "s"), tangle.MARKER)
+
+        g, (warm, edit) = self._two_rounds(monkeypatch,
+                                           [("s", tangle.PLAIN)], setup)
+        s = self._term(g, "s")
+        assert g.color_of(s) == tangle.PLAIN
+        assert edit[0][s] is warm[0][s]
+        assert edit[1] == warm[1] == 0
+
+    def test_committing_a_node_outside_the_memo_decodes_it(self,
+                                                            monkeypatch):
+        # m, a marked {r}, is held by its term only, so no walk decoded
+        # it until tick 2 commits it; r's entry serves its walk
+        def setup(g):
+            m = g.add_node(tangle.MARKER, tangle.SET)
+            g.add_edge(self._term(g, "r"), tangle.ELEM, m)
+            g.add_edge(g.active, "m", m)
+
+        g, (warm, edit) = self._two_rounds(monkeypatch,
+                                           [("m", tangle.PLAIN)], setup)
+        m = self._term(g, "m")
+        assert m not in warm[0] and m in edit[0]
+        assert (warm[1], edit[1]) == (0, 1)
+
+
 FOCUS_COLORS = ("idle", "busy", "red")
 VALUE_COLORS = (tangle.PLAIN, tangle.MARKER)
 CONTAINMENT_EDGES = sorted(tangle.CONTAINMENT)

@@ -255,7 +255,7 @@ SIMULATE_MATCHES = [92, 92, 52, 33, 33, 33, 53, 53, 53, 54, 54, 55]
 SIMULATE_SETTLED = [46, 46, 0, 19, 19, 0, 37, 37, 0, 30, 31, 0]
 SIMULATE_IDLE_CHECKS = [3, 3, 3, 3, 3, 3, 4, 4, 4, 3, 3, 3]
 SIMULATE_FALLBACKS = [0] * 12
-SIMULATE_REDECODED = [6, 6, 6, 2, 1, 1, 2, 2, 2, 4, 4, 4]
+SIMULATE_REDECODED = [0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 1, 1]
 SIMULATE_ROUNDS = [2, 2, 2, 2, 2, 2, 3, 3, 3, 2, 2, 2]
 SIMULATE_MAX_ROUND_TICKS = [44, 44, 23, 17, 17, 17, 18, 18, 18, 28, 28, 28]
 
