@@ -18,7 +18,7 @@ checks that mid-protocol ticks are exempt from.  Those re-decode only the
 nodes whose containment edges the ticks since the last clean check
 edited, the nodes they created, and what contains them; a node those
 ticks only recolored keeps its value, and is decoded only when it is
-newly committed and was never decoded.  When that cannot certify the
+newly committed and the memo lacks it.  When that cannot certify the
 tangle clean, the full committed check runs and its verdict is the
 tick's (see run).
 """
@@ -80,7 +80,8 @@ class StepStats:
     committed-value checks of idle ticks, and fallbacks those of them
     that the memo could not certify clean, so that the full
     tangle.committed_violations ran, and redecoded the nodes the idle
-    checks decoded again from the memo, summed over the run."""
+    checks' walks decoded because the memo lacked them, summed over the
+    run."""
 
     def __init__(self):
         self.total = 0
@@ -489,8 +490,8 @@ class _CommittedCheck:
     def _clean(self, g):
         """Re-decode what the closure seeds can have changed, and decode
         each re-root node that is a committed value node the memo lacks;
-        True when that certifies the tangle clean.  False leaves the memo spent:
-        the caller re-seeds it or the run ends."""
+        True when that certifies the tangle clean.  False leaves the memo
+        spent: the caller re-seeds it or the run ends."""
         values, owner = self.values, self.owner
         dirty = _closure(g, self.touched)
         nodes = g.nodes

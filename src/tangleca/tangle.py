@@ -471,7 +471,7 @@ def check_invariants(g, universe, memo=None):
     and the committed checks, which re-decode only the nodes whose value
     the ticks since the last clean check can have changed, and decode a
     node those ticks only recolored only when it is newly committed and
-    was never decoded (see automaton.run).
+    the memo lacks it (see automaton.run).
     A checked run checks the critical terms again at each idle tick:
     the edges with each label a tick edited since the last check, and
     each term node the committed check did not decode.
