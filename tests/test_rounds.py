@@ -16,8 +16,10 @@ frozen generated ones (read only here).  Three properties are checked:
 - the incremental committed check: at every idle tick of a checked run,
   what the run's memo-based committed and critical-term check returns
   equals `tangle.check_invariants` on the same graph, which has no
-  structural violation in these clean runs.
+  structural violation in these clean runs; the same runs' outcomes,
+  tick counts and final states are pinned by one digest.
 """
+import hashlib
 import pathlib
 
 import pytest
@@ -164,6 +166,12 @@ def test_terminal_runs_halt_clean(branch_runs):
 # the runs of one `perfbench` `difftest` pass
 IDLE_CHECKS = (1470, 0)
 
+# sha256 over each of those runs' label, classified outcome, tick count
+# and printed final state: what a rule-set refactor that keeps ticks
+# must leave as it is, whatever its rules are named
+OUTCOMES_DIGEST = (
+    "e63a024524392f188bbd8435958c845f20aecb19b3e2da9ae5962f5cb96c810f")
+
 
 def test_incremental_committed_check_agrees_with_the_full_one():
     real = automaton._CommittedCheck.violations
@@ -179,6 +187,7 @@ def test_incremental_committed_check_agrees_with_the_full_one():
         return got
 
     idle_checks = fallbacks = 0
+    outcomes = hashlib.sha256()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(automaton._CommittedCheck, "violations", compared)
         for negative_edges in MODES:
@@ -192,11 +201,16 @@ def test_incremental_committed_check_agrees_with_the_full_one():
                         name, negative_edges, mode, seed)
                     cfg = automaton.Configuration(
                         graph.copy(), seed=seed, mode=mode)
-                    _cfg, stats, outcome = automaton.run(
+                    cfg, stats, outcome = automaton.run(
                         cfg, unit.ruleset, check_invariants=True,
                         idle_colors=unit.idle_colors, universe=universe)
                     assert outcome == automaton.QUIESCENT, current["label"]
                     idle_checks += stats.idle_checks
                     fallbacks += stats.fallbacks
+                    final = unit.final_state(cfg.tangle, universe)
+                    outcomes.update(("%s|%s|%d\n%s" % (
+                        current["label"], unit.classify(cfg.tangle),
+                        stats.total, interpreter.print_state(final))).encode())
     assert disagreements == []
     assert (idle_checks, fallbacks) == IDLE_CHECKS
+    assert outcomes.hexdigest() == OUTCOMES_DIGEST
