@@ -3,8 +3,8 @@
 The compiled automaton realizes one interpreter transition as a fixed
 cycle of focus-node colors acting as a program counter:
 
-    boot -> s0 .. s{n-1} -> d0 .. d{r-1} -> m0 .. m{m-1} -> k0 .. k{c-1} -> s0
-                               \\-> k0 .. k{c-1} -> done (nothing enabled)
+    boot -> s0 .. s{n-1} -> m0 .. m{m-1} -> k0 .. k{c-1} -> s0
+                                                  \\-> done (nothing fired)
 
 * boot (once): create the shared true/false marker nodes.
 * s{i} (eval): materialize one compound value into a scratch register
@@ -14,24 +14,22 @@ cycle of focus-node colors acting as a program counter:
   #atom_<name> and #empty edges; only a commit operand that names a
   critical term some commit writes is copied into a register.  Each run
   of consecutive register steps under one non-trivial path condition
-  is wrapped in one guard stage; bit steps always run.
-* d{i} (decide): one stage per run of commits under one path condition
-  (r runs of the m commits): find the first run whose condition holds,
-  mark the round with a $go edge from the focus to the false marker,
-  and jump to the run's first commit stage, past its guard; if none
-  holds, go to cleanup unmarked.  A guard is a decide stage without
-  the mark: both are row stages (_emit_rows), one rule per row that
-  satisfies the condition and one bare-focus rule for the rest.
+  is wrapped in one guard stage; bit steps always run.  A guard is a
+  row stage (_emit_rows): one rule per row that satisfies the
+  condition and one bare-focus rule for the rest.
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers and from edges no commit writes, so parallel
   assignments all read the pre-transition state; commits are guarded
-  by runs like eval steps.
+  by runs like eval steps, and a guard that lets its run through marks
+  the round with a $go edge from the focus to the false marker.
 * k{i} (cleanup): each of the c stages drops up to three register or
   bit edges written under one path condition, in one tick; the first
   stage of a condition's labels skips past all of them when they are
   unset.  The labels written unconditionally come last, and the last
   stage, which may drop no label at all, drops the $go mark too and
-  loops to s0, or halts in "done" if there is none.
+  loops to s0, or halts in "done" if there is none.  A program with
+  an unconditional commit fires in every round: its guards set no mark
+  and its last cleanup stage always loops to s0.
 
 Lowering turns the program body into stage lists; a stage is
 (phase, path condition, emitter, args), and emitter(ctx, entry, nxt,
@@ -92,7 +90,7 @@ BW = "$bw"       # union build handle
 LOC = "$loc"     # resolved location tuple
 TST = "$tst"     # negative-edge mode: singleton reject mark
 REJ = "$rej"     # negative-edge mode: union reject mark
-GO = "$go"       # decide: an assignment fires this round
+GO = "$go"       # commit guard: an assignment fires this round
 
 
 class CompileError(Exception):
@@ -384,33 +382,20 @@ def _emit_rows(ctx, entry, formula, fire, target, rest, rest_target,
     ctx.emit(rest, [("C", entry)], [], recolor=[("C", rest_target)])
 
 
-def compile_lock_wrapping(ctx, entry, run, skip, formula, phase):
-    """Guard stage of a run of stages under one path condition: a decide
-    stage without the $go mark.  A rule per satisfying row jumps to
-    `run`, the run's first stage, and the skip rule, the bare focus,
-    jumps to `skip`, the first stage after the run, when no row rule
-    matches (_emit_rows).  Its rules carry `phase`, the run's first
-    stage's.  Every bit the guard reads is set when it runs
-    (_emit_stages says why)."""
+def compile_lock_wrapping(ctx, entry, run, skip, formula, phase, add=()):
+    """Guard stage of a run of stages under one path condition.  A rule
+    per satisfying row adds `add` and jumps to `run`, the run's first
+    stage, and the skip rule, the bare focus, jumps to `skip`, the first
+    stage after the run, when no row rule matches (_emit_rows).  Its
+    rules carry `phase`, the run's first stage's.  Every bit the guard
+    reads is set when it runs (_emit_stages says why).
+
+    A commit run's guard adds the $go mark from the focus to the false
+    marker, the row's pad cell, so the pattern gains no cell: the mark
+    tells the last cleanup stage that the round fired (compile_cleanup).
+    """
     _emit_rows(ctx, entry, formula, "%s:%s:sat" % (phase, entry), run,
-               "%s:%s:skip" % (phase, entry), skip)
-
-
-def compile_decide(ctx, entry, nxt, formula, commit):
-    """Decide stage of a run of commits under one path condition: on a
-    row satisfying it, add the $go mark from the focus to the false
-    marker (the row's pad cell) and jump to `commit`, the run's first
-    commit stage; the pass rule, the bare focus, hands over to `nxt`
-    when no row rule matches (_emit_rows).  Every bit is set by then:
-    all conditional stages run in the eval chain, unguarded.  A later
-    commit of the run needs no decide stage of its own: it could only
-    pass after this one did.
-
-    `commit` is the entry past the run's guard (m<i>.r) when the run is
-    guarded: the guard would only test again the condition this stage
-    has just found true, and no stage runs in between to write a bit."""
-    _emit_rows(ctx, entry, formula, "decide:%s:fire" % entry, commit,
-               "decide:%s:pass" % entry, nxt, add=[("C", GO, "F")])
+               "%s:%s:skip" % (phase, entry), skip, add=add)
 
 
 def compile_cleanup(ctx, entry, nxt, labels, skip, again):
@@ -418,11 +403,12 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     condition, all in one tick.  One tick for the chunk, or, given
     `skip`, one tick past the chunk's whole group when it is unset.
 
-    The drop rule binds every label of the chunk and deletes its edges.
-    The chunk's registers are its pool, so registers holding one node
-    bind one cell of a variant; bits get one rule per row of true/false
-    markers they point at.  The skip rule, the bare focus, hands over
-    to `skip`, the first stage after the group.
+    The drop rule binds every label of the chunk to a cell of its own,
+    marker-coloured for a bit, and deletes its edges.  All those cells
+    are its pool, so labels pointing at one node, registers holding one
+    value or bits at one marker, bind one cell of a variant.  The skip
+    rule, the bare focus, hands over to `skip`, the first stage after
+    the group.
 
     All or none: every eval stage that runs writes its label (an empty
     choice halts the run before cleanup).  A bit is written by a
@@ -439,8 +425,9 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     skip rule: once it was dropped, the rest of the group is set too.
 
     The chain's last stage, given `again`, branches: a twin of each
-    drop rule also binds the $go mark and the true marker, drops the
-    mark and goes to `again`.  The last stage holds registers only, and
+    drop rule also binds the $go mark, which a commit run's guard set
+    when the round fired (compile_lock_wrapping), and the true marker,
+    drops the mark and goes to `again`.  The last stage holds registers only, and
     no register points at a marker, so each twin binds the true and the
     false marker on top of its drop rule's nodes and strictly contains
     it: with the mark set the twin is the one maximal match.  When no
@@ -453,26 +440,20 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     for them, and a commit operand copied into a register is dropped
     like any other register.
     """
-    bits = [l for l in labels if l.startswith("$b")]
-    regs = [("X%d" % i, l) for i, l in enumerate(labels)
-            if not l.startswith("$b")]
-    pool = [x for x, _l in regs]
-    rows = itertools.product((False, True), repeat=len(bits))
-    for i, row in enumerate(rows):
-        cells, edges = (_row_pattern(entry, list(zip(bits, row))) if bits
-                        else ([("C", entry)], []))
-        cells += [(x, None) for x, _l in regs]
-        edges += [("C", l, x) for x, l in regs]
-        delete = [e for e in edges if e[1] in labels]
-        name = "cleanup:%s:drop%s" % (entry, i if bits else "")
-        ctx.emit(name, cells, edges, delete=delete, recolor=[("C", nxt)],
-                 pool=pool)
-        if again:
-            ctx.emit(name + "-again",
-                     cells + [("T", tangle.MARKER), ("F", tangle.MARKER)],
-                     edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
-                     delete=delete + [("C", GO, "F")],
-                     recolor=[("C", again)], pool=pool)
+    pool = ["X%d" % i for i in range(len(labels))]
+    cells = [("C", entry)] + [
+        (x, tangle.MARKER if l.startswith("$b") else None)
+        for x, l in zip(pool, labels)]
+    edges = [("C", l, x) for x, l in zip(pool, labels)]
+    name = "cleanup:%s:drop" % entry
+    ctx.emit(name, cells, edges, delete=edges, recolor=[("C", nxt)],
+             pool=pool)
+    if again:
+        ctx.emit(name + "-again",
+                 cells + [("T", tangle.MARKER), ("F", tangle.MARKER)],
+                 edges + [("C", GO, "F"), ("C", tangle.TRUE_EDGE, "T")],
+                 delete=edges + [("C", GO, "F")],
+                 recolor=[("C", again)], pool=pool)
     if skip:
         ctx.emit("cleanup:%s:skip" % entry, [("C", entry)], [],
                  recolor=[("C", skip)])
@@ -1034,16 +1015,17 @@ def _continues_run(stages, i):
     return (prev.support, prev.rows) == (condition.support, condition.rows)
 
 
-def _emit_stages(ctx, prefix, stages, after):
+def _emit_stages(ctx, prefix, stages, after, add=()):
     """Emit a chain of stages, the one place colours and guards are set.
 
     Stage i enters at colour prefix+i and hands over to the next stage,
     the last one to `after`.  Each maximal run of consecutive stages
     whose path conditions are equal and not trivially true runs behind
     one guard stage (compile_lock_wrapping) at the run's first entry,
-    carrying that stage's phase: it enters the first stage at entry+".r"
-    and, when the condition fails, skips to the first stage after the
-    run (or `after`).  Later stages of a run enter at their own colour.
+    carrying that stage's phase: it enters the first stage at entry+".r",
+    adding `add`, and, when the condition fails, skips to the first
+    stage after the run (or `after`).  Later stages of a run enter at
+    their own colour.
 
     This skips exactly the stages that a guard per stage would.  A guard
     reads only bit edges, and bits are written only by conditional
@@ -1072,7 +1054,8 @@ def _emit_stages(ctx, prefix, stages, after):
                 end += 1
             skip = "%s%d" % (prefix, end) if end < len(stages) else after
             run = entry + ".r"
-            compile_lock_wrapping(ctx, entry, run, skip, condition, phase)
+            compile_lock_wrapping(ctx, entry, run, skip, condition, phase,
+                                  add)
         emitter(ctx, run, nxt, *args)
 
 
@@ -1086,9 +1069,10 @@ def _cleanup_stages(steps, prefix, again):
     condition is not trivially true skips to the next group's first
     stage.  The unconditional group comes last, bits before registers,
     and its last chunk holds registers only, so that compile_cleanup
-    can branch there.  Leaf terms take no register, so that group may
-    have none: its last chunk is then empty, a stage that only drops
-    the $go mark or halts, and costs one tick a round.
+    can branch there when given `again`.  Leaf terms take no register,
+    so that group may have none: its last chunk is then empty, a stage
+    that only drops the $go mark, halts or loops, and costs one tick a
+    round.
     """
     groups = {}
     for _phase, condition, _emitter, args in steps:
@@ -1167,15 +1151,11 @@ def compile_program(program, negative_edges=False):
     lo.stmt(program.body, {}, _TRUE)
     if not lo.commits:
         raise CompileError("program has no assignment")
-    first = "s0" if lo.steps else "d0"
-    # a later commit of a run shares the run's condition, so its decide
-    # stage could only pass after the run's first one passed: it gets none;
-    # a fire enters a guarded run past its guard, at _emit_stages' ".r"
-    decide = [("decide", _TRUE, compile_decide,
-               (condition, "m%d%s" % (i, "" if condition.is_true() else ".r")))
-              for i, (_p, condition, _e, _a) in enumerate(lo.commits)
-              if not _continues_run(lo.commits, i)]
-    cleanup = _cleanup_stages(lo.steps, "k", first)
+    first = "s0" if lo.steps else "m0"
+    # an unconditional commit fires in every round, so the round needs no
+    # $go mark: cleanup loops back to `first` without asking
+    always = any(condition.is_true() for _p, condition, _e, _a in lo.commits)
+    cleanup = _cleanup_stages(lo.steps, "k", None if always else first)
 
     ctx = EmitContext(negative_edges)
     # boot: create the shared true/false markers, then start evaluating
@@ -1186,12 +1166,12 @@ def compile_program(program, negative_edges=False):
              add=[("C", tangle.TRUE_EDGE, "T"),
                   ("C", tangle.FALSE_EDGE, "F")],
              recolor=[("C", first)])
-    _emit_stages(ctx, "s", lo.steps, "d0")
-    # decide: mark the round and jump to the first enabled commit, else
-    # clean up and halt; the commit chain applies every enabled one
-    _emit_stages(ctx, "d", decide, "k0")
-    _emit_stages(ctx, "m", lo.commits, "k0")
-    _emit_stages(ctx, "k", cleanup, DONE)
+    _emit_stages(ctx, "s", lo.steps, "m0")
+    # the commit chain applies every enabled commit, and the guard of each
+    # enabled run marks the round; cleanup halts after an unmarked one
+    _emit_stages(ctx, "m", lo.commits, "k0",
+                 () if always else [("C", GO, "F")])
+    _emit_stages(ctx, "k", cleanup, first if always else DONE)
 
     ruleset = RuleSet(ctx.rules)
     problems = validate_ruleset(ruleset)

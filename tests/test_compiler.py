@@ -1050,17 +1050,40 @@ class TestNonTerminating:
 
     SWAP = "criticals t, p;\nif t != p then (t := p par p := t)\n"
 
+    # an unconditional commit fires in every round, whatever the guarded
+    # runs beside it do, so the round ends unmarked and still loops
+    ALWAYS_FIRES = {
+        "unconditional": "criticals t, p;\nt := p par p := t\n",
+        "guarded-and-unconditional":
+            "criticals t, p;\n(if t != {} then t := {}) par p := {p}\n",
+    }
+
     @pytest.mark.parametrize("neg", MODES)
     @pytest.mark.parametrize("mode,seed", [(automaton.DETERMINISTIC, 0),
                                            (automaton.RANDOM, 1),
                                            (automaton.RANDOM, 7),
                                            (automaton.RANDOM, 42)])
     def test_swap_agrees_round_by_round(self, neg, mode, seed):
+        self.agree_round_by_round(self.SWAP, "term t = {}\nterm p = {{}}\n",
+                                  neg, mode, seed, 3)
+
+    @pytest.mark.parametrize("neg", MODES)
+    @pytest.mark.parametrize("mode,seed", [(automaton.DETERMINISTIC, 0),
+                                           (automaton.RANDOM, 1)])
+    @pytest.mark.parametrize("name", sorted(ALWAYS_FIRES))
+    def test_always_firing_agrees_round_by_round(self, name, neg, mode,
+                                                 seed):
+        self.agree_round_by_round(self.ALWAYS_FIRES[name],
+                                  "term t = {{}}\nterm p = {}\n",
+                                  neg, mode, seed, 4)
+
+    @staticmethod
+    def agree_round_by_round(source, state_text, neg, mode, seed, last):
         universe, program, unit, state, graph = compile_case(
-            self.SWAP, "term t = {}\nterm p = {{}}\n", negative_edges=neg)
+            source, state_text, negative_edges=neg)
         cfg = automaton.Configuration(graph, seed=seed, mode=mode)
         crossings = 0
-        for rounds in (1, 2, 3):
+        for rounds in range(1, last + 1):
             want, steps, outcome = interpreter.run_to_termination(
                 program, state, universe, max_steps=rounds)
             assert (steps, outcome) == (rounds, interpreter.BUDGET)

@@ -8,9 +8,10 @@ frozen generated ones (read only here).  Three properties are checked:
   steps, and the Criticals node carries no scratch (`$`-labelled)
   edge; the interpreter is stepped along by `interpreter.fire`, not
   re-run from the start;
-- no ties where a round ends: every tick whose pairs include a decide
-  or cleanup rule has exactly one maximal pair, so whether the automaton
-  starts another round or halts never rests on a tie-break;
+- no ties where a round ends: every tick whose pairs include a commit
+  guard rule (which marks the round when its run fires) or a cleanup
+  rule has exactly one maximal pair, so whether the automaton starts
+  another round or halts never rests on a tie-break;
 - clean halts: a run that ends terminal leaves no scratch (`$`-labelled)
   edge on the Criticals node;
 - the incremental committed check: at every idle tick of a checked run,
@@ -21,6 +22,7 @@ frozen generated ones (read only here).  Three properties are checked:
 """
 import hashlib
 import pathlib
+import re
 
 import pytest
 
@@ -88,29 +90,37 @@ def test_every_step_agrees_with_the_interpreter(negative_edges):
 
 
 # (runs, quiescent runs, terminal runs, ticks whose pairs include a
-# cleanup rule, ticks whose pairs include a decide rule) over both edge
-# modes, deterministic and random seed 1
-BRANCH_RUNS = (328, 328, 324, 2460, 816)
+# cleanup rule, ticks whose pairs include a commit guard rule) over both
+# edge modes, deterministic and random seed 1
+BRANCH_RUNS = (328, 328, 324, 2460, 856)
+
+COMMIT_GUARD = re.compile(r"commit:m\d+:(sat\d+|skip)")
+
+
+def round_end_phase(name):
+    """"cleanup" or "guard" for a rule that can end a round, else None."""
+    if name.startswith("cleanup:"):
+        return "cleanup"
+    return "guard" if COMMIT_GUARD.fullmatch(name) else None
 
 
 @pytest.fixture(scope="module")
 def branch_runs():
     """Every run of the workload, union-16 and overhead-8 in both edge
     modes, deterministic and random seed 1: the pinned counts, the ties
-    at decide and cleanup ticks, and the scratch edges each terminal run
-    left on Criticals."""
+    at commit guard and cleanup ticks, and the scratch edges each
+    terminal run left on Criticals."""
     cases = workload_cases()
     cases += [("union-16",) + bench.union_case(16),
               ("overhead-8",) + bench.overhead_case(8)]
     real = automaton.select_match
     current = {}
     ties = []
-    ticks = {"cleanup": 0, "decide": 0}
+    ticks = {"cleanup": 0, "guard": 0}
 
     def watched(pairs, cfg, final, stats=None):
         rules = current["rules"]
-        phases = {rules[i].name.split(":", 1)[0] for i, _b in pairs}
-        phase = phases & set(ticks)
+        phase = {round_end_phase(rules[i].name) for i, _b in pairs} - {None}
         if phase:
             ticks[phase.pop()] += 1
             maximal = pattern.maximality_filter(pairs)
@@ -145,7 +155,7 @@ def branch_runs():
                     scratch = scratch_labels(g)
                     if scratch:
                         leftovers.append((label, scratch))
-    counts = (runs, quiescent, terminal, ticks["cleanup"], ticks["decide"])
+    counts = (runs, quiescent, terminal, ticks["cleanup"], ticks["guard"])
     return counts, ties, leftovers
 
 
