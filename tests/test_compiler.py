@@ -105,7 +105,7 @@ class TestCompileStructure:
         assert len(names) == len(set(names))
         known = {"boot", "eval", "conditional", "choice", "pairing",
                  "singleton", "union-check", "union-build", "commit",
-                 "decide", "cleanup"}
+                 "cleanup"}
         assert {n.split(":", 1)[0] for n in names} <= known
 
     def test_special_colors_and_idle_set(self):
@@ -159,8 +159,7 @@ def guard_targets(rules, chain):
 
 
 class TestStageRuns:
-    """One guard per maximal run of stages under one path condition, and
-    one decide stage per run of commits."""
+    """One guard per maximal run of stages under one path condition."""
 
     def test_one_guard_per_run(self):
         f = Formula.of_bit(0)
@@ -188,29 +187,8 @@ class TestStageRuns:
         rules = unit.ruleset.rules
         # the bit runs unguarded, and its operands c and {} need no stage;
         # {a} and b U d form one run behind the guard at s1
-        assert guard_targets(rules, "s") == {"s1": ("s1.r", "d0")}
+        assert guard_targets(rules, "s") == {"s1": ("s1.r", "m0")}
         assert guard_targets(rules, "m") == {"m0": ("m0.r", "k0")}
-
-    def test_commits_under_one_condition_get_one_decide_stage(self):
-        def decide_entries(source):
-            unit = compile_program(asmlang.parse(source))
-            return {r.name.split(":")[1] for r in unit.ruleset.rules
-                    if r.name.startswith("decide:")}
-
-        assert decide_entries(self.SRC) == {"d0"}
-        assert decide_entries(self.SRC.replace(" par ", ") else (")) == {
-            "d0", "d1"}
-
-    def test_decide_enters_a_guarded_run_past_its_guard(self):
-        def fire_targets(source):
-            unit = compile_program(asmlang.parse(source))
-            return {r.recolor[0][1] for r in unit.ruleset.rules
-                    if re.fullmatch(r"decide:d\d+:fire\d+", r.name)}
-
-        assert fire_targets(self.SRC) == {"m0.r"}
-        assert fire_targets(self.SRC.replace(" par ", ") else (")) == {
-            "m0.r", "m1.r"}
-        assert fire_targets("criticals t;\nt := {}\n") == {"m0"}
 
     def test_bits_are_written_only_by_unguarded_stages(self):
         # _emit_stages' soundness argument: no stage of a guarded run
@@ -245,12 +223,12 @@ ROW_FORMULAS = {
 }
 
 # a row stage at entry "e": a guard goes to "run" on a satisfying row
-# and to "skip" otherwise, a decide stage to "commit" or "next"
+# and to "skip" otherwise; a commit run's guard also marks the round
 ROW_STAGES = {
     "guard": lambda ctx, f: compiler.compile_lock_wrapping(
         ctx, "e", "run", "skip", f, "eval"),
-    "decide": lambda ctx, f: compiler.compile_decide(
-        ctx, "e", "next", f, "commit"),
+    "commit-guard": lambda ctx, f: compiler.compile_lock_wrapping(
+        ctx, "e", "run", "skip", f, "commit", [("C", compiler.GO, "F")]),
 }
 
 
@@ -276,8 +254,8 @@ def row_tick(stage, formula, row, mode, seed):
 
 
 class TestRowStages:
-    """Guard and decide stages: a rule per satisfying row, and one
-    bare-focus rule that takes every other row."""
+    """Guard stages: a rule per satisfying row, and one bare-focus rule
+    that takes every other row."""
 
     @pytest.mark.parametrize("mode,seed", [(automaton.DETERMINISTIC, 0),
                                            (automaton.RANDOM, 1),
@@ -288,8 +266,8 @@ class TestRowStages:
         formula = ROW_FORMULAS[name]
         want = {("guard", True): ("run", False),
                 ("guard", False): ("skip", False),
-                ("decide", True): ("commit", True),
-                ("decide", False): ("next", False)}
+                ("commit-guard", True): ("run", True),
+                ("commit-guard", False): ("skip", False)}
         for row, sat in formula.assignments():
             rules, color, go = row_tick(stage, formula, row, mode, seed)
             assert len(rules) == len(formula.rows) + 1
@@ -343,15 +321,15 @@ class TestGoldenRuleSets:
     re-record, with its old and new value and the reason.
     """
 
-    DIGEST = "4d6350b3c7b3a1a2fc052f0f89da20f3ecc39bc3208330d8e39e5efe6e493330"
-    PHASES = {"boot": 40, "choice": 16, "cleanup": 398, "commit": 232,
-              "conditional": 104, "decide": 92, "eval": 84, "pairing": 84,
+    DIGEST = "2c96384a3ed21486612fdc1fde29c1beb04c60a8e1acb9ff28d25435c85c5eb5"
+    PHASES = {"boot": 40, "choice": 16, "cleanup": 342, "commit": 232,
+              "conditional": 104, "eval": 84, "pairing": 84,
               "singleton": 426, "union-build": 168, "union-check": 788}
-    FROZEN_DIGEST = ("e27f21103797a546223b99433936036a960e794885f03f47"
-                     "b2440f2ab17057a3")
-    FROZEN_PHASES = {"boot": 120, "choice": 48, "cleanup": 1318,
-                     "commit": 824, "conditional": 448, "decide": 420,
-                     "eval": 428, "pairing": 348, "singleton": 1654,
+    FROZEN_DIGEST = ("b8fdf9830d5e3c43c372c74e6a51ab40d44e5ba577eeaa86"
+                     "e6dc7e2547efcafc")
+    FROZEN_PHASES = {"boot": 120, "choice": 48, "cleanup": 1094,
+                     "commit": 824, "conditional": 448, "eval": 428,
+                     "pairing": 348, "singleton": 1654,
                      "union-build": 532, "union-check": 2558}
 
     @staticmethod
@@ -763,7 +741,7 @@ class TestGroupedCleanup:
     # is empty, since r and {} are read where they sit
     GUARDED = ("atoms a, b; criticals r;\n"
                "if r = {} then r := <<{a}, {b}>, <{b}, {a}>>\n")
-    UNSET = [("k0", "skip"), ("k3", "drop0"), ("k4", "drop")]
+    UNSET = [("k0", "skip"), ("k3", "drop"), ("k4", "drop")]
 
     def test_unset_group_costs_one_tick(self):
         state = "term r = {a}\n"
@@ -777,7 +755,7 @@ class TestGroupedCleanup:
         # round one drops the seven guarded registers in three ticks, and
         # the empty last stage drops the $go mark
         first = [("k0", "drop"), ("k1", "drop"), ("k2", "drop"),
-                 ("k3", "drop1"), ("k4", "drop-again")]
+                 ("k3", "drop"), ("k4", "drop-again")]
         for run, rounds in cleanup_rounds(self.GUARDED, state).items():
             assert [stages(r) for r in rounds] == [first, self.UNSET], run
             assert rounds[0][-1].name == "cleanup:k4:drop-again"
@@ -793,7 +771,9 @@ class TestGroupedCleanup:
             assert stages(rounds[1])[0] == ("k0", "skip"), run
 
     def test_bits_on_both_markers_drop_together(self):
-        # r = {} holds and t = {} does not in round one; neither in two
+        # r = {} holds and t = {} does not in round one; neither in two.
+        # A bit binds a marker cell of the pool: bits on both markers bind
+        # two cells, bits on one marker one merged cell
         source = "criticals t, r;\nif r = {} and t != {} then r := {t}\n"
         state = "term t = {{}}\nterm r = {}\n"
         assert_agrees(source, state, seeds=(1, 2))
@@ -806,8 +786,9 @@ class TestGroupedCleanup:
         for run, rounds in cleanup_rounds(source, state).items():
             assert [stages(r)[1][0] for r in rounds] == ["k1", "k1"], run
             assert [bit_targets(r[1]) for r in rounds] == [
-                [("$b0", "T"), ("$b1", "F")],
-                [("$b0", "F"), ("$b1", "F")]], run
+                [("$b0", "X0"), ("$b1", "X1")],
+                [("$b0", "X0"), ("$b1", "X0")]], run
+            assert rounds[1][1].name == "cleanup:k1:drop~X0=X1", run
 
 
 def applied_rules(source, state_text):
@@ -870,8 +851,8 @@ class TestLeafForwarding:
         # and its $go twin in the round that commits
         for run, rounds in cleanup_rounds(source, state).items():
             assert [stages(r) for r in rounds] == [
-                [("k0", "drop1"), ("k1", "drop-again")],
-                [("k0", "drop0"), ("k1", "drop")]], run
+                [("k0", "drop"), ("k1", "drop-again")],
+                [("k0", "drop"), ("k1", "drop")]], run
             assert rounds[-1][-1].names == ("C",), run
 
     @pytest.mark.parametrize("source, kind", [
@@ -1025,8 +1006,8 @@ class TestPhaseAccounting:
         _unit, _cfg, stats, klass, _final, _u = run_automaton(src, state)
         assert klass == interpreter.TERMINAL
         for phase in ("boot", "eval", "conditional", "choice", "singleton",
-                      "pairing", "union-check", "union-build", "decide",
-                      "commit", "cleanup"):
+                      "pairing", "union-check", "union-build", "commit",
+                      "cleanup"):
             assert stats.phases.get(phase, 0) > 0, phase
         assert stats.total == sum(stats.phases.values())
 

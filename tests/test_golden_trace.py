@@ -34,23 +34,23 @@ from conftest import compile_case, corpus_names, load_corpus_case
 # trace_digest returns them
 GOLDEN = {
     (False, automaton.DETERMINISTIC, 0): (
-        "e856c88328dd4f27d05569a0cabbfc4875972e363d6a65ebec32092de175c22b",
-        "128a05da3b161ae859db3c85a2f87497bc5f30350f856b2995c643ae7978133c"),
+        "b4f028250d2b2c76cd78bbbef2ab9358bbc79546fe6ba3d776b15ae2cca7f24f",
+        "b9197ae81ba1c8f62430021ac6725d3dea0a172df4f5de12c3f302a2300e60b2"),
     (False, automaton.RANDOM, 1): (
-        "50a1a54e5de41254ad9ea39d59071e0b0fa9c5af844769b530271b495475c53a",
-        "39067a1c19ab511511dbd66b1359b998a7a7d9247778f8fe5df8fda1fd5c55fa"),
+        "b70bbbd77ba577a7f6ff75272f5dd0c734ad532c9280ae7c3ad964984dcc8677",
+        "94ccbc7202be73da3b045cd5e912c329b5818646505017fa7f87d3021c7568a9"),
     (False, automaton.RANDOM, 2): (
-        "4633ea6dc61d4edca0029e9f00e2e9644d1d8364ea19e4033373ba7d60a2cd4d",
-        "268bb55590b3286214d137b5f97f538f55c2a171618654b98302bb75318d7823"),
+        "49674e994094056bde146b58484073ac0b17a05fb74bf2fc7fbb9e469fce87e2",
+        "8437c043a1cf8db45679ea5eb8d96b9d2bd92bcae36e35e2bfb23ca9cee83dc0"),
     (True, automaton.DETERMINISTIC, 0): (
-        "6ac18f62c3ce450cabca284093f58239e4277b1e537b265bed48e33ed7d39193",
-        "19c4f2fc9f4cad8708d0b35a19684ce0658b12521705fee8b4151ac683319010"),
+        "4e6c4a51ce63d2a7ee9ee6da128ed1ec695758d7a70906fae9613712a3d7f722",
+        "6b8c2d30244eeac460e42bef2da45d9b3e475f845c9a8b43a763c92dd4f8d2d1"),
     (True, automaton.RANDOM, 1): (
-        "4b28b6622cee7bed810d848f2fd3619f78d1a26ed53f54da010e8361fc36446a",
-        "7fcf6f0a219abc66138b39f4692d4f3b475712e2551bb9acccad7a29f94afe49"),
+        "5480c1480ed186da51da4bd504e1e85f228f76fc8dd1dd2876b700dae91aeee6",
+        "2ff63832173a1675992b544cbfadce8676538676cdb0bc18f17d14ca2945ae51"),
     (True, automaton.RANDOM, 2): (
-        "f8be23e60f1eea02c988c28c51a977b418983799ef5c6255d7191adbb6dc0fdc",
-        "ad5e4211e04232b37b52559b3c6b0083e1a5228f0abaaaedb02afcd83b4d6e57"),
+        "489f792da3ec271a1bca12bc26ab4e07f4fe0df70784b0210fd0065a7ef0260a",
+        "03843f56c181e3498a6276702e69cca7e521c719f9c3d6c0bce3bc5cd0d0cc8e"),
 }
 
 BENCH_CASES = {
@@ -61,41 +61,41 @@ BENCH_CASES = {
 
 BENCH_GOLDEN = {
     ("overhead-8", False, automaton.DETERMINISTIC, 0): (
-        "19579e8eab48843efaff7d7b44f7d18daaf4624f8e3e479679dbcde363b4c66a",
-        "cd89ab38c19652f86eb71bd6029399c9bb19d30f8c8a85b07db0be4545a395b6"),
+        "16b87bf93522b572709bd8d9b536c66bd313f1db2b576feae0647ccfaefa98f0",
+        "a7c569062bcec84e5e181aa6829845f789a8a57a998f722c16403ed145d46f46"),
     ("overhead-8", False, automaton.RANDOM, 1): (
-        "4af03edbb693ae6f1fd584d194f5e6b35c5bb95ec78e375ee4243b358fbc1ae2",
-        "a47af047106813e3dc20c0940a528192e1a8635bdecea40d0fef594d8803797a"),
+        "de225b7c44fb01d44fc8cd39c5fbe0005f3d241192e1dd5d8d426dbed4992cc3",
+        "3a42a20a5836bc61d3bed0db37822d7a982c410506e91fc869bcf1b5628e94c7"),
     ("overhead-8", True, automaton.DETERMINISTIC, 0): (
-        "8de9e4f312cf66d948701a85f7cb63a38737091a00bc53264d18fa10498dbd85",
-        "1902d1fd0025ed797af5b9059c0f89c63737f12526e11be866df14d110923f67"),
+        "22a9edaf4dc0a3d358cfc637dacad385b676a2493fb2c161c0ac50c8a305ac4a",
+        "6fe318622e4e6bb03604bc46f5960e69dd65d3db1eb89b04c69521552ebb7f83"),
     ("overhead-8", True, automaton.RANDOM, 1): (
-        "64be48e17df68e88a7fe17582e8c98de2366a2c2104f8d3086e8be8e2a6c3f0e",
-        "b2b27955ed9bb82d6e59aaada5fc3ca167a435f170c3ef26ad0e391d5e3e9b2d"),
+        "e3168f8b6604be89e2bb0c61bfb07bdabd4ff8453d8d33f25d7aa425cf6b7994",
+        "39fc6da550f0c5685e593bacc0bb2fbaf296d7321337d0ee3704ee7e83c6c446"),
     ("union-16", False, automaton.DETERMINISTIC, 0): (
-        "cb09eb3c940de8a00361957ea41a0b8c35e908e7b740ddcf7a963e91bceca672",
-        "439ea261dbefee275967cec1bfdac7364ca299765d2b077b2e9b1aeab9d5bc3a"),
+        "9945ebb79997327e97b27f584c183f25eb685ac2162bd2963397818312a33d01",
+        "eb4f39bdf055cfaa931bf3b8b4b53ec4e45e838719836b240fa6fe7c6b974af4"),
     ("union-16", False, automaton.RANDOM, 1): (
-        "0ba80c3c4c14b122e53d680c0f5c8091d7dc66603e7f5d309c70539d49bae7f7",
-        "1d3975b8199166e31bd02869f4e425cf316756d98b60c43ea8e63bb7b4b6676a"),
+        "5795235c366bca0fc7917e7965c21f6694174a07fb63ed554c3b11149b8a36ec",
+        "5f135ca8b8a041449150015c09f4e1c43e0c1daf9c8e462cfbeff443edaec805"),
     ("union-16", True, automaton.DETERMINISTIC, 0): (
-        "784e6d078a921c944b1018b29e74584bbb83044212645ee90bb1596658cd1a46",
-        "bcd5da84a7fd46c2e30eaf8db28377bbdec58baca083778ed7886e2cd2f79154"),
+        "d420c2ae6c04c060ab2c3826c990268e7a26241de02d8e318e09150896b6cce2",
+        "856ac1eecf65c65a66f0a74d061a77352dde8911f9312b4d451e2d1ad0ca06b3"),
     ("union-16", True, automaton.RANDOM, 1): (
-        "8280c1c63014a685d1cd32f702c7a831c6e60c8d03c891b2067dac2b70f1400c",
-        "93ec4938370f75f0cdc42196fce1361689cef25907c42f6fb23deeb183da725e"),
+        "6a22d0bc4ff07dec582b2e845010536660189ab567da10beefe6f87c3e975b54",
+        "3e7a80bc7b075a951179af06c0068f56e7542b2fbcbd1f2dbe23568dbe708f98"),
     ("union-32", False, automaton.DETERMINISTIC, 0): (
-        "f24d54202b0c152210ac576379883cafb8224810fb633c0700c8ea69961b5583",
-        "6bfbf95b9fbc7d55c8fe118d57cb7c518f12f1f552da369e94f6c471f9e5bf4d"),
+        "b892a724d36beaebb2fc3e1b199009f1428f477713185b9d0124bdf1edbea519",
+        "3027cf69298a0fa280a3e5db534a4a4087eb63438106172c884079f60c0ce6d5"),
     ("union-32", False, automaton.RANDOM, 1): (
-        "1573f2602bc8c49f1c91977ee72d86c74d456f06169719897150e9840797ab77",
-        "a201667158f4c82570f78b5c9ec41280dcdac095e7a60e4ae9074112795b8c32"),
+        "09be12af2ec9bfe9213f93680d9202f1ae8ea9acffcc69f2878cdf2ac3e7cb04",
+        "14bf50635b433e0747c29628752ad6218cd0858a226e0fc474505d4456feb1ca"),
     ("union-32", True, automaton.DETERMINISTIC, 0): (
-        "9e5df48a0ae79f6456cace7ebc29be1d1f2758751db44ae2cf9954ce3ad906db",
-        "3078d3322bd913e925ec633a3d750f4b269463d060caa18287285d6b09a571a8"),
+        "1b6b35a4076a01c8292c9f03f39c50249f6019d85808250720a9e14cca65a13e",
+        "c9628a00320515aa18b17c7c81bcdeea703b101ea5eaf72ba2a06d065f04f874"),
     ("union-32", True, automaton.RANDOM, 1): (
-        "e425238176298a0cd73399629fe5c4657d908a3e981f0ca28ec9f3eb61ce33f3",
-        "f07f070d926fcffd7101494382324705918bc47243b8e594026c3c8d94d6afff"),
+        "914e4e117959d5863541c4f71e4f94d53a44bfb4ebfcb1952541064c6dc3fd6c",
+        "ac244922b4e1029737e50f0ba2ac60eef5c4c261223493986acbc934156daf7f"),
 }
 
 # perfbench's 60 frozen generated programs, read only: their focus steps
@@ -104,17 +104,17 @@ FROZEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "cases"
 
 FROZEN_GOLDEN = {
     (False, automaton.DETERMINISTIC, 0): (
-        "d3d813f5c37743e424b6a174be41c8ae8ec9c730a1a183e87b8aadfadce0c220",
-        "d7f29de601071b1d641c5fac2e4e42be1ac330aa4e10a812328faa0d72308743"),
+        "95cd60143fe6f91e0aed53273907b39cc049170765045ae0e744de1cd926025a",
+        "0f92bd01e8abb105f6e580aba1894f0965f177096a8a5aea71fda9b03b386fa4"),
     (False, automaton.RANDOM, 1): (
-        "8312feb5d53f9c2d6ded44117bfee04319ea6f6a1781de9dd1c4e1eafc84907e",
-        "3f5dab5a708311de50e18f63808a147ef9fef414215061a712a2828492915ac1"),
+        "5478db0cd051b0f39deff58470b59ca23475e44ef8cf01591e8839d92c573c81",
+        "11cf5a73dfb9ee0776b5ea0e6eabc919d6713e85eb67023eba494d77a2ac7783"),
     (True, automaton.DETERMINISTIC, 0): (
-        "8cbba048983f4327cbdbf9b35d1261c0fd20d28f61a023c000cbd51616d95e43",
-        "532238e7297e8bf4b0e854ad7dcd0ba3c42ef99ea7c96507a2581fe3b06a4d8d"),
+        "e735fe1e26549d4db1c899ab179f53ff4176edf5fc36ee970c0d877ae54c345c",
+        "362a361ca4a8bc7abb4190a765ad7bb32569fedab18fe798e5abb4a6091d4816"),
     (True, automaton.RANDOM, 1): (
-        "ce2bea390cf54448a480a98772b3dcad8b286eb145a048e9960a915eb2f5c31e",
-        "5aee4cbcd6fa925196d178138e1adde91706ebba8ec4f2745f94cda5a4f153e5"),
+        "7abc82cfa83583ce6ae18c2c38872816b07cba9ba0d08851a855de4d228d793f",
+        "0bad32ec78118a69b7e0b96665fe58d536cd25c38b2422ee021f415f0853f0f2"),
 }
 
 # (pairs the kernel returned, ticks) over a deterministic run; union-64
@@ -181,7 +181,7 @@ def test_union_kernel_pairs_per_run(n):
 
 # (ticks settled by the plan index's final table, deterministic ticks)
 # over the 20 corpus and 60 frozen programs, union-16 and overhead-8
-SETTLED = {False: (3419, 3913), True: (3421, 3913)}
+SETTLED = {False: (3517, 3913), True: (3519, 3913)}
 
 
 @pytest.mark.parametrize("negative_edges", sorted(SETTLED))
