@@ -14,9 +14,9 @@ cycle of focus-node colors acting as a program counter:
   #atom_<name> and #empty edges; only a commit operand that names a
   critical term some commit writes is copied into a register.  Each run
   of consecutive register steps under one non-trivial path condition
-  is wrapped in one guard stage; bit steps always run.  A guard is a
-  row stage (_emit_rows): one rule per row that satisfies the
-  condition and one bare-focus rule for the rest.
+  is wrapped in one guard stage; bit steps always run.  A guard has
+  one rule per row of its condition's truth table that satisfies it
+  and one bare-focus rule for the rest (compile_lock_wrapping).
 * m{i} (commit): rewrite one critical-term edge or one function
   location from registers and from edges no commit writes, so parallel
   assignments all read the pre-transition state; commits are guarded
@@ -338,64 +338,40 @@ def compile_conditional(ctx, entry, nxt, kind, left, right, bit):
              add=[("C", bit, "F")], recolor=[("C", nxt)])
 
 
-def _row_pattern(entry, row):
-    """Pattern cells/edges testing a complete assignment of bits, given
-    as (bit label, value) pairs.
-
-    All true bits share the true-marker cell, all false bits share the
-    false-marker cell; the false marker is always bound, doubling as
-    the pad.
-    """
-    cells = [("C", entry)]
-    edges = []
-    if any(v for _b, v in row):
-        cells.append(("T", tangle.MARKER))
-        edges.append(("C", tangle.TRUE_EDGE, "T"))
-    cells.append(("F", tangle.MARKER))
-    edges.append(("C", tangle.FALSE_EDGE, "F"))
-    for label, v in row:
-        edges.append(("C", label, "T" if v else "F"))
-    return cells, edges
-
-
-def _bit_row(row):
-    """A Formula row, ((bit, value), ...), with bits as edge labels."""
-    return [("$b%d" % bit, v) for bit, v in row]
-
-
-def _emit_rows(ctx, entry, formula, fire, target, rest, rest_target,
-               add=()):
-    """A row stage: one rule per truth-table row satisfying `formula`,
-    named `fire` plus the row's index, adding `add` and jumping to
-    `target`; then `rest`, the bare focus, jumping to `rest_target`.
-
-    Sound whenever every bit in the formula's support is set when the
-    stage runs.  Each row rule binds the false marker as its pad, so it
-    strictly contains `rest`.  The rows are mutually exclusive, so on a
-    satisfying row its rule is the one maximal match, and otherwise
-    only `rest` matches.  One tick either way."""
-    for i, (row, sat) in enumerate(formula.assignments()):
-        if sat:
-            cells, edges = _row_pattern(entry, _bit_row(row))
-            ctx.emit("%s%d" % (fire, i), cells, edges, add=add,
-                     recolor=[("C", target)])
-    ctx.emit(rest, [("C", entry)], [], recolor=[("C", rest_target)])
-
-
 def compile_lock_wrapping(ctx, entry, run, skip, formula, phase, add=()):
-    """Guard stage of a run of stages under one path condition.  A rule
-    per satisfying row adds `add` and jumps to `run`, the run's first
-    stage, and the skip rule, the bare focus, jumps to `skip`, the first
-    stage after the run, when no row rule matches (_emit_rows).  Its
-    rules carry `phase`, the run's first stage's.  Every bit the guard
-    reads is set when it runs (_emit_stages says why).
+    """Guard stage of a run of stages under one path condition, carrying
+    `phase`, the run's first stage's.  A rule per truth-table row that
+    satisfies `formula`, named with the row's index, adds `add` and
+    jumps to `run`, the run's first stage; the skip rule, the bare
+    focus, jumps to `skip`, the first stage after the run.
+
+    A row rule binds the marker each bit of its row points at: all true
+    bits share the true-marker cell and all false bits the false-marker
+    cell, and the false marker is always bound, as the pad, so each row
+    rule strictly contains the skip rule.  The rows are mutually
+    exclusive, so on a satisfying row its rule is the one maximal match,
+    and otherwise only the skip rule matches: one tick either way.  That
+    needs every bit of the formula's support set when the guard runs,
+    and it is (_emit_stages says why).
 
     A commit run's guard adds the $go mark from the focus to the false
     marker, the row's pad cell, so the pattern gains no cell: the mark
     tells the last cleanup stage that the round fired (compile_cleanup).
     """
-    _emit_rows(ctx, entry, formula, "%s:%s:sat" % (phase, entry), run,
-               "%s:%s:skip" % (phase, entry), skip, add=add)
+    for i, (row, sat) in enumerate(formula.assignments()):
+        if not sat:
+            continue
+        cells, edges = [("C", entry)], []
+        if any(v for _b, v in row):
+            cells.append(("T", tangle.MARKER))
+            edges.append(("C", tangle.TRUE_EDGE, "T"))
+        cells.append(("F", tangle.MARKER))
+        edges.append(("C", tangle.FALSE_EDGE, "F"))
+        edges += [("C", "$b%d" % bit, "T" if v else "F") for bit, v in row]
+        ctx.emit("%s:%s:sat%d" % (phase, entry, i), cells, edges, add=add,
+                 recolor=[("C", run)])
+    ctx.emit("%s:%s:skip" % (phase, entry), [("C", entry)], [],
+             recolor=[("C", skip)])
 
 
 def compile_cleanup(ctx, entry, nxt, labels, skip, again):
@@ -427,10 +403,11 @@ def compile_cleanup(ctx, entry, nxt, labels, skip, again):
     The chain's last stage, given `again`, branches: a twin of each
     drop rule also binds the $go mark, which a commit run's guard set
     when the round fired (compile_lock_wrapping), and the true marker,
-    drops the mark and goes to `again`.  The last stage holds registers only, and
-    no register points at a marker, so each twin binds the true and the
-    false marker on top of its drop rule's nodes and strictly contains
-    it: with the mark set the twin is the one maximal match.  When no
+    drops the mark and goes to `again`.  The last stage holds registers
+    only, and no register points at a marker, so each twin binds the
+    true and the false marker on top of its drop rule's nodes and
+    strictly contains it: with the mark set the twin is the one maximal
+    match.  When no
     register is written unconditionally the last stage holds no label:
     its drop rule is the bare focus, and its twin binds the focus and
     both markers, so it still strictly contains it.
@@ -1036,7 +1013,8 @@ def _emit_stages(ctx, prefix, stages, after, add=()):
     would have run its stage; when it fails, each would have skipped.
 
     The guard needs a rule only for the rows that satisfy the condition,
-    and its bare-focus skip rule takes every other tick (_emit_rows).
+    and its bare-focus skip rule takes every other tick
+    (compile_lock_wrapping).
     That needs each bit of the condition set when the guard runs, and it
     is: a path condition is built from the bits of enclosing `if`
     conditions and of the left operands of `and` and `or`, whose
