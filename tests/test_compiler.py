@@ -223,11 +223,12 @@ ROW_FORMULAS = {
 }
 
 # a row stage at entry "e": a guard goes to "run" on a satisfying row
-# and to "skip" otherwise; a commit run's guard also marks the round
+# and to "skip" otherwise; "mark", a commit run's guard, also marks the
+# round with $go
 ROW_STAGES = {
     "guard": lambda ctx, f: compiler.compile_lock_wrapping(
         ctx, "e", "run", "skip", f, "eval"),
-    "commit-guard": lambda ctx, f: compiler.compile_lock_wrapping(
+    "mark": lambda ctx, f: compiler.compile_lock_wrapping(
         ctx, "e", "run", "skip", f, "commit", [("C", compiler.GO, "F")]),
 }
 
@@ -266,8 +267,8 @@ class TestRowStages:
         formula = ROW_FORMULAS[name]
         want = {("guard", True): ("run", False),
                 ("guard", False): ("skip", False),
-                ("commit-guard", True): ("run", True),
-                ("commit-guard", False): ("skip", False)}
+                ("mark", True): ("run", True),
+                ("mark", False): ("skip", False)}
         for row, sat in formula.assignments():
             rules, color, go = row_tick(stage, formula, row, mode, seed)
             assert len(rules) == len(formula.rows) + 1
