@@ -1,7 +1,7 @@
 """The compiled automaton round by round, on the `difftest` workload.
 
 The workload's 80 programs are the 20 corpus programs and perfbench's 60
-frozen generated ones (read only here).  Three properties are checked:
+frozen generated ones (read only here).  Four properties are checked:
 
 - step alignment: each time the focus enters the unit's first colour,
   the decoded tangle equals the interpreter's state after as many
